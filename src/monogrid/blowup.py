@@ -102,11 +102,6 @@ def expected_edges(H: HostGraph, s: int, p: float) -> float:
     return H.graph.edge_count * s * s * p
 
 
-def edge_upper_bound(H: HostGraph, s: int, p: float, lam: float) -> float:
-    """Handshake-style bound used in reports: hosts * degree bound, padded by lam."""
-    return H.graph.n * H.max_degree / 2 * (1 + lam) * s * s * p
-
-
 def host_hash(H: HostGraph) -> str:
     text = f"n {H.graph.n} d {H.max_degree}\n" + "".join(
         f"{u} {v}\n" for u, v in H.graph.edges()
@@ -238,12 +233,17 @@ def load_blowup(basename: str) -> BlowupGraph:
     hostg = read_graph(basename + ".host")
     meta: dict[str, str] = {}
     with open(basename + ".meta") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, value = line.split(maxsplit=1)
-            meta[key] = value
+            parts = line.split(maxsplit=1)
+            if len(parts) != 2:
+                raise ValueError(f"{basename}.meta:{lineno}: expected 'key value'")
+            meta[parts[0]] = parts[1]
+    missing = {"host_max_degree", "host_hash", "part_size", "p", "seed"} - set(meta)
+    if missing:
+        raise ValueError(f"{basename}.meta: missing key(s) {', '.join(sorted(missing))}")
     host = HostGraph(hostg, int(meta["host_max_degree"]))
     if meta["host_hash"] != host_hash(host):
         raise ValueError(f"{basename}.meta: host hash mismatch")

@@ -86,32 +86,27 @@ def apply_colouring(bg, spec: str, r: int, seed: int) -> EdgeColouring:
     gamma = bg.gamma
     if tokens[0] == "mono":
         return EdgeColouring.constant(gamma, r, int(tokens[1]))
-    edges = sorted(gamma.edges())
-    mapping: dict[tuple[int, int], int] = {}
+    rows = [[0] * gamma.n for _ in range(r)]
     if tokens[0] == "uniform-random":
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(23,)))
-        draws = rng.integers(0, r, size=len(edges))
-        mapping = {e: int(c) for e, c in zip(edges, draws)}
+        draws = rng.integers(0, r, size=gamma.edge_count)
+        for (u, v), c in zip(gamma.edges(), draws.tolist()):
+            rows[c][u] |= 1 << v
+            rows[c][v] |= 1 << u
     elif tokens[0] == "host-edge-split":
-        host_colour = {e: k % r for k, e in enumerate(sorted(bg.host.graph.edges()))}
-        for u, v in edges:
-            x, y = bg.part_of(u), bg.part_of(v)
-            mapping[(u, v)] = host_colour[(x, y) if x < y else (y, x)]
+        for k, (x, y) in enumerate(bg.host.graph.edges()):
+            for a, b in ((x, y), (y, x)):
+                for u in bg.part(a):
+                    rows[k % r][u] |= gamma.row(u) & bg.part(b).bits
     else:
         used = [[0] * r for _ in range(gamma.n)]
-        for u, v in edges:
+        for u, v in gamma.edges():
             c = min(range(r), key=lambda k: (used[u][k] + used[v][k], k))
-            mapping[(u, v)] = c
+            rows[c][u] |= 1 << v
+            rows[c][v] |= 1 << u
             used[u][c] += 1
             used[v][c] += 1
-    return EdgeColouring(gamma.n, r, mapping)
-
-
-def _colour_counts(chi: EdgeColouring) -> list[int]:
-    counts = [0] * chi.r
-    for _, c in chi.items():
-        counts[c] += 1
-    return counts
+    return EdgeColouring.from_classes([Graph(gamma.n, cls) for cls in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +161,7 @@ def run_once(cfg: RunConfig, outdir: Path) -> tuple[dict, dict]:
         chi = apply_colouring(bg, cfg.colouring, cfg.params.r, cfg.seed)
         write_colouring(chi, str(outdir / "colouring.txt"), comment=cfg.colouring)
         report["artifacts"]["colouring"] = "colouring.txt"
-        report["stages"]["colour"] = {"r": chi.r, "counts": _colour_counts(chi)}
+        report["stages"]["colour"] = {"r": chi.r, "counts": chi.colour_counts()}
         done("colour", t0)
 
         t0 = time.perf_counter()
@@ -188,14 +183,15 @@ def run_once(cfg: RunConfig, outdir: Path) -> tuple[dict, dict]:
         done("pipeline", t0)
 
         # The grid plan slices each part to delta*s; that slice is both the
-        # grid side and the length of the host cycle it winds around.
+        # grid side and the length of the host cycle it winds around, so it
+        # must be a cycle length the host can hold.
         side = cfg.grid_side()
-        if side.denominator != 1 or side < 2:
+        if side.denominator != 1 or not 3 <= side <= H.graph.n:
             raise StageError(
                 "embed",
                 f"the planned grid side delta*s = {cfg.params.delta} * {cfg.s} "
-                f"= {float(side):g} is not an integer >= 2, so no square grid "
-                "fits the plan; adjust delta or s",
+                f"= {float(side):g} is not an integer from 3 to the host order "
+                f"{H.graph.n}, so no square grid fits the plan; adjust delta or s",
             )
         m = int(side)
 
@@ -310,7 +306,10 @@ def cmd_blowup(args) -> int:
     if (args.host is None) == (args.host_file is None):
         raise ConfigError("give exactly one of --host or --host-file")
     if args.host_file is not None:
-        H = HostGraph(read_graph(args.host_file))
+        try:
+            H = HostGraph(read_graph(args.host_file))
+        except (ValueError, OSError) as e:
+            raise ConfigError(str(e)) from None
     else:
         H = build_host(args.host, args.seed)
     if not 0 < args.p <= 1:
@@ -326,13 +325,16 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_colour(args) -> int:
-    bg = load_blowup(args.blowup)
+    try:
+        bg = load_blowup(args.blowup)
+    except (ValueError, OSError) as e:
+        raise ConfigError(str(e)) from None
     chi = apply_colouring(bg, args.colouring, args.r, args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "colouring.txt"
     write_colouring(chi, str(path), comment=args.colouring)
-    counts = " ".join(f"{c}:{k}" for c, k in enumerate(_colour_counts(chi)))
+    counts = " ".join(f"{c}:{k}" for c, k in enumerate(chi.colour_counts()))
     print(f"wrote {path}: {len(chi)} edges, counts {counts}")
     return 0
 
@@ -343,8 +345,7 @@ def cmd_verify(args) -> int:
         chi = read_colouring(args.colouring, n=G.n)
         emb = read_embedding(args.embedding)
     except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        raise ConfigError(str(e)) from None
     ok, violations = verify_grid_embedding(G, chi, emb)
     if ok:
         print(f"valid: {emb.a}x{emb.b} grid in colour {emb.colour}, "
@@ -633,10 +634,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

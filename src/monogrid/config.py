@@ -354,8 +354,10 @@ def _resolve(merged: dict[str, str], preset: str | None) -> RunConfig:
                 "vertex_budget", "embed_check_trials", "embed_audit_trials",
                 "cycle_budget"):
         knobs[key] = _parse_int(key, merged[key])
-        if knobs[key] < 0:
-            raise ConfigError(f"{key} must be non-negative")
+        # a sampled check or audit that draws nothing decides nothing
+        least = 1 if key.endswith(("_trials", "_draws")) else 0
+        if knobs[key] < least:
+            raise ConfigError(f"{key} must be at least {least}, got {knobs[key]}")
 
     return RunConfig(
         preset=preset,

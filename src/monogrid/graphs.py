@@ -9,11 +9,17 @@ bit row rather than an adjacency list.
 Densities are exact `Fraction` values (edge count over product of sizes), so
 comparisons against rational thresholds like (1-eps)*p never go through
 floats.
+
+An r-edge-colouring is stored as its r colour-class graphs, because every
+step downstream works inside one colour's subgraph.  The colouring file
+format ("u v c" lines) does not depend on this layout.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator
 
 
@@ -271,70 +277,95 @@ def neighbours_in(G: Graph, v: int, B: VertexSet) -> VertexSet:
     return VertexSet(G.n, G.row(v) & B.bits)
 
 
-class EdgeColouring:
-    """Total colouring of a graph's edges with colours 0..r-1.
+def _paint(rows: list[list[int]], u: int, v: int, c: int) -> None:
+    """Put edge uv into class c of `rows` (one row list per colour), or say why not."""
+    n = len(rows[0])
+    if u == v:
+        raise ValueError(f"bad edge ({u}, {v}): self-loop")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"bad edge ({u}, {v}): vertex id out of range 0..{n - 1}")
+    if not 0 <= c < len(rows):
+        raise ValueError(f"colour {c} outside 0..{len(rows) - 1}")
+    bit = 1 << v
+    for cls in rows:
+        if cls[u] & bit:
+            raise ValueError(f"edge {(min(u, v), max(u, v))} coloured twice")
+    rows[c][u] |= bit
+    rows[c][v] |= 1 << u
 
-    Keys are canonical (min, max) pairs.  The mapping is expected to cover
-    every edge of the graph it was built for; `validate_total` checks that.
+
+class EdgeColouring:
+    """Colouring of a graph's edges with colours 0..r-1, stored as r graphs.
+
+    `classes[c]` is the spanning graph of the colour-c edges; the classes are
+    pairwise edge-disjoint.  A colouring is expected to cover every edge of
+    the graph it was built for; `validate_total` checks that.  The file
+    format ("u v c" lines, see `write_colouring`) is independent of storage.
     """
 
-    __slots__ = ("n", "r", "_map")
+    __slots__ = ("n", "r", "classes")
 
     def __init__(self, n: int, r: int, mapping: dict[tuple[int, int], int]):
         if r < 2:
             raise ValueError("an edge colouring needs at least 2 colours")
-        self.n = n
-        self.r = r
-        norm: dict[tuple[int, int], int] = {}
+        rows = [[0] * n for _ in range(r)]
         for (u, v), c in mapping.items():
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise ValueError(f"bad edge ({u}, {v}) in colouring")
-            if not 0 <= c < r:
-                raise ValueError(f"colour {c} outside 0..{r - 1}")
-            key = (u, v) if u < v else (v, u)
-            if key in norm:
-                raise ValueError(f"edge {key} coloured twice")
-            norm[key] = c
-        self._map = norm
+            _paint(rows, u, v, c)
+        self.n, self.r, self.classes = n, r, tuple(Graph(n, cls) for cls in rows)
+
+    @classmethod
+    def from_classes(cls, classes: list[Graph]) -> "EdgeColouring":
+        """Adopt edge-disjoint graphs on 0..n-1 as colour classes 0..r-1, unchecked."""
+        if len(classes) < 2:
+            raise ValueError("an edge colouring needs at least 2 colours")
+        chi = object.__new__(cls)
+        chi.n, chi.r, chi.classes = classes[0].n, len(classes), tuple(classes)
+        return chi
 
     @classmethod
     def constant(cls, G: Graph, r: int, c: int = 0) -> "EdgeColouring":
-        return cls(G.n, r, {e: c for e in G.edges()})
+        """Every edge of G in colour c: G itself is class c, the rest are empty."""
+        if not 0 <= c < r:
+            raise ValueError(f"colour {c} outside 0..{r - 1}")
+        empty = Graph(G.n, [0] * G.n, 0)
+        return cls.from_classes([G if k == c else empty for k in range(r)])
 
     def colour(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self._map[key]
-        except KeyError:
-            raise ValueError(f"edge {key} not coloured") from None
+        if 0 <= u < self.n and 0 <= v < self.n:
+            for c, g in enumerate(self.classes):
+                if (g.row(u) >> v) & 1:
+                    return c
+        raise ValueError(f"edge {(min(u, v), max(u, v))} not coloured")
 
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
-        return iter(self._map.items())
+        """Every coloured edge as ((u, v), c) with u < v, in ascending edge order."""
+        return heapq.merge(*(zip(g.edges(), repeat(c))
+                             for c, g in enumerate(self.classes)))
 
     def __len__(self) -> int:
-        return len(self._map)
-
-    def __contains__(self, edge: tuple[int, int]) -> bool:
-        u, v = edge
-        key = (u, v) if u < v else (v, u)
-        return key in self._map
+        return sum(g.edge_count for g in self.classes)
 
     def validate_total(self, G: Graph) -> None:
         """Raise unless the colouring covers exactly E(G)."""
         if G.n != self.n:
             raise ValueError("colouring universe does not match graph")
         m = G.edge_count
-        if len(self._map) != m:
-            raise ValueError(f"colouring has {len(self._map)} edges, graph has {m}")
-        for u, v in self._map:
-            if not G.has_edge(u, v):
-                raise ValueError(f"colouring refers to absent edge ({u}, {v})")
+        if len(self) != m:
+            raise ValueError(f"colouring has {len(self)} edges, graph has {m}")
+        for g in self.classes:
+            _check_subgraph(g, G)
 
     def colour_counts(self) -> list[int]:
-        counts = [0] * self.r
-        for c in self._map.values():
-            counts[c] += 1
-        return counts
+        return [g.edge_count for g in self.classes]
+
+
+def _check_subgraph(sub: Graph, G: Graph) -> None:
+    """Raise unless every edge of the colour class `sub` is an edge of G."""
+    for u, (mine, theirs) in enumerate(zip(sub._rows, G._rows)):
+        stray = mine & ~theirs
+        if stray:
+            v = (stray & -stray).bit_length() - 1
+            raise ValueError(f"colouring refers to absent edge ({u}, {v})")
 
 
 def colour_subgraph(G: Graph, chi: EdgeColouring, c: int) -> Graph:
@@ -343,17 +374,8 @@ def colour_subgraph(G: Graph, chi: EdgeColouring, c: int) -> Graph:
         raise ValueError(f"colour {c} outside 0..{chi.r - 1}")
     if chi.n != G.n:
         raise ValueError("colouring universe does not match graph")
-    rows = [0] * G.n
-    m = 0
-    for (u, v), col in chi.items():
-        if col != c:
-            continue
-        if not G.has_edge(u, v):
-            raise ValueError(f"colouring refers to absent edge ({u}, {v})")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        m += 1
-    return Graph(G.n, rows, m)
+    _check_subgraph(chi.classes[c], G)
+    return chi.classes[c]
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +447,13 @@ def write_colouring(chi: EdgeColouring, path: str, comment: str | None = None) -
             for line in comment.splitlines():
                 fh.write(f"# {line}\n")
         fh.write(f"r {chi.r}\n")
-        for (u, v), c in sorted(chi.items()):
-            fh.write(f"{u} {v} {c}\n")
+        fh.writelines(f"{u} {v} {c}\n" for (u, v), c in chi.items())
 
 
 def read_colouring(path: str, n: int | None = None) -> EdgeColouring:
+    """Read a colouring file; without `n` the universe is the largest id plus one."""
     r = None
-    mapping: dict[tuple[int, int], int] = {}
-    max_id = -1
+    rows: list[list[int]] = []
     for lineno, parts in _significant_lines(path):
         if r is None:
             if len(parts) != 2 or parts[0] != "r":
@@ -443,6 +464,7 @@ def read_colouring(path: str, n: int | None = None) -> EdgeColouring:
                 raise ValueError(f"{path}:{lineno}: bad colour count") from None
             if r < 2:
                 raise ValueError(f"{path}:{lineno}: colour count must be >= 2")
+            rows = [[0] * (n or 0) for _ in range(r)]
             continue
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'u v c'")
@@ -450,18 +472,13 @@ def read_colouring(path: str, n: int | None = None) -> EdgeColouring:
             u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-integer field") from None
-        if u == v:
-            raise ValueError(f"{path}:{lineno}: self-loop")
-        if n is not None and not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"{path}:{lineno}: vertex id out of range")
-        if not 0 <= c < r:
-            raise ValueError(f"{path}:{lineno}: colour out of range")
-        key = (u, v) if u < v else (v, u)
-        if key in mapping:
-            raise ValueError(f"{path}:{lineno}: duplicate edge {key}")
-        mapping[key] = c
-        max_id = max(max_id, u, v)
+        if n is None:  # the universe grows to the largest id seen
+            for cls in rows:
+                cls.extend([0] * (max(u, v) + 1 - len(cls)))
+        try:
+            _paint(rows, u, v, c)
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
     if r is None:
         raise ValueError(f"{path}: missing header line")
-    universe = n if n is not None else max_id + 1
-    return EdgeColouring(universe, r, mapping)
+    return EdgeColouring.from_classes([Graph(len(cls), cls) for cls in rows])

@@ -233,22 +233,23 @@ def arrows(G: Graph, T: Graph, r: int, budget: int = 2_000_000,
         return ArrowResult(UNKNOWN, None, whole.nodes)
     if whole.status == ABSENT:
         # no copy in G at all, so any colouring avoids T
-        chi = EdgeColouring(G.n, r, {e: 0 for e in G.edges()})
-        return ArrowResult(NOT_ARROWS, chi, whole.nodes)
+        return ArrowResult(NOT_ARROWS, EdgeColouring.constant(G, r), whole.nodes)
     if T.edge_count == 0:
         # copies of an edgeless target need no coloured edges
         return ArrowResult(ARROWS, None, whole.nodes)
 
     edges = list(G.edges())
     m = len(edges)
-    colour_of = [-1] * m
     class_rows = [[0] * G.n for _ in range(r)]
     tracker = _Budget(budget)
+    witness: list[EdgeColouring] = []
 
     def descend(depth: int) -> str:
         if depth == m:
-            chi = EdgeColouring(G.n, r, {edges[i]: colour_of[i] for i in range(m)})
+            chi = EdgeColouring.from_classes(
+                [Graph(G.n, list(rows)) for rows in class_rows])
             if validate_not_arrows_witness(G, T, chi):
+                witness.append(chi)
                 return NOT_ARROWS
             return ARROWS  # incremental check missed nothing; defensive only
         u, v = edges[depth]
@@ -259,23 +260,17 @@ def arrows(G: Graph, T: Graph, r: int, budget: int = 2_000_000,
             rows = class_rows[c]
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-            colour_of[depth] = c
+            out = ARROWS
             if not _anchored_copy(rows, G.n, T, u, v, tracker):
                 out = descend(depth + 1)
-                if out != ARROWS:
-                    rows[u] &= ~(1 << v)
-                    rows[v] &= ~(1 << u)
-                    return out
             rows[u] &= ~(1 << v)
             rows[v] &= ~(1 << u)
-            colour_of[depth] = -1
+            if out != ARROWS:
+                return out
         return ARROWS
 
     status = descend(0)
-    if status == NOT_ARROWS:
-        chi = EdgeColouring(G.n, r, {edges[i]: colour_of[i] for i in range(m)})
-        return ArrowResult(NOT_ARROWS, chi, tracker.nodes)
-    return ArrowResult(status, None, tracker.nodes)
+    return ArrowResult(status, witness[0] if witness else None, tracker.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from monogrid.graphs import (
     Graph,
     VertexSet,
     _edges_between,
-    _iter_bits,
     colour_subgraph,
 )
 from monogrid.hosts import HostGraph
@@ -185,11 +184,7 @@ def matching_decomposition(H: HostGraph) -> MatchingDecomposition:
 def majority_colour(bg: BlowupGraph, chi: EdgeColouring, A: VertexSet,
                     B: VertexSet) -> int:
     """The colour with the most edges between A and B; ties to the lowest index."""
-    counts = [0] * chi.r
-    bbits = B.bits
-    for u in A:
-        for v in _iter_bits(bg.gamma.row(u) & bbits):
-            counts[chi.colour(u, v)] += 1
+    counts = [_edges_between(g, A, B) for g in chi.classes]
     total = sum(counts)
     if total == 0:
         raise ValueError("empty pair: no edges to take a majority over")
@@ -282,7 +277,7 @@ class PipelineResult:
 
     def to_json(self) -> dict:
         return {
-            "phi": [[u, v, c] for (u, v), c in sorted(self.phi.items())],
+            "phi": [[u, v, c] for (u, v), c in self.phi.items()],
             "final_sets": {
                 str(x): U.to_list() for x, U in sorted(self.final_sets.items())
             },
@@ -336,14 +331,7 @@ def regular_subgraph(
     phi_map: dict[tuple[int, int], int] = {}
     edge_log: list[EdgeRecord] = []
     audit_log: list[AuditRecord] = []
-    colour_cache: dict[int, Graph] = {}
-    settled: list[tuple[tuple[int, int], int]] = []  # (edge, colour)
     lam = params.lam
-
-    def colour_graph(c: int) -> Graph:
-        if c not in colour_cache:
-            colour_cache[c] = colour_subgraph(bg.gamma, chi, c)
-        return colour_cache[c]
 
     for level in range(1, levels + 1):
         eps_i = schedule.eps_at(level)
@@ -355,10 +343,9 @@ def regular_subgraph(
             mass = len(Ux) * len(Uy) * params.p
             precondition_ok = (1 - lam) * mass <= e_here <= (1 + lam) * mass
             c = majority_colour(bg, chi, Ux, Uy)
-            G_c = colour_graph(c)
             try:
                 found = find_lower_regular_pair(
-                    G_c, Ux, Uy, eps_i, params.alpha, params.p, lam_i,
+                    chi.classes[c], Ux, Uy, eps_i, params.alpha, params.p, lam_i,
                     budget=find_budget,
                     seed=_derived_seed(seed, level, x, y),
                     check_trials=check_trials,
@@ -374,8 +361,7 @@ def regular_subgraph(
             chain.chains[x].append(U1)
             chain.chains[y].append(U2)
             matched.update((x, y))
-            phi_map[(min(x, y), max(x, y))] = c
-            settled.append(((x, y), c))
+            phi_map[(x, y)] = c  # matching edges come as (min, max)
             edge_log.append(EdgeRecord((x, y), level, c, precondition_ok,
                                        found.verdict, found.checks_used))
         for x in H.graph.vertices():
@@ -388,10 +374,10 @@ def regular_subgraph(
         # audit every pair settled at an earlier level (and this one) at the
         # regularity the next level will rely on
         audit_eps = schedule.eps_at(min(level + 1, levels))
-        for (x, y), c in settled:
+        for (x, y), c in phi_map.items():
             Ux, Uy = chain.current(x), chain.current(y)
             verdict = check_lower_regular(
-                colour_graph(c), Ux, Uy, audit_eps,
+                chi.classes[c], Ux, Uy, audit_eps,
                 params.alpha * Fraction(params.p), audit_trials,
                 _derived_seed(seed, 91, level, x, y), cap=check_cap,
             )

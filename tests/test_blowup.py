@@ -8,7 +8,6 @@ import pytest
 from monogrid.blowup import (
     audit_uniformity,
     build_blowup,
-    edge_upper_bound,
     expected_edges,
     host_hash,
     load_blowup,
@@ -17,7 +16,6 @@ from monogrid.blowup import (
 from monogrid.graphs import Graph, pair_density
 from monogrid.hosts import (
     HostGraph,
-    host_complete,
     host_cycle,
     host_path,
     host_single_edge,
@@ -117,11 +115,6 @@ def test_mean_edge_count_tracks_expectation():
     assert abs(np.mean(counts) / want - 1) < 0.02
     for c in counts:
         assert abs(c / want - 1) < 0.02
-
-
-def test_edge_bound_dominates_expectation():
-    for h in (host_cycle(8), host_complete(5), host_path(7)):
-        assert edge_upper_bound(h, 10, 0.3, 0.01) >= expected_edges(h, 10, 0.3)
 
 
 def test_expected_edges_simple():

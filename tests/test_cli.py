@@ -204,3 +204,48 @@ def test_config_file_parsing(tmp_path):
 
     with pytest.raises(ConfigError, match="preset"):
         load_config(preset="nope")
+
+
+def test_colour_reports_meta_without_host_hash(tmp_path, capsys):
+    assert main(["blowup", "--host", "cycle 4", "--s", "6", "--p", "0.5",
+                 "--out", str(tmp_path)]) == 0
+    meta = tmp_path / "blowup.meta"
+    meta.write_text("".join(line for line in meta.read_text().splitlines(True)
+                            if not line.startswith("host_hash")))
+    assert main(["colour", "--blowup", str(tmp_path / "blowup"),
+                 "--colouring", "mono 0", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "blowup.meta" in err and "host_hash" in err
+
+
+def test_blowup_reports_bad_host_file(tmp_path, capsys):
+    host = tmp_path / "bad.host"
+    host.write_text("n 3\n0 5\n")
+    assert main(["blowup", "--host-file", str(host), "--s", "4", "--p", "0.5",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.host:2:" in err
+
+
+@pytest.mark.parametrize("delta,side", [("1/150", 2), ("1/20", 15)])
+def test_run_reports_grid_side_outside_host_cycles(tmp_path, delta, side):
+    # the desk host has 10 vertices, so its cycles have 3 to 10 vertices
+    out = tmp_path / "run"
+    assert main(["run", "--preset", "desk", "--set", f"delta={delta}",
+                 "--seed", "0", "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "failed-at-embed"
+    assert f"= {side} is not an integer from 3" in report["failure"]["message"]
+
+
+@pytest.mark.parametrize("key", ["check_trials", "audit_trials",
+                                 "embed_check_trials", "embed_audit_trials",
+                                 "badset_trials", "badset_draws"])
+def test_trial_knobs_must_be_positive(tmp_path, capsys, key):
+    with pytest.raises(ConfigError, match=key):
+        load_config(preset="desk", sets=(f"{key}=0",))
+    assert getattr(load_config(preset="desk", sets=(f"{key}=1",)), key) == 1
+    assert main(["run", "--preset", "desk", "--set", f"{key}=0",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "at least 1" in capsys.readouterr().err
