@@ -413,7 +413,8 @@ def embed_row(ctx: EmbedContext, prev: RowState, seed: int, *,
         if j >= deepest["position"]:
             deepest.update(position=j, detail=detail, verdicts=verdicts)
 
-    def attempt(j: int) -> bool:
+    def accepted(j: int):
+        """Every (vertex, bank) position j can take, in search order."""
         if j == 0:
             options = pruned[0]
         else:
@@ -421,14 +422,14 @@ def embed_row(ctx: EmbedContext, prev: RowState, seed: int, *,
                                 ctx.G.row(images[j - 1]) & pruned[j].bits)
         if not options:
             note(j, "no neighbour survives in the pruned bank", [])
-            return False
+            return
         target = set_at(j + 1)
         avail = ctx.sets[target] - occ[target]
         forward = ctx.free(set_at(j + 2))
         for v in options:
             if budget[0] <= 0:
                 note(j, "search budget exhausted", [])
-                return False
+                return
             budget[0] -= 1
             stats["vertices_tried"] += 1
             hood = neighbours_in(ctx.G, v, avail)
@@ -447,16 +448,27 @@ def embed_row(ctx: EmbedContext, prev: RowState, seed: int, *,
                 if not all(c.passed for c in checks):
                     note(j, f"bank rejected at vertex {v}", checks)
                     continue
-                images[j] = v
-                banks[j] = drawn
-                if j + 1 == m or attempt(j + 1):
-                    return True
-                stats["backtracks"] += 1
-                images[j] = None
-                banks[j] = None
-        return False
+                yield v, drawn
 
-    if not attempt(0):
+    # Depth-first over positions with one suspended search per placed
+    # position.  An explicit stack, not recursion: a self-referencing
+    # closure would keep this frame, and the context with its working
+    # graph, alive until the cycle collector ran.
+    stack = [accepted(0)]
+    while stack:
+        j = len(stack) - 1
+        step = next(stack[j], None)
+        if step is None:
+            stack.pop()
+            if stack:
+                stats["backtracks"] += 1
+                images[j - 1] = banks[j - 1] = None
+            continue
+        images[j], banks[j] = step
+        if j + 1 == m:
+            break
+        stack.append(accepted(j + 1))
+    if not stack:
         raise EmbedFailure(
             "row-path", row=i, position=deepest["position"],
             detail=deepest["detail"], verdicts=deepest["verdicts"],

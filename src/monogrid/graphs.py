@@ -6,6 +6,11 @@ plus a popcount.  All the hot loops downstream (regularity checks, candidate
 filtering) are subset-density queries, which is why the representation is a
 bit row rather than an adjacency list.
 
+A vertex set decodes its members from the bitmask once, in one vectorised
+pass, the first time they are asked for by `ids`, `to_list` or `sample`, and
+keeps them; a set whose ids were never asked for iterates its bits lazily, so
+tiny one-off sets never pay for the decode.
+
 Densities are exact `Fraction` values (edge count over product of sizes), so
 comparisons against rational thresholds like (1-eps)*p never go through
 floats.
@@ -22,6 +27,8 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator
 
+import numpy as np
+
 
 def _iter_bits(bits: int) -> Iterator[int]:
     while bits:
@@ -30,10 +37,22 @@ def _iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-class VertexSet:
-    """Immutable subset of 0..n-1 backed by an int bitmask."""
+def _bit_ids(bits: int) -> tuple[int, ...]:
+    """The set-bit positions of a non-negative int, ascending, in one numpy pass."""
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"),
+                        dtype=np.uint8)
+    return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
 
-    __slots__ = ("n", "bits", "_size")
+
+class VertexSet:
+    """Immutable subset of 0..n-1 backed by an int bitmask.
+
+    The member ids are decoded once, on the first read of `ids` (directly or
+    through `to_list` / `sample`), and cached; until then iteration walks the
+    bitmask lazily.
+    """
+
+    __slots__ = ("n", "bits", "_size", "_ids")
 
     def __init__(self, n: int, bits: int):
         if n < 0:
@@ -43,6 +62,7 @@ class VertexSet:
         self.n = n
         self.bits = bits
         self._size = bits.bit_count()
+        self._ids: tuple[int, ...] | None = None
 
     @classmethod
     def from_ids(cls, n: int, ids: Iterable[int]) -> "VertexSet":
@@ -65,6 +85,13 @@ class VertexSet:
     def size(self) -> int:
         return self._size
 
+    @property
+    def ids(self) -> tuple[int, ...]:
+        """The member ids in ascending order, decoded on first use."""
+        if self._ids is None:
+            self._ids = _bit_ids(self.bits)
+        return self._ids
+
     def __len__(self) -> int:
         return self._size
 
@@ -72,6 +99,8 @@ class VertexSet:
         return self._size > 0
 
     def __iter__(self) -> Iterator[int]:
+        if self._ids is not None:
+            return iter(self._ids)
         return _iter_bits(self.bits)
 
     def __contains__(self, v: int) -> bool:
@@ -130,7 +159,7 @@ class VertexSet:
         """Uniform k-subset drawn with the supplied numpy Generator."""
         if k < 0 or k > self._size:
             raise ValueError(f"cannot sample {k} of {self._size} members")
-        ids = self.to_list()
+        ids = self.ids
         picked = rng.choice(len(ids), size=k, replace=False)
         bits = 0
         for i in picked:
@@ -138,7 +167,7 @@ class VertexSet:
         return VertexSet(self.n, bits)
 
     def to_list(self) -> list[int]:
-        return list(self)
+        return list(self.ids)
 
     def __repr__(self) -> str:
         if self._size <= 12:
@@ -214,9 +243,9 @@ class Graph:
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
         for u in range(self.n):
-            higher = self._rows[u] >> (u + 1)
-            for off in _iter_bits(higher):
-                yield u, u + 1 + off
+            base = u + 1
+            for off in _bit_ids(self._rows[u] >> base):
+                yield u, base + off
 
     def vertices(self) -> range:
         return range(self.n)

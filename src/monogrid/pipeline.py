@@ -29,6 +29,7 @@ from monogrid.graphs import (
     VertexSet,
     _edges_between,
     colour_subgraph,
+    pair_density,
 )
 from monogrid.hosts import HostGraph
 from monogrid.regularity import (
@@ -332,6 +333,7 @@ def regular_subgraph(
     edge_log: list[EdgeRecord] = []
     audit_log: list[AuditRecord] = []
     lam = params.lam
+    alpha_p = Fraction(params.alpha) * Fraction(params.p)
 
     for level in range(1, levels + 1):
         eps_i = schedule.eps_at(level)
@@ -343,17 +345,17 @@ def regular_subgraph(
             mass = len(Ux) * len(Uy) * params.p
             precondition_ok = (1 - lam) * mass <= e_here <= (1 + lam) * mass
             c = majority_colour(bg, chi, Ux, Uy)
-            try:
-                found = find_lower_regular_pair(
-                    chi.classes[c], Ux, Uy, eps_i, params.alpha, params.p, lam_i,
-                    budget=find_budget,
-                    seed=_derived_seed(seed, level, x, y),
-                    check_trials=check_trials,
-                    cap=check_cap,
-                )
-            except ValueError as err:
-                raise PipelineFailure("majority-density", level, (x, y),
-                                      str(err)) from err
+            if pair_density(chi.classes[c], Ux, Uy) < alpha_p:
+                raise PipelineFailure(
+                    "majority-density", level, (x, y),
+                    "pair is too sparse for the density-increment search")
+            found = find_lower_regular_pair(
+                chi.classes[c], Ux, Uy, eps_i, params.alpha, params.p, lam_i,
+                budget=find_budget,
+                seed=_derived_seed(seed, level, x, y),
+                check_trials=check_trials,
+                cap=check_cap,
+            )
             if not found.passed:
                 raise PipelineFailure("regular-pair-search", level, (x, y),
                                       found)
@@ -378,7 +380,7 @@ def regular_subgraph(
             Ux, Uy = chain.current(x), chain.current(y)
             verdict = check_lower_regular(
                 chi.classes[c], Ux, Uy, audit_eps,
-                params.alpha * Fraction(params.p), audit_trials,
+                alpha_p, audit_trials,
                 _derived_seed(seed, 91, level, x, y), cap=check_cap,
             )
             audit_log.append(AuditRecord(level, (x, y), audit_eps, verdict))
@@ -450,29 +452,39 @@ def _cycle_of_length(G: Graph, ell: int, budget: int):
     for start in G.vertices():
         if G.degree(start) < 2:
             continue
-        found, spent = _extend_cycle(G, start, [start], 1 << start, ell,
-                                     [spent, budget])
+        found, spent = _extend_cycle(G, start, ell, spent, budget)
         if found is not None or spent >= budget:
             return found, spent
     return None, spent
 
 
-def _extend_cycle(G: Graph, start: int, path: list[int], on_path: int,
-                  ell: int, counter: list[int]):
-    # counter = [spent, budget]
-    if len(path) == ell:
-        if G.has_edge(path[-1], start):
-            return list(path), counter[0]
-        return None, counter[0]
-    for w in G.neighbours(path[-1]):
-        if w <= start or (on_path >> w) & 1:
+def _extend_cycle(G: Graph, start: int, ell: int, spent: int, budget: int):
+    """Depth-first search for a cycle on ell vertices whose least vertex is start.
+
+    Returns the cycle or None, and the node count carried on from `spent`.
+    Each path vertex keeps an iterator over its neighbours on an explicit
+    stack, so a cycle as long as the host never meets the recursion limit.
+    A step that reaches the budget ends the search at its depth, and every
+    shallower depth with a candidate left spends one more node to stop.
+    """
+    path = [start]
+    on_path = 1 << start
+    stack = [iter(G.neighbours(start))]
+    while stack:
+        w = next(stack[-1], None)
+        if w is not None:
+            if w <= start or (on_path >> w) & 1:
+                continue
+            spent += 1
+        if w is None or spent >= budget:
+            stack.pop()
+            on_path ^= 1 << path.pop()
             continue
-        counter[0] += 1
-        if counter[0] >= counter[1]:
-            return None, counter[0]
+        if len(path) + 1 == ell:
+            if G.has_edge(w, start):
+                return path + [w], spent
+            continue
         path.append(w)
-        got = _extend_cycle(G, start, path, on_path | (1 << w), ell, counter)
-        if got[0] is not None:
-            return got
-        path.pop()
-    return None, counter[0]
+        on_path |= 1 << w
+        stack.append(iter(G.neighbours(w)))
+    return None, spent

@@ -156,9 +156,9 @@ def exact_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
     eps = Fraction(eps)
     threshold = (1 - eps) * Fraction(p)
     k1, k2 = _subset_sizes(eps, len(A), len(B))
-    b_ids = B.to_list()
+    b_ids = B.ids
     b_rows = [G.row(b) for b in b_ids]
-    for combo in combinations(A.to_list(), k1):
+    for combo in combinations(A.ids, k1):
         bits1 = 0
         for a in combo:
             bits1 |= 1 << a
@@ -175,7 +175,8 @@ def exact_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
     return RegVerdict(EXACT, True, threshold)
 
 
-def _lowest_by_degree(G: Graph, pool: list[int], into_bits: int, k: int) -> list[int]:
+def _lowest_by_degree(G: Graph, pool: tuple[int, ...], into_bits: int,
+                      k: int) -> list[int]:
     return sorted(pool, key=lambda v: ((G.row(v) & into_bits).bit_count(), v))[:k]
 
 
@@ -196,8 +197,8 @@ def sampled_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
     eps = Fraction(eps)
     threshold = (1 - eps) * Fraction(p)
     k1, k2 = _subset_sizes(eps, len(A), len(B))
-    a_ids = A.to_list()
-    b_ids = B.to_list()
+    a_ids = A.ids
+    b_ids = B.ids
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     biased = trials // 2
 
@@ -455,7 +456,7 @@ def compute_bad_set(
     effective_p = alpha * Fraction(p)
     size = math.ceil(alpha * len(V1) * Fraction(p) / 4)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    amb_ids = ambient.to_list()
+    amb_ids = ambient.ids
     bad_bits = 0
 
     def neighbourhood(v: int, side: VertexSet) -> VertexSet:

@@ -1,5 +1,7 @@
 """Grid embedding: row seeding, the cleaning passes, and the verifier."""
 
+import gc
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -276,6 +278,27 @@ def test_embed_row_flags_oversized_occupied():
     assert exc.value.stage == "occupied-overflow"
     assert exc.value.row == 1
     assert exc.value.position == 2
+
+
+@pytest.mark.parametrize("vertex_budget", [50, 0])
+def test_embed_row_frees_its_context_without_the_cycle_collector(vertex_budget):
+    # a reference cycle through the row search would keep the context, and
+    # its working graph, alive until a collection
+    _, _, ctx = complete_ring_ctx()
+    row = seed_first_row(ctx, 7)
+    ref = weakref.ref(ctx)
+    gc.disable()
+    try:
+        try:
+            embed_row(ctx, row, 101, vertex_budget=vertex_budget)
+            failed = None
+        except EmbedFailure as e:
+            failed = e.stage
+        assert failed == (None if vertex_budget else "row-path")
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,16 @@ import pytest
 
 from monogrid.blowup import build_blowup
 from monogrid.graphs import EdgeColouring, Graph, VertexSet, colour_subgraph
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from monogrid import pipeline
 from monogrid.hosts import HostGraph, host_cycle, host_path, host_single_edge
 from monogrid.pipeline import (
     CycleCertificate,
     MatchingDecomposition,
     PipelineFailure,
+    _cycle_of_length,
     find_mono_cycle,
     majority_colour,
     matching_decomposition,
@@ -282,6 +287,21 @@ def test_chain_rejects_pair_below_majority_density():
         regular_subgraph(bg, chi, params, sched, seed=0)
     assert info.value.stage == "majority-density"
     assert info.value.level == 1
+    assert info.value.detail == "pair is too sparse for the density-increment search"
+
+
+def test_chain_lets_other_search_errors_through(monkeypatch):
+    # only the density precondition is a majority-density failure
+    def broken(*args, **kwargs):
+        raise ValueError("injected search error")
+
+    monkeypatch.setattr(pipeline, "find_lower_regular_pair", broken)
+    bg = build_blowup(host_single_edge(), 12, 0.9, seed=3)
+    chi = EdgeColouring.constant(bg.gamma, 2, 0)
+    params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
+    sched = eps_schedule(F(9, 20), 2, F(1, 2), identity_rule)
+    with pytest.raises(ValueError, match="injected search error"):
+        regular_subgraph(bg, chi, params, sched, seed=0)
 
 
 def test_chain_rejects_mismatched_schedule():
@@ -386,6 +406,56 @@ def test_mono_cycle_budget_exhaustion_returns_none():
     H = HostGraph(Graph.complete(5))
     phi = EdgeColouring.constant(H.graph, 2, 0)
     assert find_mono_cycle(H, phi, 3, 5, budget=0) is None
+
+
+def test_mono_cycle_as_long_as_a_1500_vertex_host():
+    H = host_cycle(1500)
+    phi = EdgeColouring.constant(H.graph, 2, 0)
+    cert = find_mono_cycle(H, phi, 1500, 1500)
+    assert cert is not None
+    assert cert.colour == 0 and cert.vertices == list(range(1500))
+
+
+def _reference_cycle_of_length(G: Graph, ell: int, budget: int):
+    """Recursive form of the cycle search: same order, same node accounting."""
+    counter = [0]
+
+    def extend(start, path, on_path):
+        if len(path) == ell:
+            return list(path) if G.has_edge(path[-1], start) else None
+        for w in G.neighbours(path[-1]):
+            if w <= start or (on_path >> w) & 1:
+                continue
+            counter[0] += 1
+            if counter[0] >= budget:
+                return None
+            got = extend(start, path + [w], on_path | (1 << w))
+            if got is not None:
+                return got
+        return None
+
+    for start in G.vertices():
+        if G.degree(start) < 2:
+            continue
+        found = extend(start, [start], 1 << start)
+        if found is not None or counter[0] >= budget:
+            return found, counter[0]
+    return None, counter[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 10).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            .filter(lambda e: e[0] != e[1])),
+    st.integers(3, n),
+    st.integers(0, 400),
+)))
+def test_cycle_search_matches_recursive_reference(case):
+    n, pairs, ell, budget = case
+    G = Graph.from_edges(n, pairs)
+    assert _cycle_of_length(G, ell, budget) == \
+        _reference_cycle_of_length(G, ell, budget)
 
 
 def test_mono_cycle_range_validation():
