@@ -16,12 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from monogrid.graphs import Graph, VertexSet, _edges_between
+from monogrid import seeds
+from monogrid.graphs import Graph, VertexSet, _edges_between, _significant_lines
 from monogrid.hosts import HostGraph
-
-
-def _edge_rng(seed: int, x: int, y: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(x, y)))
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,7 @@ def build_blowup(H: HostGraph, s: int, p: float, seed: int) -> BlowupGraph:
     rows = [0] * n
     m = 0
     for x, y in H.graph.edges():
-        rng = _edge_rng(seed, x, y)
+        rng = seeds.rng(seed, x, y)
         mat = rng.random((s, s)) < p
         m += int(mat.sum())
         packed = np.packbits(mat, axis=1, bitorder="little")
@@ -186,7 +183,7 @@ def audit_uniformity(
         candidates.append((lo_x, lo_y))
         candidates.append((hi_x, hi_y))
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(x, y, 7)))
+    rng = seeds.rng(seed, x, y, 7)
     k_floor = max(1, math.ceil(min_mass / (s * p)))
     for _ in range(budget):
         k1 = int(rng.integers(k_floor, s + 1))
@@ -232,15 +229,10 @@ def load_blowup(basename: str) -> BlowupGraph:
     gamma = read_graph(basename + ".graph")
     hostg = read_graph(basename + ".host")
     meta: dict[str, str] = {}
-    with open(basename + ".meta") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(maxsplit=1)
-            if len(parts) != 2:
-                raise ValueError(f"{basename}.meta:{lineno}: expected 'key value'")
-            meta[parts[0]] = parts[1]
+    for lineno, parts in _significant_lines(basename + ".meta"):
+        if len(parts) != 2:
+            raise ValueError(f"{basename}.meta:{lineno}: expected 'key value'")
+        meta[parts[0]] = parts[1]
     missing = {"host_max_degree", "host_hash", "part_size", "p", "seed"} - set(meta)
     if missing:
         raise ValueError(f"{basename}.meta: missing key(s) {', '.join(sorted(missing))}")

@@ -16,15 +16,16 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
+from monogrid import seeds
 from monogrid.blowup import build_blowup, expected_edges, load_blowup, save_blowup
 from monogrid.config import (
+    GRAPH_SPEC,
     ConfigError,
     RunConfig,
     build_host,
     load_config,
     parse_colouring_spec,
+    parse_graph_spec,
 )
 from monogrid.embedder import (
     EmbedFailure,
@@ -42,7 +43,6 @@ from monogrid.graphs import (
     write_colouring,
     write_graph,
 )
-from monogrid.hosts import HostGraph
 from monogrid.oracle import (
     arrows,
     contains_subgraph,
@@ -53,7 +53,6 @@ from monogrid.oracle import (
 )
 from monogrid.pipeline import (
     PipelineFailure,
-    _derived_seed,
     find_mono_cycle,
     regular_subgraph,
 )
@@ -88,7 +87,7 @@ def apply_colouring(bg, spec: str, r: int, seed: int) -> EdgeColouring:
         return EdgeColouring.constant(gamma, r, int(tokens[1]))
     rows = [[0] * gamma.n for _ in range(r)]
     if tokens[0] == "uniform-random":
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(23,)))
+        rng = seeds.rng(seed, 23)
         draws = rng.integers(0, r, size=gamma.edge_count)
         for (u, v), c in zip(gamma.edges(), draws.tolist()):
             rows[c][u] |= 1 << v
@@ -303,15 +302,7 @@ def cmd_gen_host(args) -> int:
 
 
 def cmd_blowup(args) -> int:
-    if (args.host is None) == (args.host_file is None):
-        raise ConfigError("give exactly one of --host or --host-file")
-    if args.host_file is not None:
-        try:
-            H = HostGraph(read_graph(args.host_file))
-        except (ValueError, OSError) as e:
-            raise ConfigError(str(e)) from None
-    else:
-        H = build_host(args.host, args.seed)
+    H = build_host(args.host, args.seed)
     if not 0 < args.p <= 1:
         raise ConfigError(f"p must lie in (0, 1], got {args.p}")
     bg = build_blowup(H, args.s, args.p, args.seed)
@@ -357,32 +348,10 @@ def cmd_verify(args) -> int:
     return 1
 
 
-# Small named graphs the oracle commands accept in place of a file.
-def _graph_from_spec(spec: str) -> Graph:
-    tokens = spec.split()
-    try:
-        if tokens[0] == "complete" and len(tokens) == 2:
-            return Graph.complete(int(tokens[1]))
-        if tokens[0] == "cycle" and len(tokens) == 2:
-            return Graph.cycle(int(tokens[1]))
-        if tokens[0] == "path" and len(tokens) == 2:
-            return Graph.path(int(tokens[1]))
-        if tokens[0] == "grid" and len(tokens) == 3:
-            return grid_graph(int(tokens[1]), int(tokens[2]))
-        if tokens[0] == "file" and len(tokens) == 2:
-            return read_graph(tokens[1])
-    except (ValueError, OSError, IndexError) as e:
-        raise ConfigError(f"graph spec {spec!r}: {e}") from None
-    raise ConfigError(
-        f"unknown graph spec {spec!r}; expected 'complete N', 'cycle N', "
-        "'path N', 'grid A B' or 'file PATH'"
-    )
-
-
 def cmd_oracle(args) -> int:
     if args.kind == "arrows":
-        G = _graph_from_spec(args.graph)
-        T = _graph_from_spec(args.target)
+        G = parse_graph_spec(args.graph)
+        T = parse_graph_spec(args.target)
         try:
             res = arrows(G, T, args.r, budget=args.budget,
                          allow_large=args.allow_large)
@@ -399,7 +368,7 @@ def cmd_oracle(args) -> int:
         print(json.dumps(out, sort_keys=True))
         return 0
     if args.kind == "grid":
-        G = _graph_from_spec(args.graph)
+        G = parse_graph_spec(args.graph)
         res = contains_subgraph(G, grid_graph(args.a, args.b), args.budget)
         print(json.dumps({"status": res.status, "nodes": res.nodes},
                          sort_keys=True))
@@ -439,7 +408,7 @@ def cmd_experiment(args) -> int:
             try:
                 rep = monte_carlo_grid_count(args.n, p, args.a, args.b,
                                              args.samples,
-                                             _derived_seed(args.seed, 71, i))
+                                             seeds.derive(args.seed, 71, i))
             except ValueError:
                 # counting intractable at this size: keep the closed form,
                 # mark the sampled columns as skipped
@@ -470,8 +439,7 @@ def cmd_experiment(args) -> int:
         for i, k in enumerate(sizes):
             if not 0 < k <= args.s:
                 raise ConfigError(f"subset size {k} outside 1..{args.s}")
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=args.seed, spawn_key=(29, i)))
+            rng = seeds.rng(args.seed, 29, i)
             worst = 0.0
             for _ in range(args.trials):
                 X = A.sample(k, rng)
@@ -528,16 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("gen-host", help="write a host graph file")
-    sub.add_argument("--host", required=True,
-                     help="'cycle N', 'path N', 'complete N', 'single-edge', "
-                          "'random-regular N D' or 'file PATH'")
+    sub.add_argument("--host", required=True, help=f"host graph spec: {GRAPH_SPEC}")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default="out")
     sub.set_defaults(func=cmd_gen_host)
 
     sub = subs.add_parser("blowup", help="sample a sparse blowup of a host")
-    sub.add_argument("--host", help="host spec, as in gen-host")
-    sub.add_argument("--host-file", help="existing host graph file")
+    sub.add_argument("--host", required=True, help=f"host graph spec: {GRAPH_SPEC}")
     sub.add_argument("--s", type=int, required=True, help="part size")
     sub.add_argument("--p", type=float, required=True, help="edge probability")
     sub.add_argument("--seed", type=int, default=0)
@@ -569,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     kinds = sub.add_subparsers(dest="kind", required=True)
 
     k = kinds.add_parser("arrows", help="decide G -> (T)_r by brute force")
-    k.add_argument("--graph", required=True)
-    k.add_argument("--target", required=True)
+    k.add_argument("--graph", required=True, help=f"graph spec: {GRAPH_SPEC}")
+    k.add_argument("--target", required=True, help="graph spec, as for --graph")
     k.add_argument("--r", type=int, default=2)
     k.add_argument("--budget", type=int, default=2_000_000)
     k.add_argument("--allow-large", action="store_true",
@@ -579,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(func=cmd_oracle)
 
     k = kinds.add_parser("grid", help="search a graph for an a-by-b grid")
-    k.add_argument("--graph", required=True)
+    k.add_argument("--graph", required=True, help=f"graph spec: {GRAPH_SPEC}")
     k.add_argument("--a", type=int, required=True)
     k.add_argument("--b", type=int, required=True)
     k.add_argument("--budget", type=int, default=2_000_000)

@@ -13,15 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from monogrid.graphs import read_graph
-from monogrid.hosts import (
-    HostGraph,
-    host_complete,
-    host_cycle,
-    host_path,
-    host_single_edge,
-    random_regular_host,
-)
+from monogrid.graphs import Graph, read_graph
+from monogrid.hosts import HostGraph, random_regular_host
+from monogrid.oracle import grid_graph
 from monogrid.regularity import (
     EpsSchedule,
     RegParams,
@@ -37,7 +31,8 @@ class ConfigError(Exception):
 
 # Every legal key, grouped by how its value parses.  Parameter keys absent
 # after merging are derived in resolve order: alpha from r, eps from alpha,
-# eps_inherit from eps, delta from the host order, p from c and s.
+# eps_inherit from eps, delta from the host order, max_degree from the
+# host's degree bound, p from c and s.
 _INT_KEYS = (
     "r", "max_degree", "s", "seed",
     "find_budget", "check_trials", "audit_trials", "check_cap",
@@ -54,7 +49,6 @@ _ALL_KEYS = frozenset(_INT_KEYS + _FRACTION_KEYS + _FLOAT_KEYS + _BOOL_KEYS + _S
 
 _DEFAULTS = {
     "r": "2",
-    "max_degree": "2",
     "seed": "0",
     "colouring": "mono 0",
     "lam_rule": "quarter",
@@ -146,50 +140,45 @@ def _parse_bool(key: str, value: str) -> bool:
     raise ConfigError(f"{key} must be true or false, got {value!r}")
 
 
-def host_order(spec: str) -> int:
-    """Number of vertices the host described by `spec` will have."""
-    tokens = spec.split()
-    kind = tokens[0] if tokens else ""
-    if kind in ("cycle", "path", "complete") and len(tokens) == 2:
-        return _parse_int("host size", tokens[1])
-    if kind == "single-edge" and len(tokens) == 1:
-        return 2
-    if kind == "random-regular" and len(tokens) == 3:
-        return _parse_int("host size", tokens[1])
-    if kind == "file" and len(tokens) == 2:
-        try:
-            return read_graph(tokens[1]).n
-        except OSError as e:
-            raise ConfigError(f"cannot read host file: {e}") from None
-    raise ConfigError(
-        f"unknown host spec {spec!r}; expected one of 'cycle N', 'path N', "
-        "'complete N', 'single-edge', 'random-regular N D', 'file PATH'"
-    )
+# The graph-spec grammar, shared by hosts, blow-ups and the oracles.
+GRAPH_SPEC = ("'cycle N', 'path N', 'complete N', 'single-edge', "
+              "'random-regular N D', 'grid A B' or 'file PATH'")
+
+# kind -> argument count; every argument but a file path is an integer
+_SPEC_ARITY = {"cycle": 1, "path": 1, "complete": 1, "single-edge": 0,
+               "random-regular": 2, "grid": 2, "file": 1}
+
+
+def parse_graph_spec(spec: str, seed: int = 0) -> Graph:
+    """The graph a spec in `GRAPH_SPEC` names; random graphs draw from `seed`."""
+    kind, *args = spec.split() or [""]
+    if _SPEC_ARITY.get(kind) != len(args):
+        raise ConfigError(f"unknown graph spec {spec!r}; expected {GRAPH_SPEC}")
+    try:
+        if kind == "file":
+            return read_graph(args[0])
+        build = {
+            "cycle": Graph.cycle, "path": Graph.path, "complete": Graph.complete,
+            "single-edge": lambda: Graph.path(2),
+            "random-regular": lambda n, d: random_regular_host(n, d, seed).graph,
+            "grid": grid_graph,
+        }[kind]
+        return build(*(int(a) for a in args))
+    except (ValueError, OSError) as e:
+        raise ConfigError(f"graph spec {spec!r}: {e}") from None
 
 
 def build_host(spec: str, seed: int) -> HostGraph:
-    """Construct the host graph described by `spec`.
+    """The host graph `spec` names, with the bound max(2, its maximum degree).
 
     The run seed doubles as the generation seed for random hosts, so a
     config plus seed pins the host exactly.
     """
-    tokens = spec.split()
+    G = parse_graph_spec(spec, seed)
     try:
-        if tokens[0] == "cycle":
-            return host_cycle(int(tokens[1]))
-        if tokens[0] == "path":
-            return host_path(int(tokens[1]))
-        if tokens[0] == "complete":
-            return host_complete(int(tokens[1]))
-        if tokens[0] == "single-edge":
-            return host_single_edge()
-        if tokens[0] == "random-regular":
-            return random_regular_host(int(tokens[1]), int(tokens[2]), seed)
-        if tokens[0] == "file":
-            return HostGraph(read_graph(tokens[1]))
-    except (ValueError, OSError) as e:
+        return HostGraph(G)
+    except ValueError as e:
         raise ConfigError(f"host spec {spec!r}: {e}") from None
-    raise ConfigError(f"unknown host spec {spec!r}")
 
 
 def parse_colouring_spec(spec: str, r: int) -> list[str]:
@@ -325,11 +314,17 @@ def _resolve(merged: dict[str, str], preset: str | None) -> RunConfig:
         eps_inherit = eps / 4
 
     host_spec = merged["host"]
-    n_host = host_order(host_spec)
+    host = build_host(host_spec, seed)
     if "delta" in merged:
         delta = _parse_fraction("delta", merged["delta"])
     else:
-        delta = min(Fraction(1, 4 * n_host), eps / 4, lam / 4)
+        delta = min(Fraction(1, 4 * host.graph.n), eps / 4, lam / 4)
+    # the level schedule has one level per matching of the host's bound
+    max_degree = _parse_int("max_degree",
+                            merged.get("max_degree", str(host.max_degree)))
+    if max_degree != host.max_degree:
+        raise ConfigError(f"max_degree={max_degree} differs from the host's degree "
+                          f"bound {host.max_degree}")
 
     if "p" in merged:
         p = _parse_float("p", merged["p"])
@@ -339,7 +334,7 @@ def _resolve(merged: dict[str, str], preset: str | None) -> RunConfig:
         p = min(1.0, c / math.sqrt(s))
 
     try:
-        params = RegParams(r=r, max_degree=_parse_int("max_degree", merged["max_degree"]),
+        params = RegParams(r=r, max_degree=max_degree,
                            eps=eps, eps_inherit=eps_inherit, alpha=alpha, lam=lam,
                            delta=delta, c=c, p=p)
     except ValueError as e:

@@ -19,17 +19,18 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
+from monogrid import seeds
 from monogrid.blowup import BlowupGraph
 from monogrid.graphs import (
     EdgeColouring,
     Graph,
     VertexSet,
+    _significant_lines,
+    _write_comment,
     colour_subgraph,
     neighbours_in,
 )
-from monogrid.pipeline import CycleCertificate, PipelineResult, _derived_seed
+from monogrid.pipeline import CycleCertificate, PipelineResult
 from monogrid.regularity import (
     BadSetError,
     RegParams,
@@ -193,18 +194,36 @@ class GridEmbedding:
         return {"a": self.a, "b": self.b, "colour": self.colour, "cells": cells}
 
 
-def _rng(seed: int, *key: int):
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
-    )
-
-
 def _check_pair(ctx: EmbedContext, A: VertexSet, B: VertexSet, trials: int,
                 seed: int) -> RegVerdict:
     """One (eps, alpha p) sampled check in the working graph."""
     effective_p = Fraction(ctx.params.alpha) * Fraction(ctx.params.p)
     return sampled_lower_regular(ctx.G, A, B, Fraction(ctx.params.eps),
                                  effective_p, trials, seed)
+
+
+def _draw_banks(ctx: EmbedContext, hood: VertexSet, v: int,
+                forward: VertexSet, link: VertexSet | None, seed: int,
+                keys: tuple[tuple[int, ...], ...], tries: int, trials: int,
+                stats: dict):
+    """Candidate banks for vertex v, each with the verdicts it drew.
+
+    Try t samples a candidate-size subset of `hood` from stream
+    (*keys[0], v, t), checks it against `forward` (stream keys[1]) and, when
+    there is a previous bank `link`, checks `link` against it (stream
+    keys[2]).  Every draw and check is counted in `stats`.
+    """
+    draw_key, forward_key, link_key = keys
+    for t in range(tries):
+        stats["subsets_drawn"] += 1
+        drawn = hood.sample(ctx.candidate_size, seeds.rng(seed, *draw_key, v, t))
+        checks = [_check_pair(ctx, drawn, forward, trials,
+                              seeds.derive(seed, *forward_key, v, t))]
+        if link is not None:
+            checks.append(_check_pair(ctx, link, drawn, trials,
+                                      seeds.derive(seed, *link_key, v, t)))
+        stats["checks"] += len(checks)
+        yield drawn, checks
 
 
 def seed_first_row(ctx: EmbedContext, seed: int, *,
@@ -235,7 +254,7 @@ def seed_first_row(ctx: EmbedContext, seed: int, *,
         effective_p = Fraction(ctx.params.alpha) * Fraction(ctx.params.p)
         opening = sampled_lower_regular(ctx.G, free[0], free[1], audit_eps,
                                         effective_p, audit_trials,
-                                        _derived_seed(seed, 3))
+                                        seeds.derive(seed, 3))
         if not opening.passed:
             raise EmbedFailure(
                 "first-row-audit", row=0, position=0, verdicts=[opening],
@@ -246,7 +265,8 @@ def seed_first_row(ctx: EmbedContext, seed: int, *,
     family: list[VertexSet] = []
     stats = {"vertices_tried": 0, "subsets_drawn": 0, "checks": 0}
     for j in range(m):
-        pool = free[0] if j == 0 else family[j - 1]
+        link = family[j - 1] if j > 0 else None
+        pool = free[0] if link is None else link
         target = free[(j + 1) % m]
         forward = free[(j + 2) % m]
         placed = False
@@ -260,16 +280,9 @@ def seed_first_row(ctx: EmbedContext, seed: int, *,
             hood = neighbours_in(ctx.G, v, target)
             if hood.size < cand:
                 continue
-            for t in range(subset_tries):
-                stats["subsets_drawn"] += 1
-                drawn = hood.sample(cand, _rng(seed, 1, j, v, t))
-                checks = [_check_pair(ctx, drawn, forward, check_trials,
-                                      _derived_seed(seed, 2, j, v, t))]
-                if j > 0:
-                    checks.append(_check_pair(ctx, family[j - 1], drawn,
-                                              check_trials,
-                                              _derived_seed(seed, 4, j, v, t)))
-                stats["checks"] += len(checks)
+            for drawn, checks in _draw_banks(ctx, hood, v, forward, link, seed,
+                                             ((1, j), (2, j), (4, j)),
+                                             subset_tries, check_trials, stats):
                 if all(c.passed for c in checks):
                     images.append(v)
                     family.append(drawn)
@@ -426,6 +439,7 @@ def embed_row(ctx: EmbedContext, prev: RowState, seed: int, *,
         target = set_at(j + 1)
         avail = ctx.sets[target] - occ[target]
         forward = ctx.free(set_at(j + 2))
+        link = banks[j - 1] if j > 0 else None
         for v in options:
             if budget[0] <= 0:
                 note(j, "search budget exhausted", [])
@@ -435,16 +449,9 @@ def embed_row(ctx: EmbedContext, prev: RowState, seed: int, *,
             hood = neighbours_in(ctx.G, v, avail)
             # the degree filter ran against a padded, therefore smaller, set
             assert hood.size >= cand
-            for t in range(subset_tries):
-                stats["subsets_drawn"] += 1
-                drawn = hood.sample(cand, _rng(seed, 4, i, j, v, t))
-                checks = [_check_pair(ctx, drawn, forward, check_trials,
-                                      _derived_seed(seed, 5, i, j, v, t))]
-                if j > 0:
-                    checks.append(_check_pair(ctx, banks[j - 1], drawn,
-                                              check_trials,
-                                              _derived_seed(seed, 6, i, j, v, t)))
-                stats["checks"] += len(checks)
+            for drawn, checks in _draw_banks(ctx, hood, v, forward, link, seed,
+                                             ((4, i, j), (5, i, j), (6, i, j)),
+                                             subset_tries, check_trials, stats):
                 if not all(c.passed for c in checks):
                     note(j, f"bank rejected at vertex {v}", checks)
                     continue
@@ -508,7 +515,7 @@ def build_context(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
             bad.append(compute_bad_set(
                 bg, G, sets[(t + 1) % m], sets[(t + 2) % m], sets[t],
                 params.eps, params.alpha, params.p,
-                draws=badset_draws, seed=_derived_seed(seed, 17, t),
+                draws=badset_draws, seed=seeds.derive(seed, 17, t),
                 checker_trials=badset_trials, checker_cap=badset_cap,
             ))
         except BadSetError as e:
@@ -543,13 +550,13 @@ def embed_grid(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
     ctx = build_context(bg, chi, result, cycle, params, seed,
                         badset_draws=badset_draws, badset_trials=badset_trials,
                         badset_cap=badset_cap)
-    row = seed_first_row(ctx, _derived_seed(seed, 40, 0),
+    row = seed_first_row(ctx, seeds.derive(seed, 40, 0),
                          subset_tries=subset_tries,
                          vertex_budget=vertex_budget,
                          check_trials=check_trials, audit_trials=audit_trials)
     rows = [row]
     for i in range(1, m):
-        row = embed_row(ctx, row, _derived_seed(seed, 40, i),
+        row = embed_row(ctx, row, seeds.derive(seed, 40, i),
                         subset_tries=subset_tries,
                         vertex_budget=vertex_budget,
                         check_trials=check_trials)
@@ -631,9 +638,7 @@ def verify_grid_embedding(gamma: Graph, chi: EdgeColouring,
 def write_embedding(emb: GridEmbedding, path: str,
                     comment: str | None = None) -> None:
     with open(path, "w") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
+        _write_comment(fh, comment)
         fh.write(f"grid {emb.a} {emb.b} colour {emb.colour}\n")
         for (i, j), v in sorted(emb.image.items()):
             fh.write(f"{i} {j} {v}\n")
@@ -642,40 +647,34 @@ def write_embedding(emb: GridEmbedding, path: str,
 def read_embedding(path: str) -> GridEmbedding:
     header = None
     image: dict[tuple[int, int], int] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if header is None:
-                if (len(parts) != 5 or parts[0] != "grid"
-                        or parts[3] != "colour"):
-                    raise ValueError(
-                        f"{path}:{lineno}: expected header 'grid a b colour c'"
-                    )
-                try:
-                    header = (int(parts[1]), int(parts[2]), int(parts[4]))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: non-integer header field"
-                    ) from None
-                if header[0] < 1 or header[1] < 1 or header[2] < 0:
-                    raise ValueError(f"{path}:{lineno}: bad grid dimensions")
-                continue
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'i j vertex'")
+    for lineno, parts in _significant_lines(path):
+        if header is None:
+            if len(parts) != 5 or parts[0] != "grid" or parts[3] != "colour":
+                raise ValueError(
+                    f"{path}:{lineno}: expected header 'grid a b colour c'"
+                )
             try:
-                i, j, v = (int(x) for x in parts)
+                header = (int(parts[1]), int(parts[2]), int(parts[4]))
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer cell") from None
-            if not (0 <= i < header[0] and 0 <= j < header[1]):
-                raise ValueError(f"{path}:{lineno}: cell outside the grid")
-            if (i, j) in image:
-                raise ValueError(f"{path}:{lineno}: duplicate cell ({i}, {j})")
-            if v < 0:
-                raise ValueError(f"{path}:{lineno}: negative vertex id")
-            image[(i, j)] = v
+                raise ValueError(
+                    f"{path}:{lineno}: non-integer header field"
+                ) from None
+            if header[0] < 1 or header[1] < 1 or header[2] < 0:
+                raise ValueError(f"{path}:{lineno}: bad grid dimensions")
+            continue
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 'i j vertex'")
+        try:
+            i, j, v = (int(x) for x in parts)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-integer cell") from None
+        if not (0 <= i < header[0] and 0 <= j < header[1]):
+            raise ValueError(f"{path}:{lineno}: cell outside the grid")
+        if (i, j) in image:
+            raise ValueError(f"{path}:{lineno}: duplicate cell ({i}, {j})")
+        if v < 0:
+            raise ValueError(f"{path}:{lineno}: negative vertex id")
+        image[(i, j)] = v
     if header is None:
         raise ValueError(f"{path}: missing header line")
     return GridEmbedding(header[0], header[1], header[2], image)

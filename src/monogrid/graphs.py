@@ -415,17 +415,22 @@ def colour_subgraph(G: Graph, chi: EdgeColouring, c: int) -> Graph:
 # Lines starting with "#" and blank lines are ignored in both.
 
 
+def _write_comment(fh, comment: str | None) -> None:
+    """Head a text file with `comment`, one "# " line per line of it."""
+    if comment:
+        fh.writelines(f"# {line}\n" for line in comment.splitlines())
+
+
 def write_graph(G: Graph, path: str, comment: str | None = None) -> None:
     with open(path, "w") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
+        _write_comment(fh, comment)
         fh.write(f"n {G.n}\n")
         for u, v in G.edges():
             fh.write(f"{u} {v}\n")
 
 
 def _significant_lines(path: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, whitespace-split fields) of every line not blank or a comment."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -472,9 +477,7 @@ def read_graph(path: str) -> Graph:
 
 def write_colouring(chi: EdgeColouring, path: str, comment: str | None = None) -> None:
     with open(path, "w") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
+        _write_comment(fh, comment)
         fh.write(f"r {chi.r}\n")
         fh.writelines(f"{u} {v} {c}\n" for (u, v), c in chi.items())
 

@@ -8,8 +8,7 @@ bound than the true maximum degree.
 
 from __future__ import annotations
 
-import numpy as np
-
+from monogrid import seeds
 from monogrid.graphs import Graph
 
 
@@ -52,10 +51,6 @@ def host_path(n: int) -> HostGraph:
     return HostGraph(Graph.path(n))
 
 
-def host_complete(n: int) -> HostGraph:
-    return HostGraph(Graph.complete(n))
-
-
 def host_single_edge() -> HostGraph:
     return HostGraph(Graph.from_edges(2, [(0, 1)]))
 
@@ -71,7 +66,7 @@ def random_regular_host(n: int, d: int, seed: int, max_tries: int = 1000) -> Hos
         raise ValueError("need 2 <= n and 1 <= d < n")
     if n * d % 2:
         raise ValueError("n*d must be even for a d-regular graph")
-    rng = np.random.default_rng(seed)
+    rng = seeds.rng(seed)
     for _ in range(max_tries):
         points = rng.permutation(n * d)
         edges = []
@@ -85,4 +80,4 @@ def random_regular_host(n: int, d: int, seed: int, max_tries: int = 1000) -> Hos
         if not ok or len(set(edges)) != len(edges):
             continue
         return HostGraph(Graph.from_edges(n, edges), max_degree=max(2, d))
-    raise RuntimeError(f"no simple {d}-regular graph found in {max_tries} pairings")
+    raise ValueError(f"no simple {d}-regular graph found in {max_tries} pairings")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from monogrid import seeds
 from monogrid.graphs import EdgeColouring, Graph, _iter_bits, colour_subgraph
 
 FOUND = "found"
@@ -417,7 +418,7 @@ def monte_carlo_grid_count(n: int, p: float, a: int, b: int, samples: int,
         raise ValueError(f"refusing Monte Carlo at n={n}, {a}x{b}: counting intractable")
     expectation = expected_grid_count(n, p, a, b)
     aut = grid_automorphisms(a, b)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = seeds.rng(seed)
     counts = np.zeros(samples, dtype=np.float64)
     for i in range(samples):
         upper = np.triu(rng.random((n, n)) < p, k=1)

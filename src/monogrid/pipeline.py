@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
+from monogrid import seeds
 from monogrid.blowup import BlowupGraph
 from monogrid.graphs import (
     EdgeColouring,
@@ -289,11 +288,6 @@ class PipelineResult:
         }
 
 
-def _derived_seed(seed: int, *key: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
-    return int(ss.generate_state(1)[0])
-
-
 def regular_subgraph(
     bg: BlowupGraph,
     chi: EdgeColouring,
@@ -352,7 +346,7 @@ def regular_subgraph(
             found = find_lower_regular_pair(
                 chi.classes[c], Ux, Uy, eps_i, params.alpha, params.p, lam_i,
                 budget=find_budget,
-                seed=_derived_seed(seed, level, x, y),
+                seed=seeds.derive(seed, level, x, y),
                 check_trials=check_trials,
                 cap=check_cap,
             )
@@ -381,7 +375,7 @@ def regular_subgraph(
             verdict = check_lower_regular(
                 chi.classes[c], Ux, Uy, audit_eps,
                 alpha_p, audit_trials,
-                _derived_seed(seed, 91, level, x, y), cap=check_cap,
+                seeds.derive(seed, 91, level, x, y), cap=check_cap,
             )
             audit_log.append(AuditRecord(level, (x, y), audit_eps, verdict))
             if not verdict.passed:

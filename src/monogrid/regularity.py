@@ -3,11 +3,11 @@
 A pair (A, B) is lower-regular at (eps, p) when every pair of subsets taking
 at least an eps fraction of each side still has density at least (1-eps)p.
 Everything here revolves around that predicate: an exact checker for tiny
-sides, a sampled falsifier for real ones, the slicing arithmetic that
-transfers regularity to large sub-pairs, a density-increment search that
+sides, a sampled falsifier for real ones, a density-increment search that
 digs a regular pair out of any dense enough pair, the level schedule that
-strings searches along a host path, and the empirical bad-set audit used by
-the embedder.
+strings searches along a host path (each step is the slicing arithmetic: a
+lam-fraction sub-pair of an eps-regular pair is eps/lam-regular), and the
+empirical bad-set audit used by the embedder.
 
 Checks compare exact Fraction densities against exact Fraction thresholds,
 so a verdict never depends on float rounding.
@@ -21,8 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable
 
-import numpy as np
-
+from monogrid import seeds
 from monogrid.blowup import BlowupGraph
 from monogrid.graphs import Graph, VertexSet, pair_density
 
@@ -40,7 +39,8 @@ class RegParams:
     regularity, eps_inherit the looser level the pipeline hands to
     inheritance audits, lam the uniformity slack and shrink factor, delta
     the slice fraction used by the grid plan, c the density constant with
-    p = c / sqrt(part size).
+    p = c / sqrt(part size).  `config.load_config` derives the paper's
+    choices for whatever a run leaves unset.
     """
 
     r: int
@@ -68,25 +68,6 @@ class RegParams:
             raise ValueError("delta must not exceed min(eps/4, lam/4)")
         if not 0 < self.p <= 1:
             raise ValueError("p must lie in (0, 1]")
-
-    @classmethod
-    def defaults(cls, r: int, host_scale: int, s: int, lam: Fraction,
-                 c: float = 6.0, max_degree: int = 2) -> "RegParams":
-        """The canonical parameter choices, given r colours and a host scale."""
-        alpha = Fraction(1, 2 * r)
-        eps = alpha / 256
-        delta = min(Fraction(1, 4 * host_scale), eps / 4, Fraction(lam) / 4)
-        return cls(
-            r=r,
-            max_degree=max_degree,
-            eps=eps,
-            eps_inherit=eps / 4,
-            alpha=alpha,
-            lam=Fraction(lam),
-            delta=delta,
-            c=c,
-            p=min(1.0, c / math.sqrt(s)),
-        )
 
 
 @dataclass(frozen=True)
@@ -199,7 +180,7 @@ def sampled_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
     k1, k2 = _subset_sizes(eps, len(A), len(B))
     a_ids = A.ids
     b_ids = B.ids
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    rng = seeds.rng(seed)
     biased = trials // 2
 
     def verdict_for(u1: VertexSet, u2: VertexSet) -> RegVerdict | None:
@@ -232,13 +213,6 @@ def check_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
     if len(A) <= cap and len(B) <= cap:
         return exact_lower_regular(G, A, B, eps, p, cap)
     return sampled_lower_regular(G, A, B, eps, p, trials, seed)
-
-
-def slicing_parameters(eps, delta):
-    """Regularity level guaranteed for sub-pairs of relative size >= delta."""
-    if not 0 < eps < delta:
-        raise ValueError("need 0 < eps < delta")
-    return eps / delta
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +429,7 @@ def compute_bad_set(
     alpha = Fraction(alpha)
     effective_p = alpha * Fraction(p)
     size = math.ceil(alpha * len(V1) * Fraction(p) / 4)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    rng = seeds.rng(seed)
     amb_ids = ambient.ids
     bad_bits = 0
 

@@ -3,12 +3,13 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from monogrid.blowup import build_blowup
-from monogrid.cli import apply_colouring, main
-from monogrid.config import ConfigError, load_config
+from monogrid.cli import apply_colouring, build_parser, main
+from monogrid.config import GRAPH_SPEC, ConfigError, load_config
 from monogrid.graphs import read_graph
 from monogrid.hosts import host_cycle
 from monogrid.pipeline import regular_subgraph
@@ -34,11 +35,6 @@ def test_gen_host_rejects_odd_degree_sum(tmp_path, capsys):
     assert main(["gen-host", "--host", "random-regular 5 3",
                  "--out", str(tmp_path)]) == 2
     assert "even" in capsys.readouterr().err
-
-
-def test_blowup_wants_exactly_one_host_source(tmp_path):
-    assert main(["blowup", "--host", "cycle 4", "--host-file", "x.graph",
-                 "--s", "8", "--p", "0.5", "--out", str(tmp_path)]) == 2
 
 
 def test_blowup_then_colour_round_trip(tmp_path):
@@ -222,7 +218,7 @@ def test_colour_reports_meta_without_host_hash(tmp_path, capsys):
 def test_blowup_reports_bad_host_file(tmp_path, capsys):
     host = tmp_path / "bad.host"
     host.write_text("n 3\n0 5\n")
-    assert main(["blowup", "--host-file", str(host), "--s", "4", "--p", "0.5",
+    assert main(["blowup", "--host", f"file {host}", "--s", "4", "--p", "0.5",
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bad.host:2:" in err
@@ -249,3 +245,51 @@ def test_trial_knobs_must_be_positive(tmp_path, capsys, key):
     assert main(["run", "--preset", "desk", "--set", f"{key}=0",
                  "--out", str(tmp_path / "run")]) == 2
     assert "at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["", "random-regular 10", "cycle 10 7",
+                                  "single-edge 5"])
+def test_gen_host_rejects_malformed_spec(tmp_path, capsys, spec):
+    assert main(["gen-host", "--host", spec, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown graph spec" in err
+    assert "Traceback" not in err
+
+
+def test_unbuildable_random_regular_host_is_a_config_error(tmp_path, capsys):
+    # the only 5-regular graph on 6 vertices is K6, which the pairing model
+    # practically never draws
+    assert main(["gen-host", "--host", "random-regular 6 5",
+                 "--out", str(tmp_path)]) == 2
+    assert "no simple 5-regular graph" in capsys.readouterr().err
+    assert main(["run", "--preset", "desk", "--set", "host=random-regular 6 5",
+                 "--set", "max_degree=5", "--out", str(tmp_path / "run")]) == 2
+    assert "no simple 5-regular graph" in capsys.readouterr().err
+
+
+def test_every_command_speaks_one_grammar(tmp_path, capsys):
+    assert main(["oracle", "grid", "--graph", "single-edge",
+                 "--a", "1", "--b", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "found"
+    # a grid host has degree 3, so the level schedule takes its bound
+    out = tmp_path / "run"
+    assert main(["run", "--preset", "desk", "--set", "host=grid 2 5",
+                 "--out", str(out)]) in (0, 1)
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["host"] == "grid 2 5"
+    assert report["config"]["params"]["max_degree"] == 3
+
+
+def test_run_rejects_max_degree_off_the_host_bound(tmp_path, capsys):
+    assert main(["run", "--preset", "desk", "--set", "max_degree=3",
+                 "--out", str(tmp_path)]) == 2
+    assert "host's degree bound 2" in capsys.readouterr().err
+
+
+def test_readme_and_help_state_the_one_grammar():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    assert GRAPH_SPEC in readme.read_text()
+    subs = build_parser()._subparsers._group_actions[0].choices
+    oracle = subs["oracle"]._subparsers._group_actions[0].choices
+    for parser in (subs["gen-host"], subs["blowup"], oracle["arrows"], oracle["grid"]):
+        assert any(GRAPH_SPEC in (action.help or "") for action in parser._actions)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from monogrid.blowup import build_blowup
+from monogrid.config import load_config
 from monogrid.graphs import Graph, VertexSet, pair_density
 from monogrid.hosts import host_cycle
 from monogrid.regularity import (
@@ -24,7 +25,6 @@ from monogrid.regularity import (
     quarter_rule,
     recheck_witness,
     sampled_lower_regular,
-    slicing_parameters,
 )
 
 SEEDS = [0, 1, 2, 3, 4, 5, 6, 7]
@@ -88,7 +88,7 @@ def brute_force_lower_regular(G, A, B, eps, p):
 
 
 def test_default_parameters_two_colours():
-    params = RegParams.defaults(r=2, host_scale=10, s=144, lam=Fraction(1, 4))
+    params = load_config(preset="paper-s3", sets=("host=cycle 10", "s=144")).params
     assert params.alpha == Fraction(1, 4)
     assert params.eps == Fraction(1, 1024)
     assert params.eps_inherit == Fraction(1, 4096)
@@ -97,7 +97,8 @@ def test_default_parameters_two_colours():
 
 
 def test_params_validation():
-    good = RegParams.defaults(r=2, host_scale=4, s=100, lam=Fraction(1, 2))
+    good = load_config(preset="paper-s3",
+                       sets=("host=cycle 4", "s=100", "lam=1/2")).params
     with pytest.raises(ValueError):
         RegParams(**{**good.__dict__, "lam": Fraction(3, 2)})
     with pytest.raises(ValueError):
@@ -218,21 +219,12 @@ def test_check_dispatches_on_size():
 # slicing
 
 
-def test_slicing_arithmetic():
-    assert slicing_parameters(0.01, 0.5) == pytest.approx(0.02)
-    assert slicing_parameters(Fraction(1, 100), Fraction(1, 2)) == Fraction(1, 50)
-    with pytest.raises(ValueError):
-        slicing_parameters(0.1, 0.1)
-    with pytest.raises(ValueError):
-        slicing_parameters(0.0, 0.5)
-
-
 def test_slicing_matches_schedule_recurrence():
     sched = eps_schedule(Fraction(1, 5), 3, Fraction(1, 4), quarter_rule)
     for i in range(1, len(sched)):
         eps_i, _ = sched.levels[i - 1]
         lam_next = sched.lam_at(i + 1)
-        assert slicing_parameters(eps_i, lam_next) == sched.eps_at(i + 1)
+        assert eps_i / lam_next == sched.eps_at(i + 1)
 
 
 def all_subsets_at_fraction(ids, frac):
@@ -255,7 +247,7 @@ def test_slicing_invariant_exhaustive_small(seed):
         for sub_b in all_subsets_at_fraction(B.to_list(), delta):
             SA = VertexSet.from_ids(g.n, sub_a)
             SB = VertexSet.from_ids(g.n, sub_b)
-            v = exact_lower_regular(g, SA, SB, slicing_parameters(eps, delta),
+            v = exact_lower_regular(g, SA, SB, eps / delta,
                                     Fraction(1, 2))
             assert v.passed, (sub_a, sub_b)
 
@@ -272,7 +264,7 @@ def test_slicing_invariant_sampled_eight(seed):
         kb = int(rng.integers(size_floor, 9))
         SA = A.sample(ka, rng)
         SB = B.sample(kb, rng)
-        v = exact_lower_regular(g, SA, SB, slicing_parameters(eps, delta),
+        v = exact_lower_regular(g, SA, SB, eps / delta,
                                 Fraction(1, 2))
         assert v.passed
 
