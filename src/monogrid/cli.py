@@ -85,14 +85,11 @@ def apply_colouring(bg, spec: str, r: int, seed: int) -> EdgeColouring:
     gamma = bg.gamma
     if tokens[0] == "mono":
         return EdgeColouring.constant(gamma, r, int(tokens[1]))
-    rows = [[0] * gamma.n for _ in range(r)]
     if tokens[0] == "uniform-random":
-        rng = seeds.rng(seed, 23)
-        draws = rng.integers(0, r, size=gamma.edge_count)
-        for (u, v), c in zip(gamma.edges(), draws.tolist()):
-            rows[c][u] |= 1 << v
-            rows[c][v] |= 1 << u
-    elif tokens[0] == "host-edge-split":
+        draws = seeds.rng(seed, 23).integers(0, r, size=gamma.edge_count)
+        return EdgeColouring.by_edge(gamma, r, draws)
+    rows = [[0] * gamma.n for _ in range(r)]
+    if tokens[0] == "host-edge-split":
         for k, (x, y) in enumerate(bg.host.graph.edges()):
             for a, b in ((x, y), (y, x)):
                 for u in bg.part(a):

@@ -18,13 +18,21 @@ floats.
 An r-edge-colouring is stored as its r colour-class graphs, because every
 step downstream works inside one colour's subgraph.  The colouring file
 format ("u v c" lines) does not depend on this layout.
+
+Graph and colouring files are read and written a block at a time with numpy
+kernels, never a line and a big-int operation at a time.  The writers decode
+a block of bit rows into ascending edge arrays and format them as ASCII in
+one vectorised pass.  The readers parse each block of canonical lines (the
+form the writers emit) in one pass and scatter its edges into a row-blocked
+bitmap, which becomes the int rows one row block at a time.  Every other
+block, and every block with a faulty line, goes through the per-line parser:
+it is the error path, and the one source of every "path:line:" message.
 """
 
 from __future__ import annotations
 
-import heapq
+import io
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -242,10 +250,8 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
-        for u in range(self.n):
-            base = u + 1
-            for off in _bit_ids(self._rows[u] >> base):
-                yield u, base + off
+        for u, v, _ in _edge_blocks([self]):
+            yield from zip(u.tolist(), v.tolist())
 
     def vertices(self) -> range:
         return range(self.n)
@@ -306,21 +312,228 @@ def neighbours_in(G: Graph, v: int, B: VertexSet) -> VertexSet:
     return VertexSet(G.n, G.row(v) & B.bits)
 
 
-def _paint(rows: list[list[int]], u: int, v: int, c: int) -> None:
-    """Put edge uv into class c of `rows` (one row list per colour), or say why not."""
-    n = len(rows[0])
+# ---------------------------------------------------------------------------
+# edge arrays <-> bit rows
+#
+# The file formats, the edge iteration of a graph or a colouring and the
+# uniform-random colouring move edges between int bit rows and numpy
+# (u, v, c) arrays a row block at a time, so that none of them costs a
+# Python-level big-int operation per edge (the per-line error path of the
+# readers aside).
+
+# Rows per block of `_ClassBuilder`'s bitmap; a multiple of 8, so that the
+# columns of one block's rows are whole bytes.  Reading the s = 600 graph and
+# colouring back on one core of a 2-CPU Xeon, 32, 64 and 128 rows take about
+# 0.65, 0.6 and 0.6 s and peak at 0.2, 0.3 and 0.6 MB above the result.
+ROW_BLOCK = 64
+# Rows per block of `_edge_blocks`.  Writing the s = 600 graph and colouring
+# on the same machine, 8, 16 and 32 rows take 0.44, 0.36 and 0.32 s and peak
+# at 0.25, 0.5 and 1 MB.
+EDGE_ROWS = 16
+
+
+def _edge_blocks(classes) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every edge of the graphs `classes` (class c is colour c) as int64 arrays
+    (u, v, c) with u < v, EDGE_ROWS values of u at a time, ascending by (u, v, c)."""
+    n = classes[0].n
+    for r0 in range(0, n, EDGE_ROWS):
+        us, vs, cs = [], [], []
+        for c, g in enumerate(classes):
+            # bit d of above[u - r0] is edge (u, u + 1 + d)
+            above = [row >> (u + 1)
+                     for u, row in enumerate(g._rows[r0:r0 + EDGE_ROWS], r0)]
+            width = (max(row.bit_length() for row in above) + 7) // 8
+            if not width:
+                continue
+            raw = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in above),
+                                dtype=np.uint8).reshape(len(above), width)
+            i, j = np.nonzero(raw)  # the non-zero bytes, then their set bits
+            k, bit = np.nonzero(np.unpackbits(raw[i, j][:, None], axis=1,
+                                              bitorder="little"))
+            us.append(r0 + i[k])
+            vs.append(us[-1] + 1 + 8 * j[k] + bit)
+            cs.append(np.full(len(k), c))
+        if not us:
+            continue
+        if len(us) == 1:
+            yield us[0], vs[0], cs[0]
+            continue
+        # merge the classes' ascending runs; a tie keeps class order
+        u, v, c = np.concatenate(us), np.concatenate(vs), np.concatenate(cs)
+        order = np.argsort((u - r0) * (int(v.max()) + 1) + v, kind="stable")
+        yield u[order], v[order], c[order]
+
+
+def _groups(key: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(value, positions) for each distinct value of an int array, ascending."""
+    order = np.argsort(key, kind="stable")
+    for at in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        yield int(key[at[0]]), at
+
+
+class _ClassBuilder:
+    """r colour classes on 0..n-1 under construction, edge by edge or by arrays.
+
+    Edge {a, b} (a < b) of class c is one bit of an upper-triangle bitmap
+    held in row blocks: `blocks[c][k]` is a uint8 array made on first use,
+    with a row for each of the ROW_BLOCK vertices from a0 = k*ROW_BLOCK on
+    and a bit for each column from a0 on, so bit b - a0 of row a - a0.
+    `graphs` mirrors the triangle into the classes' int rows one row block at
+    a time, freeing each block as it is converted.  The universe can grow
+    (`grow`).  Callers check an edge before adding it: nothing here rejects
+    a duplicate.
+    """
+
+    def __init__(self, n: int, r: int):
+        self.rows = [[0] * n for _ in range(r)]
+        self.blocks: list[dict[int, np.ndarray]] = [{} for _ in range(r)]
+        self.counts = [0] * r
+
+    @property
+    def n(self) -> int:
+        return len(self.rows[0])
+
+    @property
+    def r(self) -> int:
+        return len(self.rows)
+
+    def grow(self, n: int) -> None:
+        """Make the universe 0..n-1 if it is smaller."""
+        for rows in self.rows:
+            rows.extend([0] * (n - len(rows)))
+
+    def _block(self, c: int, k: int, cols: int) -> np.ndarray:
+        """Row block k of class c, made or widened to hold columns below `cols`.
+
+        A block is as wide as its rightmost edge needs; one that must widen
+        at least doubles, up to the universe, so the copying stays in
+        proportion to the final size.
+        """
+        blk = self.blocks[c].get(k)
+        width = -(-cols // 8) - k * (ROW_BLOCK // 8)
+        if blk is None or blk.shape[1] < width:
+            if blk is not None:
+                room = -(-self.n // 8) - k * (ROW_BLOCK // 8)
+                width = max(width, min(2 * blk.shape[1], room))
+            wide = np.zeros((ROW_BLOCK, width), dtype=np.uint8)
+            if blk is not None:
+                wide[:, :blk.shape[1]] = blk
+            blk = self.blocks[c][k] = wide
+        return blk
+
+    def has(self, a: int, b: int) -> bool:
+        """Whether edge {a, b} (a < b) is in some class."""
+        k, i = divmod(a, ROW_BLOCK)
+        j = (b - k * ROW_BLOCK) >> 3
+        for blocks in self.blocks:
+            blk = blocks.get(k)
+            if blk is not None and j < blk.shape[1] and (int(blk[i, j]) >> (b & 7)) & 1:
+                return True
+        return False
+
+    def add(self, a: int, b: int, c: int) -> None:
+        """Put edge {a, b} (a < b, in range, in no class yet) into class c."""
+        k, i = divmod(a, ROW_BLOCK)
+        self._block(c, k, b + 1)[i, (b - k * ROW_BLOCK) >> 3] |= 1 << (b & 7)
+        self.counts[c] += 1
+
+    def has_any(self, a: np.ndarray, b: np.ndarray) -> bool:
+        """Whether some edge {a[i], b[i]} (a < b) is in some class."""
+        for k, at in _groups(a // ROW_BLOCK):
+            col = b[at] - k * ROW_BLOCK
+            for blocks in self.blocks:
+                blk = blocks.get(k)
+                if blk is None:
+                    continue
+                inside = col >> 3 < blk.shape[1]
+                i, j = a[at][inside] - k * ROW_BLOCK, col[inside]
+                if (blk[i, j >> 3] >> (j & 7) & 1).any():
+                    return True
+        return False
+
+    def add_many(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+        """Put the edges {a[i], b[i]} (a < b, in range, distinct, in no class
+        yet) into classes c[i]."""
+        blocks = a // ROW_BLOCK
+        stride = int(blocks.max()) + 1
+        for key, at in _groups(c * stride + blocks):
+            cls, k = divmod(key, stride)
+            col = b[at]
+            blk = self._block(cls, k, int(col.max()) + 1)
+            col = col - k * ROW_BLOCK
+            np.bitwise_or.at(blk, (a[at] - k * ROW_BLOCK, col >> 3),
+                             (1 << (col & 7)).astype(np.uint8))
+            self.counts[cls] += len(at)
+
+    def graphs(self) -> list[Graph]:
+        """The classes as Graphs; the builder is spent afterwards."""
+        n, step = self.n, ROW_BLOCK // 8
+        # Row b's bits below b are column b of the rows above it: block k's
+        # lower triangle is the transpose of the byte columns of block k in
+        # blocks j <= k.  `sources[c][k]` lists the blocks j that have bits
+        # there, so rows with no edges cost nothing.
+        sources: list[dict[int, list[int]]] = []
+        for blocks in self.blocks:
+            sources.append({})
+            for j in sorted(blocks):
+                blk = blocks[j]
+                used = np.logical_or.reduceat(blk.any(axis=0),
+                                              np.arange(0, blk.shape[1], step))
+                for t in np.flatnonzero(used).tolist():
+                    sources[-1].setdefault(j + t, []).append(j)
+        # Convert downwards, every class at each step, and free each block
+        # once converted: no block below k reads it any more.
+        for k in sorted(set().union(*sources, *self.blocks), reverse=True):
+            for rows, blocks, below in zip(self.rows, self.blocks, sources):
+                js, upper = below.get(k, []), blocks.get(k)
+                if upper is not None:  # drop the block's empty right end
+                    upper = upper[:, :np.flatnonzero(upper.any(axis=0))[-1] + 1]
+                elif not js:
+                    continue
+                # byte columns lo..hi of block k's rows hold all their bits
+                lo = (js[0] if js else k) * step
+                hi = max((js[-1] + 1) * step if js else 0,
+                         k * step + (0 if upper is None else upper.shape[1]))
+                full = np.zeros((ROW_BLOCK, hi - lo), dtype=np.uint8)
+                for g in range(0, len(js), 8):  # 8 blocks per transpose
+                    group = js[g:g + 8]
+                    strip = np.zeros((len(group) * ROW_BLOCK, step), dtype=np.uint8)
+                    for t, j in enumerate(group):
+                        part = blocks[j][:, (k - j) * step:(k - j + 1) * step]
+                        strip[t * ROW_BLOCK:(t + 1) * ROW_BLOCK, :part.shape[1]] = part
+                    bits = np.ascontiguousarray(
+                        np.unpackbits(strip, axis=1, bitorder="little").T)
+                    tiles = np.packbits(bits, axis=1, bitorder="little")
+                    for t, j in enumerate(group):
+                        at = j * step - lo
+                        full[:, at:at + step] = tiles[:, t * step:(t + 1) * step]
+                if upper is not None:
+                    full[:, k * step - lo:k * step - lo + upper.shape[1]] |= upper
+                    del blocks[k]
+                # int.from_bytes keeps the room of leading zero bytes: cut them
+                filled = full != 0
+                ends = np.where(filled.any(axis=1),
+                                full.shape[1] - filled[:, ::-1].argmax(axis=1), 0)
+                data, width = full.tobytes(), full.shape[1]
+                for i, end in enumerate(ends[:n - k * ROW_BLOCK].tolist()):
+                    rows[k * ROW_BLOCK + i] = int.from_bytes(
+                        data[i * width:i * width + end], "little") << 8 * lo
+        return [Graph(n, rows, m) for rows, m in zip(self.rows, self.counts)]
+
+
+def _paint(acc: _ClassBuilder, u: int, v: int, c: int) -> None:
+    """Put edge uv into class c of `acc`, or say why not."""
+    n = acc.n
     if u == v:
         raise ValueError(f"bad edge ({u}, {v}): self-loop")
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"bad edge ({u}, {v}): vertex id out of range 0..{n - 1}")
-    if not 0 <= c < len(rows):
-        raise ValueError(f"colour {c} outside 0..{len(rows) - 1}")
-    bit = 1 << v
-    for cls in rows:
-        if cls[u] & bit:
-            raise ValueError(f"edge {(min(u, v), max(u, v))} coloured twice")
-    rows[c][u] |= bit
-    rows[c][v] |= 1 << u
+    if not 0 <= c < acc.r:
+        raise ValueError(f"colour {c} outside 0..{acc.r - 1}")
+    a, b = min(u, v), max(u, v)
+    if acc.has(a, b):
+        raise ValueError(f"edge {(a, b)} coloured twice")
+    acc.add(a, b, c)
 
 
 class EdgeColouring:
@@ -337,10 +550,10 @@ class EdgeColouring:
     def __init__(self, n: int, r: int, mapping: dict[tuple[int, int], int]):
         if r < 2:
             raise ValueError("an edge colouring needs at least 2 colours")
-        rows = [[0] * n for _ in range(r)]
+        acc = _ClassBuilder(n, r)
         for (u, v), c in mapping.items():
-            _paint(rows, u, v, c)
-        self.n, self.r, self.classes = n, r, tuple(Graph(n, cls) for cls in rows)
+            _paint(acc, u, v, c)
+        self.n, self.r, self.classes = n, r, tuple(acc.graphs())
 
     @classmethod
     def from_classes(cls, classes: list[Graph]) -> "EdgeColouring":
@@ -359,6 +572,20 @@ class EdgeColouring:
         empty = Graph(G.n, [0] * G.n, 0)
         return cls.from_classes([G if k == c else empty for k in range(r)])
 
+    @classmethod
+    def by_edge(cls, G: Graph, r: int, colours: np.ndarray) -> "EdgeColouring":
+        """G's edges in ascending order, the i-th one in colour colours[i]."""
+        if len(colours) != G.edge_count:
+            raise ValueError(f"{len(colours)} colours for {G.edge_count} edges")
+        if len(colours) and not 0 <= colours.min() <= colours.max() < r:
+            raise ValueError(f"colours outside 0..{r - 1}")
+        acc = _ClassBuilder(G.n, r)
+        at = 0
+        for u, v, _ in _edge_blocks([G]):
+            acc.add_many(u, v, colours[at:at + len(u)])
+            at += len(u)
+        return cls.from_classes(acc.graphs())
+
     def colour(self, u: int, v: int) -> int:
         if 0 <= u < self.n and 0 <= v < self.n:
             for c, g in enumerate(self.classes):
@@ -368,8 +595,8 @@ class EdgeColouring:
 
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
         """Every coloured edge as ((u, v), c) with u < v, in ascending edge order."""
-        return heapq.merge(*(zip(g.edges(), repeat(c))
-                             for c, g in enumerate(self.classes)))
+        for u, v, c in _edge_blocks(self.classes):
+            yield from zip(zip(u.tolist(), v.tolist()), c.tolist())
 
     def __len__(self) -> int:
         return sum(g.edge_count for g in self.classes)
@@ -413,6 +640,23 @@ def colour_subgraph(G: Graph, chi: EdgeColouring, c: int) -> Graph:
 # Graph file: header line "n <count>", then one "u v" per edge, 0-based.
 # Colouring file: header line "r <count>", then "u v c" triples.
 # Lines starting with "#" and blank lines are ignored in both.
+#
+# The writers emit every edge once, u < v, ascending, as ASCII formatted by
+# `_ascii_lines` a row block at a time.  The readers take the file in blocks
+# of about READ_BLOCK bytes cut at line ends.  A block after the header whose
+# every line is canonical (`_decimal_block`) and whose every edge is new and
+# valid (`_fresh`) goes into the builder in a few numpy operations; any other
+# block (comments, blank lines, CRLF, tabs, signs, long tokens, a faulty line)
+# goes through the per-line parser, which is the one source of every
+# "path:line:" message and reports the first faulty line.
+
+# Bytes per read block.  Reading the s = 600 graph and colouring back (8.6
+# and 10.4 MB of text) on the same machine, blocks of 4, 16 and 64 KiB
+# take about 1.4, 0.75 and 0.6 s; the peak memory above the result stays at
+# 0.3 MB, set by `_ClassBuilder.graphs`.
+READ_BLOCK = 64 * 1024
+
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
 def _write_comment(fh, comment: str | None) -> None:
@@ -421,96 +665,195 @@ def _write_comment(fh, comment: str | None) -> None:
         fh.writelines(f"# {line}\n" for line in comment.splitlines())
 
 
+def _ascii_lines(*cols: np.ndarray) -> bytes:
+    """Lines of equal-length non-negative int columns as ASCII, "a b ...\n" per row.
+
+    Each field is written right-aligned in a fixed-width character matrix, one
+    digit place at a time; the leading zeros are then dropped in one boolean
+    compress, which reads the matrix line by line.
+    """
+    widths = [int(np.searchsorted(_POW10, x.max(), side="right")) or 1 for x in cols]
+    chars = np.empty((len(cols[0]), sum(widths) + len(cols)), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    at = 0
+    for x, width in zip(cols, widths):
+        q = x
+        for k in reversed(range(width)):  # column at + k holds place 10**(width-1-k)
+            r = q // 10
+            chars[:, at + k] = q - 10 * r + ord("0")
+            if k < width - 1:
+                keep[:, at + k] = x >= _POW10[width - 1 - k]
+            q = r
+        at += width + 1
+        chars[:, at - 1] = ord(" ")
+    chars[:, -1] = ord("\n")
+    return chars[keep].tobytes()
+
+
 def write_graph(G: Graph, path: str, comment: str | None = None) -> None:
     with open(path, "w") as fh:
         _write_comment(fh, comment)
         fh.write(f"n {G.n}\n")
-        for u, v in G.edges():
-            fh.write(f"{u} {v}\n")
-
-
-def _significant_lines(path: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, whitespace-split fields) of every line not blank or a comment."""
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line.split()
-
-
-def read_graph(path: str) -> Graph:
-    n = None
-    rows: list[int] = []
-    m = 0
-    for lineno, parts in _significant_lines(path):
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise ValueError(f"{path}:{lineno}: expected header 'n <count>'")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad vertex count") from None
-            if n < 0:
-                raise ValueError(f"{path}:{lineno}: negative vertex count")
-            rows = [0] * n
-            continue
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-integer vertex id") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"{path}:{lineno}: vertex id out of range")
-        if u == v:
-            raise ValueError(f"{path}:{lineno}: self-loop")
-        if (rows[u] >> v) & 1:
-            raise ValueError(f"{path}:{lineno}: duplicate edge ({u}, {v})")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        m += 1
-    if n is None:
-        raise ValueError(f"{path}: missing header line")
-    return Graph(n, rows, m)
+        fh.flush()
+        for u, v, _ in _edge_blocks([G]):
+            fh.buffer.write(_ascii_lines(u, v))
 
 
 def write_colouring(chi: EdgeColouring, path: str, comment: str | None = None) -> None:
     with open(path, "w") as fh:
         _write_comment(fh, comment)
         fh.write(f"r {chi.r}\n")
-        fh.writelines(f"{u} {v} {c}\n" for (u, v), c in chi.items())
+        fh.flush()
+        for u, v, c in _edge_blocks(chi.classes):
+            fh.buffer.write(_ascii_lines(u, v, c))
+
+
+def _significant(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, list[str]]]:
+    """(line number, whitespace-split fields) of every line not blank or a comment."""
+    for lineno, raw in enumerate(lines, start=start):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield lineno, line.split()
+
+
+def _significant_lines(path: str) -> Iterator[tuple[int, list[str]]]:
+    with open(path) as fh:
+        yield from _significant(fh)
+
+
+def _blocks(path: str) -> Iterator[tuple[int, bytes]]:
+    """(number of its first line, bytes) of consecutive blocks of about
+    READ_BLOCK bytes of a file, each ending in "\\n" (added to an unterminated
+    last line).  Lines are counted as text mode counts them."""
+    first, tail = 1, b""
+    with open(path, "rb") as fh:
+        while data := fh.read(READ_BLOCK):
+            data = tail + data
+            cut = data.rfind(b"\n") + 1
+            block, tail = data[:cut], data[cut:]
+            if block:
+                yield first, block
+                first += block.count(b"\n")
+                if b"\r" in block:
+                    first += block.count(b"\r") - block.count(b"\r\n")
+    if tail:
+        yield first, tail + b"\n"
+
+
+def _text_lines(block: bytes) -> io.TextIOWrapper:
+    """The lines of a block as `open(path)` would read them."""
+    return io.TextIOWrapper(io.BytesIO(block))
+
+
+# the field ends of a canonical line of width 2 or 3: spaces, then a line end
+_SEPARATORS = {w: np.array([ord(" ")] * (w - 1) + [ord("\n")], dtype=np.uint8)
+               for w in (2, 3)}
+
+
+def _decimal_block(block: bytes, width: int) -> np.ndarray | None:
+    """The (lines, width) int64 fields of a block whose every line is `width`
+    runs of 1 to 18 ASCII digits split by single spaces, or None if a line is
+    not."""
+    a = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero((a - ord("0")) > 9)  # every byte but a digit ends a field
+    if not ends.size or ends.size % width or ends[-1] != a.size - 1:
+        return None
+    if (a[ends].reshape(-1, width) != _SEPARATORS[width]).any():
+        return None
+    step = np.diff(ends, prepend=-1)  # a field's length plus one
+    if step.min() < 2 or step.max() > 19:
+        return None
+    return np.fromstring(block, dtype=np.int64, sep=" ").reshape(-1, width)
+
+
+def _fresh(acc: _ClassBuilder, u: np.ndarray, v: np.ndarray, n: int | None) -> bool:
+    """Whether the edges u[i]v[i] lie in 0..n-1 (unless n is None), are no
+    self-loops, are pairwise distinct and are in no class of `acc` yet."""
+    if n is not None and max(u.max(), v.max()) >= n or (u == v).any():
+        return False
+    a, b = np.minimum(u, v), np.maximum(u, v)
+    span = int(b.max()) + 1
+    if int(a.max()) * span >= 2 ** 62:  # no exact int64 key: leave it to the line parser
+        return False
+    key = np.sort(a * span + b)
+    return not (key[1:] == key[:-1]).any() and not acc.has_any(a, b)
+
+
+def read_graph(path: str) -> Graph:
+    acc = None
+    for first, block in _blocks(path):
+        fields = None if acc is None else _decimal_block(block, 2)
+        if fields is not None and _fresh(acc, fields[:, 0], fields[:, 1], n):
+            u, v = fields[:, 0], fields[:, 1]
+            acc.add_many(np.minimum(u, v), np.maximum(u, v), np.zeros_like(u))
+            continue
+        for lineno, parts in _significant(_text_lines(block), first):
+            if acc is None:
+                if len(parts) != 2 or parts[0] != "n":
+                    raise ValueError(f"{path}:{lineno}: expected header 'n <count>'")
+                try:
+                    n = int(parts[1])
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: bad vertex count") from None
+                if n < 0:
+                    raise ValueError(f"{path}:{lineno}: negative vertex count")
+                acc = _ClassBuilder(n, 1)
+                continue
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'u v'")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-integer vertex id") from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"{path}:{lineno}: vertex id out of range")
+            if u == v:
+                raise ValueError(f"{path}:{lineno}: self-loop")
+            if acc.has(min(u, v), max(u, v)):
+                raise ValueError(f"{path}:{lineno}: duplicate edge ({u}, {v})")
+            acc.add(min(u, v), max(u, v), 0)
+    if acc is None:
+        raise ValueError(f"{path}: missing header line")
+    return acc.graphs()[0]
 
 
 def read_colouring(path: str, n: int | None = None) -> EdgeColouring:
     """Read a colouring file; without `n` the universe is the largest id plus one."""
-    r = None
-    rows: list[list[int]] = []
-    for lineno, parts in _significant_lines(path):
-        if r is None:
-            if len(parts) != 2 or parts[0] != "r":
-                raise ValueError(f"{path}:{lineno}: expected header 'r <count>'")
-            try:
-                r = int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad colour count") from None
-            if r < 2:
-                raise ValueError(f"{path}:{lineno}: colour count must be >= 2")
-            rows = [[0] * (n or 0) for _ in range(r)]
+    acc = None
+    for first, block in _blocks(path):
+        fields = None if acc is None else _decimal_block(block, 3)
+        if (fields is not None and (fields[:, 2] < acc.r).all()
+                and _fresh(acc, fields[:, 0], fields[:, 1], n)):
+            u, v, c = fields.T
+            if n is None:
+                acc.grow(int(fields[:, :2].max()) + 1)
+            acc.add_many(np.minimum(u, v), np.maximum(u, v), c)
             continue
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'u v c'")
-        try:
-            u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-integer field") from None
-        if n is None:  # the universe grows to the largest id seen
-            for cls in rows:
-                cls.extend([0] * (max(u, v) + 1 - len(cls)))
-        try:
-            _paint(rows, u, v, c)
-        except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from None
-    if r is None:
+        for lineno, parts in _significant(_text_lines(block), first):
+            if acc is None:
+                if len(parts) != 2 or parts[0] != "r":
+                    raise ValueError(f"{path}:{lineno}: expected header 'r <count>'")
+                try:
+                    r = int(parts[1])
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: bad colour count") from None
+                if r < 2:
+                    raise ValueError(f"{path}:{lineno}: colour count must be >= 2")
+                acc = _ClassBuilder(n or 0, r)
+                continue
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 'u v c'")
+            try:
+                u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-integer field") from None
+            if n is None:  # the universe grows to the largest id seen
+                acc.grow(max(u, v) + 1)
+            try:
+                _paint(acc, u, v, c)
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+    if acc is None:
         raise ValueError(f"{path}: missing header line")
-    return EdgeColouring.from_classes([Graph(len(cls), cls) for cls in rows])
+    return EdgeColouring.from_classes(acc.graphs())
