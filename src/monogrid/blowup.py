@@ -1,4 +1,4 @@
-"""Random blow-ups of host graphs, and a seeded audit of their uniformity.
+"""Random blow-ups of host graphs, and their persistence as graph plus sidecar.
 
 Each host vertex x becomes an independent set of s fresh vertices occupying
 the contiguous block [x*s, (x+1)*s), and each host edge becomes a random
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from monogrid import seeds
-from monogrid.graphs import Graph, VertexSet, _edges_between, _significant_lines
+from monogrid.graphs import Graph, VertexSet, _significant_lines
 from monogrid.hosts import HostGraph
 
 
@@ -104,105 +104,6 @@ def host_hash(H: HostGraph) -> str:
         f"{u} {v}\n" for u, v in H.graph.edges()
     )
     return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-# ---------------------------------------------------------------------------
-# uniformity audit
-
-
-@dataclass(frozen=True)
-class UniformityReport:
-    lam: float
-    pairs_tested: int
-    worst_ratio: float
-    violations: list[tuple[VertexSet, VertexSet, float]]
-    vacuous: bool
-    min_mass: float
-
-    def to_json(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "pairs_tested": self.pairs_tested,
-            "worst_ratio": self.worst_ratio,
-            "violations": len(self.violations),
-            "vacuous": self.vacuous,
-            "min_mass": self.min_mass,
-        }
-
-
-def _degree_order(G: Graph, part: VertexSet, towards: VertexSet) -> list[int]:
-    bits = towards.bits
-    return sorted(part, key=lambda u: ((G.row(u) & bits).bit_count(), u))
-
-
-def audit_uniformity(
-    bg: BlowupGraph,
-    xy: tuple[int, int],
-    lam: float,
-    budget: int,
-    seed: int,
-    min_mass: float | None = None,
-) -> UniformityReport:
-    """Falsifier for the two-sided edge-count band over one host edge's pair.
-
-    Samples `budget` subset pairs whose expected edge mass |X||Y|p clears
-    `min_mass`, plus the full pair and low/high-degree extremal candidates,
-    and reports the worst relative deviation of e(X,Y) from |X||Y|p.  This
-    is a sampled search for counterexamples, not a proof of uniformity.
-
-    The default mass threshold 100*s/lam^2 is meaningful only at very large
-    part sizes; when nothing can clear it the report comes back vacuous.
-    Pass an explicit `min_mass` to audit at desk scale.
-    """
-    x, y = xy
-    if not bg.host.graph.has_edge(x, y):
-        raise ValueError(f"({x}, {y}) is not a host edge")
-    if not 0.0 < lam:
-        raise ValueError("lam must be positive")
-    s = bg.part_size
-    p = bg.p
-    if min_mass is None:
-        min_mass = 100.0 * s / (lam * lam)
-    Vx, Vy = bg.part(x), bg.part(y)
-    G = bg.gamma
-
-    if s * s * p < min_mass:
-        return UniformityReport(lam, 0, 0.0, [], True, min_mass)
-
-    candidates: list[tuple[VertexSet, VertexSet]] = [(Vx, Vy)]
-    by_deg_x = _degree_order(G, Vx, Vy)
-    by_deg_y = _degree_order(G, Vy, Vx)
-    for frac in (2, 4):
-        k = math.ceil(s / frac)
-        if k * k * p < min_mass:
-            continue
-        lo_x = VertexSet.from_ids(G.n, by_deg_x[:k])
-        lo_y = VertexSet.from_ids(G.n, by_deg_y[:k])
-        hi_x = VertexSet.from_ids(G.n, by_deg_x[-k:])
-        hi_y = VertexSet.from_ids(G.n, by_deg_y[-k:])
-        candidates.append((lo_x, lo_y))
-        candidates.append((hi_x, hi_y))
-
-    rng = seeds.rng(seed, x, y, 7)
-    k_floor = max(1, math.ceil(min_mass / (s * p)))
-    for _ in range(budget):
-        k1 = int(rng.integers(k_floor, s + 1))
-        k2_floor = max(1, math.ceil(min_mass / (k1 * p)))
-        if k2_floor > s:
-            continue
-        k2 = int(rng.integers(k2_floor, s + 1))
-        candidates.append((Vx.sample(k1, rng), Vy.sample(k2, rng)))
-
-    worst = 0.0
-    violations: list[tuple[VertexSet, VertexSet, float]] = []
-    for X, Y in candidates:
-        mass = len(X) * len(Y) * p
-        ratio = abs(_edges_between(G, X, Y) / mass - 1.0)
-        if ratio > worst:
-            worst = ratio
-        if ratio > lam:
-            violations.append((X, Y, ratio))
-    return UniformityReport(lam, len(candidates), worst, violations, False, min_mass)
 
 
 # ---------------------------------------------------------------------------

@@ -366,7 +366,11 @@ def cmd_oracle(args) -> int:
         return 0
     if args.kind == "grid":
         G = parse_graph_spec(args.graph)
-        res = contains_subgraph(G, grid_graph(args.a, args.b), args.budget)
+        try:
+            T = grid_graph(args.a, args.b)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+        res = contains_subgraph(G, T, args.budget)
         print(json.dumps({"status": res.status, "nodes": res.nodes},
                          sort_keys=True))
         return 0
@@ -401,7 +405,10 @@ def cmd_experiment(args) -> int:
                               f"got {args.p_values!r}") from None
         rows = []
         for i, p in enumerate(p_values):
-            expectation = expected_grid_count(args.n, p, args.a, args.b)
+            try:
+                expectation = expected_grid_count(args.n, p, args.a, args.b)
+            except ValueError as e:
+                raise ConfigError(str(e)) from None
             try:
                 rep = monte_carlo_grid_count(args.n, p, args.a, args.b,
                                              args.samples,

@@ -4,7 +4,9 @@ A run is described by a flat string-to-string mapping.  Values arrive from
 four places and later ones win: built-in defaults, a named preset, a config
 file, then individual command-line overrides.  `load_config` merges them and
 resolves the result into typed form, raising `ConfigError` for anything that
-cannot be acted on.
+cannot be acted on.  Each trial and budget knob is named once, in `KNOBS`,
+with its default and least value; `SHRINK` maps each lam_rule to the
+constant factor the level schedule shrinks by.
 """
 
 from __future__ import annotations
@@ -16,31 +18,40 @@ from fractions import Fraction
 from monogrid.graphs import Graph, read_graph
 from monogrid.hosts import HostGraph, random_regular_host
 from monogrid.oracle import grid_graph
-from monogrid.regularity import (
-    EpsSchedule,
-    RegParams,
-    eps_schedule,
-    identity_rule,
-    quarter_rule,
-)
+from monogrid.regularity import EpsSchedule, RegParams, eps_schedule
 
 
 class ConfigError(Exception):
     """A configuration that cannot be acted on.  The CLI maps this to exit 2."""
 
 
+# Every trial and budget knob as (name, default, least value).  A sampled
+# check or audit that draws nothing decides nothing, and the
+# density-increment search needs one check to report on, so those start at 1.
+KNOBS = (
+    ("find_budget", 60, 1),
+    ("check_trials", 24, 1),
+    ("audit_trials", 8, 1),
+    ("check_cap", 16, 0),
+    ("badset_draws", 2, 1),
+    ("badset_trials", 1, 1),
+    ("badset_cap", 0, 0),
+    ("subset_tries", 10, 0),
+    ("vertex_budget", 50, 0),
+    ("embed_check_trials", 1, 1),
+    ("embed_audit_trials", 1, 1),
+    ("cycle_budget", 500000, 0),
+)
+
+# lam_rule -> the constant factor every level of the schedule shrinks by;
+# it is also the default lam
+SHRINK = {"quarter": Fraction(1, 4), "identity": Fraction(1)}
+
 # Every legal key, grouped by how its value parses.  Parameter keys absent
 # after merging are derived in resolve order: alpha from r, eps from alpha,
 # eps_inherit from eps, delta from the host order, max_degree from the
 # host's degree bound, p from c and s.
-_INT_KEYS = (
-    "r", "max_degree", "s", "seed",
-    "find_budget", "check_trials", "audit_trials", "check_cap",
-    "badset_draws", "badset_trials", "badset_cap",
-    "subset_tries", "vertex_budget",
-    "embed_check_trials", "embed_audit_trials",
-    "cycle_budget",
-)
+_INT_KEYS = ("r", "max_degree", "s", "seed") + tuple(name for name, _, _ in KNOBS)
 _FRACTION_KEYS = ("eps", "eps_inherit", "alpha", "lam", "delta")
 _FLOAT_KEYS = ("c", "p")
 _BOOL_KEYS = ("allow_alpha_override",)
@@ -53,19 +64,8 @@ _DEFAULTS = {
     "colouring": "mono 0",
     "lam_rule": "quarter",
     "out": "out",
-    "find_budget": "60",
-    "check_trials": "24",
-    "audit_trials": "8",
-    "check_cap": "16",
-    "badset_draws": "2",
-    "badset_trials": "1",
-    "badset_cap": "0",
-    "subset_tries": "10",
-    "vertex_budget": "50",
-    "embed_check_trials": "1",
-    "embed_audit_trials": "1",
-    "cycle_budget": "500000",
     "allow_alpha_override": "false",
+    **{name: str(default) for name, default, _ in KNOBS},
 }
 
 # paper-s3 keeps the canonical derivations (alpha = 1/2r, eps = alpha/256,
@@ -182,7 +182,9 @@ def build_host(spec: str, seed: int) -> HostGraph:
 
 
 def parse_colouring_spec(spec: str, r: int) -> list[str]:
-    """Validate a colouring strategy spec and return its tokens."""
+    """Validate a colouring strategy spec for r colours and return its tokens."""
+    if r < 2:
+        raise ConfigError(f"need at least 2 colours, got r={r}")
     tokens = spec.split()
     if tokens and tokens[0] == "mono":
         if len(tokens) != 2:
@@ -203,8 +205,8 @@ def parse_colouring_spec(spec: str, r: int) -> list[str]:
 class RunConfig:
     """A fully resolved run description.
 
-    Carries the typed parameter bundle plus every trial and budget knob, so
-    a report can echo the complete effective configuration.
+    Carries the typed parameter bundle plus one field per entry of `KNOBS`,
+    so a report can echo the complete effective configuration.
     """
 
     preset: str | None
@@ -230,12 +232,11 @@ class RunConfig:
     cycle_budget: int
 
     def schedule(self) -> EpsSchedule:
-        rule = quarter_rule if self.lam_rule == "quarter" else identity_rule
         return eps_schedule(self.params.eps, self.params.max_degree,
-                            self.params.alpha, rule)
+                            SHRINK[self.lam_rule])
 
     def grid_side(self) -> Fraction:
-        return Fraction(self.params.delta) * self.s
+        return self.params.delta * self.s
 
     def to_json(self) -> dict:
         p = self.params
@@ -253,20 +254,7 @@ class RunConfig:
                 "alpha": str(p.alpha), "lam": str(p.lam),
                 "delta": str(p.delta), "c": p.c, "p": p.p,
             },
-            "knobs": {
-                "find_budget": self.find_budget,
-                "check_trials": self.check_trials,
-                "audit_trials": self.audit_trials,
-                "check_cap": self.check_cap,
-                "badset_draws": self.badset_draws,
-                "badset_trials": self.badset_trials,
-                "badset_cap": self.badset_cap,
-                "subset_tries": self.subset_tries,
-                "vertex_budget": self.vertex_budget,
-                "embed_check_trials": self.embed_check_trials,
-                "embed_audit_trials": self.embed_audit_trials,
-                "cycle_budget": self.cycle_budget,
-            },
+            "knobs": {name: getattr(self, name) for name, _, _ in KNOBS},
         }
 
 
@@ -287,15 +275,13 @@ def _resolve(merged: dict[str, str], preset: str | None) -> RunConfig:
         raise ConfigError("seed must be non-negative")
 
     lam_rule = merged["lam_rule"]
-    if lam_rule not in ("quarter", "identity"):
-        raise ConfigError(f"lam_rule must be 'quarter' or 'identity', got {lam_rule!r}")
-    if "lam" in merged:
-        lam = _parse_fraction("lam", merged["lam"])
-    else:
-        lam = Fraction(1, 4) if lam_rule == "quarter" else Fraction(1)
+    if lam_rule not in SHRINK:
+        raise ConfigError(f"lam_rule must be {' or '.join(map(repr, SHRINK))}, "
+                          f"got {lam_rule!r}")
+    lam = _parse_fraction("lam", merged["lam"]) if "lam" in merged else SHRINK[lam_rule]
 
-    if r < 2:
-        raise ConfigError(f"need at least 2 colours, got r={r}")
+    colouring = merged["colouring"]
+    parse_colouring_spec(colouring, r)
     allow_alpha = _parse_bool("allow_alpha_override", merged["allow_alpha_override"])
     if "alpha" in merged:
         alpha = _parse_fraction("alpha", merged["alpha"])
@@ -340,17 +326,9 @@ def _resolve(merged: dict[str, str], preset: str | None) -> RunConfig:
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
-    colouring = merged["colouring"]
-    parse_colouring_spec(colouring, r)
-
     knobs = {}
-    for key in ("find_budget", "check_trials", "audit_trials", "check_cap",
-                "badset_draws", "badset_trials", "badset_cap", "subset_tries",
-                "vertex_budget", "embed_check_trials", "embed_audit_trials",
-                "cycle_budget"):
+    for key, _, least in KNOBS:
         knobs[key] = _parse_int(key, merged[key])
-        # a sampled check or audit that draws nothing decides nothing
-        least = 1 if key.endswith(("_trials", "_draws")) else 0
         if knobs[key] < least:
             raise ConfigError(f"{key} must be at least {least}, got {knobs[key]}")
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from monogrid import seeds
 from monogrid.blowup import BlowupGraph
@@ -35,6 +34,7 @@ from monogrid.regularity import (
     BadSetError,
     RegParams,
     RegVerdict,
+    bank_size,
     compute_bad_set,
     sampled_lower_regular,
 )
@@ -120,24 +120,21 @@ class EmbedContext:
     @property
     def candidate_size(self) -> int:
         """ceil(alpha * s * p / 4), the working size of every banked set."""
-        a = Fraction(self.params.alpha)
-        return math.ceil(a * self.s * Fraction(self.params.p) / 4)
+        return bank_size(self.params.alpha_p, self.s, 4)
 
     @property
     def filter_slack(self) -> int:
         """How many vertices the degree filter may drop, ceil(alpha s p / 16)."""
-        a = Fraction(self.params.alpha)
-        return math.ceil(a * self.s * Fraction(self.params.p) / 16)
+        return bank_size(self.params.alpha_p, self.s, 16)
 
     @property
     def backward_cut(self) -> int:
-        a = Fraction(self.params.alpha)
-        return math.ceil(a * self.s * Fraction(self.params.p) / 8)
+        return bank_size(self.params.alpha_p, self.s, 8)
 
     @property
     def q_target(self) -> int:
         """Occupied sets are padded to exactly ceil(2 eps s) before filtering."""
-        return math.ceil(2 * Fraction(self.params.eps) * self.s)
+        return math.ceil(2 * self.params.eps * self.s)
 
     def free(self, t: int) -> VertexSet:
         """Cycle set t with its bad vertices removed."""
@@ -148,7 +145,7 @@ class EmbedContext:
         sizes = {U.size for U in self.sets}
         if len(sizes) != 1:
             raise AssertionError(f"cycle sets have mixed sizes {sorted(sizes)}")
-        allowance = Fraction(self.params.eps) * self.s
+        allowance = self.params.eps * self.s
         for t, B in enumerate(self.bad):
             if B.size > allowance:
                 raise AssertionError(
@@ -156,7 +153,7 @@ class EmbedContext:
                     f"{float(allowance):.1f}"
                 )
         # Q stays under 2 eps s only while a full row costs at most eps s.
-        if Fraction(self.params.delta) > Fraction(self.params.eps):
+        if self.params.delta > self.params.eps:
             raise AssertionError("delta above eps would overflow the occupied sets")
 
 
@@ -197,9 +194,8 @@ class GridEmbedding:
 def _check_pair(ctx: EmbedContext, A: VertexSet, B: VertexSet, trials: int,
                 seed: int) -> RegVerdict:
     """One (eps, alpha p) sampled check in the working graph."""
-    effective_p = Fraction(ctx.params.alpha) * Fraction(ctx.params.p)
-    return sampled_lower_regular(ctx.G, A, B, Fraction(ctx.params.eps),
-                                 effective_p, trials, seed)
+    return sampled_lower_regular(ctx.G, A, B, ctx.params.eps,
+                                 ctx.params.alpha_p, trials, seed)
 
 
 def _draw_banks(ctx: EmbedContext, hood: VertexSet, v: int,
@@ -250,10 +246,9 @@ def seed_first_row(ctx: EmbedContext, seed: int, *,
     free = [ctx.free(t) for t in range(m)]
 
     if free[0] and free[1]:
-        audit_eps = 2 * Fraction(ctx.params.eps_inherit)
-        effective_p = Fraction(ctx.params.alpha) * Fraction(ctx.params.p)
-        opening = sampled_lower_regular(ctx.G, free[0], free[1], audit_eps,
-                                        effective_p, audit_trials,
+        opening = sampled_lower_regular(ctx.G, free[0], free[1],
+                                        2 * ctx.params.eps_inherit,
+                                        ctx.params.alpha_p, audit_trials,
                                         seeds.derive(seed, 3))
         if not opening.passed:
             raise EmbedFailure(
@@ -325,11 +320,8 @@ def filter_well_connected(S: VertexSet, U_next: VertexSet, Q_next: VertexSet,
         )
     avail = room - room.lowest(pad)
     cand = ctx.candidate_size
-    kept = 0
-    for v in S:
-        if (ctx.G.row(v) & avail.bits).bit_count() >= cand:
-            kept |= 1 << v
-    out = VertexSet(ctx.G.n, kept)
+    out = VertexSet.from_ids(ctx.G.n, [
+        v for v in S if (ctx.G.row(v) & avail.bits).bit_count() >= cand])
     dropped = S.size - out.size
     if dropped > ctx.filter_slack:
         raise EmbedFailure(
@@ -359,11 +351,8 @@ def backward_filter(s_prime: list[VertexSet], ctx: EmbedContext) -> list[VertexS
     out[-1] = last.lowest(cut)
     for j in range(len(s_prime) - 2, -1, -1):
         succ = out[j + 1].bits
-        kept = 0
-        for v in s_prime[j]:
-            if ctx.G.row(v) & succ:
-                kept |= 1 << v
-        pruned = VertexSet(ctx.G.n, kept)
+        pruned = VertexSet.from_ids(ctx.G.n,
+                                    [v for v in s_prime[j] if ctx.G.row(v) & succ])
         if pruned.size < cut:
             raise EmbedFailure(
                 "backward-filter", position=j,
@@ -541,8 +530,8 @@ def embed_grid(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
     row and position attached.
     """
     m = len(cycle.vertices)
-    side = Fraction(params.delta) * bg.part_size
-    if Fraction(m) != side:
+    side = params.delta * bg.part_size
+    if m != side:
         raise ValueError(
             f"cycle length {m} does not match the planned grid side "
             f"{float(side):g}"

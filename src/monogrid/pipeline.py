@@ -327,7 +327,6 @@ def regular_subgraph(
     edge_log: list[EdgeRecord] = []
     audit_log: list[AuditRecord] = []
     lam = params.lam
-    alpha_p = Fraction(params.alpha) * Fraction(params.p)
 
     for level in range(1, levels + 1):
         eps_i = schedule.eps_at(level)
@@ -339,7 +338,7 @@ def regular_subgraph(
             mass = len(Ux) * len(Uy) * params.p
             precondition_ok = (1 - lam) * mass <= e_here <= (1 + lam) * mass
             c = majority_colour(bg, chi, Ux, Uy)
-            if pair_density(chi.classes[c], Ux, Uy) < alpha_p:
+            if pair_density(chi.classes[c], Ux, Uy) < params.alpha_p:
                 raise PipelineFailure(
                     "majority-density", level, (x, y),
                     "pair is too sparse for the density-increment search")
@@ -373,8 +372,7 @@ def regular_subgraph(
         for (x, y), c in phi_map.items():
             Ux, Uy = chain.current(x), chain.current(y)
             verdict = check_lower_regular(
-                chi.classes[c], Ux, Uy, audit_eps,
-                alpha_p, audit_trials,
+                chi.classes[c], Ux, Uy, audit_eps, params.alpha_p, audit_trials,
                 seeds.derive(seed, 91, level, x, y), cap=check_cap,
             )
             audit_log.append(AuditRecord(level, (x, y), audit_eps, verdict))

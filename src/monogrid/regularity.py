@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable
 
 from monogrid import seeds
 from monogrid.blowup import BlowupGraph
@@ -68,6 +67,21 @@ class RegParams:
             raise ValueError("delta must not exceed min(eps/4, lam/4)")
         if not 0 < self.p <= 1:
             raise ValueError("p must lie in (0, 1]")
+
+    @property
+    def alpha_p(self) -> Fraction:
+        """The colour density alpha * p every settled pair is held to."""
+        return colour_density(self.alpha, self.p)
+
+
+def colour_density(alpha, p) -> Fraction:
+    """alpha * p as an exact Fraction, from a rational alpha and a float p."""
+    return Fraction(alpha) * Fraction(p)
+
+
+def bank_size(alpha_p: Fraction, size: int, k: int) -> int:
+    """ceil(alpha p size / k): the sizes of banked and audited subsets."""
+    return math.ceil(alpha_p * size / k)
 
 
 @dataclass(frozen=True)
@@ -266,9 +280,10 @@ def find_lower_regular_pair(
     """
     if len(V1) != len(V2):
         raise ValueError("sides must have equal size")
+    if budget < 1:
+        raise ValueError(f"need a budget of at least one check, got {budget}")
     eps = Fraction(eps)
-    alpha = Fraction(alpha)
-    effective_p = alpha * Fraction(p)
+    effective_p = colour_density(alpha, p)
     if pair_density(G_c, V1, V2) < effective_p:
         raise ValueError("pair is too sparse for the density-increment search")
     target = math.ceil(Fraction(lam_target) * len(V1))
@@ -327,13 +342,6 @@ class EpsSchedule:
 
     levels: list[tuple[Fraction, Fraction]]
 
-    @property
-    def product_lam(self) -> Fraction:
-        out = Fraction(1)
-        for _, lam_i in self.levels:
-            out *= lam_i
-        return out
-
     def eps_at(self, i: int) -> Fraction:
         return self.levels[i - 1][0]
 
@@ -344,22 +352,12 @@ class EpsSchedule:
         return len(self.levels)
 
 
-def quarter_rule(eps, alpha) -> Fraction:
-    """Default shrink rule: a constant quarter at every level."""
-    return Fraction(1, 4)
-
-
-def identity_rule(eps, alpha) -> Fraction:
-    """No shrink; useful when the parts are to be kept whole."""
-    return Fraction(1)
-
-
-def eps_schedule(eps, max_degree: int, alpha,
-                 lam_rule: Callable = quarter_rule) -> EpsSchedule:
+def eps_schedule(eps, max_degree: int, shrink) -> EpsSchedule:
     """Build the level ladder downward from the target regularity.
 
-    The top level carries the target eps; each step down multiplies by that
-    level's shrink factor, so that slicing a level-i pair by lam_{i+1}
+    Every level shrinks its parts by the same constant factor `shrink` in
+    (0, 1].  The top level carries the target eps; each step down
+    multiplies it by `shrink`, so that slicing a level-i pair by lam_{i+1}
     recovers exactly the level-(i+1) regularity.
     """
     if max_degree < 2:
@@ -367,15 +365,11 @@ def eps_schedule(eps, max_degree: int, alpha,
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 2):
         raise ValueError("eps must lie in (0, 1/2)")
-    levels_rev: list[tuple[Fraction, Fraction]] = []
-    eps_i = eps
-    for _ in range(max_degree + 1):
-        lam_i = Fraction(lam_rule(eps_i, alpha))
-        if not 0 < lam_i <= 1:
-            raise ValueError(f"shrink rule returned {lam_i}, outside (0, 1]")
-        levels_rev.append((eps_i, lam_i))
-        eps_i = eps_i * lam_i
-    return EpsSchedule(list(reversed(levels_rev)))
+    lam = Fraction(shrink)
+    if not 0 < lam <= 1:
+        raise ValueError(f"shrink factor {lam} lies outside (0, 1]")
+    return EpsSchedule([(eps * lam ** (max_degree - i), lam)
+                        for i in range(max_degree + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +420,11 @@ def compute_bad_set(
     if draws < 1:
         raise ValueError("need at least one draw per vertex")
     eps = Fraction(eps)
-    alpha = Fraction(alpha)
-    effective_p = alpha * Fraction(p)
-    size = math.ceil(alpha * len(V1) * Fraction(p) / 4)
+    effective_p = colour_density(alpha, p)
+    size = bank_size(effective_p, len(V1), 4)
     rng = seeds.rng(seed)
     amb_ids = ambient.ids
-    bad_bits = 0
+    bad_ids = []
 
     def neighbourhood(v: int, side: VertexSet) -> VertexSet:
         return VertexSet(bg.gamma.n, bg.gamma.row(v) & side.bits & ~(1 << v))
@@ -439,7 +432,7 @@ def compute_bad_set(
     for v in amb_ids:
         nv_full = neighbourhood(v, V1)
         if nv_full.size < size:
-            bad_bits |= 1 << v
+            bad_ids.append(v)
             continue
         is_bad = False
         for d in range(draws):
@@ -463,8 +456,8 @@ def compute_bad_set(
                 is_bad = True
                 break
         if is_bad:
-            bad_bits |= 1 << v
-    bad = VertexSet(bg.gamma.n, bad_bits)
+            bad_ids.append(v)
+    bad = VertexSet.from_ids(bg.gamma.n, bad_ids)
     limit = eps * len(ambient)
     if bad.size > limit:
         raise BadSetError(bad, limit)

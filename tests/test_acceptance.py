@@ -44,7 +44,6 @@ from monogrid.regularity import (
     eps_schedule,
     exact_lower_regular,
     find_lower_regular_pair,
-    identity_rule,
     recheck_witness,
     sampled_lower_regular,
 )
@@ -391,7 +390,7 @@ def test_07_verifier_agrees_with_oracle():
                        eps_inherit=Fraction(1, 16), alpha=Fraction(1, 2),
                        lam=Fraction(1), delta=Fraction(4, 64),
                        c=p * math.sqrt(s), p=p)
-    sched = eps_schedule(Fraction(1, 4), 2, Fraction(1, 2), identity_rule)
+    sched = eps_schedule(Fraction(1, 4), 2, Fraction(1))
     cases = []
     seed = 0
     skipped = []

@@ -1,4 +1,4 @@
-"""Blow-up construction, determinism, expected edge counts, uniformity audit."""
+"""Blow-up construction, determinism, expected edge counts, persistence."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from monogrid.blowup import (
-    audit_uniformity,
     build_blowup,
     expected_edges,
     host_hash,
@@ -119,85 +118,6 @@ def test_mean_edge_count_tracks_expectation():
 
 def test_expected_edges_simple():
     assert expected_edges(host_single_edge(), 10, 0.5) == 50
-
-
-# ---------------------------------------------------------------------------
-# uniformity audit
-
-
-def test_audit_complete_pair_is_tight():
-    bg = build_blowup(host_single_edge(), 20, 1.0, seed=0)
-    rep = audit_uniformity(bg, (0, 1), lam=0.1, budget=50, seed=1, min_mass=1.0)
-    assert rep.worst_ratio == 0.0
-    assert rep.violations == []
-    assert not rep.vacuous
-
-
-def test_audit_vacuous_below_mass_threshold():
-    bg = build_blowup(host_single_edge(), 200, 0.4, seed=0)
-    rep = audit_uniformity(bg, (0, 1), lam=0.2, budget=10, seed=1)
-    assert rep.vacuous
-    assert rep.pairs_tested == 0
-    assert rep.min_mass == pytest.approx(100 * 200 / 0.04)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_audit_clean_at_desk_mass(seed):
-    # mass floor 4000: large enough that sampled pairs concentrate and the
-    # biased extremal candidates' ~13% deviation stays inside the band
-    bg = build_blowup(host_single_edge(), 200, 0.4, seed=seed)
-    rep = audit_uniformity(bg, (0, 1), lam=0.2, budget=500, seed=seed,
-                           min_mass=4000.0)
-    assert not rep.vacuous
-    assert rep.pairs_tested >= 500
-    assert rep.violations == []
-    assert rep.worst_ratio <= 0.2
-
-
-def test_audit_extremal_bias_shows_at_small_mass():
-    # at mass 1000 the lowest-degree quarter on each side deviates well
-    # below its nominal edge mass; the audit must surface that, not hide it
-    bg = build_blowup(host_single_edge(), 200, 0.4, seed=0)
-    rep = audit_uniformity(bg, (0, 1), lam=0.2, budget=0, seed=0,
-                           min_mass=1000.0)
-    assert rep.worst_ratio > 0.15
-
-
-def test_audit_flags_planted_damage():
-    # blank out the low-degree quarter on one side: the extremal candidate
-    # pair must leave the band
-    bg = build_blowup(host_single_edge(), 64, 0.5, seed=2)
-    s = bg.part_size
-    k = s // 4
-    victims = sorted(bg.part(0), key=lambda u: bg.gamma.degree(u))[:k]
-    rows = [bg.gamma.row(v) for v in range(bg.gamma.n)]
-    for u in victims:
-        for w in list(bg.gamma.neighbours(u)):
-            rows[u] &= ~(1 << w)
-            rows[w] &= ~(1 << u)
-    from monogrid.blowup import BlowupGraph
-
-    damaged = BlowupGraph(Graph(bg.gamma.n, rows), bg.host, s, bg.p, bg.seed,
-                          bg.parts)
-    rep = audit_uniformity(damaged, (0, 1), lam=0.2, budget=100, seed=5,
-                           min_mass=100.0)
-    assert rep.violations
-    assert rep.worst_ratio > 0.2
-
-
-def test_audit_requires_host_edge():
-    bg = build_blowup(host_path(3), 10, 0.5, seed=0)
-    with pytest.raises(ValueError):
-        audit_uniformity(bg, (0, 2), lam=0.5, budget=5, seed=0)
-
-
-def test_audit_report_consistency():
-    bg = build_blowup(host_single_edge(), 50, 0.5, seed=7)
-    rep = audit_uniformity(bg, (0, 1), lam=0.05, budget=200, seed=3,
-                           min_mass=10.0)
-    assert bool(rep.violations) == (rep.worst_ratio > rep.lam)
-    js = rep.to_json()
-    assert js["pairs_tested"] == rep.pairs_tested
 
 
 # ---------------------------------------------------------------------------

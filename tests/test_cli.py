@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, artifacts, config errors, colourings."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -9,11 +10,11 @@ import pytest
 
 from monogrid.blowup import build_blowup
 from monogrid.cli import apply_colouring, build_parser, main
-from monogrid.config import GRAPH_SPEC, ConfigError, load_config
+from monogrid.config import GRAPH_SPEC, KNOBS, ConfigError, RunConfig, load_config
 from monogrid.graphs import read_graph
 from monogrid.hosts import host_cycle
 from monogrid.pipeline import regular_subgraph
-from monogrid.regularity import RegParams, eps_schedule, identity_rule
+from monogrid.regularity import RegParams, eps_schedule
 
 
 def test_gen_host_writes_cycle(tmp_path):
@@ -81,7 +82,7 @@ def test_host_edge_split_colouring_recovered_exactly():
                        eps_inherit=Fraction(1, 16), alpha=Fraction(1, 2),
                        lam=Fraction(1), delta=Fraction(4, 64),
                        c=p * math.sqrt(s), p=p)
-    sched = eps_schedule(Fraction(1, 4), 2, Fraction(1, 2), identity_rule)
+    sched = eps_schedule(Fraction(1, 4), 2, Fraction(1))
     res = regular_subgraph(bg, chi, params, sched, seed=3)
     assert {e: res.phi.colour(*e) for e in want} == want
 
@@ -245,6 +246,45 @@ def test_trial_knobs_must_be_positive(tmp_path, capsys, key):
     assert main(["run", "--preset", "desk", "--set", f"{key}=0",
                  "--out", str(tmp_path / "run")]) == 2
     assert "at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,default,least", KNOBS, ids=[k for k, _, _ in KNOBS])
+def test_knob_table(tmp_path, capsys, key, default, least):
+    # the table, the RunConfig knob fields and the report's knobs name the
+    # same keys, and a knob below its least value is a config error
+    cfg = load_config(preset="desk")
+    others = {"preset", "host_spec", "s", "seed", "colouring", "out", "lam_rule",
+              "allow_alpha_override", "params"}
+    fields = {f.name for f in dataclasses.fields(RunConfig)} - others
+    names = {name for name, _, _ in KNOBS}
+    assert len(names) == 12 and names == fields == set(cfg.to_json()["knobs"])
+    assert getattr(cfg, key) == cfg.to_json()["knobs"][key] == default
+    assert main(["run", "--preset", "desk", "--set", f"{key}={least - 1}",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert f"{key} must be at least {least}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_oracle_grid_rejects_empty_grid(capsys):
+    assert main(["oracle", "grid", "--graph", "complete 7",
+                 "--a", "0", "--b", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at least 1" in err
+
+
+def test_first_moment_rejects_grid_larger_than_host(tmp_path, capsys):
+    assert main(["experiment", "first-moment", "--n", "5", "--a", "3", "--b", "3",
+                 "--p-values", "0.1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "more vertices than the host" in err
+
+
+def test_colour_rejects_fewer_than_two_colours(tmp_path, capsys):
+    assert main(["blowup", "--host", "cycle 4", "--s", "4", "--p", "0.5",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["colour", "--blowup", str(tmp_path / "blowup"),
+                 "--colouring", "mono 0", "--r", "0", "--out", str(tmp_path)]) == 2
+    assert "need at least 2 colours, got r=0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", ["", "random-regular 10", "cycle 10 7",

@@ -27,7 +27,7 @@ from monogrid.hosts import host_cycle, host_single_edge
 from monogrid.oracle import grid_graph
 from monogrid.pipeline import CycleCertificate, PipelineResult, regular_subgraph, \
     find_mono_cycle
-from monogrid.regularity import RegParams, eps_schedule, identity_rule
+from monogrid.regularity import RegParams, eps_schedule
 
 SEEDS = [0, 1, 2, 7, 11, 42, 101, 2024]
 
@@ -56,7 +56,7 @@ def ring_instance(s: int, m: int, p: float, bg_seed: int, pipe_seed: int):
     params = RegParams(r=2, max_degree=2, eps=F(1, 4), eps_inherit=F(1, 16),
                        alpha=F(1, 2), lam=F(1), delta=F(m, s),
                        c=p * s ** 0.5, p=p)
-    sched = eps_schedule(params.eps, 2, params.alpha, identity_rule)
+    sched = eps_schedule(params.eps, 2, F(1))
     res = regular_subgraph(bg, chi, params, sched, seed=pipe_seed)
     cyc = find_mono_cycle(H, res.phi, m, m)
     assert cyc is not None
@@ -354,7 +354,7 @@ def test_smallest_grid_is_a_four_cycle():
     chi = mono_colouring(bg.gamma)
     params = RegParams(r=2, max_degree=2, eps=F(1, 3), eps_inherit=F(1, 12),
                        alpha=F(1, 2), lam=F(1), delta=F(1, 12), c=6.0, p=1.0)
-    sched = eps_schedule(params.eps, 2, params.alpha, identity_rule)
+    sched = eps_schedule(params.eps, 2, F(1))
     res = regular_subgraph(bg, chi, params, sched, seed=1)
     cyc = CycleCertificate(0, [0, 1])
     emb = embed_grid(bg, chi, res, cyc, params, seed=9)
@@ -370,7 +370,7 @@ def test_desk_scale_calibration():
     params = RegParams(r=2, max_degree=2, eps=F(1, 4), eps_inherit=F(1, 16),
                        alpha=F(1, 2), lam=F(1), delta=F(1, 30),
                        c=0.35 * 300 ** 0.5, p=0.35)
-    sched = eps_schedule(params.eps, 2, params.alpha, identity_rule)
+    sched = eps_schedule(params.eps, 2, F(1))
     first_ok = grid_ok = 0
     for seed in range(10):
         bg = build_blowup(H, 300, 0.35, seed)

@@ -27,7 +27,6 @@ from monogrid.regularity import (
     RegParams,
     check_lower_regular,
     eps_schedule,
-    identity_rule,
     recheck_witness,
 )
 
@@ -189,14 +188,11 @@ def mono_params(eps, alpha, lam, p, delta) -> RegParams:
                      alpha=alpha, lam=lam, delta=delta, c=6.0, p=p)
 
 
-HALF_RULE = lambda eps, alpha: F(1, 2)  # noqa: E731
-
-
 def test_chain_completes_on_mono_single_edge():
     bg = build_blowup(host_single_edge(), 12, 0.9, seed=3)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
-    sched = eps_schedule(F(9, 20), 2, F(1, 2), identity_rule)
+    sched = eps_schedule(F(9, 20), 2, F(1))
     res = regular_subgraph(bg, chi, params, sched, seed=0)
     assert res.phi.colour(0, 1) == 0
     assert sorted(res.final_sets) == [0, 1]
@@ -219,7 +215,7 @@ def test_chain_shrinks_by_lowest_ids_on_complete_blowup():
     bg = build_blowup(host, 12, 1.0, seed=0)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 1.0, F(1, 10))
-    sched = eps_schedule(F(9, 20), 2, F(1, 2), HALF_RULE)
+    sched = eps_schedule(F(9, 20), 2, F(1, 2))
     res = regular_subgraph(bg, chi, params, sched, seed=0)
     assert [len(c) for c in res.chain.chains[0]] == [12, 6, 3, 2]
     assert res.final_sets[0].to_list() == [0, 1]
@@ -233,7 +229,7 @@ def test_chain_on_path_host_audits_inherited_pairs():
     bg = build_blowup(host_path(3), 12, 0.9, seed=5)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
-    sched = eps_schedule(F(9, 20), 2, F(1, 2), identity_rule)
+    sched = eps_schedule(F(9, 20), 2, F(1))
     res = regular_subgraph(bg, chi, params, sched, seed=0)
     md = res.decomposition
     assert len(res.edge_log) == 2
@@ -259,7 +255,7 @@ def test_chain_reports_search_failure_with_witness():
     mapping = {e: int(rng.integers(2)) for e in bg.gamma.edges()}
     chi = EdgeColouring(bg.gamma.n, 2, mapping)
     params = mono_params(F(1, 64), F(1, 4), F(1, 2), 0.3, F(1, 300))
-    sched = eps_schedule(F(1, 64), 2, F(1, 4), identity_rule)
+    sched = eps_schedule(F(1, 64), 2, F(1))
     with pytest.raises(PipelineFailure) as info:
         regular_subgraph(bg, chi, params, sched, seed=0, find_budget=40,
                          check_trials=8)
@@ -282,7 +278,7 @@ def test_chain_rejects_pair_below_majority_density():
     mapping = {e: int(rng.integers(2)) for e in bg.gamma.edges()}
     chi = EdgeColouring(bg.gamma.n, 2, mapping)
     params = mono_params(F(1, 64), F(4, 5), F(1, 2), 0.3, F(1, 300))
-    sched = eps_schedule(F(1, 64), 2, F(4, 5), identity_rule)
+    sched = eps_schedule(F(1, 64), 2, F(1))
     with pytest.raises(PipelineFailure) as info:
         regular_subgraph(bg, chi, params, sched, seed=0)
     assert info.value.stage == "majority-density"
@@ -299,7 +295,7 @@ def test_chain_lets_other_search_errors_through(monkeypatch):
     bg = build_blowup(host_single_edge(), 12, 0.9, seed=3)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
-    sched = eps_schedule(F(9, 20), 2, F(1, 2), identity_rule)
+    sched = eps_schedule(F(9, 20), 2, F(1))
     with pytest.raises(ValueError, match="injected search error"):
         regular_subgraph(bg, chi, params, sched, seed=0)
 
@@ -308,7 +304,7 @@ def test_chain_rejects_mismatched_schedule():
     bg = build_blowup(host_single_edge(), 6, 0.9, seed=0)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
-    sched = eps_schedule(F(9, 20), 3, F(1, 2), identity_rule)  # 4 levels
+    sched = eps_schedule(F(9, 20), 3, F(1))  # 4 levels
     with pytest.raises(ValueError):
         regular_subgraph(bg, chi, params, sched, seed=0)
 
@@ -319,7 +315,7 @@ def test_chain_flags_density_precondition_miss():
     bg = build_blowup(host_single_edge(), 12, 0.9, seed=2)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 4), F(1, 4), 0.5, F(1, 20))
-    sched = eps_schedule(F(9, 20), 2, F(1, 4), identity_rule)
+    sched = eps_schedule(F(9, 20), 2, F(1))
     res = regular_subgraph(bg, chi, params, sched, seed=0)
     assert not res.edge_log[0].precondition_ok
     assert res.phi.colour(0, 1) == 0
@@ -329,7 +325,7 @@ def test_chain_is_deterministic():
     bg = build_blowup(host_path(3), 12, 0.9, seed=5)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
-    sched = eps_schedule(F(9, 20), 2, F(1, 2), identity_rule)
+    sched = eps_schedule(F(9, 20), 2, F(1))
     one = regular_subgraph(bg, chi, params, sched, seed=9)
     two = regular_subgraph(bg, chi, params, sched, seed=9)
     assert one.to_json() == two.to_json()
@@ -339,7 +335,7 @@ def test_result_json_shape():
     bg = build_blowup(host_single_edge(), 12, 0.9, seed=3)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
-    sched = eps_schedule(F(9, 20), 2, F(1, 2), identity_rule)
+    sched = eps_schedule(F(9, 20), 2, F(1))
     res = regular_subgraph(bg, chi, params, sched, seed=0)
     blob = res.to_json()
     assert blob["phi"] == [[0, 1, 0]]

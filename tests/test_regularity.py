@@ -21,8 +21,6 @@ from monogrid.regularity import (
     eps_schedule,
     exact_lower_regular,
     find_lower_regular_pair,
-    identity_rule,
-    quarter_rule,
     recheck_witness,
     sampled_lower_regular,
 )
@@ -220,7 +218,7 @@ def test_check_dispatches_on_size():
 
 
 def test_slicing_matches_schedule_recurrence():
-    sched = eps_schedule(Fraction(1, 5), 3, Fraction(1, 4), quarter_rule)
+    sched = eps_schedule(Fraction(1, 5), 3, Fraction(1, 4))
     for i in range(1, len(sched)):
         eps_i, _ = sched.levels[i - 1]
         lam_next = sched.lam_at(i + 1)
@@ -333,6 +331,13 @@ def test_find_requires_dense_pair():
                                 Fraction(1, 2))
 
 
+def test_find_rejects_empty_budget():
+    g, A, B = bipartite(8, 8, 1.0, 0)
+    with pytest.raises(ValueError, match="budget"):
+        find_lower_regular_pair(g, A, B, Fraction(1, 4), Fraction(1, 2), 1,
+                                Fraction(1, 2), budget=0)
+
+
 def test_find_failure_carries_best_pair():
     g, A, B = isolated_vertex_pair(8)
     out = find_lower_regular_pair(g, A, B, Fraction(1, 4), Fraction(4, 5), 1,
@@ -359,30 +364,27 @@ def test_find_is_deterministic():
 
 
 def test_schedule_halving_example():
-    sched = eps_schedule(Fraction(1, 5), 2, Fraction(1, 4),
-                         lambda e, a: Fraction(1, 2))
+    sched = eps_schedule(Fraction(1, 5), 2, Fraction(1, 2))
     eps_values = [lvl[0] for lvl in sched.levels]
     assert eps_values == [Fraction(1, 20), Fraction(1, 10), Fraction(1, 5)]
-    assert sched.product_lam == Fraction(1, 8)
+    assert [lvl[1] for lvl in sched.levels] == [Fraction(1, 2)] * 3
 
 
 def test_schedule_identity_rule():
-    sched = eps_schedule(Fraction(1, 5), 2, Fraction(1, 4), identity_rule)
+    sched = eps_schedule(Fraction(1, 5), 2, Fraction(1))
     assert all(lvl[0] == Fraction(1, 5) for lvl in sched.levels)
-    assert sched.product_lam == 1
 
 
 def test_schedule_quarter_rule_deep():
-    sched = eps_schedule(Fraction(1, 1024), 4, Fraction(1, 4), quarter_rule)
+    sched = eps_schedule(Fraction(1, 1024), 4, Fraction(1, 4))
     assert len(sched) == 5
     assert sched.eps_at(5) == Fraction(1, 1024)
     assert sched.eps_at(1) == Fraction(1, 1024) / 256
-    assert sched.product_lam == Fraction(1, 4) ** 5
 
 
 def test_schedule_rejects_bad_rule():
     with pytest.raises(ValueError):
-        eps_schedule(Fraction(1, 5), 2, Fraction(1, 4), lambda e, a: Fraction(2))
+        eps_schedule(Fraction(1, 5), 2, Fraction(2))
     with pytest.raises(ValueError):
         eps_schedule(Fraction(2, 3), 2, Fraction(1, 4))
 
