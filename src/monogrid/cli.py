@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,7 +37,6 @@ from monogrid.embedder import (
 )
 from monogrid.graphs import (
     EdgeColouring,
-    Graph,
     pair_density,
     read_colouring,
     read_graph,
@@ -85,24 +85,22 @@ def apply_colouring(bg, spec: str, r: int, seed: int) -> EdgeColouring:
     gamma = bg.gamma
     if tokens[0] == "mono":
         return EdgeColouring.constant(gamma, r, int(tokens[1]))
+    # every other strategy names one colour per edge, in gamma.edges() order
     if tokens[0] == "uniform-random":
-        draws = seeds.rng(seed, 23).integers(0, r, size=gamma.edge_count)
-        return EdgeColouring.by_edge(gamma, r, draws)
-    rows = [[0] * gamma.n for _ in range(r)]
-    if tokens[0] == "host-edge-split":
-        for k, (x, y) in enumerate(bg.host.graph.edges()):
-            for a, b in ((x, y), (y, x)):
-                for u in bg.part(a):
-                    rows[k % r][u] |= gamma.row(u) & bg.part(b).bits
+        colours = seeds.rng(seed, 23).integers(0, r, size=gamma.edge_count)
+    elif tokens[0] == "host-edge-split":
+        split = {xy: k % r for k, xy in enumerate(bg.host.graph.edges())}
+        s = bg.part_size
+        colours = [split[u // s, v // s] for u, v in gamma.edges()]
     else:
         used = [[0] * r for _ in range(gamma.n)]
+        colours = []
         for u, v in gamma.edges():
             c = min(range(r), key=lambda k: (used[u][k] + used[v][k], k))
-            rows[c][u] |= 1 << v
-            rows[c][v] |= 1 << u
+            colours.append(c)
             used[u][c] += 1
             used[v][c] += 1
-    return EdgeColouring.from_classes([Graph(gamma.n, cls) for cls in rows])
+    return EdgeColouring.by_edge(gamma, r, colours)
 
 
 # ---------------------------------------------------------------------------
@@ -127,56 +125,57 @@ def run_once(cfg: RunConfig, outdir: Path) -> tuple[dict, dict]:
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
 
-    def done(stage: str, t0: float) -> None:
-        timings[stage] = round(time.perf_counter() - t0, 6)
+    @contextmanager
+    def stage(name: str):
+        """Time one stage into `timings`, also when it fails."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            timings[name] = round(time.perf_counter() - t0, 6)
 
     try:
-        t0 = time.perf_counter()
-        H = build_host(cfg.host_spec, cfg.seed)
-        write_graph(H.graph, str(outdir / "host.graph"), comment=cfg.host_spec)
-        report["artifacts"]["host"] = "host.graph"
-        report["stages"]["host"] = {
-            "n": H.graph.n,
-            "edges": H.graph.edge_count,
-            "max_degree": H.max_degree,
-        }
-        done("host", t0)
+        with stage("host"):
+            H = build_host(cfg.host_spec, cfg.seed)
+            write_graph(H.graph, str(outdir / "host.graph"), comment=cfg.host_spec)
+            report["artifacts"]["host"] = "host.graph"
+            report["stages"]["host"] = {
+                "n": H.graph.n,
+                "edges": H.graph.edge_count,
+                "max_degree": H.max_degree,
+            }
 
-        t0 = time.perf_counter()
-        bg = build_blowup(H, cfg.s, cfg.params.p, cfg.seed)
-        save_blowup(bg, str(outdir / "blowup"))
-        report["artifacts"]["blowup"] = "blowup"
-        report["stages"]["blowup"] = {
-            "n": bg.gamma.n,
-            "edges": bg.gamma.edge_count,
-            "expected_edges": expected_edges(H, cfg.s, cfg.params.p),
-        }
-        done("blowup", t0)
+        with stage("blowup"):
+            bg = build_blowup(H, cfg.s, cfg.params.p, cfg.seed)
+            save_blowup(bg, str(outdir / "blowup"))
+            report["artifacts"]["blowup"] = "blowup"
+            report["stages"]["blowup"] = {
+                "n": bg.gamma.n,
+                "edges": bg.gamma.edge_count,
+                "expected_edges": expected_edges(H, cfg.s, cfg.params.p),
+            }
 
-        t0 = time.perf_counter()
-        chi = apply_colouring(bg, cfg.colouring, cfg.params.r, cfg.seed)
-        write_colouring(chi, str(outdir / "colouring.txt"), comment=cfg.colouring)
-        report["artifacts"]["colouring"] = "colouring.txt"
-        report["stages"]["colour"] = {"r": chi.r, "counts": chi.colour_counts()}
-        done("colour", t0)
+        with stage("colour"):
+            chi = apply_colouring(bg, cfg.colouring, cfg.params.r, cfg.seed)
+            write_colouring(chi, str(outdir / "colouring.txt"), comment=cfg.colouring)
+            report["artifacts"]["colouring"] = "colouring.txt"
+            report["stages"]["colour"] = {"r": chi.r, "counts": chi.colour_counts()}
 
-        t0 = time.perf_counter()
-        res = regular_subgraph(bg, chi, cfg.params, cfg.schedule(), seed=cfg.seed,
-                               find_budget=cfg.find_budget,
-                               check_trials=cfg.check_trials,
-                               audit_trials=cfg.audit_trials,
-                               check_cap=cfg.check_cap)
-        with open(outdir / "pipeline.json", "w") as fh:
-            json.dump(res.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        report["artifacts"]["pipeline"] = "pipeline.json"
-        report["stages"]["pipeline"] = {
-            "edges_processed": len(res.edge_log),
-            "audits": len(res.audit_log),
-            "matchings": len(res.decomposition.matchings),
-            "final_set_sizes": {str(x): U.size for x, U in sorted(res.final_sets.items())},
-        }
-        done("pipeline", t0)
+        with stage("pipeline"):
+            res = regular_subgraph(bg, chi, cfg.params, cfg.schedule(), seed=cfg.seed,
+                                   find_budget=cfg.find_budget,
+                                   check_trials=cfg.check_trials,
+                                   audit_trials=cfg.audit_trials,
+                                   check_cap=cfg.check_cap)
+            _write_json(outdir / "pipeline.json", res.to_json())
+            report["artifacts"]["pipeline"] = "pipeline.json"
+            report["stages"]["pipeline"] = {
+                "edges_processed": len(res.edge_log),
+                "audits": len(res.audit_log),
+                "matchings": len(res.decomposition.matchings),
+                "final_set_sizes": {str(x): U.size
+                                    for x, U in sorted(res.final_sets.items())},
+            }
 
         # The grid plan slices each part to delta*s; that slice is both the
         # grid side and the length of the host cycle it winds around, so it
@@ -191,48 +190,43 @@ def run_once(cfg: RunConfig, outdir: Path) -> tuple[dict, dict]:
             )
         m = int(side)
 
-        t0 = time.perf_counter()
-        cert = find_mono_cycle(H, res.phi, m, m, budget=cfg.cycle_budget)
-        if cert is None:
-            raise StageError(
-                "cycle",
-                f"no single-colour host cycle of length {m} was found "
-                f"within budget {cfg.cycle_budget}",
-            )
-        with open(outdir / "cycle.json", "w") as fh:
-            json.dump({"colour": cert.colour, "vertices": cert.vertices}, fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
-        report["artifacts"]["cycle"] = "cycle.json"
-        report["stages"]["cycle"] = {"colour": cert.colour, "length": len(cert.vertices)}
-        done("cycle", t0)
+        with stage("cycle"):
+            cert = find_mono_cycle(H, res.phi, m, m, budget=cfg.cycle_budget)
+            if cert is None:
+                raise StageError(
+                    "cycle",
+                    f"no single-colour host cycle of length {m} was found "
+                    f"within budget {cfg.cycle_budget}",
+                )
+            _write_json(outdir / "cycle.json", cert.to_json())
+            report["artifacts"]["cycle"] = "cycle.json"
+            report["stages"]["cycle"] = {"colour": cert.colour,
+                                         "length": len(cert.vertices)}
 
-        t0 = time.perf_counter()
-        emb = embed_grid(bg, chi, res, cert, cfg.params, seed=cfg.seed,
-                         subset_tries=cfg.subset_tries,
-                         vertex_budget=cfg.vertex_budget,
-                         check_trials=cfg.embed_check_trials,
-                         audit_trials=cfg.embed_audit_trials,
-                         badset_draws=cfg.badset_draws,
-                         badset_trials=cfg.badset_trials,
-                         badset_cap=cfg.badset_cap)
-        write_embedding(emb, str(outdir / "grid.embedding"),
-                        comment=f"{cfg.host_spec}; seed {cfg.seed}")
-        report["artifacts"]["embedding"] = "grid.embedding"
-        report["stages"]["embed"] = {
-            "side": m,
-            "colour": emb.colour,
-            "cells": len(emb.image),
-        }
-        done("embed", t0)
+        with stage("embed"):
+            emb = embed_grid(bg, chi, res, cert, cfg.params, seed=cfg.seed,
+                             subset_tries=cfg.subset_tries,
+                             vertex_budget=cfg.vertex_budget,
+                             check_trials=cfg.embed_check_trials,
+                             audit_trials=cfg.embed_audit_trials,
+                             badset_draws=cfg.badset_draws,
+                             badset_trials=cfg.badset_trials,
+                             badset_cap=cfg.badset_cap)
+            write_embedding(emb, str(outdir / "grid.embedding"),
+                            comment=f"{cfg.host_spec}; seed {cfg.seed}")
+            report["artifacts"]["embedding"] = "grid.embedding"
+            report["stages"]["embed"] = {
+                "side": m,
+                "colour": emb.colour,
+                "cells": len(emb.image),
+            }
 
-        t0 = time.perf_counter()
-        ok, violations = verify_grid_embedding(bg.gamma, chi, emb)
-        report["stages"]["verify"] = {
-            "edges_checked": 2 * m * m - 2 * m,
-            "violations": len(violations),
-        }
-        done("verify", t0)
+        with stage("verify"):
+            ok, violations = verify_grid_embedding(bg.gamma, chi, emb)
+            report["stages"]["verify"] = {
+                "edges_checked": 2 * m * m - 2 * m,
+                "violations": len(violations),
+            }
         if not ok:
             report["stages"]["verify"]["first_violations"] = violations[:5]
             raise StageError("verify", f"{len(violations)} violation(s); "
@@ -259,13 +253,15 @@ def run_once(cfg: RunConfig, outdir: Path) -> tuple[dict, dict]:
     return report, timings
 
 
+def _write_json(path: Path, data: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_report(outdir: Path, report: dict, timings: dict) -> None:
-    with open(outdir / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(outdir / "timings.json", "w") as fh:
-        json.dump(timings, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "report.json", report)
+    _write_json(outdir / "timings.json", timings)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +399,9 @@ def cmd_experiment(args) -> int:
         except ValueError:
             raise ConfigError(f"--p-values must be comma-separated numbers, "
                               f"got {args.p_values!r}") from None
+        for p in p_values:
+            if not 0 <= p <= 1:
+                raise ConfigError(f"p must lie in [0, 1], got {p}")
         rows = []
         for i, p in enumerate(p_values):
             try:
@@ -414,8 +413,8 @@ def cmd_experiment(args) -> int:
                                              args.samples,
                                              seeds.derive(args.seed, 71, i))
             except ValueError:
-                # counting intractable at this size: keep the closed form,
-                # mark the sampled columns as skipped
+                # arguments checked above: the count is intractable at this
+                # size, so keep the closed form and mark the rest skipped
                 rows.append([p, expectation, "", "", "", "skipped"])
                 continue
             rows.append([p, expectation, rep.mean, rep.variance,
@@ -491,6 +490,14 @@ def _add_config_flags(sub) -> None:
                      help="override one config key (repeatable)")
 
 
+def count(text: str) -> int:
+    """An argparse type for sizes, budgets and counts: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monogrid",
@@ -507,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("blowup", help="sample a sparse blowup of a host")
     sub.add_argument("--host", required=True, help=f"host graph spec: {GRAPH_SPEC}")
-    sub.add_argument("--s", type=int, required=True, help="part size")
+    sub.add_argument("--s", type=count, required=True, help="part size")
     sub.add_argument("--p", type=float, required=True, help="edge probability")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default="out")
@@ -541,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--graph", required=True, help=f"graph spec: {GRAPH_SPEC}")
     k.add_argument("--target", required=True, help="graph spec, as for --graph")
     k.add_argument("--r", type=int, default=2)
-    k.add_argument("--budget", type=int, default=2_000_000)
+    k.add_argument("--budget", type=count, default=2_000_000)
     k.add_argument("--allow-large", action="store_true",
                    help="waive the edge-count guard on the exhaustive search")
     k.add_argument("--out", help="directory for an avoiding witness, if found")
@@ -551,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--graph", required=True, help=f"graph spec: {GRAPH_SPEC}")
     k.add_argument("--a", type=int, required=True)
     k.add_argument("--b", type=int, required=True)
-    k.add_argument("--budget", type=int, default=2_000_000)
+    k.add_argument("--budget", type=count, default=2_000_000)
     k.set_defaults(func=cmd_oracle)
 
     k = kinds.add_parser("count", help="Monte Carlo grid counts in G(n, p)")
@@ -559,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--p", type=float, required=True)
     k.add_argument("--a", type=int, required=True)
     k.add_argument("--b", type=int, required=True)
-    k.add_argument("--samples", type=int, default=200)
+    k.add_argument("--samples", type=count, default=200)
     k.add_argument("--seed", type=int, default=0)
     k.set_defaults(func=cmd_oracle)
 
@@ -573,18 +580,18 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--b", type=int, required=True)
     k.add_argument("--p-values", required=True,
                    help="comma-separated edge probabilities")
-    k.add_argument("--samples", type=int, default=200)
+    k.add_argument("--samples", type=count, default=200)
     k.add_argument("--seed", type=int, default=0)
     k.add_argument("--out", default="out")
     k.set_defaults(func=cmd_experiment)
 
     k = kinds.add_parser("uniformity-sweep",
                          help="worst pair-density ratio by subset size")
-    k.add_argument("--s", type=int, required=True, help="part size")
+    k.add_argument("--s", type=count, required=True, help="part size")
     k.add_argument("--p", type=float, required=True)
     k.add_argument("--sizes", required=True,
                    help="comma-separated subset sizes")
-    k.add_argument("--trials", type=int, default=50,
+    k.add_argument("--trials", type=count, default=50,
                    help="sampled pairs per size")
     k.add_argument("--seed", type=int, default=0)
     k.add_argument("--out", default="out")
@@ -593,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     k = kinds.add_parser("pipeline-success-rate",
                          help="full runs over a seed batch, tallied by status")
     _add_config_flags(k)
-    k.add_argument("--runs", type=int, default=10)
+    k.add_argument("--runs", type=count, default=10)
     k.set_defaults(func=cmd_experiment)
 
     return parser

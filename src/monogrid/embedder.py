@@ -27,6 +27,7 @@ from monogrid.graphs import (
     _significant_lines,
     _write_comment,
     colour_subgraph,
+    degrees_into,
     neighbours_in,
 )
 from monogrid.pipeline import CycleCertificate, PipelineResult
@@ -103,15 +104,15 @@ class EmbedContext:
             raise ValueError("a grid needs at least two cycle sets")
         if len(self.bad) != len(self.sets):
             raise ValueError("one bad set per cycle set")
-        union = 0
+        union = VertexSet.empty(self.G.n)
         for t, (U, B) in enumerate(zip(self.sets, self.bad)):
             if U.n != self.G.n or B.n != self.G.n:
                 raise ValueError("set universe does not match the graph")
             if (B & U) != B:
                 raise ValueError(f"bad set {t} leaves its cycle set")
-            if union & U.bits:
+            if not union.isdisjoint(U):
                 raise ValueError("cycle sets overlap")
-            union |= U.bits
+            union = union | U
 
     @property
     def m(self) -> int:
@@ -182,9 +183,6 @@ class GridEmbedding:
     b: int
     colour: int
     image: dict[tuple[int, int], int]
-
-    def cell(self, i: int, j: int) -> int:
-        return self.image[(i, j)]
 
     def to_json(self) -> dict:
         cells = [[i, j, v] for (i, j), v in sorted(self.image.items())]
@@ -321,7 +319,7 @@ def filter_well_connected(S: VertexSet, U_next: VertexSet, Q_next: VertexSet,
     avail = room - room.lowest(pad)
     cand = ctx.candidate_size
     out = VertexSet.from_ids(ctx.G.n, [
-        v for v in S if (ctx.G.row(v) & avail.bits).bit_count() >= cand])
+        v for v, d in zip(S.ids, degrees_into(ctx.G, S.ids, avail)) if d >= cand])
     dropped = S.size - out.size
     if dropped > ctx.filter_slack:
         raise EmbedFailure(
@@ -350,9 +348,9 @@ def backward_filter(s_prime: list[VertexSet], ctx: EmbedContext) -> list[VertexS
         )
     out[-1] = last.lowest(cut)
     for j in range(len(s_prime) - 2, -1, -1):
-        succ = out[j + 1].bits
-        pruned = VertexSet.from_ids(ctx.G.n,
-                                    [v for v in s_prime[j] if ctx.G.row(v) & succ])
+        ids = s_prime[j].ids
+        pruned = VertexSet.from_ids(ctx.G.n, [
+            v for v, d in zip(ids, degrees_into(ctx.G, ids, out[j + 1])) if d])
         if pruned.size < cut:
             raise EmbedFailure(
                 "backward-filter", position=j,
@@ -420,8 +418,7 @@ def embed_row(ctx: EmbedContext, prev: RowState, seed: int, *,
         if j == 0:
             options = pruned[0]
         else:
-            options = VertexSet(ctx.G.n,
-                                ctx.G.row(images[j - 1]) & pruned[j].bits)
+            options = neighbours_in(ctx.G, images[j - 1], pruned[j])
         if not options:
             note(j, "no neighbour survives in the pruned bank", [])
             return
@@ -490,13 +487,8 @@ def build_context(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
             raise ValueError(f"no surviving set for host vertex {x}")
         sets.append(result.final_sets[x])
 
-    union = 0
-    for U in sets:
-        union |= U.bits
-    coloured = colour_subgraph(bg.gamma, chi, cycle.colour)
-    rows = [coloured.row(v) & union if (union >> v) & 1 else 0
-            for v in range(coloured.n)]
-    G = Graph(coloured.n, rows)
+    union = VertexSet.from_ids(bg.gamma.n, (v for U in sets for v in U))
+    G = colour_subgraph(bg.gamma, chi, cycle.colour).induced(union)
 
     bad = []
     for t in range(m):

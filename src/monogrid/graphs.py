@@ -6,6 +6,15 @@ plus a popcount.  All the hot loops downstream (regularity checks, candidate
 filtering) are subset-density queries, which is why the representation is a
 bit row rather than an adjacency list.
 
+Only this module's code sees that layout; the rest ask set-level questions
+(`degrees_into`, `edges_between`, `pair_density`, `neighbours_in`,
+`Graph.induced`, the `VertexSet` algebra), so the rows can change form here
+alone.  Exempt on purpose: `blowup.py` writes rows from packed numpy draws as
+the readers here do, and its `validate` is the loader's integrity check;
+`oracle.py` keeps its brute-force search state in int masks, where a decode
+per step is slower (see `_iter_bits`); `pipeline._extend_cycle`'s path mask
+is search state, not adjacency.
+
 A vertex set decodes its members from the bitmask once, in one vectorised
 pass, the first time they are asked for by `ids`, `to_list` or `sample`, and
 keeps them; a set whose ids were never asked for iterates its bits lazily, so
@@ -152,9 +161,6 @@ class VertexSet:
             raise ValueError(f"vertex {v} outside universe of size {self.n}")
         return VertexSet(self.n, self.bits | (1 << v))
 
-    def remove(self, v: int) -> "VertexSet":
-        return VertexSet(self.n, self.bits & ~(1 << v))
-
     def lowest(self, k: int) -> "VertexSet":
         """The k smallest member ids, as a new set."""
         if k < 0 or k > self._size:
@@ -243,6 +249,13 @@ class Graph:
     def neighbours(self, v: int) -> VertexSet:
         return VertexSet(self.n, self._rows[v])
 
+    def induced(self, S: VertexSet) -> "Graph":
+        """The subgraph on the members of S, on the same vertex ids 0..n-1."""
+        rows, bits = [0] * self.n, S.bits
+        for v in S:
+            rows[v] = self._rows[v] & bits
+        return Graph(self.n, rows)
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
         for u, v, _ in _edge_blocks([self]):
@@ -265,13 +278,17 @@ class Graph:
         return f"Graph(n={self.n}, m={self._m})"
 
 
-def _edges_between(G: Graph, A: VertexSet, B: VertexSet) -> int:
+def degrees_into(G: Graph, ids: Iterable[int], B: VertexSet) -> list[int]:
+    """|N(v) & B| for each v of `ids`, in order; unchecked, for the hot loops."""
+    rows, bbits = G._rows, B.bits
+    return [(rows[v] & bbits).bit_count() for v in ids]
+
+
+def edges_between(G: Graph, A: VertexSet, B: VertexSet) -> int:
     """e(A, B) for disjoint A, B.  Iterates the smaller side."""
     if len(A) > len(B):
         A, B = B, A
-    bbits = B.bits
-    rows = G._rows
-    return sum((rows[a] & bbits).bit_count() for a in A)
+    return sum(degrees_into(G, A, B))
 
 
 def pair_density(G: Graph, A: VertexSet, B: VertexSet) -> Fraction:
@@ -282,22 +299,16 @@ def pair_density(G: Graph, A: VertexSet, B: VertexSet) -> Fraction:
         raise ValueError("pair density needs non-empty sets")
     if not A.isdisjoint(B):
         raise ValueError("pair density needs disjoint sets")
-    return Fraction(_edges_between(G, A, B), len(A) * len(B))
+    return Fraction(edges_between(G, A, B), len(A) * len(B))
 
 
 def degree_into(G: Graph, v: int, B: VertexSet) -> int:
-    """|N(v) ∩ B| for a vertex v outside B."""
-    if not 0 <= v < G.n:
-        raise ValueError(f"vertex {v} out of range")
-    if B.n != G.n:
-        raise ValueError("vertex set does not match the graph's universe")
-    if v in B:
-        raise ValueError(f"vertex {v} must not belong to the target set")
-    return (G.row(v) & B.bits).bit_count()
+    """|N(v) ∩ B| for a vertex v outside B, checked as `neighbours_in` checks."""
+    return neighbours_in(G, v, B).size
 
 
 def neighbours_in(G: Graph, v: int, B: VertexSet) -> VertexSet:
-    """N(v) ∩ B as a VertexSet, same preconditions as degree_into."""
+    """N(v) ∩ B as a VertexSet, for a vertex v of G outside B."""
     if not 0 <= v < G.n:
         raise ValueError(f"vertex {v} out of range")
     if B.n != G.n:
@@ -568,8 +579,9 @@ class EdgeColouring:
         return cls.from_classes([G if k == c else empty for k in range(r)])
 
     @classmethod
-    def by_edge(cls, G: Graph, r: int, colours: np.ndarray) -> "EdgeColouring":
+    def by_edge(cls, G: Graph, r: int, colours) -> "EdgeColouring":
         """G's edges in ascending order, the i-th one in colour colours[i]."""
+        colours = np.asarray(colours, dtype=np.int64)
         if len(colours) != G.edge_count:
             raise ValueError(f"{len(colours)} colours for {G.edge_count} edges")
         if len(colours) and not 0 <= colours.min() <= colours.max() < r:

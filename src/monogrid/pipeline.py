@@ -26,8 +26,8 @@ from monogrid.graphs import (
     EdgeColouring,
     Graph,
     VertexSet,
-    _edges_between,
     colour_subgraph,
+    edges_between,
     pair_density,
 )
 from monogrid.hosts import HostGraph
@@ -184,7 +184,7 @@ def matching_decomposition(H: HostGraph) -> MatchingDecomposition:
 def majority_colour(bg: BlowupGraph, chi: EdgeColouring, A: VertexSet,
                     B: VertexSet) -> int:
     """The colour with the most edges between A and B; ties to the lowest index."""
-    counts = [_edges_between(g, A, B) for g in chi.classes]
+    counts = [edges_between(g, A, B) for g in chi.classes]
     total = sum(counts)
     if total == 0:
         raise ValueError("empty pair: no edges to take a majority over")
@@ -334,7 +334,7 @@ def regular_subgraph(
         matched: set[int] = set()
         for x, y in matchings[level - 1]:
             Ux, Uy = chain.current(x), chain.current(y)
-            e_here = _edges_between(bg.gamma, Ux, Uy)
+            e_here = edges_between(bg.gamma, Ux, Uy)
             mass = len(Ux) * len(Uy) * params.p
             precondition_ok = (1 - lam) * mass <= e_here <= (1 + lam) * mass
             c = majority_colour(bg, chi, Ux, Uy)

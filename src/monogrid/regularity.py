@@ -22,7 +22,7 @@ from itertools import combinations
 
 from monogrid import seeds
 from monogrid.blowup import BlowupGraph
-from monogrid.graphs import Graph, VertexSet, pair_density
+from monogrid.graphs import Graph, VertexSet, degrees_into, pair_density
 
 EXACT_CAP = 16
 
@@ -152,27 +152,21 @@ def exact_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
     threshold = (1 - eps) * Fraction(p)
     k1, k2 = _subset_sizes(eps, len(A), len(B))
     b_ids = B.ids
-    b_rows = [G.row(b) for b in b_ids]
     for combo in combinations(A.ids, k1):
-        bits1 = 0
-        for a in combo:
-            bits1 |= 1 << a
-        degs = sorted(
-            ((b_rows[i] & bits1).bit_count(), b_ids[i]) for i in range(len(b_ids))
-        )
-        worst = degs[:k2]
+        U1 = VertexSet.from_ids(G.n, combo)
+        worst = sorted(zip(degrees_into(G, b_ids, U1), b_ids))[:k2]
         edge_sum = sum(d for d, _ in worst)
         if Fraction(edge_sum, k1 * k2) < threshold:
-            U1 = VertexSet(G.n, bits1)
             U2 = VertexSet.from_ids(G.n, [b for _, b in worst])
             return RegVerdict(EXACT, False, threshold, (U1, U2),
                               Fraction(edge_sum, k1 * k2))
     return RegVerdict(EXACT, True, threshold)
 
 
-def _lowest_by_degree(G: Graph, pool: tuple[int, ...], into_bits: int,
+def _lowest_by_degree(G: Graph, pool: tuple[int, ...], into: VertexSet,
                       k: int) -> list[int]:
-    return sorted(pool, key=lambda v: ((G.row(v) & into_bits).bit_count(), v))[:k]
+    """The k members of `pool` with fewest neighbours in `into`, ties by id."""
+    return [v for _, v in sorted(zip(degrees_into(G, pool, into), pool))[:k]]
 
 
 def sampled_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
@@ -205,10 +199,10 @@ def sampled_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
 
     for t in range(trials):
         if t < biased:
-            pool1 = _lowest_by_degree(G, a_ids, B.bits, min(2 * k1, len(a_ids)))
+            pool1 = _lowest_by_degree(G, a_ids, B, min(2 * k1, len(a_ids)))
             pick1 = rng.choice(len(pool1), size=k1, replace=False)
             U1 = VertexSet.from_ids(G.n, [pool1[int(i)] for i in pick1])
-            pool2 = _lowest_by_degree(G, b_ids, U1.bits, min(2 * k2, len(b_ids)))
+            pool2 = _lowest_by_degree(G, b_ids, U1, min(2 * k2, len(b_ids)))
             pick2 = rng.choice(len(pool2), size=k2, replace=False)
             U2 = VertexSet.from_ids(G.n, [pool2[int(i)] for i in pick2])
         else:
@@ -242,18 +236,14 @@ class FindResult:
     restarts: int
 
 
-def _keep_best(G: Graph, part: VertexSet, partner_bits: int, k: int,
-               banned: int) -> VertexSet:
-    """The k members with highest degree into partner_bits; banned ones go first."""
-    ranked = sorted(
-        part,
-        key=lambda v: (
-            ((1 << v) & banned) != 0,  # banned sorts last among keepers
-            -((G.row(v) & partner_bits).bit_count()),
-            v,
-        ),
-    )
-    return VertexSet.from_ids(part.n, ranked[:k])
+def _keep_best(G: Graph, part: VertexSet, partner: VertexSet, k: int,
+               banned: VertexSet) -> VertexSet:
+    """The k members with highest degree into partner; banned ones go first."""
+    ids = part.ids
+    # banned sorts last among keepers
+    ranked = sorted((v in banned, -d, v)
+                    for v, d in zip(ids, degrees_into(G, ids, partner)))
+    return VertexSet.from_ids(part.n, [v for _, _, v in ranked[:k]])
 
 
 def find_lower_regular_pair(
@@ -292,13 +282,13 @@ def find_lower_regular_pair(
 
     checks = 0
     restarts = 0
-    banned = 0
+    banned = VertexSet.empty(G_c.n)
     best: tuple[Fraction, FindResult] | None = None
     cur1, cur2 = V1, V2
 
     while checks < budget:
-        U1 = _keep_best(G_c, cur1, cur2.bits, target, banned)
-        U2 = _keep_best(G_c, cur2, U1.bits, target, banned)
+        U1 = _keep_best(G_c, cur1, cur2, target, banned)
+        U2 = _keep_best(G_c, cur2, U1, target, banned)
         verdict = check_lower_regular(G_c, U1, U2, eps, effective_p,
                                       check_trials, seed + checks, cap)
         checks += 1
@@ -308,7 +298,7 @@ def find_lower_regular_pair(
         score = verdict.witness_density
         if best is None or score > best[0]:
             best = (score, FindResult(False, (U1, U2), verdict, checks, restarts))
-        banned |= W1.bits | W2.bits
+        banned = banned | W1 | W2
 
         options = []
         for cand1, cand2 in ((W1, cur2 - W2), (cur1 - W1, W2),
@@ -320,8 +310,8 @@ def find_lower_regular_pair(
         if options:
             _, nxt1, nxt2 = max(options, key=lambda o: (o[0], -len(o[1])))
             size = min(len(nxt1), len(nxt2))
-            cur1 = _keep_best(G_c, nxt1, nxt2.bits, size, banned)
-            cur2 = _keep_best(G_c, nxt2, cur1.bits, size, banned)
+            cur1 = _keep_best(G_c, nxt1, nxt2, size, banned)
+            cur2 = _keep_best(G_c, nxt2, cur1, size, banned)
         else:
             # walked below the target size: restart from the top, with the
             # witnesses seen so far pushed out of the trims first
@@ -425,12 +415,10 @@ def compute_bad_set(
     rng = seeds.rng(seed)
     amb_ids = ambient.ids
     bad_ids = []
-
-    def neighbourhood(v: int, side: VertexSet) -> VertexSet:
-        return VertexSet(bg.gamma.n, bg.gamma.row(v) & side.bits & ~(1 << v))
-
+    # on a two-set cycle V2 is the ambient set itself, so these are plain
+    # intersections, not neighbours_in (which wants v outside the set)
     for v in amb_ids:
-        nv_full = neighbourhood(v, V1)
+        nv_full = bg.gamma.neighbours(v) & V1
         if nv_full.size < size:
             bad_ids.append(v)
             continue
@@ -445,7 +433,7 @@ def compute_bad_set(
                 is_bad = True
                 break
             w = amb_ids[int(rng.integers(len(amb_ids)))]
-            nw_full = neighbourhood(w, V2)
+            nw_full = bg.gamma.neighbours(w) & V2
             if nw_full.size < size:
                 continue
             Nw = nw_full.sample(size, rng)

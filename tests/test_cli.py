@@ -97,6 +97,20 @@ def test_run_desk_preset_succeeds(tmp_path):
         assert (out / name).exists(), name
     # timing data stays out of the deterministic report
     assert "timings" not in report
+    assert set(json.loads((out / "timings.json").read_text())) == {
+        "host", "blowup", "colour", "pipeline", "cycle", "embed", "verify", "total"}
+    cycle = json.loads((out / "cycle.json").read_text())
+    assert (cycle["colour"], len(cycle["vertices"])) == (
+        report["stages"]["cycle"]["colour"], report["stages"]["cycle"]["length"])
+
+
+def test_failed_run_times_the_stage_that_failed(tmp_path):
+    out = tmp_path / "run"
+    assert main(["run", "--preset", "desk", "--set", "cycle_budget=1",
+                 "--out", str(out)]) == 1
+    assert json.loads((out / "report.json").read_text())["status"] == "failed-at-cycle"
+    assert set(json.loads((out / "timings.json").read_text())) == {
+        "host", "blowup", "colour", "pipeline", "cycle", "total"}
 
 
 def test_run_rejects_oversized_delta(tmp_path, capsys):
@@ -333,3 +347,42 @@ def test_readme_and_help_state_the_one_grammar():
     oracle = subs["oracle"]._subparsers._group_actions[0].choices
     for parser in (subs["gen-host"], subs["blowup"], oracle["arrows"], oracle["grid"]):
         assert any(GRAPH_SPEC in (action.help or "") for action in parser._actions)
+
+
+def _exit_code(argv: list[str]) -> int:
+    """main's return value, or the exit code of an argparse usage error."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+FIRST_MOMENT = ["experiment", "first-moment", "--n", "10", "--a", "2", "--b", "2"]
+SWEEP = ["experiment", "uniformity-sweep", "--p", "0.5", "--sizes", "1"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["blowup", "--host", "cycle 4", "--s", "0", "--p", "0.5", "--out", "{out}"],
+     "argument --s: must be at least 1, got 0"),
+    (SWEEP + ["--s", "0", "--out", "{out}"], "argument --s: must be at least 1, got 0"),
+    (SWEEP + ["--s", "10", "--trials", "-1", "--out", "{out}"],
+     "argument --trials: must be at least 1, got -1"),
+    (FIRST_MOMENT + ["--p-values", "2", "--out", "{out}"], "p must lie in [0, 1], got 2.0"),
+    (FIRST_MOMENT + ["--p-values", "0.5", "--samples", "0", "--out", "{out}"],
+     "argument --samples: must be at least 1, got 0"),
+    (["oracle", "grid", "--graph", "complete 5", "--a", "2", "--b", "2",
+      "--budget", "-1"], "argument --budget: must be at least 1, got -1"),
+    (["oracle", "arrows", "--graph", "complete 5", "--target", "cycle 3",
+      "--budget", "-1", "--out", "{out}"], "argument --budget: must be at least 1, got -1"),
+    (["experiment", "pipeline-success-rate", "--preset", "desk", "--runs", "-1",
+      "--out", "{out}"], "argument --runs: must be at least 1, got -1"),
+], ids=["blowup-s", "sweep-s", "sweep-trials", "first-moment-p", "first-moment-samples",
+        "grid-budget", "arrows-budget", "success-rate-runs"])
+def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, argv, message):
+    # exit 2 with a message, no traceback, and no file claims the bad value
+    argv = [a.replace("{out}", str(tmp_path / "out")) for a in argv]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert not captured.out
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]

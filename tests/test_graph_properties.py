@@ -1,14 +1,17 @@
-"""Property tests for vertex-set member decoding and graph edge listing.
+"""Property tests for vertex-set member decoding, graph edge listing and the
+set-level degree queries.
 
 Every decoded id list is compared with a plain per-bit loop over the
-universe.  Universe sizes run past several byte and 64-bit word boundaries.
+universe, and every degree, edge count and induced subgraph with a count
+over `Graph.edges()`.  Universe sizes run past several byte and 64-bit word
+boundaries.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from monogrid.graphs import Graph, VertexSet
+from monogrid.graphs import Graph, VertexSet, degrees_into, edges_between
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -107,3 +110,45 @@ def test_edges_match_a_double_loop(G):
     want = [(u, v) for u in range(G.n) for v in range(u + 1, G.n)
             if G.has_edge(u, v)]
     assert list(G.edges()) == want
+
+
+@st.composite
+def graph_and_sets(draw):
+    """A graph with two disjoint vertex sets of it, either possibly empty."""
+    G = draw(graphs())
+    side = draw(st.lists(st.sampled_from("ABx"), min_size=G.n, max_size=G.n))
+    A = VertexSet.from_ids(G.n, [v for v, t in enumerate(side) if t == "A"])
+    B = VertexSet.from_ids(G.n, [v for v, t in enumerate(side) if t == "B"])
+    return G, A, B
+
+
+@SETTINGS
+@given(graph_and_sets(), st.data())
+def test_degrees_into_match_an_edge_count(case, data):
+    G, _, B = case
+    ids = data.draw(st.lists(st.integers(0, G.n - 1), max_size=50)) if G.n else []
+    edges = list(G.edges())
+    want = [sum(1 for u, w in edges if (u == v and w in B) or (w == v and u in B))
+            for v in ids]
+    assert degrees_into(G, ids, B) == want
+
+
+@SETTINGS
+@given(graph_and_sets())
+def test_edges_between_match_an_edge_count(case):
+    G, A, B = case
+    want = sum(1 for u, v in G.edges()
+               if (u in A and v in B) or (u in B and v in A))
+    assert edges_between(G, A, B) == edges_between(G, B, A) == want
+
+
+@SETTINGS
+@given(graph_and_sets())
+def test_induced_keeps_the_edges_inside_the_set(case):
+    G, S, _ = case
+    H = G.induced(S)
+    want = [(u, v) for u, v in G.edges() if u in S and v in S]
+    assert H.n == G.n
+    assert list(H.edges()) == want and H.edge_count == len(want)
+    assert H == Graph.from_edges(G.n, want)
+

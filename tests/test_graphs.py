@@ -1,7 +1,9 @@
 """Graph core: bitset adjacency, exact densities, colourings, file IO."""
 
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,3 +321,20 @@ def test_colouring_file_errors_carry_line_numbers(tmp_path, body, lineno):
     path.write_text(body)
     with pytest.raises(ValueError, match=f":{lineno}:"):
         read_colouring(str(path))
+
+
+# ---------------------------------------------------------------------------
+# layout boundary
+
+# Adjacency is int bit rows only inside graphs.py; these modules ask set-level
+# questions instead.
+_ROW_READS = re.compile(r"\.row\(|\.bits\b|\._rows|bit_count\(")
+_SRC = Path(__file__).resolve().parents[1] / "src" / "monogrid"
+
+
+@pytest.mark.parametrize("name", ["regularity.py", "embedder.py", "pipeline.py",
+                                  "cli.py"])
+def test_only_graphs_reads_bit_rows(name):
+    hits = [line for line in (_SRC / name).read_text().splitlines()
+            if _ROW_READS.search(line)]
+    assert not hits
