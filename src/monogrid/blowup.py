@@ -20,6 +20,9 @@ from monogrid import seeds
 from monogrid.graphs import Graph, VertexSet, _significant_lines
 from monogrid.hosts import HostGraph
 
+# rows of a host edge's s x s block drawn per call to the edge's generator
+_DRAW_ROWS = 64
+
 
 @dataclass(frozen=True)
 class BlowupGraph:
@@ -78,7 +81,12 @@ def build_blowup(H: HostGraph, s: int, p: float, seed: int) -> BlowupGraph:
     m = 0
     for x, y in H.graph.edges():
         rng = seeds.rng(seed, x, y)
-        mat = rng.random((s, s)) < p
+        # a few rows of floats at a time draw the same stream as one (s, s)
+        # draw, without holding its s*s float64 matrix
+        mat = np.empty((s, s), dtype=bool)
+        for i in range(0, s, _DRAW_ROWS):
+            np.less(rng.random((min(_DRAW_ROWS, s - i), s)), p,
+                    out=mat[i:i + _DRAW_ROWS])
         m += int(mat.sum())
         packed = np.packbits(mat, axis=1, bitorder="little")
         for i in range(s):

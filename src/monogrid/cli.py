@@ -163,10 +163,7 @@ def run_once(cfg: RunConfig, outdir: Path) -> tuple[dict, dict]:
 
         with stage("pipeline"):
             res = regular_subgraph(bg, chi, cfg.params, cfg.schedule(), seed=cfg.seed,
-                                   find_budget=cfg.find_budget,
-                                   check_trials=cfg.check_trials,
-                                   audit_trials=cfg.audit_trials,
-                                   check_cap=cfg.check_cap)
+                                   knobs=cfg.knobs)
             _write_json(outdir / "pipeline.json", res.to_json())
             report["artifacts"]["pipeline"] = "pipeline.json"
             report["stages"]["pipeline"] = {
@@ -191,12 +188,12 @@ def run_once(cfg: RunConfig, outdir: Path) -> tuple[dict, dict]:
         m = int(side)
 
         with stage("cycle"):
-            cert = find_mono_cycle(H, res.phi, m, m, budget=cfg.cycle_budget)
+            cert = find_mono_cycle(H, res.phi, m, m, budget=cfg.knobs.cycle_budget)
             if cert is None:
                 raise StageError(
                     "cycle",
                     f"no single-colour host cycle of length {m} was found "
-                    f"within budget {cfg.cycle_budget}",
+                    f"within budget {cfg.knobs.cycle_budget}",
                 )
             _write_json(outdir / "cycle.json", cert.to_json())
             report["artifacts"]["cycle"] = "cycle.json"
@@ -205,13 +202,7 @@ def run_once(cfg: RunConfig, outdir: Path) -> tuple[dict, dict]:
 
         with stage("embed"):
             emb = embed_grid(bg, chi, res, cert, cfg.params, seed=cfg.seed,
-                             subset_tries=cfg.subset_tries,
-                             vertex_budget=cfg.vertex_budget,
-                             check_trials=cfg.embed_check_trials,
-                             audit_trials=cfg.embed_audit_trials,
-                             badset_draws=cfg.badset_draws,
-                             badset_trials=cfg.badset_trials,
-                             badset_cap=cfg.badset_cap)
+                             knobs=cfg.knobs)
             write_embedding(emb, str(outdir / "grid.embedding"),
                             comment=f"{cfg.host_spec}; seed {cfg.seed}")
             report["artifacts"]["embedding"] = "grid.embedding"

@@ -4,44 +4,56 @@ A run is described by a flat string-to-string mapping.  Values arrive from
 four places and later ones win: built-in defaults, a named preset, a config
 file, then individual command-line overrides.  `load_config` merges them and
 resolves the result into typed form, raising `ConfigError` for anything that
-cannot be acted on.  Each trial and budget knob is named once, in `KNOBS`,
-with its default and least value; `SHRINK` maps each lam_rule to the
-constant factor the level schedule shrinks by.
+cannot be acted on.  Each trial and budget knob is named once, as a field
+of `Knobs` with its default and accepted range; `SHRINK` maps each lam_rule
+to the constant factor the level schedule shrinks by.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from monogrid.graphs import Graph, read_graph
 from monogrid.hosts import HostGraph, random_regular_host
 from monogrid.oracle import grid_graph
-from monogrid.regularity import EpsSchedule, RegParams, eps_schedule
+from monogrid.regularity import EXACT_CAP, EpsSchedule, RegParams, eps_schedule
 
 
 class ConfigError(Exception):
     """A configuration that cannot be acted on.  The CLI maps this to exit 2."""
 
 
-# Every trial and budget knob as (name, default, least value).  A sampled
-# check or audit that draws nothing decides nothing, and the
-# density-increment search needs one check to report on, so those start at 1.
-KNOBS = (
-    ("find_budget", 60, 1),
-    ("check_trials", 24, 1),
-    ("audit_trials", 8, 1),
-    ("check_cap", 16, 0),
-    ("badset_draws", 2, 1),
-    ("badset_trials", 1, 1),
-    ("badset_cap", 0, 0),
-    ("subset_tries", 10, 0),
-    ("vertex_budget", 50, 0),
-    ("embed_check_trials", 1, 1),
-    ("embed_audit_trials", 1, 1),
-    ("cycle_budget", 500000, 0),
-)
+def _knob(default: int, least: int, most: int | None = None):
+    return field(default=default, metadata={"least": least, "most": most})
+
+
+@dataclass(frozen=True)
+class Knobs:
+    """Every trial and budget knob of a run, each with its default.
+
+    Beside each default sit the least accepted value and, for the two
+    exact-check caps, the greatest.  A sampled check or audit that draws
+    nothing decides nothing, and the density-increment search needs one
+    check to report on, so those start at 1.  An exact check enumerates
+    every k-subset of its pair, which stops being tractable above
+    `EXACT_CAP` vertices, so the caps stop there.
+    """
+
+    find_budget: int = _knob(60, 1)
+    check_trials: int = _knob(24, 1)
+    audit_trials: int = _knob(8, 1)
+    check_cap: int = _knob(EXACT_CAP, 0, EXACT_CAP)
+    badset_draws: int = _knob(2, 1)
+    badset_trials: int = _knob(1, 1)
+    badset_cap: int = _knob(0, 0, EXACT_CAP)
+    subset_tries: int = _knob(10, 0)
+    vertex_budget: int = _knob(50, 0)
+    embed_check_trials: int = _knob(1, 1)
+    embed_audit_trials: int = _knob(1, 1)
+    cycle_budget: int = _knob(500000, 0)
+
 
 # lam_rule -> the constant factor every level of the schedule shrinks by;
 # it is also the default lam
@@ -51,7 +63,7 @@ SHRINK = {"quarter": Fraction(1, 4), "identity": Fraction(1)}
 # after merging are derived in resolve order: alpha from r, eps from alpha,
 # eps_inherit from eps, delta from the host order, max_degree from the
 # host's degree bound, p from c and s.
-_INT_KEYS = ("r", "max_degree", "s", "seed") + tuple(name for name, _, _ in KNOBS)
+_INT_KEYS = ("r", "max_degree", "s", "seed") + tuple(f.name for f in fields(Knobs))
 _FRACTION_KEYS = ("eps", "eps_inherit", "alpha", "lam", "delta")
 _FLOAT_KEYS = ("c", "p")
 _BOOL_KEYS = ("allow_alpha_override",)
@@ -65,7 +77,7 @@ _DEFAULTS = {
     "lam_rule": "quarter",
     "out": "out",
     "allow_alpha_override": "false",
-    **{name: str(default) for name, default, _ in KNOBS},
+    **{name: str(default) for name, default in asdict(Knobs()).items()},
 }
 
 # paper-s3 keeps the canonical derivations (alpha = 1/2r, eps = alpha/256,
@@ -205,8 +217,8 @@ def parse_colouring_spec(spec: str, r: int) -> list[str]:
 class RunConfig:
     """A fully resolved run description.
 
-    Carries the typed parameter bundle plus one field per entry of `KNOBS`,
-    so a report can echo the complete effective configuration.
+    Carries the typed parameter bundle and the trial and budget knobs, so
+    a report can echo the complete effective configuration.
     """
 
     preset: str | None
@@ -218,18 +230,7 @@ class RunConfig:
     lam_rule: str
     allow_alpha_override: bool
     params: RegParams
-    find_budget: int
-    check_trials: int
-    audit_trials: int
-    check_cap: int
-    badset_draws: int
-    badset_trials: int
-    badset_cap: int
-    subset_tries: int
-    vertex_budget: int
-    embed_check_trials: int
-    embed_audit_trials: int
-    cycle_budget: int
+    knobs: Knobs
 
     def schedule(self) -> EpsSchedule:
         return eps_schedule(self.params.eps, self.params.max_degree,
@@ -254,7 +255,7 @@ class RunConfig:
                 "alpha": str(p.alpha), "lam": str(p.lam),
                 "delta": str(p.delta), "c": p.c, "p": p.p,
             },
-            "knobs": {name: getattr(self, name) for name, _, _ in KNOBS},
+            "knobs": asdict(self.knobs),
         }
 
 
@@ -327,10 +328,13 @@ def _resolve(merged: dict[str, str], preset: str | None) -> RunConfig:
         raise ConfigError(str(e)) from None
 
     knobs = {}
-    for key, _, least in KNOBS:
-        knobs[key] = _parse_int(key, merged[key])
-        if knobs[key] < least:
-            raise ConfigError(f"{key} must be at least {least}, got {knobs[key]}")
+    for f in fields(Knobs):
+        value = knobs[f.name] = _parse_int(f.name, merged[f.name])
+        least, most = f.metadata["least"], f.metadata["most"]
+        if value < least:
+            raise ConfigError(f"{f.name} must be at least {least}, got {value}")
+        if most is not None and value > most:
+            raise ConfigError(f"{f.name} must be at most {most}, got {value}")
 
     return RunConfig(
         preset=preset,
@@ -342,7 +346,7 @@ def _resolve(merged: dict[str, str], preset: str | None) -> RunConfig:
         lam_rule=lam_rule,
         allow_alpha_override=allow_alpha,
         params=params,
-        **knobs,
+        knobs=Knobs(**knobs),
     )
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from monogrid import seeds
 from monogrid.blowup import BlowupGraph
+from monogrid.config import Knobs
 from monogrid.graphs import (
     EdgeColouring,
     Graph,
@@ -39,9 +40,6 @@ from monogrid.regularity import (
     compute_bad_set,
     sampled_lower_regular,
 )
-
-DEFAULT_SUBSET_TRIES = 10
-DEFAULT_VERTEX_BUDGET = 50
 
 
 class EmbedFailure(Exception):
@@ -198,17 +196,19 @@ def _check_pair(ctx: EmbedContext, A: VertexSet, B: VertexSet, trials: int,
 
 def _draw_banks(ctx: EmbedContext, hood: VertexSet, v: int,
                 forward: VertexSet, link: VertexSet | None, seed: int,
-                keys: tuple[tuple[int, ...], ...], tries: int, trials: int,
-                stats: dict):
+                keys: tuple[tuple[int, ...], ...], knobs: Knobs, stats: dict):
     """Candidate banks for vertex v, each with the verdicts it drew.
 
-    Try t samples a candidate-size subset of `hood` from stream
-    (*keys[0], v, t), checks it against `forward` (stream keys[1]) and, when
-    there is a previous bank `link`, checks `link` against it (stream
-    keys[2]).  Every draw and check is counted in `stats`.
+    Try t, for t below knobs.subset_tries, samples a candidate-size subset
+    of `hood` from stream (*keys[0], v, t), checks it against `forward`
+    (stream keys[1]) and, when there is a previous bank `link`, checks
+    `link` against it (stream keys[2]), each check over
+    knobs.embed_check_trials trials.  Every draw and check is counted in
+    `stats`.
     """
     draw_key, forward_key, link_key = keys
-    for t in range(tries):
+    trials = knobs.embed_check_trials
+    for t in range(knobs.subset_tries):
         stats["subsets_drawn"] += 1
         drawn = hood.sample(ctx.candidate_size, seeds.rng(seed, *draw_key, v, t))
         checks = [_check_pair(ctx, drawn, forward, trials,
@@ -221,23 +221,22 @@ def _draw_banks(ctx: EmbedContext, hood: VertexSet, v: int,
 
 
 def seed_first_row(ctx: EmbedContext, seed: int, *,
-                   subset_tries: int = DEFAULT_SUBSET_TRIES,
-                   vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-                   check_trials: int = 1,
-                   audit_trials: int = 1) -> RowState:
+                   knobs: Knobs = Knobs()) -> RowState:
     """Embed row 0 and bank the candidate family for row 1.
 
     The opening pair (set 0 minus bad, set 1 minus bad) is audited directly
-    at (2 eps', alpha p) with eps' the inheritance level; the first vertex
-    only needs a large enough degree into the audited set.  Later positions
-    draw their vertex from the previous position's bank, so row edges come
-    for free, and every accepted vertex banks a fresh candidate set that
-    passes the forward check (against the next-but-one set minus bad) and
-    the link check (against the previous bank).
+    at (2 eps', alpha p), over knobs.embed_audit_trials trials, with eps'
+    the inheritance level; the first vertex only needs a large enough
+    degree into the audited set.  Later positions draw their vertex from
+    the previous position's bank, so row edges come for free, and every
+    accepted vertex banks a fresh candidate set that passes the forward
+    check (against the next-but-one set minus bad) and the link check
+    (against the previous bank).
 
-    Vertices are tried in ascending id, at most vertex_budget per position,
-    with subset_tries seeded draws each.  Exhausting a position raises an
-    EmbedFailure naming it and carrying the last failing verdicts.
+    Vertices are tried in ascending id, at most knobs.vertex_budget per
+    position, with knobs.subset_tries seeded draws each.  Exhausting a
+    position raises an EmbedFailure naming it and carrying the last failing
+    verdicts.
     """
     m = ctx.m
     cand = ctx.candidate_size
@@ -246,7 +245,8 @@ def seed_first_row(ctx: EmbedContext, seed: int, *,
     if free[0] and free[1]:
         opening = sampled_lower_regular(ctx.G, free[0], free[1],
                                         2 * ctx.params.eps_inherit,
-                                        ctx.params.alpha_p, audit_trials,
+                                        ctx.params.alpha_p,
+                                        knobs.embed_audit_trials,
                                         seeds.derive(seed, 3))
         if not opening.passed:
             raise EmbedFailure(
@@ -266,7 +266,7 @@ def seed_first_row(ctx: EmbedContext, seed: int, *,
         last: list[RegVerdict] = []
         tried = 0
         for v in pool:
-            if tried >= vertex_budget:
+            if tried >= knobs.vertex_budget:
                 break
             tried += 1
             stats["vertices_tried"] += 1
@@ -275,7 +275,7 @@ def seed_first_row(ctx: EmbedContext, seed: int, *,
                 continue
             for drawn, checks in _draw_banks(ctx, hood, v, forward, link, seed,
                                              ((1, j), (2, j), (4, j)),
-                                             subset_tries, check_trials, stats):
+                                             knobs, stats):
                 if all(c.passed for c in checks):
                     images.append(v)
                     family.append(drawn)
@@ -362,9 +362,7 @@ def backward_filter(s_prime: list[VertexSet], ctx: EmbedContext) -> list[VertexS
 
 
 def embed_row(ctx: EmbedContext, prev: RowState, seed: int, *,
-              subset_tries: int = DEFAULT_SUBSET_TRIES,
-              vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-              check_trials: int = 1) -> RowState:
+              knobs: Knobs = Knobs()) -> RowState:
     """Thread the next row through the banks the previous row left behind.
 
     The banks are pruned of occupied vertices, degree-filtered, and
@@ -406,7 +404,7 @@ def embed_row(ctx: EmbedContext, prev: RowState, seed: int, *,
     banks: list[VertexSet | None] = [None] * m
     stats = {"vertices_tried": 0, "subsets_drawn": 0, "checks": 0,
              "backtracks": 0}
-    budget = [vertex_budget * m]
+    budget = [knobs.vertex_budget * m]
     deepest = {"position": 0, "verdicts": [], "detail": "no options"}
 
     def note(j: int, detail: str, verdicts: list[RegVerdict]) -> None:
@@ -437,7 +435,7 @@ def embed_row(ctx: EmbedContext, prev: RowState, seed: int, *,
             assert hood.size >= cand
             for drawn, checks in _draw_banks(ctx, hood, v, forward, link, seed,
                                              ((4, i, j), (5, i, j), (6, i, j)),
-                                             subset_tries, check_trials, stats):
+                                             knobs, stats):
                 if not all(c.passed for c in checks):
                     note(j, f"bank rejected at vertex {v}", checks)
                     continue
@@ -476,9 +474,12 @@ def embed_row(ctx: EmbedContext, prev: RowState, seed: int, *,
 
 def build_context(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
                   cycle: CycleCertificate, params: RegParams, seed: int = 0, *,
-                  badset_draws: int = 2, badset_trials: int = 1,
-                  badset_cap: int = 0) -> EmbedContext:
-    """Assemble the cycle sets, working graph and bad sets for one embedding."""
+                  knobs: Knobs = Knobs()) -> EmbedContext:
+    """Assemble the cycle sets, working graph and bad sets for one embedding.
+
+    The bad-set audits read their draws, trials and exact-check cap from
+    `knobs`.
+    """
     m = len(cycle.vertices)
     cycle.validate(bg.host, result.phi, 2, max(2, m))
     sets = []
@@ -496,8 +497,8 @@ def build_context(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
             bad.append(compute_bad_set(
                 bg, G, sets[(t + 1) % m], sets[(t + 2) % m], sets[t],
                 params.eps, params.alpha, params.p,
-                draws=badset_draws, seed=seeds.derive(seed, 17, t),
-                checker_trials=badset_trials, checker_cap=badset_cap,
+                draws=knobs.badset_draws, seed=seeds.derive(seed, 17, t),
+                checker_trials=knobs.badset_trials, checker_cap=knobs.badset_cap,
             ))
         except BadSetError as e:
             raise EmbedFailure("bad-set", str(e), position=t) from e
@@ -509,17 +510,13 @@ def build_context(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
 
 def embed_grid(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
                cycle: CycleCertificate, params: RegParams, seed: int = 0, *,
-               subset_tries: int = DEFAULT_SUBSET_TRIES,
-               vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-               check_trials: int = 1, audit_trials: int = 1,
-               badset_draws: int = 2, badset_trials: int = 1,
-               badset_cap: int = 0) -> GridEmbedding:
+               knobs: Knobs = Knobs()) -> GridEmbedding:
     """Embed the full square grid along a one-coloured host cycle.
 
     The grid side equals the cycle length, which must in turn match the
     plan's slice of the part size, delta * s.  Rows are seeded and threaded
     one at a time; failures from the row machinery propagate with their
-    row and position attached.
+    row and position attached.  `knobs` reaches every stage.
     """
     m = len(cycle.vertices)
     side = params.delta * bg.part_size
@@ -528,19 +525,11 @@ def embed_grid(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
             f"cycle length {m} does not match the planned grid side "
             f"{float(side):g}"
         )
-    ctx = build_context(bg, chi, result, cycle, params, seed,
-                        badset_draws=badset_draws, badset_trials=badset_trials,
-                        badset_cap=badset_cap)
-    row = seed_first_row(ctx, seeds.derive(seed, 40, 0),
-                         subset_tries=subset_tries,
-                         vertex_budget=vertex_budget,
-                         check_trials=check_trials, audit_trials=audit_trials)
+    ctx = build_context(bg, chi, result, cycle, params, seed, knobs=knobs)
+    row = seed_first_row(ctx, seeds.derive(seed, 40, 0), knobs=knobs)
     rows = [row]
     for i in range(1, m):
-        row = embed_row(ctx, row, seeds.derive(seed, 40, i),
-                        subset_tries=subset_tries,
-                        vertex_budget=vertex_budget,
-                        check_trials=check_trials)
+        row = embed_row(ctx, row, seeds.derive(seed, 40, i), knobs=knobs)
         rows.append(row)
     image = {}
     for i, state in enumerate(rows):

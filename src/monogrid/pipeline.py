@@ -17,11 +17,12 @@ lower-regularity check in its assigned colour.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from monogrid import seeds
 from monogrid.blowup import BlowupGraph
+from monogrid.config import Knobs
 from monogrid.graphs import (
     EdgeColouring,
     Graph,
@@ -32,9 +33,7 @@ from monogrid.graphs import (
 )
 from monogrid.hosts import HostGraph
 from monogrid.regularity import (
-    EXACT_CAP,
     EpsSchedule,
-    FindResult,
     RegParams,
     RegVerdict,
     check_lower_regular,
@@ -294,20 +293,18 @@ def regular_subgraph(
     params: RegParams,
     schedule: EpsSchedule,
     seed: int = 0,
-    find_budget: int = 60,
-    check_trials: int = 24,
-    audit_trials: int = 8,
-    check_cap: int = EXACT_CAP,
+    knobs: Knobs = Knobs(),
 ) -> PipelineResult:
     """Run the full level chain over the host's matching decomposition.
 
     Raises PipelineFailure the moment a density-increment search or an
     inheritance audit fails; the exception names the level, the edge, and
-    the best verdict seen.  check_cap is forwarded to every regularity
-    check: pairs at or under it are checked exactly, pass 0 to stay sampled
-    at every size (bench-scale slicing shrinks pairs into the regime where
-    tiny subsets genuinely break lower-regularity, so exact checking there
-    condemns every candidate).
+    the best verdict seen.  The searches and audits read their budget and
+    trial counts from `knobs`.  knobs.check_cap is forwarded to every
+    regularity check: pairs at or under it are checked exactly, 0 stays
+    sampled at every size (bench-scale slicing shrinks pairs into the
+    regime where tiny subsets genuinely break lower-regularity, so exact
+    checking there condemns every candidate).
     """
     H = bg.host
     chi.validate_total(bg.gamma)
@@ -344,10 +341,10 @@ def regular_subgraph(
                     "pair is too sparse for the density-increment search")
             found = find_lower_regular_pair(
                 chi.classes[c], Ux, Uy, eps_i, params.alpha, params.p, lam_i,
-                budget=find_budget,
+                budget=knobs.find_budget,
                 seed=seeds.derive(seed, level, x, y),
-                check_trials=check_trials,
-                cap=check_cap,
+                check_trials=knobs.check_trials,
+                cap=knobs.check_cap,
             )
             if not found.passed:
                 raise PipelineFailure("regular-pair-search", level, (x, y),
@@ -372,8 +369,8 @@ def regular_subgraph(
         for (x, y), c in phi_map.items():
             Ux, Uy = chain.current(x), chain.current(y)
             verdict = check_lower_regular(
-                chi.classes[c], Ux, Uy, audit_eps, params.alpha_p, audit_trials,
-                seeds.derive(seed, 91, level, x, y), cap=check_cap,
+                chi.classes[c], Ux, Uy, audit_eps, params.alpha_p, knobs.audit_trials,
+                seeds.derive(seed, 91, level, x, y), cap=knobs.check_cap,
             )
             audit_log.append(AuditRecord(level, (x, y), audit_eps, verdict))
             if not verdict.passed:

@@ -21,7 +21,7 @@ import numpy as np
 
 from monogrid.blowup import build_blowup, expected_edges
 from monogrid.cli import apply_colouring, main, run_once
-from monogrid.config import load_config
+from monogrid.config import Knobs, load_config
 from monogrid.embedder import (
     EmbedFailure,
     GridEmbedding,
@@ -302,8 +302,8 @@ def test_05_pipeline_chain_conditions():
         chi = apply_colouring(bg, "uniform-random", 2, seed)
         try:
             res = regular_subgraph(bg, chi, params, sched, seed=seed,
-                                   find_budget=60, check_trials=1,
-                                   audit_trials=1, check_cap=0)
+                                   knobs=Knobs(find_budget=60, check_trials=1,
+                                               audit_trials=1, check_cap=0))
         except PipelineFailure as e:
             if e.stage == "inheritance-audit" and e.level == levels:
                 stopped.append(seed)

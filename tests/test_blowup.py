@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from monogrid import seeds
 from monogrid.blowup import (
     build_blowup,
     expected_edges,
@@ -87,6 +88,18 @@ def test_rebuild_equality(seed):
     assert a.gamma == b.gamma
     c = build_blowup(h, 20, 0.3, seed + 1000)
     assert a.gamma != c.gamma
+
+
+def test_blocks_match_one_matrix_draw():
+    # 150 rows are two full draws of 64 rows and a partial one of 22
+    s, p, seed = 150, 0.3, 5
+    bg = build_blowup(host_path(3), s, p, seed)
+    want = set()
+    for x, y in bg.host.graph.edges():
+        mat = seeds.rng(seed, x, y).random((s, s)) < p
+        want.update((x * s + i, y * s + j) for i, j in zip(*np.nonzero(mat)))
+    assert set(bg.gamma.edges()) == want
+    assert bg.gamma.edge_count == len(want)
 
 
 def test_structure_invariants():

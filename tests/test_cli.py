@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, artifacts, config errors, colourings."""
 
 import dataclasses
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -10,10 +11,12 @@ import pytest
 
 from monogrid.blowup import build_blowup
 from monogrid.cli import apply_colouring, build_parser, main
-from monogrid.config import GRAPH_SPEC, KNOBS, ConfigError, RunConfig, load_config
+from monogrid import embedder, pipeline
+from monogrid.config import GRAPH_SPEC, ConfigError, Knobs, RunConfig, load_config
 from monogrid.graphs import read_graph
 from monogrid.hosts import host_cycle
 from monogrid.pipeline import regular_subgraph
+from monogrid.regularity import EXACT_CAP
 from monogrid.regularity import RegParams, eps_schedule
 
 
@@ -256,27 +259,60 @@ def test_run_reports_grid_side_outside_host_cycles(tmp_path, delta, side):
 def test_trial_knobs_must_be_positive(tmp_path, capsys, key):
     with pytest.raises(ConfigError, match=key):
         load_config(preset="desk", sets=(f"{key}=0",))
-    assert getattr(load_config(preset="desk", sets=(f"{key}=1",)), key) == 1
+    assert getattr(load_config(preset="desk", sets=(f"{key}=1",)).knobs, key) == 1
     assert main(["run", "--preset", "desk", "--set", f"{key}=0",
                  "--out", str(tmp_path / "run")]) == 2
     assert "at least 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key,default,least", KNOBS, ids=[k for k, _, _ in KNOBS])
-def test_knob_table(tmp_path, capsys, key, default, least):
-    # the table, the RunConfig knob fields and the report's knobs name the
-    # same keys, and a knob below its least value is a config error
+KNOBS = dataclasses.fields(Knobs)
+
+
+@pytest.mark.parametrize("knob", KNOBS, ids=[f.name for f in KNOBS])
+def test_knob_table(tmp_path, capsys, knob):
+    # the record, the config keys and the report's knobs name the same keys,
+    # and a knob below its least value is a config error
+    key, least = knob.name, knob.metadata["least"]
     cfg = load_config(preset="desk")
-    others = {"preset", "host_spec", "s", "seed", "colouring", "out", "lam_rule",
-              "allow_alpha_override", "params"}
-    fields = {f.name for f in dataclasses.fields(RunConfig)} - others
-    names = {name for name, _, _ in KNOBS}
-    assert len(names) == 12 and names == fields == set(cfg.to_json()["knobs"])
-    assert getattr(cfg, key) == cfg.to_json()["knobs"][key] == default
+    assert {f.name for f in dataclasses.fields(RunConfig)} == {
+        "preset", "host_spec", "s", "seed", "colouring", "out", "lam_rule",
+        "allow_alpha_override", "params", "knobs"}
+    assert len(KNOBS) == 12 and set(cfg.to_json()["knobs"]) == {f.name for f in KNOBS}
+    assert getattr(cfg.knobs, key) == cfg.to_json()["knobs"][key] == knob.default
     assert main(["run", "--preset", "desk", "--set", f"{key}={least - 1}",
                  "--out", str(tmp_path / "run")]) == 2
     assert f"{key} must be at least {least}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key", ["check_cap", "badset_cap"])
+def test_exact_caps_stop_at_the_exact_cap(tmp_path, capsys, key):
+    # an exact check enumerates every k-subset of its pair; at a cap of 300
+    # a desk run was still enumerating after a minute
+    cap = EXACT_CAP
+    assert getattr(load_config(preset="desk", sets=(f"{key}={cap}",)).knobs, key) == cap
+    assert main(["run", "--preset", "desk", "--set", f"{key}={cap + 1}",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert f"{key} must be at most {cap}, got {cap + 1}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("fn", [pipeline.regular_subgraph, embedder.embed_grid,
+                                embedder.build_context, embedder.seed_first_row,
+                                embedder.embed_row], ids=lambda fn: fn.__name__)
+def test_run_path_takes_knobs_as_one_record(fn):
+    params = inspect.signature(fn).parameters
+    assert not set(params) & {f.name for f in KNOBS}
+    assert params["knobs"].default == Knobs()
+
+
+def test_zero_vertex_budget_fails_in_the_first_row(tmp_path):
+    out = tmp_path / "run"
+    assert main(["run", "--preset", "desk", "--set", "vertex_budget=0",
+                 "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "failed-at-embed"
+    assert report["failure"]["stage"] == "first-row"
 
 
 def test_oracle_grid_rejects_empty_grid(capsys):

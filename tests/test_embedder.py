@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from monogrid.blowup import build_blowup
+from monogrid.config import Knobs
 from monogrid.embedder import (
     EmbedContext,
     EmbedFailure,
@@ -290,7 +291,7 @@ def test_embed_row_frees_its_context_without_the_cycle_collector(vertex_budget):
     gc.disable()
     try:
         try:
-            embed_row(ctx, row, 101, vertex_budget=vertex_budget)
+            embed_row(ctx, row, 101, knobs=Knobs(vertex_budget=vertex_budget))
             failed = None
         except EmbedFailure as e:
             failed = e.stage

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from monogrid.blowup import build_blowup
+from monogrid.config import Knobs
 from monogrid.graphs import EdgeColouring, Graph, VertexSet, colour_subgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -257,8 +258,8 @@ def test_chain_reports_search_failure_with_witness():
     params = mono_params(F(1, 64), F(1, 4), F(1, 2), 0.3, F(1, 300))
     sched = eps_schedule(F(1, 64), 2, F(1))
     with pytest.raises(PipelineFailure) as info:
-        regular_subgraph(bg, chi, params, sched, seed=0, find_budget=40,
-                         check_trials=8)
+        regular_subgraph(bg, chi, params, sched, seed=0,
+                         knobs=Knobs(find_budget=40, check_trials=8))
     err = info.value
     assert err.stage == "regular-pair-search"
     assert err.level == 1
