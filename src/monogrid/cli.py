@@ -238,7 +238,7 @@ def run_once(cfg: RunConfig, outdir: Path) -> tuple[dict, dict]:
     except EmbedFailure as e:
         stage = "bad-set" if e.stage == "bad-set" else "embed"
         report["status"] = f"failed-at-{stage}"
-        report["failure"] = {"stage": stage, "message": str(e), **e.to_json()}
+        report["failure"] = {"message": str(e), **e.to_json()}
 
     timings["total"] = round(time.perf_counter() - t_start, 6)
     return report, timings

@@ -11,9 +11,9 @@ Only this module's code sees that layout; the rest ask set-level questions
 `Graph.induced`, the `VertexSet` algebra), so the rows can change form here
 alone.  Exempt on purpose: `blowup.py` writes rows from packed numpy draws as
 the readers here do, and its `validate` is the loader's integrity check;
-`oracle.py` keeps its brute-force search state in int masks, where a decode
-per step is slower (see `_iter_bits`); `pipeline._extend_cycle`'s path mask
-is search state, not adjacency.
+`oracle.py` keeps its exhaustive search state in int masks and pops one
+candidate bit at a time; `pipeline._extend_cycle`'s path mask is search
+state, not adjacency.
 
 A vertex set decodes its members from the bitmask once, in one vectorised
 pass, the first time they are asked for by `ids`, `to_list` or `sample`, and
@@ -47,9 +47,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
-# A lazy decoder kept beside `_bit_ids`: the oracles' backtracking walks tiny
-# masks and often stops after a few members, where numpy's per-call cost
-# makes `_bit_ids` about 2.6x slower on the exhaustive 4x4 grid searches.
+# A lazy decoder kept beside `_bit_ids`, for sets whose ids were never asked
+# for: a walk over a tiny set, or one that stops after a few members, would
+# pay numpy's per-call cost for a decode it never uses.
 def _iter_bits(bits: int) -> Iterator[int]:
     while bits:
         low = bits & -bits

@@ -1,10 +1,21 @@
 """Exact ground truth at tiny scale.
 
 Everything downstream of this module is heuristic or probabilistic, so the
-oracles here are deliberately brute force: backtracking subgraph search,
+oracles here are deliberately exhaustive: backtracking subgraph search,
 exhaustive arrow checking over edge colourings, and closed-form plus Monte
 Carlo grid counts.  They run only at sizes where exhaustion is affordable,
 and they refuse (or report unknown) rather than guess.
+
+The subgraph search is one depth-first loop over int bit-row masks with an
+explicit stack, so no pattern size meets the recursion limit.  It prunes by
+forward checking (the cheapest form of Ullmann's refinement, J. ACM 23(1),
+1976): each unplaced pattern vertex next to a placed one keeps a candidate
+mask, and a branch is cut as soon as one empties.  The cut branches hold no
+embedding, so every answer, found mapping and count is that of the plain
+search; only the node count is smaller.  Grid counts with at most three
+columns never enumerate grids: numpy extends the column paths, then the
+compatible column pairs, a position at a time, and counts three-column grids
+from the pairs' occupancy masks.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from monogrid import seeds
-from monogrid.graphs import EdgeColouring, Graph, _iter_bits, colour_subgraph
+from monogrid.graphs import EdgeColouring, Graph, colour_subgraph
 
 FOUND = "found"
 ABSENT = "absent"
@@ -91,45 +102,117 @@ class _Budget:
         return self.left >= 0
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """T laid out for the search: depth d places T-vertex order[d].
+
+    The first `fixed` depths are anchors whose images the caller supplies.
+    ahead[d] lists the depths of order[d]'s neighbours placed after it.
+    """
+
+    order: tuple[int, ...]
+    degree: tuple[int, ...]
+    ahead: tuple[tuple[int, ...], ...]
+    fixed: int = 0
+
+
+def _plan(T: Graph, order: list[int], fixed: int = 0) -> _Plan:
+    depth = {t: d for d, t in enumerate(order)}
+    return _Plan(
+        order=tuple(order),
+        degree=tuple(T.degree(t) for t in order),
+        ahead=tuple(tuple(sorted(depth[w] for w in T.neighbours(t) if depth[w] > d))
+                    for d, t in enumerate(order)),
+        fixed=fixed,
+    )
+
+
+def _at_least(rows: list[int], degrees: tuple[int, ...]) -> dict[int, int]:
+    """For each wanted degree d, the mask of vertices of degree at least d."""
+    masks = dict.fromkeys(degrees, 0)
+    for g, row in enumerate(rows):
+        k = row.bit_count()
+        for d in masks:
+            if k >= d:
+                masks[d] |= 1 << g
+    return masks
+
+
 def _embed(
     rows: list[int],
-    T: Graph,
-    order: list[int],
-    assigned: dict[int, int],
-    used: int,
+    plan: _Plan,
+    images: list[int],
     budget: _Budget,
     count_all: bool = False,
 ) -> int | None:
-    """Extend a partial embedding along `order`; count completions or stop at one.
+    """Extend the anchors images[:plan.fixed] along the plan; count or stop at one.
+
+    Depth-first with an explicit stack, trying each depth's candidates in
+    ascending vertex order.  Forward checking: placing a vertex intersects
+    the candidate mask of every later neighbour with its row, and the branch
+    is cut as soon as one of them is empty.  A cut branch holds no
+    completion, so the surviving branches are those of the plain search, in
+    the same order; only the node count falls.
 
     Returns the completion count in counting mode, 1/0 when searching for a
-    single embedding (with `assigned` left holding it), or None on budget
+    single embedding (with `images` left holding it), or None on budget
     exhaustion.
     """
-    depth = len(assigned)
-    if depth == len(order):
+    k = len(plan.order)
+    top = plan.fixed
+    if top == k:
         return 1
-    t = order[depth]
-    cand = ~used & ((1 << len(rows)) - 1)
-    for t2 in T.neighbours(t):
-        if t2 in assigned:
-            cand &= rows[assigned[t2]]
-    deg_t = T.degree(t)
+    ahead = plan.ahead
+    used = 0
+    for g in images[:top]:
+        used |= 1 << g
+    fit = _at_least(rows, plan.degree)
+    # dom[f]: the vertices of large enough degree adjacent to the images of
+    # every placed neighbour of depth f
+    dom = [fit[x] for x in plan.degree]
+    for b in range(top):
+        for f in ahead[b]:
+            dom[f] &= rows[images[b]]
+    # base[d]: dom of ahead[d] as it stood before depth d was placed
+    base: list[tuple[int, ...]] = [()] * k
+    left = [0] * k
+    d = top
+    base[d] = tuple(dom[f] for f in ahead[d])
+    left[d] = dom[d] & ~used
     total = 0
-    for g in _iter_bits(cand):
-        if rows[g].bit_count() < deg_t:
+    while True:
+        cand = left[d]
+        if not cand:
+            for f, m in zip(ahead[d], base[d]):
+                dom[f] = m
+            if d == top:
+                return total
+            d -= 1
+            used ^= 1 << images[d]
             continue
+        low = cand & -cand
+        left[d] = cand ^ low
         if not budget.spend():
             return None
-        assigned[t] = g
-        sub = _embed(rows, T, order, assigned, used | (1 << g), budget, count_all)
-        if sub is None:
-            return None
-        if sub and not count_all:
-            return 1
-        total += sub
-        del assigned[t]
-    return total
+        g = low.bit_length() - 1
+        images[d] = g
+        row = rows[g]
+        free = ~(used | low)
+        for f, m in zip(ahead[d], base[d]):
+            m &= row
+            dom[f] = m
+            if not m & free:
+                break
+        else:
+            if d + 1 == k:
+                if not count_all:
+                    return 1
+                total += 1
+                continue
+            used |= low
+            d += 1
+            base[d] = tuple(dom[f] for f in ahead[d])
+            left[d] = dom[d] & ~used
 
 
 def contains_subgraph(G: Graph, T: Graph, budget: int | None = None) -> SearchResult:
@@ -139,14 +222,14 @@ def contains_subgraph(G: Graph, T: Graph, budget: int | None = None) -> SearchRe
     if T.n > G.n or T.edge_count > G.edge_count or T.max_degree() > G.max_degree():
         return SearchResult(ABSENT, None, 0)
     rows = [G.row(v) for v in G.vertices()]
-    order = _search_order(T)
+    plan = _plan(T, _search_order(T))
     tracker = _Budget(budget)
-    assigned: dict[int, int] = {}
-    out = _embed(rows, T, order, assigned, 0, tracker)
+    images = [0] * T.n
+    out = _embed(rows, plan, images, tracker)
     if out is None:
         return SearchResult(UNKNOWN, None, tracker.nodes)
     if out:
-        return SearchResult(FOUND, dict(assigned), tracker.nodes)
+        return SearchResult(FOUND, dict(zip(plan.order, images)), tracker.nodes)
     return SearchResult(ABSENT, None, tracker.nodes)
 
 
@@ -155,9 +238,9 @@ def count_labelled_copies(G: Graph, T: Graph, budget: int | None = None) -> int:
     if T.n == 0:
         return 1
     rows = [G.row(v) for v in G.vertices()]
-    order = _search_order(T)
+    plan = _plan(T, _search_order(T))
     tracker = _Budget(budget)
-    out = _embed(rows, T, order, {}, 0, tracker, count_all=True)
+    out = _embed(rows, plan, [0] * T.n, tracker, count_all=True)
     if out is None:
         raise RuntimeError(f"copy count exhausted its budget after {tracker.nodes} nodes")
     return out
@@ -178,22 +261,28 @@ class ArrowResult:
                 "has_witness": self.witness is not None}
 
 
-def _anchored_copy(rows: list[int], n: int, T: Graph, u: int, v: int,
-                   budget: _Budget) -> bool:
-    """Does the graph given by `rows` contain T through the edge (u, v)?"""
+def _anchored_plans(T: Graph) -> list[_Plan]:
+    """One plan per orientation (x, y) of each T-edge, anchoring x then y."""
+    order = _search_order(T)
+    plans = []
     for x, y in T.edges():
         for ax, ay in ((x, y), (y, x)):
-            order = _search_order(T)
-            order.remove(ax)
-            order.remove(ay)
-            assigned = {ax: u, ay: v}
-            # degree guard for the anchors themselves
-            if rows[u].bit_count() < T.degree(ax) or rows[v].bit_count() < T.degree(ay):
-                continue
-            out = _embed(rows, T, [ax, ay] + order, assigned, (1 << u) | (1 << v),
-                         budget)
-            if out:
-                return True
+            rest = [t for t in order if t != ax and t != ay]
+            plans.append(_plan(T, [ax, ay] + rest, fixed=2))
+    return plans
+
+
+def _anchored_copy(rows: list[int], plans: list[_Plan], u: int, v: int,
+                   budget: _Budget) -> bool:
+    """Does the graph given by `rows` contain T through the edge (u, v)?"""
+    du, dv = rows[u].bit_count(), rows[v].bit_count()
+    for plan in plans:
+        # degree guard for the anchors themselves
+        if du < plan.degree[0] or dv < plan.degree[1]:
+            continue
+        images = [u, v] + [0] * (len(plan.order) - 2)
+        if _embed(rows, plan, images, budget):
+            return True
     return False
 
 
@@ -243,6 +332,7 @@ def arrows(G: Graph, T: Graph, r: int, budget: int = 2_000_000,
     m = len(edges)
     class_rows = [[0] * G.n for _ in range(r)]
     tracker = _Budget(budget)
+    plans = _anchored_plans(T)
     witness: list[EdgeColouring] = []
 
     def descend(depth: int) -> str:
@@ -262,7 +352,7 @@ def arrows(G: Graph, T: Graph, r: int, budget: int = 2_000_000,
             rows[u] |= 1 << v
             rows[v] |= 1 << u
             out = ARROWS
-            if not _anchored_copy(rows, G.n, T, u, v, tracker):
+            if not _anchored_copy(rows, plans, u, v, tracker):
                 out = descend(depth + 1)
             rows[u] &= ~(1 << v)
             rows[v] &= ~(1 << u)
@@ -300,62 +390,91 @@ def expected_grid_count(n: int, p: float, a: int, b: int) -> float:
     return _falling(n, a * b) * (p ** e) / grid_automorphisms(a, b)
 
 
+def _bits(n: int) -> np.ndarray:
+    """The int64 one-vertex masks 1 << v for v < n."""
+    return np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
+
+
 def _ordered_paths(A: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
     """All ordered a-vertex paths in the graph with adjacency matrix A.
 
-    Returns (tuples, masks): tuples is (t, a) int vertex ids, masks is (t,)
-    int64 occupancy bitmasks.  Requires n <= 63.
+    Returns (tuples, masks): tuples is (t, a) int vertex ids in lexicographic
+    order, masks is (t,) int64 occupancy bitmasks.  Requires n <= 63.
     """
-    n = A.shape[0]
-    neigh = [int.from_bytes(np.packbits(A[v], bitorder="little").tobytes(), "little")
-             for v in range(n)]
-    tuples: list[tuple[int, ...]] = []
-    masks: list[int] = []
-
-    def extend(tup: tuple[int, ...], mask: int) -> None:
-        if len(tup) == a:
-            tuples.append(tup)
-            masks.append(mask)
-            return
-        for w in _iter_bits(neigh[tup[-1]] & ~mask):
-            extend(tup + (w,), mask | (1 << w))
-
-    for v in range(n):
-        extend((v,), 1 << v)
-    if not tuples:
-        return np.zeros((0, a), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.array(tuples, dtype=np.int64), np.array(masks, dtype=np.int64)
+    bit = _bits(A.shape[0])
+    tuples = np.arange(A.shape[0], dtype=np.int64)[:, None]
+    masks = bit.copy()
+    for _ in range(a - 1):
+        # extend every path by each free neighbour of its last vertex;
+        # nonzero walks row-major, so the order stays lexicographic
+        free = A[tuples[:, -1]] & ((masks[:, None] & bit) == 0)
+        rows, w = np.nonzero(free)
+        tuples = np.column_stack((tuples[rows], w))
+        masks = masks[rows] | bit[w]
+    return tuples, masks
 
 
-def _count_grid_in_adj(A: np.ndarray, a: int, b: int) -> int:
+# Bound on the (j, i, k) triples one pass of the three-column count
+# broadcasts: at 8 bytes a mask, a pass stays near 2 MB.
+_TRIPLE_CHUNK = 1 << 18
+
+
+def _rungs(A: np.ndarray, tuples: np.ndarray,
+           masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every compatible column pair: (j, y) with y a path adjacent to path j
+    position by position and disjoint from it.
+
+    Built by extending y one position at a time beside every path j at once.
+    Returns (mids, ends): the ids j, ascending, and the occupancy masks of y.
+    """
+    bit = _bits(A.shape[0])
+    mids = np.arange(len(tuples))
+    occupied = masks
+    ends = np.zeros(len(tuples), dtype=np.int64)
+    prev = None
+    for pos in range(tuples.shape[1]):
+        free = A[tuples[mids, pos]] & ((occupied[:, None] & bit) == 0)
+        if prev is not None:
+            free &= A[prev]
+        rows, prev = np.nonzero(free)
+        mids = mids[rows]
+        occupied = occupied[rows] | bit[prev]
+        ends = ends[rows] | bit[prev]
+    return mids, ends
+
+
+def _count_grid_in_adj(A: np.ndarray, paths: tuple[np.ndarray, np.ndarray],
+                       b: int) -> int:
     """Labelled a-by-b grid copies in adjacency matrix A, for b <= 3, n <= 63.
 
-    A copy is a sequence of b column paths: each column an ordered a-vertex
-    path, consecutive columns adjacent position by position, all columns
-    pairwise disjoint.  With at most three columns the disjointness is purely
-    pairwise, so the count collapses to matrix algebra over the column list.
+    `paths` is `_ordered_paths(A, a)`.  A copy is a sequence of b column
+    paths: each column an ordered a-vertex path, consecutive columns adjacent
+    position by position, all columns pairwise disjoint.  With at most three
+    columns the disjointness is purely pairwise, so the count needs only the
+    sparse compatibility relation between columns, never a t x t matrix.
     """
-    tuples, masks = _ordered_paths(A, a)
+    tuples, masks = paths
     t = len(tuples)
     if t == 0:
         return 0
     if b == 1:
         return t
-    disjoint = (masks[:, None] & masks[None, :]) == 0
-    compat = disjoint.copy()
-    for pos in range(a):
-        col = tuples[:, pos]
-        compat &= A[col[:, None], col[None, :]]
+    mids, ends = _rungs(A, tuples, masks)
     if b == 2:
-        return int(compat.sum(dtype=np.int64))
-    # b == 3: a middle column j with ends i, k drawn from j's compatible set,
-    # needing only mutual disjointness.  The compatible sets are small, so a
-    # loop over middle columns beats dense matrix products.
+        return len(mids)
+    # b == 3: a middle column j with ends i, k from j's compatible set (a run
+    # of `ends`, since `mids` ascend), needing only i and k disjoint.  The
+    # (j, i, k) triples are broadcast for all middles of one set size at
+    # once, a chunk of middles at a time.
+    size = np.bincount(mids, minlength=t)
+    start = np.cumsum(size) - size
     total = 0
-    for j in range(t):
-        ends = np.nonzero(compat[j])[0]
-        if len(ends) >= 2:
-            total += int(disjoint[np.ix_(ends, ends)].sum(dtype=np.int64))
+    for d in (np.flatnonzero(np.bincount(size)[2:]) + 2).tolist():
+        first = start[size == d]
+        step = max(1, _TRIPLE_CHUNK // (d * d))
+        for c in range(0, len(first), step):
+            sets = ends[first[c:c + step, None] + np.arange(d)]
+            total += int(np.count_nonzero((sets[:, :, None] & sets[:, None, :]) == 0))
     return total
 
 
@@ -373,9 +492,9 @@ def count_grid_copies(G: Graph, a: int, b: int) -> int:
         A = np.zeros((G.n, G.n), dtype=bool)
         for u, v in G.edges():
             A[u, v] = A[v, u] = True
-        tuples, _ = _ordered_paths(A, a)
-        if len(tuples) <= _FAST_TUPLE_CAP:
-            return _count_grid_in_adj(A, a, b) // aut
+        paths = _ordered_paths(A, a)
+        if len(paths[0]) <= _FAST_TUPLE_CAP:
+            return _count_grid_in_adj(A, paths, b) // aut
     if a * b <= 12 and G.n <= 30:
         return count_labelled_copies(G, grid_graph(a, b)) // aut
     raise ValueError(f"grid counting intractable at n={G.n}, {a}x{b}")
@@ -424,7 +543,7 @@ def monte_carlo_grid_count(n: int, p: float, a: int, b: int, samples: int,
         upper = np.triu(rng.random((n, n)) < p, k=1)
         A = upper | upper.T
         if lo <= 3 and n <= 63:
-            counts[i] = _count_grid_in_adj(A, hi, lo) // aut
+            counts[i] = _count_grid_in_adj(A, _ordered_paths(A, hi), lo) // aut
         else:
             edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(upper))]
             counts[i] = count_grid_copies(Graph.from_edges(n, edges), a, b)

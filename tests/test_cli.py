@@ -322,6 +322,13 @@ def test_oracle_grid_rejects_empty_grid(capsys):
     assert err.startswith("error: ") and "at least 1" in err
 
 
+def test_long_path_grid_search_stays_below_the_recursion_limit(capsys):
+    # a 1400-vertex pattern: the search keeps its own stack
+    assert main(["oracle", "grid", "--graph", "path 1500", "--a", "1",
+                 "--b", "1400", "--budget", "100000"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "found"
+
+
 def test_first_moment_rejects_grid_larger_than_host(tmp_path, capsys):
     assert main(["experiment", "first-moment", "--n", "5", "--a", "3", "--b", "3",
                  "--p-values", "0.1", "--out", str(tmp_path)]) == 2
