@@ -12,7 +12,6 @@ from monogrid.graphs import (
     Graph,
     VertexSet,
     colour_subgraph,
-    degree_into,
     neighbours_in,
     pair_density,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "Graph",
     "VertexSet",
     "colour_subgraph",
-    "degree_into",
     "neighbours_in",
     "pair_density",
     "__version__",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from monogrid import seeds
-from monogrid.graphs import Graph, VertexSet, _significant_lines
+from monogrid.graphs import Graph, VertexSet, _significant_lines, read_graph, write_graph
 from monogrid.hosts import HostGraph
 
 # rows of a host edge's s x s block drawn per call to the edge's generator
@@ -119,8 +119,6 @@ def host_hash(H: HostGraph) -> str:
 
 
 def save_blowup(bg: BlowupGraph, basename: str) -> None:
-    from monogrid.graphs import write_graph
-
     write_graph(bg.gamma, basename + ".graph")
     write_graph(bg.host.graph, basename + ".host")
     with open(basename + ".meta", "w") as fh:
@@ -133,8 +131,6 @@ def save_blowup(bg: BlowupGraph, basename: str) -> None:
 
 
 def load_blowup(basename: str) -> BlowupGraph:
-    from monogrid.graphs import read_graph
-
     gamma = read_graph(basename + ".graph")
     hostg = read_graph(basename + ".host")
     meta: dict[str, str] = {}

@@ -182,10 +182,6 @@ class GridEmbedding:
     colour: int
     image: dict[tuple[int, int], int]
 
-    def to_json(self) -> dict:
-        cells = [[i, j, v] for (i, j), v in sorted(self.image.items())]
-        return {"a": self.a, "b": self.b, "colour": self.colour, "cells": cells}
-
 
 def _check_pair(ctx: EmbedContext, A: VertexSet, B: VertexSet, trials: int,
                 seed: int) -> RegVerdict:
@@ -495,7 +491,7 @@ def build_context(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
     for t in range(m):
         try:
             bad.append(compute_bad_set(
-                bg, G, sets[(t + 1) % m], sets[(t + 2) % m], sets[t],
+                bg.gamma, G, sets[(t + 1) % m], sets[(t + 2) % m], sets[t],
                 params.eps, params.alpha, params.p,
                 draws=knobs.badset_draws, seed=seeds.derive(seed, 17, t),
                 checker_trials=knobs.badset_trials, checker_cap=knobs.badset_cap,

@@ -302,11 +302,6 @@ def pair_density(G: Graph, A: VertexSet, B: VertexSet) -> Fraction:
     return Fraction(edges_between(G, A, B), len(A) * len(B))
 
 
-def degree_into(G: Graph, v: int, B: VertexSet) -> int:
-    """|N(v) ∩ B| for a vertex v outside B, checked as `neighbours_in` checks."""
-    return neighbours_in(G, v, B).size
-
-
 def neighbours_in(G: Graph, v: int, B: VertexSet) -> VertexSet:
     """N(v) ∩ B as a VertexSet, for a vertex v of G outside B."""
     if not 0 <= v < G.n:
@@ -385,28 +380,15 @@ class _ClassBuilder:
     with a row for each of the ROW_BLOCK vertices from a0 = k*ROW_BLOCK on
     and a bit for each column from a0 on, so bit b - a0 of row a - a0.
     `graphs` mirrors the triangle into the classes' int rows one row block at
-    a time, freeing each block as it is converted.  The universe can grow
-    (`grow`).  Callers check an edge before adding it: nothing here rejects
-    a duplicate.
+    a time, freeing each block as it is converted.  Callers check an edge
+    before adding it: nothing here rejects a duplicate.
     """
 
     def __init__(self, n: int, r: int):
+        self.n, self.r = n, r
         self.rows = [[0] * n for _ in range(r)]
         self.blocks: list[dict[int, np.ndarray]] = [{} for _ in range(r)]
         self.counts = [0] * r
-
-    @property
-    def n(self) -> int:
-        return len(self.rows[0])
-
-    @property
-    def r(self) -> int:
-        return len(self.rows)
-
-    def grow(self, n: int) -> None:
-        """Make the universe 0..n-1 if it is smaller."""
-        for rows in self.rows:
-            rows.extend([0] * (n - len(rows)))
 
     def _block(self, c: int, k: int, cols: int) -> np.ndarray:
         """Row block k of class c, made or widened to hold columns below `cols`.
@@ -774,10 +756,10 @@ def _decimal_block(block: bytes, width: int) -> np.ndarray | None:
     return np.fromstring(block, dtype=np.int64, sep=" ").reshape(-1, width)
 
 
-def _fresh(acc: _ClassBuilder, u: np.ndarray, v: np.ndarray, n: int | None) -> bool:
-    """Whether the edges u[i]v[i] lie in 0..n-1 (unless n is None), are no
-    self-loops, are pairwise distinct and are in no class of `acc` yet."""
-    if n is not None and max(u.max(), v.max()) >= n or (u == v).any():
+def _fresh(acc: _ClassBuilder, u: np.ndarray, v: np.ndarray, n: int) -> bool:
+    """Whether the edges u[i]v[i] lie in 0..n-1, are no self-loops, are
+    pairwise distinct and are in no class of `acc` yet."""
+    if max(u.max(), v.max()) >= n or (u == v).any():
         return False
     a, b = np.minimum(u, v), np.maximum(u, v)
     span = int(b.max()) + 1
@@ -825,16 +807,14 @@ def read_graph(path: str) -> Graph:
     return acc.graphs()[0]
 
 
-def read_colouring(path: str, n: int | None = None) -> EdgeColouring:
-    """Read a colouring file; without `n` the universe is the largest id plus one."""
+def read_colouring(path: str, n: int) -> EdgeColouring:
+    """Read a colouring file of a graph on 0..n-1."""
     acc = None
     for first, block in _blocks(path):
         fields = None if acc is None else _decimal_block(block, 3)
         if (fields is not None and (fields[:, 2] < acc.r).all()
                 and _fresh(acc, fields[:, 0], fields[:, 1], n)):
             u, v, c = fields.T
-            if n is None:
-                acc.grow(int(fields[:, :2].max()) + 1)
             acc.add_many(np.minimum(u, v), np.maximum(u, v), c)
             continue
         for lineno, parts in _significant(_text_lines(block), first):
@@ -847,7 +827,7 @@ def read_colouring(path: str, n: int | None = None) -> EdgeColouring:
                     raise ValueError(f"{path}:{lineno}: bad colour count") from None
                 if r < 2:
                     raise ValueError(f"{path}:{lineno}: colour count must be >= 2")
-                acc = _ClassBuilder(n or 0, r)
+                acc = _ClassBuilder(n, r)
                 continue
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'u v c'")
@@ -855,8 +835,6 @@ def read_colouring(path: str, n: int | None = None) -> EdgeColouring:
                 u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-integer field") from None
-            if n is None:  # the universe grows to the largest id seen
-                acc.grow(max(u, v) + 1)
             try:
                 _paint(acc, u, v, c)
             except ValueError as e:

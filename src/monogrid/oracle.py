@@ -299,10 +299,11 @@ def arrows(G: Graph, T: Graph, r: int, budget: int = 2_000_000,
            allow_large: bool = False) -> ArrowResult:
     """Does every r-colouring of E(G) contain a monochromatic copy of T?
 
-    Depth-first over edge colourings with the first edge's colour fixed (the
-    colour classes are interchangeable) and a branch pruned as soon as the
-    newly coloured edge completes a monochromatic copy.  A leaf that survives
-    is re-checked in full and returned as the avoiding witness.
+    Depth-first over edge colourings, one loop over the edges in order, with
+    the first edge's colour fixed (the colour classes are interchangeable)
+    and a branch pruned as soon as the newly coloured edge completes a
+    monochromatic copy.  A leaf that survives is re-checked in full and
+    returned as the avoiding witness.
     """
     if r < 1:
         raise ValueError("need at least one colour")
@@ -329,39 +330,41 @@ def arrows(G: Graph, T: Graph, r: int, budget: int = 2_000_000,
         return ArrowResult(ARROWS, None, whole.nodes)
 
     edges = list(G.edges())
-    m = len(edges)
     class_rows = [[0] * G.n for _ in range(r)]
     tracker = _Budget(budget)
     plans = _anchored_plans(T)
-    witness: list[EdgeColouring] = []
-
-    def descend(depth: int) -> str:
-        if depth == m:
+    # tried[d] is the colour edge d holds, or held last; -1 before its first
+    tried = [-1] * len(edges)
+    depth, status, witness = 0, ARROWS, None
+    while depth >= 0:
+        if depth == len(edges):
             chi = EdgeColouring.from_classes(
                 [Graph(G.n, list(rows)) for rows in class_rows])
             if validate_not_arrows_witness(G, T, chi):
-                witness.append(chi)
-                return NOT_ARROWS
-            return ARROWS  # incremental check missed nothing; defensive only
+                status, witness = NOT_ARROWS, chi
+                break
+            depth -= 1  # incremental check missed nothing; defensive only
+            continue
         u, v = edges[depth]
-        choices = range(1 if depth == 0 else r)
-        for c in choices:
-            if not tracker.spend():
-                return UNKNOWN
-            rows = class_rows[c]
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            out = ARROWS
-            if not _anchored_copy(rows, plans, u, v, tracker):
-                out = descend(depth + 1)
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-            if out != ARROWS:
-                return out
-        return ARROWS
-
-    status = descend(0)
-    return ArrowResult(status, witness[0] if witness else None, tracker.nodes)
+        c = tried[depth]
+        if c >= 0:
+            class_rows[c][u] &= ~(1 << v)
+            class_rows[c][v] &= ~(1 << u)
+        c += 1
+        if c == (1 if depth == 0 else r):
+            tried[depth] = -1
+            depth -= 1
+            continue
+        if not tracker.spend():
+            status = UNKNOWN
+            break
+        tried[depth] = c
+        rows = class_rows[c]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        if not _anchored_copy(rows, plans, u, v, tracker):
+            depth += 1
+    return ArrowResult(status, witness, tracker.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +536,7 @@ def monte_carlo_grid_count(n: int, p: float, a: int, b: int, samples: int,
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     lo, hi = (b, a) if a >= b else (a, b)
-    if not (lo <= 3 and n <= 63) and not (a * b <= 12 and n <= 30):
+    if lo > 3 or n > 63:
         raise ValueError(f"refusing Monte Carlo at n={n}, {a}x{b}: counting intractable")
     expectation = expected_grid_count(n, p, a, b)
     aut = grid_automorphisms(a, b)
@@ -542,11 +545,7 @@ def monte_carlo_grid_count(n: int, p: float, a: int, b: int, samples: int,
     for i in range(samples):
         upper = np.triu(rng.random((n, n)) < p, k=1)
         A = upper | upper.T
-        if lo <= 3 and n <= 63:
-            counts[i] = _count_grid_in_adj(A, _ordered_paths(A, hi), lo) // aut
-        else:
-            edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(upper))]
-            counts[i] = count_grid_copies(Graph.from_edges(n, edges), a, b)
+        counts[i] = _count_grid_in_adj(A, _ordered_paths(A, hi), lo) // aut
     mean = float(counts.mean())
     variance = float(counts.var(ddof=1)) if samples > 1 else 0.0
     stderr = math.sqrt(variance / samples)

@@ -180,8 +180,7 @@ def matching_decomposition(H: HostGraph) -> MatchingDecomposition:
 # majority colour
 
 
-def majority_colour(bg: BlowupGraph, chi: EdgeColouring, A: VertexSet,
-                    B: VertexSet) -> int:
+def majority_colour(chi: EdgeColouring, A: VertexSet, B: VertexSet) -> int:
     """The colour with the most edges between A and B; ties to the lowest index."""
     counts = [edges_between(g, A, B) for g in chi.classes]
     total = sum(counts)
@@ -334,7 +333,7 @@ def regular_subgraph(
             e_here = edges_between(bg.gamma, Ux, Uy)
             mass = len(Ux) * len(Uy) * params.p
             precondition_ok = (1 - lam) * mass <= e_here <= (1 + lam) * mass
-            c = majority_colour(bg, chi, Ux, Uy)
+            c = majority_colour(chi, Ux, Uy)
             if pair_density(chi.classes[c], Ux, Uy) < params.alpha_p:
                 raise PipelineFailure(
                     "majority-density", level, (x, y),

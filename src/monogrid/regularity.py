@@ -21,7 +21,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from monogrid import seeds
-from monogrid.blowup import BlowupGraph
 from monogrid.graphs import Graph, VertexSet, degrees_into, pair_density
 
 EXACT_CAP = 16
@@ -190,6 +189,8 @@ def sampled_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
     b_ids = B.ids
     rng = seeds.rng(seed)
     biased = trials // 2
+    # the biased trials' left pool: nothing the trials draw changes it
+    pool1 = _lowest_by_degree(G, a_ids, B, min(2 * k1, len(a_ids))) if biased else ()
 
     def verdict_for(u1: VertexSet, u2: VertexSet) -> RegVerdict | None:
         d = pair_density(G, u1, u2)
@@ -199,7 +200,6 @@ def sampled_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
 
     for t in range(trials):
         if t < biased:
-            pool1 = _lowest_by_degree(G, a_ids, B, min(2 * k1, len(a_ids)))
             pick1 = rng.choice(len(pool1), size=k1, replace=False)
             U1 = VertexSet.from_ids(G.n, [pool1[int(i)] for i in pick1])
             pool2 = _lowest_by_degree(G, b_ids, U1, min(2 * k2, len(b_ids)))
@@ -379,7 +379,7 @@ class BadSetError(Exception):
 
 
 def compute_bad_set(
-    bg: BlowupGraph,
+    gamma: Graph,
     G_c: Graph,
     V1: VertexSet,
     V2: VertexSet,
@@ -394,12 +394,12 @@ def compute_bad_set(
 ) -> VertexSet:
     """Audit which ambient vertices inherit regularity into (V1, V2).
 
-    For each v in ambient, draw `draws` subsets of its blow-up neighbourhood
-    in V1 of size ceil(alpha |V1| p / 4) (and partner subsets for a sampled
-    w), and mark v bad if any (N_v, V2) or (N_v, N_w) check fails at
-    (eps, alpha p) in the colour graph.  Vertices without enough neighbours
-    to fill a subset are bad automatically.  Raises when the bad set
-    outgrows eps * |ambient|.
+    For each v in ambient, draw `draws` subsets of its neighbourhood in the
+    blow-up `gamma` within V1, of size ceil(alpha |V1| p / 4) (and partner
+    subsets for a sampled w), and mark v bad if any (N_v, V2) or (N_v, N_w)
+    check fails at (eps, alpha p) in the colour graph.  Vertices without
+    enough neighbours to fill a subset are bad automatically.  Raises when
+    the bad set outgrows eps * |ambient|.
 
     The inner checks run in sampled mode with `checker_trials` trials; their
     power is a deliberate calibration knob.  Exhaustive checking of the tiny
@@ -418,7 +418,7 @@ def compute_bad_set(
     # on a two-set cycle V2 is the ambient set itself, so these are plain
     # intersections, not neighbours_in (which wants v outside the set)
     for v in amb_ids:
-        nv_full = bg.gamma.neighbours(v) & V1
+        nv_full = gamma.neighbours(v) & V1
         if nv_full.size < size:
             bad_ids.append(v)
             continue
@@ -433,7 +433,7 @@ def compute_bad_set(
                 is_bad = True
                 break
             w = amb_ids[int(rng.integers(len(amb_ids)))]
-            nw_full = bg.gamma.neighbours(w) & V2
+            nw_full = gamma.neighbours(w) & V2
             if nw_full.size < size:
                 continue
             Nw = nw_full.sample(size, rng)
@@ -445,7 +445,7 @@ def compute_bad_set(
                 break
         if is_bad:
             bad_ids.append(v)
-    bad = VertexSet.from_ids(bg.gamma.n, bad_ids)
+    bad = VertexSet.from_ids(gamma.n, bad_ids)
     limit = eps * len(ambient)
     if bad.size > limit:
         raise BadSetError(bad, limit)

@@ -127,7 +127,7 @@ def test_majority_colour_matches_per_edge_count(seed, r, data):
                 counts[chi.colour(a, b)] += 1
     if sum(counts) == 0:
         with pytest.raises(ValueError):
-            majority_colour(bg, chi, A, B)
+            majority_colour(chi, A, B)
         return
     want = max(range(r), key=lambda c: (counts[c], -c))
-    assert majority_colour(bg, chi, A, B) == want
+    assert majority_colour(chi, A, B) == want

@@ -1,10 +1,12 @@
 """Brute-force oracles: grids, subgraph search, arrowing, copy counts."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from monogrid.cli import main
 from monogrid.graphs import Graph
 from monogrid.oracle import (
     ABSENT,
@@ -205,6 +207,13 @@ def test_arrows_monotone_under_supergraphs():
     assert out.status == ARROWS
 
 
+def test_long_path_arrows_stays_below_the_recursion_limit(capsys):
+    # 1199 edges coloured one depth at a time: the descent keeps its own stack
+    assert main(["oracle", "arrows", "--graph", "path 1200", "--target", "path 3",
+                 "--r", "2", "--allow-large"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == NOT_ARROWS
+
+
 @pytest.mark.parametrize("seed", SEEDS[:4])
 def test_not_arrows_witnesses_validate(seed):
     G = random_graph(6, 0.6, seed)
@@ -273,9 +282,18 @@ def test_monte_carlo_consistency_small():
     assert not rep.flagged
 
 
-def test_monte_carlo_refuses_intractable():
+# the guard admits exactly the grids with at most 3 rows or columns in
+# hosts of at most 63 vertices, the reach of the int64 path masks
+@pytest.mark.parametrize("n,a,b", [(70, 5, 5), (64, 3, 3), (30, 4, 4), (64, 1, 2)])
+def test_monte_carlo_refuses_intractable(n, a, b):
     with pytest.raises(ValueError):
-        monte_carlo_grid_count(70, 0.2, 5, 5, samples=1, seed=0)
+        monte_carlo_grid_count(n, 0.2, a, b, samples=1, seed=0)
+
+
+@pytest.mark.parametrize("n,a,b", [(63, 3, 3), (63, 2, 7), (30, 3, 4), (31, 4, 3)])
+def test_monte_carlo_accepts_up_to_its_guard(n, a, b):
+    rep = monte_carlo_grid_count(n, 0.0, a, b, samples=1, seed=0)
+    assert rep.mean == rep.expectation == 0.0
 
 
 def test_monte_carlo_is_reproducible():

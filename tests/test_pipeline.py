@@ -140,13 +140,13 @@ def test_majority_seven_against_three():
     for e in between[7:]:
         mapping[e] = 1
     chi = EdgeColouring(bg.gamma.n, 2, mapping)
-    assert majority_colour(bg, chi, A, B) == 0
+    assert majority_colour(chi, A, B) == 0
     for e in between:
         mapping[e] = 1
     for e in between[7:]:
         mapping[e] = 0
     chi = EdgeColouring(bg.gamma.n, 2, mapping)
-    assert majority_colour(bg, chi, A, B) == 1
+    assert majority_colour(chi, A, B) == 1
 
 
 def test_majority_tie_takes_lowest_colour():
@@ -155,7 +155,7 @@ def test_majority_tie_takes_lowest_colour():
     assert len(edges) == 4
     mapping = {e: (1 if i < 2 else 0) for i, e in enumerate(edges)}
     chi = EdgeColouring(bg.gamma.n, 2, mapping)
-    assert majority_colour(bg, chi, bg.part(0), bg.part(1)) == 0
+    assert majority_colour(chi, bg.part(0), bg.part(1)) == 0
 
 
 def test_majority_on_empty_pair_raises():
@@ -163,7 +163,7 @@ def test_majority_on_empty_pair_raises():
     assert bg.gamma.edge_count == 0
     chi = EdgeColouring(bg.gamma.n, 2, {})
     with pytest.raises(ValueError):
-        majority_colour(bg, chi, bg.part(0), bg.part(1))
+        majority_colour(chi, bg.part(0), bg.part(1))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -172,7 +172,7 @@ def test_majority_class_carries_its_share(seed):
     rng = np.random.default_rng(seed)
     mapping = {e: int(rng.integers(3)) for e in bg.gamma.edges()}
     chi = EdgeColouring(bg.gamma.n, 3, mapping)
-    c = majority_colour(bg, chi, bg.part(0), bg.part(1))
+    c = majority_colour(chi, bg.part(0), bg.part(1))
     counts = [0, 0, 0]
     for e in bg.gamma.edges():
         counts[chi.colour(*e)] += 1
@@ -267,7 +267,7 @@ def test_chain_reports_search_failure_with_witness():
     assert isinstance(err.detail, FindResult)
     assert not err.detail.passed
     # the carried witness must survive an exact, independent recheck
-    c = majority_colour(bg, chi, bg.part(0), bg.part(1))
+    c = majority_colour(chi, bg.part(0), bg.part(1))
     G_c = colour_subgraph(bg.gamma, chi, c)
     U1, U2 = err.detail.pair
     assert recheck_witness(G_c, U1, U2, F(1, 64), err.detail.verdict)

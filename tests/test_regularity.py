@@ -399,7 +399,7 @@ def triangle_blowup(s, p, seed):
 
 def test_bad_set_empty_on_complete():
     bg = triangle_blowup(12, 1.0, 0)
-    B = compute_bad_set(bg, bg.gamma, bg.part(0), bg.part(1), bg.part(2),
+    B = compute_bad_set(bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2),
                         Fraction(1, 4), Fraction(1, 2), 1.0, draws=2, seed=0)
     assert B.size == 0
 
@@ -411,11 +411,8 @@ def test_bad_set_catches_stripped_vertex():
     for w in list(bg.gamma.neighbours(victim) & bg.part(0)):
         rows[victim] &= ~(1 << w)
         rows[w] &= ~(1 << victim)
-    from monogrid.blowup import BlowupGraph
-
-    damaged = BlowupGraph(Graph(bg.gamma.n, rows), bg.host, bg.part_size, bg.p,
-                          bg.seed, bg.parts)
-    B = compute_bad_set(damaged, damaged.gamma, bg.part(0), bg.part(1),
+    damaged = Graph(bg.gamma.n, rows)
+    B = compute_bad_set(damaged, damaged, bg.part(0), bg.part(1),
                         bg.part(2), Fraction(9, 20), Fraction(1, 2), 0.6,
                         draws=2, seed=3)
     assert victim in B
@@ -424,7 +421,7 @@ def test_bad_set_catches_stripped_vertex():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_bad_set_small_on_cooperative_run(seed):
     bg = triangle_blowup(40, 0.6, seed)
-    B = compute_bad_set(bg, bg.gamma, bg.part(0), bg.part(1), bg.part(2),
+    B = compute_bad_set(bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2),
                         Fraction(9, 20), Fraction(1, 2), 0.6, draws=2, seed=seed)
     assert B.size <= 8
     assert (B & bg.part(2)) == B
@@ -433,7 +430,7 @@ def test_bad_set_small_on_cooperative_run(seed):
 def test_bad_set_allowance_breach_raises():
     bg = triangle_blowup(40, 0.15, 2)
     with pytest.raises(BadSetError) as err:
-        compute_bad_set(bg, bg.gamma, bg.part(0), bg.part(1), bg.part(2),
+        compute_bad_set(bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2),
                         Fraction(9, 20), Fraction(1, 2), 0.15, draws=2, seed=0)
     assert err.value.bad.size > err.value.limit
 
@@ -441,7 +438,7 @@ def test_bad_set_allowance_breach_raises():
 def test_bad_set_rejects_zero_draws():
     bg = triangle_blowup(10, 0.5, 0)
     with pytest.raises(ValueError):
-        compute_bad_set(bg, bg.gamma, bg.part(0), bg.part(1), bg.part(2),
+        compute_bad_set(bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2),
                         Fraction(1, 4), Fraction(1, 2), 0.5, draws=0, seed=0)
 
 
