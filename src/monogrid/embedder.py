@@ -314,8 +314,9 @@ def filter_well_connected(S: VertexSet, U_next: VertexSet, Q_next: VertexSet,
         )
     avail = room - room.lowest(pad)
     cand = ctx.candidate_size
+    ids = S.to_list()
     out = VertexSet.from_ids(ctx.G.n, [
-        v for v, d in zip(S.ids, degrees_into(ctx.G, S.ids, avail)) if d >= cand])
+        v for v, d in zip(ids, degrees_into(ctx.G, ids, avail)) if d >= cand])
     dropped = S.size - out.size
     if dropped > ctx.filter_slack:
         raise EmbedFailure(
@@ -344,7 +345,7 @@ def backward_filter(s_prime: list[VertexSet], ctx: EmbedContext) -> list[VertexS
         )
     out[-1] = last.lowest(cut)
     for j in range(len(s_prime) - 2, -1, -1):
-        ids = s_prime[j].ids
+        ids = s_prime[j].to_list()
         pruned = VertexSet.from_ids(ctx.G.n, [
             v for v, d in zip(ids, degrees_into(ctx.G, ids, out[j + 1])) if d])
         if pruned.size < cut:

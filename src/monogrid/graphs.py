@@ -7,7 +7,7 @@ filtering) are subset-density queries, which is why the representation is a
 bit row rather than an adjacency list.
 
 Only this module's code sees that layout; the rest ask set-level questions
-(`degrees_into`, `edges_between`, `pair_density`, `neighbours_in`,
+(`degrees_into`, `edge_count`, `edges_between`, `pair_density`, `neighbours_in`,
 `Graph.induced`, the `VertexSet` algebra), so the rows can change form here
 alone.  Exempt on purpose: `blowup.py` writes rows from packed numpy draws as
 the readers here do, and its `validate` is the loader's integrity check;
@@ -15,13 +15,17 @@ the readers here do, and its `validate` is the loader's integrity check;
 candidate bit at a time; `pipeline._extend_cycle`'s path mask is search
 state, not adjacency.
 
-A vertex set decodes its members from the bitmask once, in one vectorised
-pass, the first time they are asked for by `ids`, `to_list` or `sample`, and
-keeps them; a set whose ids were never asked for iterates its bits lazily, so
-tiny one-off sets never pay for the decode.
+A vertex set keeps its members as a read-only sorted int64 array.  The array
+is decoded from the bitmask in one vectorised pass the first time `ids`,
+`to_list`, iteration or `sample` asks for it, or handed over by the
+constructor that made the set: `from_ids`, `lowest` and `sample` build the
+bitmask from their id array through one bool mask and `packbits`.  Iteration
+and `to_list` hand out Python ints, so `1 << v` never wraps.
 
-Densities are exact `Fraction` values (edge count over product of sizes), so
-comparisons against rational thresholds like (1-eps)*p never go through
+`edge_count` counts the edges between two id arrays: the smaller side's rows
+ANDed with the larger side's packed bitmask.  `pair_density` divides it into
+an exact `Fraction`; the regularity checks compare the count against their
+rational thresholds by integer cross-multiplication.  Neither goes through
 floats.
 
 An r-edge-colouring is stored as its r colour-class graphs, because every
@@ -47,29 +51,40 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
-# A lazy decoder kept beside `_bit_ids`, for sets whose ids were never asked
-# for: a walk over a tiny set, or one that stops after a few members, would
-# pay numpy's per-call cost for a decode it never uses.
-def _iter_bits(bits: int) -> Iterator[int]:
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
-def _bit_ids(bits: int) -> tuple[int, ...]:
+def _bit_ids(bits: int) -> np.ndarray:
     """The set-bit positions of a non-negative int, ascending, in one numpy pass."""
     raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"),
                         dtype=np.uint8)
-    return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
+    # nonzero is several times faster over bools than over the uint8 bits
+    ids = np.unpackbits(raw, bitorder="little").view(bool).nonzero()[0].astype(
+        np.int64, copy=False)
+    ids.flags.writeable = False
+    return ids
+
+
+def _mask(n: int, ids: np.ndarray) -> np.ndarray:
+    """The bool array over 0..n-1 that is True at each of `ids`."""
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return mask
+
+
+def _packed(mask: np.ndarray) -> int:
+    """The int with bit v set where the bool array `mask` is True."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def sample_ids(ids: np.ndarray, k: int, rng) -> np.ndarray:
+    """A uniform k-subset of an id array, drawn with a numpy Generator, sorted."""
+    return np.sort(ids[rng.choice(len(ids), size=k, replace=False)])
 
 
 class VertexSet:
     """Immutable subset of 0..n-1 backed by an int bitmask.
 
-    The member ids are decoded once, on the first read of `ids` (directly or
-    through `to_list` / `sample`), and cached; until then iteration walks the
-    bitmask lazily.
+    The member ids are a read-only sorted int64 array, decoded from the
+    bitmask on first use (or handed over by the constructor that made the
+    set) and cached.
     """
 
     __slots__ = ("n", "bits", "_size", "_ids")
@@ -82,16 +97,30 @@ class VertexSet:
         self.n = n
         self.bits = bits
         self._size = bits.bit_count()
-        self._ids: tuple[int, ...] | None = None
+        self._ids: np.ndarray | None = None
+
+    @classmethod
+    def _of(cls, n: int, ids: np.ndarray, mask: np.ndarray) -> "VertexSet":
+        """The set of sorted distinct int64 ids in 0..n-1 with bool mask
+        `mask`, unchecked; it keeps `ids`."""
+        S = object.__new__(cls)
+        S.n, S.bits, S._size = n, _packed(mask), len(ids)
+        ids.flags.writeable = False
+        S._ids = ids
+        return S
 
     @classmethod
     def from_ids(cls, n: int, ids: Iterable[int]) -> "VertexSet":
-        bits = 0
-        for v in ids:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} outside universe of size {n}")
-            bits |= 1 << v
-        return cls(n, bits)
+        """The set of the given ids, in any order, duplicates allowed."""
+        ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+        if not ids.size:
+            return cls(n, 0)
+        outside = (ids < 0) | (ids >= n)
+        if outside.any():
+            v = ids[outside.argmax()]
+            raise ValueError(f"vertex {v} outside universe of size {n}")
+        mask = _mask(n, ids)
+        return cls._of(n, mask.nonzero()[0].astype(np.int64, copy=False), mask)
 
     @classmethod
     def full(cls, n: int) -> "VertexSet":
@@ -106,8 +135,8 @@ class VertexSet:
         return self._size
 
     @property
-    def ids(self) -> tuple[int, ...]:
-        """The member ids in ascending order, decoded on first use."""
+    def ids(self) -> np.ndarray:
+        """The member ids in ascending order, a read-only int64 array."""
         if self._ids is None:
             self._ids = _bit_ids(self.bits)
         return self._ids
@@ -119,9 +148,7 @@ class VertexSet:
         return self._size > 0
 
     def __iter__(self) -> Iterator[int]:
-        if self._ids is not None:
-            return iter(self._ids)
-        return _iter_bits(self.bits)
+        return iter(self.to_list())
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.n and (self.bits >> v) & 1 == 1
@@ -165,18 +192,18 @@ class VertexSet:
         """The k smallest member ids, as a new set."""
         if k < 0 or k > self._size:
             raise ValueError(f"cannot take {k} of {self._size} members")
-        return VertexSet.from_ids(self.n, self.ids[:k])
+        ids = self.ids[:k]
+        return VertexSet._of(self.n, ids, _mask(self.n, ids))
 
     def sample(self, k: int, rng) -> "VertexSet":
         """Uniform k-subset drawn with the supplied numpy Generator."""
         if k < 0 or k > self._size:
             raise ValueError(f"cannot sample {k} of {self._size} members")
-        ids = self.ids
-        picked = rng.choice(len(ids), size=k, replace=False)
-        return VertexSet.from_ids(self.n, [ids[i] for i in picked.tolist()])
+        ids = sample_ids(self.ids, k, rng)
+        return VertexSet._of(self.n, ids, _mask(self.n, ids))
 
     def to_list(self) -> list[int]:
-        return list(self.ids)
+        return self.ids.tolist()
 
     def __repr__(self) -> str:
         if self._size <= 12:
@@ -284,11 +311,20 @@ def degrees_into(G: Graph, ids: Iterable[int], B: VertexSet) -> list[int]:
     return [(rows[v] & bbits).bit_count() for v in ids]
 
 
+def edge_count(G: Graph, a_ids: np.ndarray, b_ids: np.ndarray) -> int:
+    """e(A, B) for disjoint A, B given as int64 id arrays; unchecked.
+
+    The smaller side's rows are ANDed with the larger side's bitmask.
+    """
+    if len(a_ids) > len(b_ids):
+        a_ids, b_ids = b_ids, a_ids
+    rows, mask = G._rows, _packed(_mask(G.n, b_ids))
+    return sum([(rows[v] & mask).bit_count() for v in a_ids.tolist()])
+
+
 def edges_between(G: Graph, A: VertexSet, B: VertexSet) -> int:
-    """e(A, B) for disjoint A, B.  Iterates the smaller side."""
-    if len(A) > len(B):
-        A, B = B, A
-    return sum(degrees_into(G, A, B))
+    """e(A, B) for disjoint A, B."""
+    return edge_count(G, A.ids, B.ids)
 
 
 def pair_density(G: Graph, A: VertexSet, B: VertexSet) -> Fraction:

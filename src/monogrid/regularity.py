@@ -9,8 +9,11 @@ strings searches along a host path (each step is the slicing arithmetic: a
 lam-fraction sub-pair of an eps-regular pair is eps/lam-regular), and the
 empirical bad-set audit used by the embedder.
 
-Checks compare exact Fraction densities against exact Fraction thresholds,
-so a verdict never depends on float rounding.
+A sampled check with k1 x k2 subsets and threshold num/den fails a trial
+when its edge count e has e * den < num * k1 * k2, an exact integer
+cross-multiplication, so a verdict never depends on float rounding.  The
+sampled checks and the audit share one trial loop over int64 id arrays;
+`VertexSet`s and `Fraction` densities are built only for a witness.
 """
 
 from __future__ import annotations
@@ -20,8 +23,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from monogrid import seeds
-from monogrid.graphs import Graph, VertexSet, degrees_into, pair_density
+from monogrid.graphs import (
+    Graph,
+    VertexSet,
+    degrees_into,
+    edge_count,
+    pair_density,
+    sample_ids,
+)
 
 EXACT_CAP = 16
 
@@ -150,33 +162,72 @@ def exact_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
     eps = Fraction(eps)
     threshold = (1 - eps) * Fraction(p)
     k1, k2 = _subset_sizes(eps, len(A), len(B))
-    b_ids = B.ids
-    for combo in combinations(A.ids, k1):
-        U1 = VertexSet.from_ids(G.n, combo)
-        worst = sorted(zip(degrees_into(G, b_ids, U1), b_ids))[:k2]
+    a_ids, b_ids = A.to_list(), B.to_list()
+    # adjacency[i][j]: whether a_ids[i] b_ids[j] is an edge
+    adjacency = np.array([[b in hood for b in b_ids]
+                          for hood in (G.neighbours(a) & B for a in a_ids)],
+                         dtype=int)
+    den, bound = threshold.denominator, threshold.numerator * k1 * k2
+    for combo in combinations(range(len(a_ids)), k1):
+        degrees = adjacency[list(combo)].sum(axis=0).tolist()
+        worst = sorted(zip(degrees, b_ids))[:k2]
         edge_sum = sum(d for d, _ in worst)
-        if Fraction(edge_sum, k1 * k2) < threshold:
-            U2 = VertexSet.from_ids(G.n, [b for _, b in worst])
-            return RegVerdict(EXACT, False, threshold, (U1, U2),
+        if edge_sum * den < bound:
+            return RegVerdict(EXACT, False, threshold,
+                              (VertexSet.from_ids(G.n, [a_ids[i] for i in combo]),
+                               VertexSet.from_ids(G.n, [b for _, b in worst])),
                               Fraction(edge_sum, k1 * k2))
     return RegVerdict(EXACT, True, threshold)
 
 
-def _lowest_by_degree(G: Graph, pool: tuple[int, ...], into: VertexSet,
-                      k: int) -> list[int]:
-    """The k members of `pool` with fewest neighbours in `into`, ties by id."""
-    return [v for _, v in sorted(zip(degrees_into(G, pool, into), pool))[:k]]
+def _lowest_by_degree(G: Graph, pool: np.ndarray, into: VertexSet,
+                      k: int) -> np.ndarray:
+    """The k members of the sorted id array `pool` with fewest neighbours in
+    `into`, ties by id."""
+    return pool[np.argsort(degrees_into(G, pool.tolist(), into), kind="stable")[:k]]
+
+
+def _falsify(G: Graph, a_ids: np.ndarray, b_ids: np.ndarray, k1: int, k2: int,
+             threshold: Fraction, trials: int, seed: int):
+    """The sampled trials of a check of the pair of disjoint sorted id arrays
+    (a_ids, b_ids) over k1 x k2 sub-pairs, with the generator of `seed`.
+
+    Returns the first sub-pair whose density falls below `threshold`, as
+    (U1 ids, U2 ids, edge count), or None when every trial passes.  The
+    biased first half of the trials peels from the low-degree end (the left
+    subset among the 2k1 lowest-degree-into-B vertices, then the right
+    subset among the 2k2 lowest-degree vertices into the chosen left
+    subset); the rest are uniform.
+    """
+    rng = seeds.rng(seed)
+    biased = trials // 2
+    # e / (k1 k2) < num / den, in integers
+    den, bound = threshold.denominator, threshold.numerator * k1 * k2
+    # the biased trials' left pool: nothing the trials draw changes it
+    if biased:
+        pool1 = _lowest_by_degree(G, a_ids, VertexSet.from_ids(G.n, b_ids),
+                                  min(2 * k1, len(a_ids)))
+    for t in range(trials):
+        if t < biased:
+            u1 = pool1[rng.choice(len(pool1), size=k1, replace=False)]
+            pool2 = _lowest_by_degree(G, b_ids, VertexSet.from_ids(G.n, u1),
+                                      min(2 * k2, len(b_ids)))
+            u2 = pool2[rng.choice(len(pool2), size=k2, replace=False)]
+        else:
+            u1 = a_ids[rng.choice(len(a_ids), size=k1, replace=False)]
+            u2 = b_ids[rng.choice(len(b_ids), size=k2, replace=False)]
+        e = edge_count(G, u1, u2)
+        if e * den < bound:
+            return u1, u2, e
+    return None
 
 
 def sampled_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
                           trials: int, seed: int) -> RegVerdict:
     """Randomized falsifier: samples exact-size subset pairs, half biased low.
 
-    The biased half peels from the low-degree end (sample the left subset
-    among the 2k lowest-degree-into-B vertices, then the right subset among
-    the 2k lowest-degree vertices into the chosen left subset), the rest is
-    uniform.  A pass is one-sided; a fail carries an exactly checkable
-    witness.
+    See `_falsify` for the trials.  A pass is one-sided; a fail carries an
+    exactly checkable witness.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -185,33 +236,13 @@ def sampled_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
     eps = Fraction(eps)
     threshold = (1 - eps) * Fraction(p)
     k1, k2 = _subset_sizes(eps, len(A), len(B))
-    a_ids = A.ids
-    b_ids = B.ids
-    rng = seeds.rng(seed)
-    biased = trials // 2
-    # the biased trials' left pool: nothing the trials draw changes it
-    pool1 = _lowest_by_degree(G, a_ids, B, min(2 * k1, len(a_ids))) if biased else ()
-
-    def verdict_for(u1: VertexSet, u2: VertexSet) -> RegVerdict | None:
-        d = pair_density(G, u1, u2)
-        if d < threshold:
-            return RegVerdict(SAMPLED, False, threshold, (u1, u2), d, trials)
-        return None
-
-    for t in range(trials):
-        if t < biased:
-            pick1 = rng.choice(len(pool1), size=k1, replace=False)
-            U1 = VertexSet.from_ids(G.n, [pool1[int(i)] for i in pick1])
-            pool2 = _lowest_by_degree(G, b_ids, U1, min(2 * k2, len(b_ids)))
-            pick2 = rng.choice(len(pool2), size=k2, replace=False)
-            U2 = VertexSet.from_ids(G.n, [pool2[int(i)] for i in pick2])
-        else:
-            U1 = A.sample(k1, rng)
-            U2 = B.sample(k2, rng)
-        bad = verdict_for(U1, U2)
-        if bad is not None:
-            return bad
-    return RegVerdict(SAMPLED, True, threshold, trials=trials)
+    found = _falsify(G, A.ids, B.ids, k1, k2, threshold, trials, seed)
+    if found is None:
+        return RegVerdict(SAMPLED, True, threshold, trials=trials)
+    u1, u2, e = found
+    return RegVerdict(SAMPLED, False, threshold,
+                      (VertexSet.from_ids(G.n, u1), VertexSet.from_ids(G.n, u2)),
+                      Fraction(e, k1 * k2), trials)
 
 
 def check_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
@@ -239,7 +270,7 @@ class FindResult:
 def _keep_best(G: Graph, part: VertexSet, partner: VertexSet, k: int,
                banned: VertexSet) -> VertexSet:
     """The k members with highest degree into partner; banned ones go first."""
-    ids = part.ids
+    ids = part.to_list()
     # banned sorts last among keepers
     ranked = sorted((v in banned, -d, v)
                     for v, d in zip(ids, degrees_into(G, ids, partner)))
@@ -409,42 +440,49 @@ def compute_bad_set(
     """
     if draws < 1:
         raise ValueError("need at least one draw per vertex")
+    if not V1 or not V2 or not V1.isdisjoint(V2):
+        raise ValueError("need disjoint non-empty sides")
     eps = Fraction(eps)
     effective_p = colour_density(alpha, p)
+    threshold = (1 - eps) * effective_p
     size = bank_size(effective_p, len(V1), 4)
+    k_drawn, k_v2 = _subset_sizes(eps, size, len(V2))
+    v2_ids = V2.ids
+
+    def passes(a_ids: np.ndarray, b_ids: np.ndarray, k2: int, check_seed: int) -> bool:
+        if len(a_ids) <= checker_cap and len(b_ids) <= checker_cap:
+            return exact_lower_regular(G_c, VertexSet.from_ids(G_c.n, a_ids),
+                                       VertexSet.from_ids(G_c.n, b_ids), eps,
+                                       effective_p, checker_cap).passed
+        return _falsify(G_c, a_ids, b_ids, k_drawn, k2, threshold,
+                        checker_trials, check_seed) is None
+
     rng = seeds.rng(seed)
-    amb_ids = ambient.ids
+    amb_ids = ambient.to_list()
+    nw_hoods: dict[int, np.ndarray] = {}  # ids of N(w) & V2, per partner w drawn
     bad_ids = []
     # on a two-set cycle V2 is the ambient set itself, so these are plain
     # intersections, not neighbours_in (which wants v outside the set)
     for v in amb_ids:
-        nv_full = gamma.neighbours(v) & V1
-        if nv_full.size < size:
+        nv_ids = (gamma.neighbours(v) & V1).ids
+        if len(nv_ids) < size:
             bad_ids.append(v)
             continue
-        is_bad = False
         for d in range(draws):
-            Nv = nv_full.sample(size, rng)
+            Nv = sample_ids(nv_ids, size, rng)
             check_seed = seed + 1 + v * 1009 + d
-            one_sided = check_lower_regular(G_c, Nv, V2, eps, effective_p,
-                                            checker_trials, check_seed,
-                                            cap=checker_cap)
-            if not one_sided.passed:
-                is_bad = True
+            if not passes(Nv, v2_ids, k_v2, check_seed):
+                bad_ids.append(v)
                 break
             w = amb_ids[int(rng.integers(len(amb_ids)))]
-            nw_full = gamma.neighbours(w) & V2
-            if nw_full.size < size:
+            if w not in nw_hoods:
+                nw_hoods[w] = (gamma.neighbours(w) & V2).ids
+            if len(nw_hoods[w]) < size:
                 continue
-            Nw = nw_full.sample(size, rng)
-            two_sided = check_lower_regular(G_c, Nv, Nw, eps, effective_p,
-                                            checker_trials, check_seed + 500009,
-                                            cap=checker_cap)
-            if not two_sided.passed:
-                is_bad = True
+            Nw = sample_ids(nw_hoods[w], size, rng)
+            if not passes(Nv, Nw, k_drawn, check_seed + 500009):
+                bad_ids.append(v)
                 break
-        if is_bad:
-            bad_ids.append(v)
     bad = VertexSet.from_ids(gamma.n, bad_ids)
     limit = eps * len(ambient)
     if bad.size > limit:

@@ -1,18 +1,31 @@
 """Command-line behaviour: exit codes, artifacts, config errors, colourings."""
 
+import contextlib
 import dataclasses
+import hashlib
 import inspect
+import io
 import json
 import math
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monogrid.blowup import build_blowup
-from monogrid.cli import apply_colouring, build_parser, main
+from monogrid.cli import apply_colouring, build_parser, main, run_once
 from monogrid import embedder, pipeline
-from monogrid.config import GRAPH_SPEC, ConfigError, Knobs, RunConfig, load_config
+from monogrid.config import (
+    _ALL_KEYS,
+    GRAPH_SPEC,
+    ConfigError,
+    Knobs,
+    RunConfig,
+    load_config,
+)
 from monogrid.graphs import read_graph
 from monogrid.hosts import host_cycle
 from monogrid.pipeline import regular_subgraph
@@ -429,3 +442,48 @@ def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, argv, message):
     assert message in captured.err and "Traceback" not in captured.err
     assert not captured.out
     assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+# ---------------------------------------------------------------------------
+# determinism pin and exit-code fuzz
+
+
+def test_desk_seed0_report_is_pinned():
+    # built the way the benchmark's desk-mono workload builds it; the same
+    # hash is pinned there, so a drift in any RNG stream fails here first
+    cfg = load_config(preset="desk", sets=(), seed=0, out="desk-s300-seed0")
+    with tempfile.TemporaryDirectory() as tmp:
+        report, _ = run_once(cfg, Path(tmp))
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "829665fa3a817ba1797407787203bd35df6eb267e4fac288f048bcd619534da1")
+
+
+_ODD_VALUES = ("0", "-1", "1", "2", "3", "7", "1/0", "1/3", "1/20", "0.5", "nan",
+               "inf", "1e9", "true", "x", "", "cycle 4", "complete 4", "path 3",
+               "mono 1", "uniform-random", "quarter", "identity")
+# `out` would move the run out of its temporary directory
+_FUZZ_KEYS = sorted(_ALL_KEYS - {"out"})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(2, 60), st.sampled_from([45, 60])),
+       st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_ODD_VALUES)),
+                min_size=1, max_size=3))
+def test_run_exit_codes_stay_honest(s, overrides):
+    argv = ["run", "--preset", "desk", "--set", f"s={s}"]
+    for key, value in overrides:
+        argv += ["--set", f"{key}={value}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + ["--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            return
+        report = json.loads((out / "report.json").read_text())
+    assert (code == 0) == (report["status"] == "success")
+    if code == 1:
+        assert report["status"].startswith("failed-at-")
+        assert isinstance(report["failure"]["stage"], str) and report["failure"]["stage"]

@@ -68,6 +68,46 @@ def test_vertexset_lowest_and_sample():
         s.sample(6, rng)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: VertexSet(200, 1 << 150 | 1 << 63 | 5),
+    lambda: VertexSet.from_ids(200, [150, 63, 0, 2]),
+    lambda: VertexSet.from_ids(200, range(60, 160)).sample(7, np.random.default_rng(1)),
+    lambda: VertexSet.from_ids(200, [199, 150, 63]).lowest(2),
+])
+def test_vertexset_ids_are_a_read_only_int64_array(make):
+    S = make()
+    assert S.ids.dtype == np.int64 and not S.ids.flags.writeable
+    with pytest.raises(ValueError):
+        S.ids[0] = 1
+    assert S.ids.tolist() == sorted(S.ids.tolist())
+    assert S == VertexSet.from_ids(S.n, S.to_list())
+
+
+def test_vertexset_hands_out_python_ints():
+    S = VertexSet(200, 1 << 150 | 1 << 63 | 1 << 64)
+    for members in (list(S), S.to_list()):
+        assert members == [63, 64, 150]
+        assert all(type(v) is int for v in members)
+        # a numpy int64 would wrap here
+        assert [1 << v for v in members] == [2**63, 2**64, 2**150]
+
+
+@pytest.mark.parametrize("bad", [-1, 10])
+def test_vertexset_from_ids_rejects_ids_outside_the_universe(bad):
+    with pytest.raises(ValueError, match=f"^vertex {bad} outside universe of size 10$"):
+        VertexSet.from_ids(10, [3, bad, 4])
+    with pytest.raises(ValueError, match=f"^vertex {bad} outside universe of size 10$"):
+        VertexSet.from_ids(10, np.array([bad]))
+
+
+def test_vertexset_from_ids_takes_duplicates_and_empty_input():
+    assert VertexSet.from_ids(10, [3, 3, 1, 3]) == VertexSet(10, 0b1010)
+    assert VertexSet.from_ids(10, iter([9, 9])) == VertexSet(10, 1 << 9)
+    for empty in ([], (), iter(()), np.array([], dtype=np.int64)):
+        S = VertexSet.from_ids(10, empty)
+        assert S == VertexSet.empty(10) and S.to_list() == []
+
+
 def test_vertexset_universe_mismatch():
     with pytest.raises(ValueError):
         VertexSet.full(4) & VertexSet.full(5)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monogrid import oracle
-from monogrid.graphs import Graph, _iter_bits
+from monogrid.graphs import Graph
 from monogrid.oracle import (
     ABSENT,
     FOUND,
@@ -33,6 +33,14 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 # ---------------------------------------------------------------------------
 # references
+
+
+def _iter_bits(bits: int):
+    """The set-bit positions of a non-negative int, ascending, one at a time."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def _embed(

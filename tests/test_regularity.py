@@ -2,9 +2,14 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from monogrid import seeds
 
 from monogrid.blowup import build_blowup
 from monogrid.config import load_config
@@ -13,6 +18,7 @@ from monogrid.hosts import host_cycle
 from monogrid.regularity import (
     BadSetError,
     EXACT,
+    EXACT_CAP,
     RegParams,
     RegVerdict,
     SAMPLED,
@@ -453,3 +459,166 @@ def test_verdict_round_trips_to_json():
     assert js["mode"] == "exact" and js["passed"] is False
     assert js["witness"]["density_exact"] == "1/2"
     assert set(js["witness"]["left"]) == set(v.witness[0].to_list())
+
+
+# ---------------------------------------------------------------------------
+# the id-array trial loop against the set-based checks it replaced
+#
+# The references below are the earlier `sampled_lower_regular` and
+# `compute_bad_set`: every subset a VertexSet, every density a Fraction.
+# They read the bit rows directly, so they share no edge count with the code
+# under test.
+
+
+def _ref_density(G, U1, U2):
+    return Fraction(sum((G.row(u) & U2.bits).bit_count() for u in U1),
+                    len(U1) * len(U2))
+
+
+def _ref_sample(S, k, rng):
+    ids = S.to_list()
+    picked = rng.choice(len(ids), size=k, replace=False)
+    return VertexSet.from_ids(S.n, [ids[int(i)] for i in picked])
+
+
+def _ref_lowest_by_degree(G, pool, into, k):
+    return [v for _, v in sorted(((G.row(v) & into.bits).bit_count(), v)
+                                 for v in pool)[:k]]
+
+
+def _ref_sampled(G, A, B, eps, p, trials, seed):
+    eps = Fraction(eps)
+    threshold = (1 - eps) * Fraction(p)
+    k1 = max(1, math.ceil(eps * len(A)))
+    k2 = max(1, math.ceil(eps * len(B)))
+    a_ids, b_ids = A.to_list(), B.to_list()
+    rng = seeds.rng(seed)
+    biased = trials // 2
+    pool1 = _ref_lowest_by_degree(G, a_ids, B, min(2 * k1, len(a_ids))) if biased else ()
+    for t in range(trials):
+        if t < biased:
+            pick1 = rng.choice(len(pool1), size=k1, replace=False)
+            U1 = VertexSet.from_ids(G.n, [pool1[int(i)] for i in pick1])
+            pool2 = _ref_lowest_by_degree(G, b_ids, U1, min(2 * k2, len(b_ids)))
+            pick2 = rng.choice(len(pool2), size=k2, replace=False)
+            U2 = VertexSet.from_ids(G.n, [pool2[int(i)] for i in pick2])
+        else:
+            U1 = _ref_sample(A, k1, rng)
+            U2 = _ref_sample(B, k2, rng)
+        d = _ref_density(G, U1, U2)
+        if d < threshold:
+            return RegVerdict(SAMPLED, False, threshold, (U1, U2), d, trials)
+    return RegVerdict(SAMPLED, True, threshold, trials=trials)
+
+
+def _ref_check(G, A, B, eps, p, trials, seed, cap):
+    if len(A) <= cap and len(B) <= cap:
+        return exact_lower_regular(G, A, B, eps, p, cap)
+    return _ref_sampled(G, A, B, eps, p, trials, seed)
+
+
+def _ref_bad_set(gamma, G_c, V1, V2, ambient, eps, alpha, p, draws, seed,
+                 checker_trials, checker_cap):
+    eps = Fraction(eps)
+    effective_p = Fraction(alpha) * Fraction(p)
+    size = math.ceil(effective_p * len(V1) / 4)
+    rng = seeds.rng(seed)
+    amb_ids = ambient.to_list()
+    bad_ids = []
+    for v in amb_ids:
+        nv_full = gamma.neighbours(v) & V1
+        if nv_full.size < size:
+            bad_ids.append(v)
+            continue
+        is_bad = False
+        for d in range(draws):
+            Nv = _ref_sample(nv_full, size, rng)
+            check_seed = seed + 1 + v * 1009 + d
+            if not _ref_check(G_c, Nv, V2, eps, effective_p, checker_trials,
+                              check_seed, checker_cap).passed:
+                is_bad = True
+                break
+            w = amb_ids[int(rng.integers(len(amb_ids)))]
+            nw_full = gamma.neighbours(w) & V2
+            if nw_full.size < size:
+                continue
+            Nw = _ref_sample(nw_full, size, rng)
+            if not _ref_check(G_c, Nv, Nw, eps, effective_p, checker_trials,
+                              check_seed + 500009, checker_cap).passed:
+                is_bad = True
+                break
+        if is_bad:
+            bad_ids.append(v)
+    bad = VertexSet.from_ids(gamma.n, bad_ids)
+    limit = eps * len(ambient)
+    if bad.size > limit:
+        raise BadSetError(bad, limit)
+    return bad
+
+
+def _verdict_key(v):
+    witness = None if v.witness is None else tuple(U.to_list() for U in v.witness)
+    return (v.mode, v.passed, v.threshold, witness, v.witness_density, v.trials)
+
+
+def _outcome(fn, *args):
+    """What a call returned or raised, and the final state of every generator
+    it made, in the order it made them."""
+    made = []
+
+    def recording_rng(seed, *key):
+        made.append(make(seed, *key))
+        return made[-1]
+
+    make = seeds.rng
+    with mock.patch.object(seeds, "rng", recording_rng):
+        try:
+            got = fn(*args)
+            result = _verdict_key(got) if isinstance(got, RegVerdict) else got.to_list()
+        except BadSetError as e:
+            result = ("BadSetError", e.bad.to_list(), e.limit)
+    return result, [g.bit_generator.state for g in made]
+
+
+@st.composite
+def damaged_triangles(draw, densities=(0.3, 0.5, 0.8, 1.0), victims=24):
+    """A triangle blow-up, with the edges between some vertices of part 2
+    and part 0 stripped, so that checks fail and witnesses appear."""
+    s = draw(st.integers(6, 24))
+    p = draw(st.sampled_from(densities))
+    bg = triangle_blowup(s, p, draw(st.integers(0, 2**16)))
+    rows = [bg.gamma.row(v) for v in range(bg.gamma.n)]
+    part2 = bg.part(2).to_list()
+    for victim in draw(st.lists(st.sampled_from(part2), max_size=victims)):
+        for w in bg.part(0):
+            rows[victim] &= ~(1 << w)
+            rows[w] &= ~(1 << victim)
+    return bg, p, Graph(bg.gamma.n, rows)
+
+
+EQUIVALENCE = settings(max_examples=60, deadline=None)
+EPS_VALUES = st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(9, 20)])
+
+
+@EQUIVALENCE
+@given(damaged_triangles(), EPS_VALUES, st.integers(1, 4), st.integers(0, 2**20),
+       st.data())
+def test_sampled_check_matches_the_set_based_reference(case, eps, trials, seed, data):
+    bg, p, G = case
+    sides = [bg.part(x) for x in range(3)]
+    A, B = data.draw(st.permutations(sides))[:2]
+    if data.draw(st.booleans()):  # a subset of a side, as the audit draws
+        A = A.lowest(data.draw(st.integers(1, len(A))))
+    assert (_outcome(sampled_lower_regular, G, A, B, eps, p, trials, seed)
+            == _outcome(_ref_sampled, G, A, B, eps, p, trials, seed))
+
+
+@EQUIVALENCE
+@given(damaged_triangles(densities=(0.5, 0.8, 1.0), victims=3), EPS_VALUES,
+       st.integers(1, 3), st.integers(0, 2**20), st.integers(1, 4),
+       st.sampled_from([0, EXACT_CAP]))
+def test_bad_set_matches_the_set_based_reference(case, eps, draws, seed, trials, cap):
+    bg, p, G = case
+    args = (G, G, bg.part(0), bg.part(1), bg.part(2), eps, Fraction(1, 2), p,
+            draws, seed, trials, cap)
+    assert _outcome(compute_bad_set, *args) == _outcome(_ref_bad_set, *args)
