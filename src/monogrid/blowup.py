@@ -17,7 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from monogrid import seeds
-from monogrid.graphs import Graph, VertexSet, _significant_lines, read_graph, write_graph
+from monogrid.graphs import (
+    Graph,
+    VertexSet,
+    _ClassBuilder,
+    _significant_lines,
+    degrees_into,
+    read_graph,
+    write_graph,
+)
 from monogrid.hosts import HostGraph
 
 # rows of a host edge's s x s block drawn per call to the edge's generator
@@ -33,41 +41,22 @@ class BlowupGraph:
     seed: int
     parts: list[VertexSet] = field(repr=False)
 
-    def part_of(self, v: int) -> int:
-        if not 0 <= v < self.gamma.n:
-            raise ValueError(f"vertex {v} out of range")
-        return v // self.part_size
-
     def part(self, x: int) -> VertexSet:
         return self.parts[x]
 
     def validate(self) -> None:
-        """Exhaustive partition / independence / locality invariants."""
-        n = self.gamma.n
-        s = self.part_size
-        H = self.host.graph
-        if n != H.n * s:
+        """Independence of the parts, and no edge outside the host edges."""
+        n, H = self.gamma.n, self.host.graph
+        if n != H.n * self.part_size:
             raise AssertionError("vertex count is not host size times part size")
-        union = 0
-        for x, part in enumerate(self.parts):
-            if part.size != s:
-                raise AssertionError(f"part {x} has size {part.size}, want {s}")
-            if union & part.bits:
-                raise AssertionError("parts overlap")
-            union |= part.bits
-        if union != (1 << n) - 1:
-            raise AssertionError("parts do not cover the vertex set")
-        for x in range(H.n):
-            allowed = 0
+        for x, own in enumerate(self.parts):
+            outside = VertexSet(n, np.arange(n))
             for y in H.neighbours(x):
-                allowed |= self.parts[y].bits
-            own = self.parts[x].bits
-            for u in self.parts[x]:
-                row = self.gamma.row(u)
-                if row & own:
-                    raise AssertionError(f"part {x} is not independent")
-                if row & ~allowed & ((1 << n) - 1):
-                    raise AssertionError(f"edge leaves the host edges at part {x}")
+                outside = outside - self.parts[y]
+            if any(degrees_into(self.gamma, own.ids, own)):
+                raise AssertionError(f"part {x} is not independent")
+            if any(degrees_into(self.gamma, own.ids, outside)):
+                raise AssertionError(f"edge leaves the host edges at part {x}")
 
 
 def build_blowup(H: HostGraph, s: int, p: float, seed: int) -> BlowupGraph:
@@ -77,8 +66,7 @@ def build_blowup(H: HostGraph, s: int, p: float, seed: int) -> BlowupGraph:
     if not 0.0 < p <= 1.0:
         raise ValueError("edge probability must lie in (0, 1]")
     n = H.graph.n * s
-    rows = [0] * n
-    m = 0
+    acc = _ClassBuilder(n, 1)
     for x, y in H.graph.edges():
         rng = seeds.rng(seed, x, y)
         # a few rows of floats at a time draw the same stream as one (s, s)
@@ -87,19 +75,13 @@ def build_blowup(H: HostGraph, s: int, p: float, seed: int) -> BlowupGraph:
         for i in range(0, s, _DRAW_ROWS):
             np.less(rng.random((min(_DRAW_ROWS, s - i), s)), p,
                     out=mat[i:i + _DRAW_ROWS])
-        m += int(mat.sum())
-        packed = np.packbits(mat, axis=1, bitorder="little")
-        for i in range(s):
-            bits = int.from_bytes(packed[i].tobytes(), "little")
-            rows[x * s + i] |= bits << (y * s)
-        packed_t = np.packbits(mat.T, axis=1, bitorder="little")
-        for j in range(s):
-            bits = int.from_bytes(packed_t[j].tobytes(), "little")
-            rows[y * s + j] |= bits << (x * s)
-    gamma = Graph(n, rows, m)
-    block = (1 << s) - 1
-    parts = [VertexSet(n, block << (x * s)) for x in range(H.graph.n)]
-    return BlowupGraph(gamma, H, s, p, seed, parts)
+        acc.add_block(x * s, y * s, mat)
+    return BlowupGraph(acc.graphs()[0], H, s, p, seed, _parts(H.graph.n, s))
+
+
+def _parts(h: int, s: int) -> list[VertexSet]:
+    """The blocks [x*s, (x+1)*s) of 0..h*s-1, for x < h, as vertex sets."""
+    return [VertexSet(h * s, np.arange(x * s, (x + 1) * s)) for x in range(h)]
 
 
 def expected_edges(H: HostGraph, s: int, p: float) -> float:
@@ -145,8 +127,7 @@ def load_blowup(basename: str) -> BlowupGraph:
     if meta["host_hash"] != host_hash(host):
         raise ValueError(f"{basename}.meta: host hash mismatch")
     s = int(meta["part_size"])
-    block = (1 << s) - 1
-    parts = [VertexSet(gamma.n, block << (x * s)) for x in range(hostg.n)]
-    bg = BlowupGraph(gamma, host, s, float(meta["p"]), int(meta["seed"]), parts)
+    bg = BlowupGraph(gamma, host, s, float(meta["p"]), int(meta["seed"]),
+                     _parts(hostg.n, s))
     bg.validate()
     return bg

@@ -17,6 +17,8 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from monogrid import seeds
 from monogrid.blowup import build_blowup, expected_edges, load_blowup, save_blowup
 from monogrid.config import (
@@ -89,14 +91,18 @@ def apply_colouring(bg, spec: str, r: int, seed: int) -> EdgeColouring:
     if tokens[0] == "uniform-random":
         colours = seeds.rng(seed, 23).integers(0, r, size=gamma.edge_count)
     elif tokens[0] == "host-edge-split":
-        split = {xy: k % r for k, xy in enumerate(bg.host.graph.edges())}
+        split = np.zeros((bg.host.graph.n,) * 2, dtype=np.int64)  # host edge -> colour
+        for k, (x, y) in enumerate(bg.host.graph.edges()):
+            split[x, y] = k % r
         s = bg.part_size
-        colours = [split[u // s, v // s] for u, v in gamma.edges()]
+        colours = np.concatenate([split[u // s, v // s] for u, v in gamma.edge_blocks()]
+                                 or [[]])
     else:
-        used = [[0] * r for _ in range(gamma.n)]
+        used = [[0] * r for _ in range(gamma.n)]  # edges at v in each colour so far
         colours = []
         for u, v in gamma.edges():
-            c = min(range(r), key=lambda k: (used[u][k] + used[v][k], k))
+            at_uv = [a + b for a, b in zip(used[u], used[v])]
+            c = at_uv.index(min(at_uv))  # ties go to the lower colour
             colours.append(c)
             used[u][c] += 1
             used[v][c] += 1

@@ -314,9 +314,7 @@ def filter_well_connected(S: VertexSet, U_next: VertexSet, Q_next: VertexSet,
         )
     avail = room - room.lowest(pad)
     cand = ctx.candidate_size
-    ids = S.to_list()
-    out = VertexSet.from_ids(ctx.G.n, [
-        v for v, d in zip(ids, degrees_into(ctx.G, ids, avail)) if d >= cand])
+    out = VertexSet(ctx.G.n, S.ids[degrees_into(ctx.G, S.ids, avail) >= cand])
     dropped = S.size - out.size
     if dropped > ctx.filter_slack:
         raise EmbedFailure(
@@ -345,9 +343,8 @@ def backward_filter(s_prime: list[VertexSet], ctx: EmbedContext) -> list[VertexS
         )
     out[-1] = last.lowest(cut)
     for j in range(len(s_prime) - 2, -1, -1):
-        ids = s_prime[j].to_list()
-        pruned = VertexSet.from_ids(ctx.G.n, [
-            v for v, d in zip(ids, degrees_into(ctx.G, ids, out[j + 1])) if d])
+        ids = s_prime[j].ids
+        pruned = VertexSet(ctx.G.n, ids[degrees_into(ctx.G, ids, out[j + 1]) > 0])
         if pruned.size < cut:
             raise EmbedFailure(
                 "backward-filter", position=j,

@@ -1,45 +1,34 @@
-"""Bitset graphs, vertex subsets, and exact pair densities.
+"""Tiled bitset graphs, vertex subsets, and exact pair densities.
 
-Vertices are dense integers 0..n-1.  Every adjacency row is one Python int
-with bit v set when the edge is present, so a subset degree is a single AND
-plus a popcount.  All the hot loops downstream (regularity checks, candidate
-filtering) are subset-density queries, which is why the representation is a
-bit row rather than an adjacency list.
+Vertices are dense integers 0..n-1.  Adjacency is stored in 64 x 64-bit
+tiles: bit j of word i of tile (R, C) is set when vertices 64R + i and 64C + j
+are adjacent.  A graph keeps one uint64 tile per non-empty (row block,
+column block), both orientations of every edge, sorted by the key R * nb + C
+(nb = ceil(n / 64)), so its index is linear in n / 64 plus the tiles.  A
+blow-up's tiles cover its 2|E(H)| s x s blocks over host edges and nothing
+else.  The row of v is word v mod 64 of row block v // 64's tiles, so a
+subset degree is a gather, an AND with the subset's word mask and a popcount.
 
-Only this module's code sees that layout; the rest ask set-level questions
-(`degrees_into`, `edge_count`, `edges_between`, `pair_density`, `neighbours_in`,
-`Graph.induced`, the `VertexSet` algebra), so the rows can change form here
-alone.  Exempt on purpose: `blowup.py` writes rows from packed numpy draws as
-the readers here do, and its `validate` is the loader's integrity check;
-`oracle.py` keeps its exhaustive search state in int masks and pops one
-candidate bit at a time; `pipeline._extend_cycle`'s path mask is search
-state, not adjacency.
+Only this module sees that layout; the rest ask set-level questions
+(`adjacency`, `degrees_into`, `edge_count`, `pair_density`, `neighbours_in`,
+`Graph.induced`, the `VertexSet` algebra).  `oracle.py` keeps its search state
+in int masks from `Graph.row`, the one conversion of tiles into ints.
 
-A vertex set keeps its members as a read-only sorted int64 array.  The array
-is decoded from the bitmask in one vectorised pass the first time `ids`,
-`to_list`, iteration or `sample` asks for it, or handed over by the
-constructor that made the set: `from_ids`, `lowest` and `sample` build the
-bitmask from their id array through one bool mask and `packbits`.  Iteration
-and `to_list` hand out Python ints, so `1 << v` never wraps.
-
-`edge_count` counts the edges between two id arrays: the smaller side's rows
-ANDed with the larger side's packed bitmask.  `pair_density` divides it into
-an exact `Fraction`; the regularity checks compare the count against their
-rational thresholds by integer cross-multiplication.  Neither goes through
-floats.
+A vertex set is a read-only sorted int64 array of member ids, with a word
+mask over 0..n-1 built on first use.  Iteration and `to_list` hand out Python
+ints, so `1 << v` never wraps.  Edge counts are exact integers; `pair_density`
+divides one into a `Fraction`, and the regularity checks compare counts with
+their rational thresholds by integer cross-multiplication.
 
 An r-edge-colouring is stored as its r colour-class graphs, because every
-step downstream works inside one colour's subgraph.  The colouring file
-format ("u v c" lines) does not depend on this layout.
+step downstream works inside one colour's subgraph.
 
-Graph and colouring files are read and written a block at a time with numpy
-kernels, never a line and a big-int operation at a time.  The writers decode
-a block of bit rows into ascending edge arrays and format them as ASCII in
-one vectorised pass.  The readers parse each block of canonical lines (the
-form the writers emit) in one pass and scatter its edges into a row-blocked
-bitmap, which becomes the int rows one row block at a time.  Every other
-block, and every block with a faulty line, goes through the per-line parser:
-it is the error path, and the one source of every "path:line:" message.
+Every graph is built by `_ClassBuilder`, which ORs each edge into the tiles
+of both its orientations as it arrives.  The file writers decode one row
+block of tiles at a time into ascending edge arrays and format them as ASCII
+in one vectorised pass.  The readers parse each block of canonical lines in
+one pass; any other block goes through the per-line parser, the one source
+of every "path:line:" message.
 """
 
 from __future__ import annotations
@@ -50,28 +39,39 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-
-def _bit_ids(bits: int) -> np.ndarray:
-    """The set-bit positions of a non-negative int, ascending, in one numpy pass."""
-    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"),
-                        dtype=np.uint8)
-    # nonzero is several times faster over bools than over the uint8 bits
-    ids = np.unpackbits(raw, bitorder="little").view(bool).nonzero()[0].astype(
-        np.int64, copy=False)
-    ids.flags.writeable = False
-    return ids
+# bits per word: the rows, and the columns, of one tile
+W = 64
+_U64 = np.dtype("<u8")
 
 
-def _mask(n: int, ids: np.ndarray) -> np.ndarray:
-    """The bool array over 0..n-1 that is True at each of `ids`."""
-    mask = np.zeros(n, dtype=bool)
-    mask[ids] = True
-    return mask
+def _nblocks(n: int) -> int:
+    """ceil(n / W): the row (and column) blocks of a universe of size n."""
+    return -(-n // W)
 
 
-def _packed(mask: np.ndarray) -> int:
-    """The int with bit v set where the bool array `mask` is True."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+def _bits(j: np.ndarray) -> np.ndarray:
+    """1 << j as uint64 words, for an int array of bit positions 0..W-1."""
+    return np.left_shift(np.uint64(1), j.astype(np.uint64))
+
+
+def _word_mask(n: int, ids: np.ndarray) -> np.ndarray:
+    """The ceil(n / W) uint64 words over 0..n-1 with the bits of `ids` set."""
+    member = np.zeros(_nblocks(n) * W, dtype=bool)
+    member[ids] = True
+    return np.packbits(member, bitorder="little").view(_U64)
+
+
+def _holds(mask: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Whether the word mask `mask` has the bit of each of `ids` set."""
+    return (mask[ids >> 6] >> (ids & 63).astype(np.uint64) & np.uint64(1)).astype(bool)
+
+
+def _word_ids(words: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """The ids of the set bits of uint64 `words`, word k holding ids base[k]
+    to base[k] + W - 1; ascending when `base` is."""
+    nz = np.flatnonzero(words)
+    at = np.flatnonzero(np.unpackbits(words[nz].view(np.uint8), bitorder="little"))
+    return base[nz][at >> 6] + (at & 63)
 
 
 def sample_ids(ids: np.ndarray, k: int, rng) -> np.ndarray:
@@ -80,88 +80,62 @@ def sample_ids(ids: np.ndarray, k: int, rng) -> np.ndarray:
 
 
 class VertexSet:
-    """Immutable subset of 0..n-1 backed by an int bitmask.
+    """Immutable subset of 0..n-1: its members as a read-only sorted int64 array.
 
-    The member ids are a read-only sorted int64 array, decoded from the
-    bitmask on first use (or handed over by the constructor that made the
-    set) and cached.
+    `VertexSet(n, ids)` adopts sorted distinct int64 ids unchecked;
+    `from_ids` takes any ids.  The word mask is built on first use.
     """
 
-    __slots__ = ("n", "bits", "_size", "_ids")
+    __slots__ = ("n", "ids", "_mask")
 
-    def __init__(self, n: int, bits: int):
-        if n < 0:
-            raise ValueError("universe size must be non-negative")
-        if bits < 0 or bits >> n:
-            raise ValueError("bitmask has members outside the universe")
-        self.n = n
-        self.bits = bits
-        self._size = bits.bit_count()
-        self._ids: np.ndarray | None = None
-
-    @classmethod
-    def _of(cls, n: int, ids: np.ndarray, mask: np.ndarray) -> "VertexSet":
-        """The set of sorted distinct int64 ids in 0..n-1 with bool mask
-        `mask`, unchecked; it keeps `ids`."""
-        S = object.__new__(cls)
-        S.n, S.bits, S._size = n, _packed(mask), len(ids)
+    def __init__(self, n: int, ids: np.ndarray):
         ids.flags.writeable = False
-        S._ids = ids
-        return S
+        self.n, self.ids = n, ids
+        self._mask: np.ndarray | None = None
 
     @classmethod
     def from_ids(cls, n: int, ids: Iterable[int]) -> "VertexSet":
         """The set of the given ids, in any order, duplicates allowed."""
         ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
         if not ids.size:
-            return cls(n, 0)
+            return cls.empty(n)
         outside = (ids < 0) | (ids >= n)
         if outside.any():
-            v = ids[outside.argmax()]
-            raise ValueError(f"vertex {v} outside universe of size {n}")
-        mask = _mask(n, ids)
-        return cls._of(n, mask.nonzero()[0].astype(np.int64, copy=False), mask)
-
-    @classmethod
-    def full(cls, n: int) -> "VertexSet":
-        return cls(n, (1 << n) - 1)
+            raise ValueError(f"vertex {ids[outside.argmax()]} outside universe of size {n}")
+        return cls(n, np.unique(ids.astype(np.int64)))
 
     @classmethod
     def empty(cls, n: int) -> "VertexSet":
-        return cls(n, 0)
+        return cls(n, np.empty(0, dtype=np.int64))
 
     @property
     def size(self) -> int:
-        return self._size
+        return len(self.ids)
 
-    @property
-    def ids(self) -> np.ndarray:
-        """The member ids in ascending order, a read-only int64 array."""
-        if self._ids is None:
-            self._ids = _bit_ids(self.bits)
-        return self._ids
+    def _words(self) -> np.ndarray:
+        if self._mask is None:
+            self._mask = _word_mask(self.n, self.ids)
+        return self._mask
 
     def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.to_list())
+        return iter(self.ids.tolist())
 
     def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and (self.bits >> v) & 1 == 1
+        return 0 <= v < self.n and bool(
+            self._words()[v >> 6] >> np.uint64(v & 63) & np.uint64(1))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, VertexSet)
             and self.n == other.n
-            and self.bits == other.bits
+            and np.array_equal(self.ids, other.ids)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.bits))
+        return hash((self.n, self.ids.tobytes()))
 
     def _check_universe(self, other: "VertexSet") -> None:
         if self.n != other.n:
@@ -169,79 +143,84 @@ class VertexSet:
 
     def __and__(self, other: "VertexSet") -> "VertexSet":
         self._check_universe(other)
-        return VertexSet(self.n, self.bits & other.bits)
+        return VertexSet(self.n, self.ids[_holds(other._words(), self.ids)])
 
     def __or__(self, other: "VertexSet") -> "VertexSet":
         self._check_universe(other)
-        return VertexSet(self.n, self.bits | other.bits)
+        return VertexSet(self.n, np.union1d(self.ids, other.ids))
 
     def __sub__(self, other: "VertexSet") -> "VertexSet":
         self._check_universe(other)
-        return VertexSet(self.n, self.bits & ~other.bits)
+        return VertexSet(self.n, self.ids[~_holds(other._words(), self.ids)])
 
     def isdisjoint(self, other: "VertexSet") -> bool:
-        self._check_universe(other)
-        return self.bits & other.bits == 0
+        return not self & other
 
     def add(self, v: int) -> "VertexSet":
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} outside universe of size {self.n}")
-        return VertexSet(self.n, self.bits | (1 << v))
+        if v in self:
+            return self
+        return VertexSet(self.n, np.insert(self.ids, np.searchsorted(self.ids, v), v))
 
     def lowest(self, k: int) -> "VertexSet":
         """The k smallest member ids, as a new set."""
-        if k < 0 or k > self._size:
-            raise ValueError(f"cannot take {k} of {self._size} members")
-        ids = self.ids[:k]
-        return VertexSet._of(self.n, ids, _mask(self.n, ids))
+        if k < 0 or k > len(self):
+            raise ValueError(f"cannot take {k} of {len(self)} members")
+        return VertexSet(self.n, self.ids[:k])
 
     def sample(self, k: int, rng) -> "VertexSet":
         """Uniform k-subset drawn with the supplied numpy Generator."""
-        if k < 0 or k > self._size:
-            raise ValueError(f"cannot sample {k} of {self._size} members")
-        ids = sample_ids(self.ids, k, rng)
-        return VertexSet._of(self.n, ids, _mask(self.n, ids))
+        if k < 0 or k > len(self):
+            raise ValueError(f"cannot sample {k} of {len(self)} members")
+        return VertexSet(self.n, sample_ids(self.ids, k, rng))
 
     def to_list(self) -> list[int]:
         return self.ids.tolist()
 
     def __repr__(self) -> str:
-        if self._size <= 12:
+        if len(self) <= 12:
             return f"VertexSet(n={self.n}, {{{', '.join(map(str, self))}}})"
-        return f"VertexSet(n={self.n}, size={self._size})"
+        return f"VertexSet(n={self.n}, size={len(self)})"
 
 
 class Graph:
-    """Immutable simple graph on 0..n-1 with int bitmask adjacency rows."""
+    """Immutable simple graph on 0..n-1 with tiled bitset adjacency.
 
-    __slots__ = ("n", "_rows", "_m")
+    `Graph(n, keys, tiles)` adopts sorted tile keys and their non-zero
+    (len(keys), W) uint64 tiles, which hold both orientations of every edge.
+    """
 
-    def __init__(self, n: int, rows: list[int], edge_count: int | None = None):
-        if len(rows) != n:
-            raise ValueError("row count does not match vertex count")
-        self.n = n
-        self._rows = rows
-        if edge_count is None:
-            edge_count = sum(r.bit_count() for r in rows) // 2
-        self._m = edge_count
+    __slots__ = ("n", "_keys", "_tiles", "_ptr", "_col", "_m")
+
+    def __init__(self, n: int, keys: np.ndarray, tiles: np.ndarray):
+        nb = _nblocks(n)
+        self.n, self._keys, self._tiles = n, keys, tiles
+        # row block R's tiles are _ptr[R]:_ptr[R + 1], in column block order
+        self._ptr = np.searchsorted(keys, np.arange(nb + 1) * nb)
+        self._col = keys % max(nb, 1)
+        self._m = int(np.bitwise_count(tiles).sum()) // 2
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        rows = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls(n, rows)
+        """The graph of the given edges, in any order; repeats collapse."""
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                           dtype=np.int64)
+        u, v = pairs.T if pairs.size else pairs.reshape(2, 0)
+        outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        faults = np.flatnonzero(outside | (u == v))
+        if faults.size:
+            i = faults[0]
+            if outside[i]:
+                raise ValueError(f"edge ({u[i]}, {v[i]}) outside vertex range 0..{n - 1}")
+            raise ValueError(f"self-loop at vertex {u[i]}")
+        acc = _ClassBuilder(n, 1)
+        acc.add_many(u, v, np.zeros_like(u))
+        return acc.graphs()[0]
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        full = (1 << n) - 1
-        rows = [full & ~(1 << v) for v in range(n)]
-        return cls(n, rows)
+        return cls.from_edges(n, np.column_stack(np.triu_indices(n, 1)))
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
@@ -259,33 +238,63 @@ class Graph:
     def edge_count(self) -> int:
         return self._m
 
+    def _row_words(self, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """The words of v's row, and the column block each of them covers."""
+        lo, hi = self._ptr[v >> 6], self._ptr[(v >> 6) + 1]
+        return self._tiles[lo:hi, v & 63], self._col[lo:hi]
+
     def row(self, v: int) -> int:
-        return self._rows[v]
+        """N(v) as an int with bit w set for each neighbour w."""
+        words, cols = self._row_words(v)
+        out = 0
+        for c, word in zip(cols.tolist(), words.tolist()):
+            out |= word << W * c
+        return out
 
     def degree(self, v: int) -> int:
-        return self._rows[v].bit_count()
+        return int(np.bitwise_count(self._row_words(v)[0]).sum())
 
     def max_degree(self) -> int:
-        return max((r.bit_count() for r in self._rows), default=0)
+        nb = _nblocks(self.n)
+        degrees = np.zeros((nb, W), dtype=np.int64)
+        np.add.at(degrees, self._keys // max(nb, 1), np.bitwise_count(self._tiles))
+        return int(degrees.max(initial=0))
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"edge ({u}, {v}) outside vertex range")
-        return (self._rows[u] >> v) & 1 == 1
+        words, cols = self._row_words(u)
+        at = int(np.searchsorted(cols, v >> 6))
+        return bool(at < len(cols) and cols[at] == v >> 6
+                    and words[at] >> np.uint64(v & 63) & np.uint64(1))
 
     def neighbours(self, v: int) -> VertexSet:
-        return VertexSet(self.n, self._rows[v])
+        words, cols = self._row_words(v)
+        return VertexSet(self.n, _word_ids(words, cols * W))
 
     def induced(self, S: VertexSet) -> "Graph":
         """The subgraph on the members of S, on the same vertex ids 0..n-1."""
-        rows, bits = [0] * self.n, S.bits
-        for v in S:
-            rows[v] = self._rows[v] & bits
-        return Graph(self.n, rows)
+        if len(S) == self.n:
+            return self
+        mask = S._words()
+        rows = mask[self._keys // max(_nblocks(self.n), 1)]  # the tiles' rows in S
+        touched = (rows != 0) & (mask[self._col] != 0)
+        tiles = self._tiles[touched]
+        tiles &= mask[self._col[touched], None]
+        out = (rows[touched, None] >> np.arange(W, dtype=np.uint64) & np.uint64(1)) == 0
+        tiles[out] = 0
+        kept = tiles.any(axis=1)
+        return Graph(self.n, self._keys[touched][kept], tiles[kept])
+
+    def edge_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """All edges as int64 arrays (u, v) with u < v, a row block at a time,
+        ascending."""
+        for u, v, _ in _edge_blocks([self]):
+            yield u, v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
-        for u, v, _ in _edge_blocks([self]):
+        for u, v in self.edge_blocks():
             yield from zip(u.tolist(), v.tolist())
 
     def vertices(self) -> range:
@@ -295,31 +304,68 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self._rows == other._rows
+            and np.array_equal(self._keys, other._keys)
+            and np.array_equal(self._tiles, other._tiles)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(self._rows)))
+        return hash((self.n, self._keys.tobytes(), self._tiles.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._m})"
 
 
-def degrees_into(G: Graph, ids: Iterable[int], B: VertexSet) -> list[int]:
-    """|N(v) & B| for each v of `ids`, in order; unchecked, for the hot loops."""
-    rows, bbits = G._rows, B.bits
-    return [(rows[v] & bbits).bit_count() for v in ids]
+def _row_tiles(G: Graph, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of every tile in the rows of the vertices `ids`, and the
+    position in `ids` of the vertex each belongs to."""
+    lo = G._ptr[ids >> 6]
+    count = G._ptr[(ids >> 6) + 1] - lo
+    at = np.repeat(np.arange(len(ids)), count)
+    return np.arange(len(at)) + np.repeat(lo - (np.cumsum(count) - count), count), at
+
+
+def _row_and(G: Graph, ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row words of each vertex of `ids` ANDed with the word mask `mask`,
+    and the position in `ids` of the vertex each word belongs to."""
+    tile, at = _row_tiles(G, ids)
+    return G._tiles[tile, (ids & 63)[at]] & mask[G._col[tile]], at
+
+
+def adjacency(G: Graph, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
+    """The 0/1 matrix of G between two int64 id arrays, as bools: entry
+    (i, j) says whether a_ids[i] b_ids[j] is an edge; unchecked."""
+    blocks, col = np.unique(b_ids >> 6, return_inverse=True)
+    col = col * W + (b_ids & 63)  # b_ids[j]'s bit among the words of `blocks`
+    out = np.empty((len(a_ids), len(b_ids)), dtype=bool)
+    for r0 in range(0, len(a_ids), 1024):  # bounds the unpacked bits
+        ids = a_ids[r0:r0 + 1024]
+        tile, at = _row_tiles(G, ids)
+        where = np.searchsorted(blocks, G._col[tile]).clip(max=len(blocks) - 1)
+        hit = blocks[where] == G._col[tile]
+        tile, at = tile[hit], at[hit]
+        words = np.zeros((len(ids), len(blocks)), dtype=_U64)
+        words[at, where[hit]] = G._tiles[tile, (ids & 63)[at]]
+        bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+        np.take(bits.view(bool), col, axis=1, out=out[r0:r0 + len(ids)])
+    return out
+
+
+def degrees_into(G: Graph, ids: np.ndarray, B: VertexSet) -> np.ndarray:
+    """|N(v) & B| for each v of the int64 id array `ids`, in order; unchecked."""
+    words, at = _row_and(G, ids, B._words())
+    return np.bincount(at, weights=np.bitwise_count(words),
+                       minlength=len(ids)).astype(np.int64)
 
 
 def edge_count(G: Graph, a_ids: np.ndarray, b_ids: np.ndarray) -> int:
     """e(A, B) for disjoint A, B given as int64 id arrays; unchecked.
 
-    The smaller side's rows are ANDed with the larger side's bitmask.
+    The smaller side's row words are ANDed with the larger side's word mask.
     """
     if len(a_ids) > len(b_ids):
         a_ids, b_ids = b_ids, a_ids
-    rows, mask = G._rows, _packed(_mask(G.n, b_ids))
-    return sum([(rows[v] & mask).bit_count() for v in a_ids.tolist()])
+    words, _ = _row_and(G, a_ids, _word_mask(G.n, b_ids))
+    return int(np.bitwise_count(words).sum())
 
 
 def edges_between(G: Graph, A: VertexSet, B: VertexSet) -> int:
@@ -346,50 +392,36 @@ def neighbours_in(G: Graph, v: int, B: VertexSet) -> VertexSet:
         raise ValueError("vertex set does not match the graph's universe")
     if v in B:
         raise ValueError(f"vertex {v} must not belong to the target set")
-    return VertexSet(G.n, G.row(v) & B.bits)
+    words, cols = G._row_words(v)
+    return VertexSet(G.n, _word_ids(words & B._words()[cols], cols * W))
 
 
 # ---------------------------------------------------------------------------
-# edge arrays <-> bit rows
-#
-# The file formats, the edge iteration of a graph or a colouring and the
-# uniform-random colouring move edges between int bit rows and numpy
-# (u, v, c) arrays a row block at a time, so that none of them costs a
-# Python-level big-int operation per edge (the per-line error path of the
-# readers aside).
-
-# Rows per block of `_ClassBuilder`'s bitmap; a multiple of 8, so that the
-# columns of one block's rows are whole bytes.  Reading the s = 600 graph and
-# colouring back on one core of a 2-CPU Xeon, 32, 64 and 128 rows take about
-# 0.65, 0.6 and 0.6 s and peak at 0.2, 0.3 and 0.6 MB above the result.
-ROW_BLOCK = 64
-# Rows per block of `_edge_blocks`.  Writing the s = 600 graph and colouring
-# on the same machine, 8, 16 and 32 rows take 0.44, 0.36 and 0.32 s and peak
-# at 0.25, 0.5 and 1 MB.
-EDGE_ROWS = 16
+# edge arrays <-> tiles, a row block at a time
 
 
 def _edge_blocks(classes) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Every edge of the graphs `classes` (class c is colour c) as int64 arrays
-    (u, v, c) with u < v, EDGE_ROWS values of u at a time, ascending by (u, v, c)."""
-    n = classes[0].n
-    for r0 in range(0, n, EDGE_ROWS):
+    (u, v, c) with u < v, a row block of W values of u at a time, ascending by
+    (u, v, c)."""
+    for R in range(_nblocks(classes[0].n)):
         us, vs, cs = [], [], []
         for c, g in enumerate(classes):
-            # bit d of above[u - r0] is edge (u, u + 1 + d)
-            above = [row >> (u + 1)
-                     for u, row in enumerate(g._rows[r0:r0 + EDGE_ROWS], r0)]
-            width = (max(row.bit_length() for row in above) + 7) // 8
-            if not width:
+            lo, hi = g._ptr[R], g._ptr[R + 1]
+            if lo == hi:
                 continue
-            raw = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in above),
-                                dtype=np.uint8).reshape(len(above), width)
-            i, j = np.nonzero(raw)  # the non-zero bytes, then their set bits
-            k, bit = np.nonzero(np.unpackbits(raw[i, j][:, None], axis=1,
+            lo += np.searchsorted(g._col[lo:hi], R)  # the tiles from the diagonal on
+            words = g._tiles[lo:hi].T  # word [i, k] is row i of tile lo + k
+            i, k = np.nonzero(words)
+            at = np.flatnonzero(np.unpackbits(words[i, k].view(np.uint8),
                                               bitorder="little"))
-            us.append(r0 + i[k])
-            vs.append(us[-1] + 1 + 8 * j[k] + bit)
-            cs.append(np.full(len(k), c))
+            u = R * W + i[at >> 6]
+            v = g._col[lo + k[at >> 6]] * W + (at & 63)
+            above = v > u
+            if above.any():
+                us.append(u[above])
+                vs.append(v[above])
+                cs.append(np.full(len(us[-1]), c))
         if not us:
             continue
         if len(us) == 1:
@@ -397,152 +429,117 @@ def _edge_blocks(classes) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
             continue
         # merge the classes' ascending runs; a tie keeps class order
         u, v, c = np.concatenate(us), np.concatenate(vs), np.concatenate(cs)
-        order = np.argsort((u - r0) * (int(v.max()) + 1) + v, kind="stable")
+        order = np.argsort((u - R * W) * (int(v.max()) + 1) + v, kind="stable")
         yield u[order], v[order], c[order]
 
 
-def _groups(key: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """(value, positions) for each distinct value of an int array, ascending."""
-    order = np.argsort(key, kind="stable")
-    for at in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-        yield int(key[at[0]]), at
+def _key_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a non-empty int array, ascending, and each
+    entry's place among them (by a bitmap when the values are dense)."""
+    lo = int(key.min())
+    span = int(key.max()) - lo + 1
+    if span > 4 * len(key):
+        return np.unique(key, return_inverse=True)
+    seen = np.zeros(span, dtype=bool)
+    seen[key - lo] = True
+    return np.flatnonzero(seen) + lo, (np.cumsum(seen) - 1)[key - lo]
 
 
 class _ClassBuilder:
-    """r colour classes on 0..n-1 under construction, edge by edge or by arrays.
+    """r colour classes on 0..n-1 under construction.
 
-    Edge {a, b} (a < b) of class c is one bit of an upper-triangle bitmap
-    held in row blocks: `blocks[c][k]` is a uint8 array made on first use,
-    with a row for each of the ROW_BLOCK vertices from a0 = k*ROW_BLOCK on
-    and a bit for each column from a0 on, so bit b - a0 of row a - a0.
-    `graphs` mirrors the triangle into the classes' int rows one row block at
-    a time, freeing each block as it is converted.  Callers check an edge
+    Class c keeps its tiles in the rows of `store[c]` in the order they were
+    made, and `slots[c]` maps each tile key to its row.  Each edge is ORed
+    into the tiles of both its orientations as it arrives.  The store grows
+    in place by a quarter at a time, and `graphs` sorts it in place, so a
+    class never holds much more than its tiles.  Callers check an edge
     before adding it: nothing here rejects a duplicate.
     """
 
     def __init__(self, n: int, r: int):
-        self.n, self.r = n, r
-        self.rows = [[0] * n for _ in range(r)]
-        self.blocks: list[dict[int, np.ndarray]] = [{} for _ in range(r)]
-        self.counts = [0] * r
+        self.n, self.r, self.nb = n, r, _nblocks(n)
+        self.slots: list[dict[int, int]] = [{} for _ in range(r)]
+        self.store = [np.zeros((0, W), dtype=_U64) for _ in range(r)]
 
-    def _block(self, c: int, k: int, cols: int) -> np.ndarray:
-        """Row block k of class c, made or widened to hold columns below `cols`.
-
-        A block is as wide as its rightmost edge needs; one that must widen
-        at least doubles, up to the universe, so the copying stays in
-        proportion to the final size.
-        """
-        blk = self.blocks[c].get(k)
-        width = -(-cols // 8) - k * (ROW_BLOCK // 8)
-        if blk is None or blk.shape[1] < width:
-            if blk is not None:
-                room = -(-self.n // 8) - k * (ROW_BLOCK // 8)
-                width = max(width, min(2 * blk.shape[1], room))
-            wide = np.zeros((ROW_BLOCK, width), dtype=np.uint8)
-            if blk is not None:
-                wide[:, :blk.shape[1]] = blk
-            blk = self.blocks[c][k] = wide
-        return blk
+    def _rows(self, c: int, keys: Iterable[int]) -> list[int]:
+        """The store rows of class c's tiles `keys`, made (empty) as needed."""
+        slots, store = self.slots[c], self.store[c]
+        rows = [slots.setdefault(key, len(slots)) for key in keys]
+        if len(slots) > len(store):
+            store.resize((len(slots) + len(store) // 4 + 8, W), refcheck=False)
+        return rows
 
     def has(self, a: int, b: int) -> bool:
-        """Whether edge {a, b} (a < b) is in some class."""
-        k, i = divmod(a, ROW_BLOCK)
-        j = (b - k * ROW_BLOCK) >> 3
-        for blocks in self.blocks:
-            blk = blocks.get(k)
-            if blk is not None and j < blk.shape[1] and (int(blk[i, j]) >> (b & 7)) & 1:
+        """Whether edge {a, b} is in some class."""
+        key = (a >> 6) * self.nb + (b >> 6)
+        return any(key in slots and store[slots[key], a & 63] >> np.uint64(b & 63) & 1
+                   for slots, store in zip(self.slots, self.store))
+
+    def add(self, a: int, b: int, c: int) -> None:
+        """Put edge {a, b} (in range, no self-loop, in no class yet) into class c."""
+        for x, y in ((a, b), (b, a)):
+            row = self._rows(c, ((x >> 6) * self.nb + (y >> 6),))[0]
+            self.store[c][row, x & 63] |= np.uint64(1 << (y & 63))
+
+    def has_any(self, a: np.ndarray, b: np.ndarray) -> bool:
+        """Whether some edge {a[i], b[i]} is in some class."""
+        keys, at = _key_groups((a >> 6) * self.nb + (b >> 6))
+        for slots, store in zip(self.slots, self.store):
+            rows = np.array([slots.get(key, -1) for key in keys.tolist()],
+                            dtype=np.int64)[at]
+            held = rows >= 0
+            if (store[rows[held], a[held] & 63] >> (b[held] & 63).astype(np.uint64)
+                    & np.uint64(1)).any():
                 return True
         return False
 
-    def add(self, a: int, b: int, c: int) -> None:
-        """Put edge {a, b} (a < b, in range, in no class yet) into class c."""
-        k, i = divmod(a, ROW_BLOCK)
-        self._block(c, k, b + 1)[i, (b - k * ROW_BLOCK) >> 3] |= 1 << (b & 7)
-        self.counts[c] += 1
-
-    def has_any(self, a: np.ndarray, b: np.ndarray) -> bool:
-        """Whether some edge {a[i], b[i]} (a < b) is in some class."""
-        for k, at in _groups(a // ROW_BLOCK):
-            col = b[at] - k * ROW_BLOCK
-            for blocks in self.blocks:
-                blk = blocks.get(k)
-                if blk is None:
-                    continue
-                inside = col >> 3 < blk.shape[1]
-                i, j = a[at][inside] - k * ROW_BLOCK, col[inside]
-                if (blk[i, j >> 3] >> (j & 7) & 1).any():
-                    return True
-        return False
-
     def add_many(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-        """Put the edges {a[i], b[i]} (a < b, in range, distinct, in no class
+        """Put the edges {a[i], b[i]} (in range, no self-loops, in no class
         yet) into classes c[i]."""
-        blocks = a // ROW_BLOCK
-        stride = int(blocks.max()) + 1
-        for key, at in _groups(c * stride + blocks):
-            cls, k = divmod(key, stride)
-            col = b[at]
-            blk = self._block(cls, k, int(col.max()) + 1)
-            col = col - k * ROW_BLOCK
-            np.bitwise_or.at(blk, (a[at] - k * ROW_BLOCK, col >> 3),
-                             (1 << (col & 7)).astype(np.uint8))
-            self.counts[cls] += len(at)
+        present = np.flatnonzero(np.bincount(c))
+        for cls in present.tolist():
+            mine = slice(None) if len(present) == 1 else c == cls
+            x = np.concatenate((a[mine], b[mine]))
+            y = np.concatenate((b[mine], a[mine]))
+            keys, at = _key_groups((x >> 6) * self.nb + (y >> 6))
+            rows = np.array(self._rows(cls, keys.tolist()), dtype=np.int64)
+            np.bitwise_or.at(self.store[cls], (rows[at], x & 63), _bits(y & 63))
+
+    def add_block(self, x0: int, y0: int, mat: np.ndarray) -> None:
+        """Put edge {x0 + i, y0 + j} into class 0 for each True mat[i, j]; the
+        vertex ranges of the rows and of the columns are disjoint."""
+        for x0, y0, mat in ((x0, y0, mat), (y0, x0, mat.T)):
+            (rows, cols), c0 = mat.shape, y0 >> 6
+            keys = np.arange(c0, _nblocks(y0 + cols))
+            strip = np.zeros((W, len(keys) * W), dtype=bool)
+            for r in range(x0 >> 6, _nblocks(x0 + rows)):
+                lo, hi = max(r * W, x0), min((r + 1) * W, x0 + rows)
+                strip[:] = False
+                strip[lo - r * W:hi - r * W, y0 - c0 * W:y0 - c0 * W + cols] = \
+                    mat[lo - x0:hi - x0]
+                block = np.packbits(strip, axis=1, bitorder="little").view(_U64).T
+                filled = block.any(axis=1)
+                at = self._rows(0, (r * self.nb + keys[filled]).tolist())
+                self.store[0][at] |= block[filled]
 
     def graphs(self) -> list[Graph]:
         """The classes as Graphs; the builder is spent afterwards."""
-        n, step = self.n, ROW_BLOCK // 8
-        # Row b's bits below b are column b of the rows above it: block k's
-        # lower triangle is the transpose of the byte columns of block k in
-        # blocks j <= k.  `sources[c][k]` lists the blocks j that have bits
-        # there, so rows with no edges cost nothing.
-        sources: list[dict[int, list[int]]] = []
-        for blocks in self.blocks:
-            sources.append({})
-            for j in sorted(blocks):
-                blk = blocks[j]
-                used = np.logical_or.reduceat(blk.any(axis=0),
-                                              np.arange(0, blk.shape[1], step))
-                for t in np.flatnonzero(used).tolist():
-                    sources[-1].setdefault(j + t, []).append(j)
-        # Convert downwards, every class at each step, and free each block
-        # once converted: no block below k reads it any more.
-        for k in sorted(set().union(*sources, *self.blocks), reverse=True):
-            for rows, blocks, below in zip(self.rows, self.blocks, sources):
-                js, upper = below.get(k, []), blocks.get(k)
-                if upper is not None:  # drop the block's empty right end
-                    upper = upper[:, :np.flatnonzero(upper.any(axis=0))[-1] + 1]
-                elif not js:
+        out = []
+        for slots, store in zip(self.slots, self.store):
+            keys = np.fromiter(slots, dtype=np.int64, count=len(slots))
+            store.resize((len(keys), W), refcheck=False)
+            # put row order[k] at row k, one cycle of the permutation at a time
+            order = np.argsort(keys).tolist()
+            for start in range(len(order)):
+                if order[start] in (start, -1):
                     continue
-                # byte columns lo..hi of block k's rows hold all their bits
-                lo = (js[0] if js else k) * step
-                hi = max((js[-1] + 1) * step if js else 0,
-                         k * step + (0 if upper is None else upper.shape[1]))
-                full = np.zeros((ROW_BLOCK, hi - lo), dtype=np.uint8)
-                for g in range(0, len(js), 8):  # 8 blocks per transpose
-                    group = js[g:g + 8]
-                    strip = np.zeros((len(group) * ROW_BLOCK, step), dtype=np.uint8)
-                    for t, j in enumerate(group):
-                        part = blocks[j][:, (k - j) * step:(k - j + 1) * step]
-                        strip[t * ROW_BLOCK:(t + 1) * ROW_BLOCK, :part.shape[1]] = part
-                    bits = np.ascontiguousarray(
-                        np.unpackbits(strip, axis=1, bitorder="little").T)
-                    tiles = np.packbits(bits, axis=1, bitorder="little")
-                    for t, j in enumerate(group):
-                        at = j * step - lo
-                        full[:, at:at + step] = tiles[:, t * step:(t + 1) * step]
-                if upper is not None:
-                    full[:, k * step - lo:k * step - lo + upper.shape[1]] |= upper
-                    del blocks[k]
-                # int.from_bytes keeps the room of leading zero bytes: cut them
-                filled = full != 0
-                ends = np.where(filled.any(axis=1),
-                                full.shape[1] - filled[:, ::-1].argmax(axis=1), 0)
-                data, width = full.tobytes(), full.shape[1]
-                for i, end in enumerate(ends[:n - k * ROW_BLOCK].tolist()):
-                    rows[k * ROW_BLOCK + i] = int.from_bytes(
-                        data[i * width:i * width + end], "little") << 8 * lo
-        return [Graph(n, rows, m) for rows, m in zip(self.rows, self.counts)]
+                first, k = store[start].copy(), start
+                while order[k] != start:
+                    store[k], order[k], k = store[order[k]], -1, order[k]
+                store[k], order[k] = first, -1
+            out.append(Graph(self.n, np.sort(keys), store))
+        self.slots = self.store = []
+        return out
 
 
 def _paint(acc: _ClassBuilder, u: int, v: int, c: int) -> None:
@@ -593,7 +590,7 @@ class EdgeColouring:
         """Every edge of G in colour c: G itself is class c, the rest are empty."""
         if not 0 <= c < r:
             raise ValueError(f"colour {c} outside 0..{r - 1}")
-        empty = Graph(G.n, [0] * G.n, 0)
+        empty = Graph.from_edges(G.n, ())
         return cls.from_classes([G if k == c else empty for k in range(r)])
 
     @classmethod
@@ -606,7 +603,7 @@ class EdgeColouring:
             raise ValueError(f"colours outside 0..{r - 1}")
         acc = _ClassBuilder(G.n, r)
         at = 0
-        for u, v, _ in _edge_blocks([G]):
+        for u, v in G.edge_blocks():
             acc.add_many(u, v, colours[at:at + len(u)])
             at += len(u)
         return cls.from_classes(acc.graphs())
@@ -614,7 +611,7 @@ class EdgeColouring:
     def colour(self, u: int, v: int) -> int:
         if 0 <= u < self.n and 0 <= v < self.n:
             for c, g in enumerate(self.classes):
-                if (g.row(u) >> v) & 1:
+                if g.has_edge(u, v):
                     return c
         raise ValueError(f"edge {(min(u, v), max(u, v))} not coloured")
 
@@ -642,11 +639,15 @@ class EdgeColouring:
 
 def _check_subgraph(sub: Graph, G: Graph) -> None:
     """Raise unless every edge of the colour class `sub` is an edge of G."""
-    for u, (mine, theirs) in enumerate(zip(sub._rows, G._rows)):
-        stray = mine & ~theirs
-        if stray:
-            v = (stray & -stray).bit_length() - 1
-            raise ValueError(f"colouring refers to absent edge ({u}, {v})")
+    if sub is G:
+        return
+    stray = sub._tiles.copy()
+    shared = np.isin(sub._keys, G._keys)
+    stray[shared] &= ~G._tiles[np.searchsorted(G._keys, sub._keys[shared])]
+    kept = stray.any(axis=1)
+    if kept.any():
+        u, v = next(Graph(G.n, sub._keys[kept], stray[kept]).edges())
+        raise ValueError(f"colouring refers to absent edge ({u}, {v})")
 
 
 def colour_subgraph(G: Graph, chi: EdgeColouring, c: int) -> Graph:
@@ -666,19 +667,17 @@ def colour_subgraph(G: Graph, chi: EdgeColouring, c: int) -> Graph:
 # Colouring file: header line "r <count>", then "u v c" triples.
 # Lines starting with "#" and blank lines are ignored in both.
 #
-# The writers emit every edge once, u < v, ascending, as ASCII formatted by
-# `_ascii_lines` a row block at a time.  The readers take the file in blocks
-# of about READ_BLOCK bytes cut at line ends.  A block after the header whose
-# every line is canonical (`_decimal_block`) and whose every edge is new and
-# valid (`_fresh`) goes into the builder in a few numpy operations; any other
-# block (comments, blank lines, CRLF, tabs, signs, long tokens, a faulty line)
-# goes through the per-line parser, which is the one source of every
-# "path:line:" message and reports the first faulty line.
+# The writers emit every edge once, u < v, ascending.  The readers take the
+# file in blocks of about READ_BLOCK bytes cut at line ends.  A block after
+# the header whose every line is canonical (`_decimal_block`) and whose every
+# edge is new and valid (`_fresh`) goes into the builder in a few numpy
+# operations; any other block goes through the per-line parser, which
+# reports the first faulty line.
 
 # Bytes per read block.  Reading the s = 600 graph and colouring back (8.6
-# and 10.4 MB of text) on the same machine, blocks of 4, 16 and 64 KiB
-# take about 1.4, 0.75 and 0.6 s; the peak memory above the result stays at
-# 0.3 MB, set by `_ClassBuilder.graphs`.
+# and 10.4 MB of text) on one core of a 2-CPU Xeon, blocks of 4, 16 and 64
+# KiB take about 1.4, 0.75 and 0.63 s; reading the graph peaks 1.4 MB above
+# its 1.0 MB of tiles.
 READ_BLOCK = 64 * 1024
 
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
@@ -810,8 +809,7 @@ def read_graph(path: str) -> Graph:
     for first, block in _blocks(path):
         fields = None if acc is None else _decimal_block(block, 2)
         if fields is not None and _fresh(acc, fields[:, 0], fields[:, 1], n):
-            u, v = fields[:, 0], fields[:, 1]
-            acc.add_many(np.minimum(u, v), np.maximum(u, v), np.zeros_like(u))
+            acc.add_many(fields[:, 0], fields[:, 1], np.zeros_like(fields[:, 0]))
             continue
         for lineno, parts in _significant(_text_lines(block), first):
             if acc is None:
@@ -835,9 +833,9 @@ def read_graph(path: str) -> Graph:
                 raise ValueError(f"{path}:{lineno}: vertex id out of range")
             if u == v:
                 raise ValueError(f"{path}:{lineno}: self-loop")
-            if acc.has(min(u, v), max(u, v)):
+            if acc.has(u, v):
                 raise ValueError(f"{path}:{lineno}: duplicate edge ({u}, {v})")
-            acc.add(min(u, v), max(u, v), 0)
+            acc.add(u, v, 0)
     if acc is None:
         raise ValueError(f"{path}: missing header line")
     return acc.graphs()[0]
@@ -850,8 +848,7 @@ def read_colouring(path: str, n: int) -> EdgeColouring:
         fields = None if acc is None else _decimal_block(block, 3)
         if (fields is not None and (fields[:, 2] < acc.r).all()
                 and _fresh(acc, fields[:, 0], fields[:, 1], n)):
-            u, v, c = fields.T
-            acc.add_many(np.minimum(u, v), np.maximum(u, v), c)
+            acc.add_many(*fields.T)
             continue
         for lineno, parts in _significant(_text_lines(block), first):
             if acc is None:

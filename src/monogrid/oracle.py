@@ -6,16 +6,16 @@ exhaustive arrow checking over edge colourings, and closed-form plus Monte
 Carlo grid counts.  They run only at sizes where exhaustion is affordable,
 and they refuse (or report unknown) rather than guess.
 
-The subgraph search is one depth-first loop over int bit-row masks with an
-explicit stack, so no pattern size meets the recursion limit.  It prunes by
-forward checking (the cheapest form of Ullmann's refinement, J. ACM 23(1),
-1976): each unplaced pattern vertex next to a placed one keeps a candidate
-mask, and a branch is cut as soon as one empties.  The cut branches hold no
-embedding, so every answer, found mapping and count is that of the plain
-search; only the node count is smaller.  Grid counts with at most three
-columns never enumerate grids: numpy extends the column paths, then the
-compatible column pairs, a position at a time, and counts three-column grids
-from the pairs' occupancy masks.
+The subgraph search is one depth-first loop over int masks (the rows that
+`Graph.row` decodes from the tiles) with an explicit stack, so no pattern
+size meets the recursion limit.  It prunes by forward checking (the cheapest
+form of Ullmann's refinement, J. ACM 23(1), 1976): each unplaced pattern
+vertex next to a placed one keeps a candidate mask, and a branch is cut as
+soon as one empties.  The cut branches hold no embedding, so every answer,
+found mapping and count is that of the plain search; only the node count is
+smaller.  Grid counts with at most three columns never enumerate grids: numpy
+extends the column paths, then the compatible column pairs, a position at a
+time, and counts three-column grids from the pairs' occupancy masks.
 """
 
 from __future__ import annotations
@@ -339,7 +339,8 @@ def arrows(G: Graph, T: Graph, r: int, budget: int = 2_000_000,
     while depth >= 0:
         if depth == len(edges):
             chi = EdgeColouring.from_classes(
-                [Graph(G.n, list(rows)) for rows in class_rows])
+                [Graph.from_edges(G.n, [e for e, k in zip(edges, tried) if k == c])
+                 for c in range(r)])
             if validate_not_arrows_witness(G, T, chi):
                 status, witness = NOT_ARROWS, chi
                 break

@@ -29,6 +29,7 @@ from monogrid import seeds
 from monogrid.graphs import (
     Graph,
     VertexSet,
+    adjacency,
     degrees_into,
     edge_count,
     pair_density,
@@ -163,13 +164,10 @@ def exact_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
     threshold = (1 - eps) * Fraction(p)
     k1, k2 = _subset_sizes(eps, len(A), len(B))
     a_ids, b_ids = A.to_list(), B.to_list()
-    # adjacency[i][j]: whether a_ids[i] b_ids[j] is an edge
-    adjacency = np.array([[b in hood for b in b_ids]
-                          for hood in (G.neighbours(a) & B for a in a_ids)],
-                         dtype=int)
+    M = adjacency(G, A.ids, B.ids)
     den, bound = threshold.denominator, threshold.numerator * k1 * k2
     for combo in combinations(range(len(a_ids)), k1):
-        degrees = adjacency[list(combo)].sum(axis=0).tolist()
+        degrees = np.count_nonzero(M[list(combo)], axis=0).tolist()
         worst = sorted(zip(degrees, b_ids))[:k2]
         edge_sum = sum(d for d, _ in worst)
         if edge_sum * den < bound:
@@ -180,17 +178,28 @@ def exact_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
     return RegVerdict(EXACT, True, threshold)
 
 
-def _lowest_by_degree(G: Graph, pool: np.ndarray, into: VertexSet,
-                      k: int) -> np.ndarray:
-    """The k members of the sorted id array `pool` with fewest neighbours in
-    `into`, ties by id."""
-    return pool[np.argsort(degrees_into(G, pool.tolist(), into), kind="stable")[:k]]
+def _lowest(ids: np.ndarray, degrees: np.ndarray, k: int) -> np.ndarray:
+    """The k entries of `ids` with the lowest `degrees`, ties by position."""
+    return ids[np.argsort(degrees, kind="stable")[:k]]
 
 
-def _falsify(G: Graph, a_ids: np.ndarray, b_ids: np.ndarray, k1: int, k2: int,
+def _graph_edges(G: Graph):
+    """The `edges` of `_falsify` for a check in G itself."""
+    def edges(x: np.ndarray, y: np.ndarray, axis: int | None = None):
+        if axis is None:
+            return edge_count(G, x, y)
+        x, y = (x, y) if axis == 1 else (y, x)
+        return degrees_into(G, x, VertexSet.from_ids(G.n, y))
+    return edges
+
+
+def _falsify(edges, a_ids: np.ndarray, b_ids: np.ndarray, k1: int, k2: int,
              threshold: Fraction, trials: int, seed: int):
-    """The sampled trials of a check of the pair of disjoint sorted id arrays
-    (a_ids, b_ids) over k1 x k2 sub-pairs, with the generator of `seed`.
+    """The sampled trials of a check of the pair of sides (a_ids, b_ids),
+    two disjoint ascending id arrays, over k1 x k2 sub-pairs, with the
+    generator of `seed`.  `edges(x, y, axis)` counts, as `np.count_nonzero`
+    does, the ones of the 0/1 matrix of the checked graph between ids x of
+    the left side and ids y of the right.
 
     Returns the first sub-pair whose density falls below `threshold`, as
     (U1 ids, U2 ids, edge count), or None when every trial passes.  The
@@ -205,18 +214,16 @@ def _falsify(G: Graph, a_ids: np.ndarray, b_ids: np.ndarray, k1: int, k2: int,
     den, bound = threshold.denominator, threshold.numerator * k1 * k2
     # the biased trials' left pool: nothing the trials draw changes it
     if biased:
-        pool1 = _lowest_by_degree(G, a_ids, VertexSet.from_ids(G.n, b_ids),
-                                  min(2 * k1, len(a_ids)))
+        pool1 = _lowest(a_ids, edges(a_ids, b_ids, 1), min(2 * k1, len(a_ids)))
     for t in range(trials):
         if t < biased:
             u1 = pool1[rng.choice(len(pool1), size=k1, replace=False)]
-            pool2 = _lowest_by_degree(G, b_ids, VertexSet.from_ids(G.n, u1),
-                                      min(2 * k2, len(b_ids)))
+            pool2 = _lowest(b_ids, edges(u1, b_ids, 0), min(2 * k2, len(b_ids)))
             u2 = pool2[rng.choice(len(pool2), size=k2, replace=False)]
         else:
             u1 = a_ids[rng.choice(len(a_ids), size=k1, replace=False)]
             u2 = b_ids[rng.choice(len(b_ids), size=k2, replace=False)]
-        e = edge_count(G, u1, u2)
+        e = int(edges(u1, u2))
         if e * den < bound:
             return u1, u2, e
     return None
@@ -236,7 +243,7 @@ def sampled_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
     eps = Fraction(eps)
     threshold = (1 - eps) * Fraction(p)
     k1, k2 = _subset_sizes(eps, len(A), len(B))
-    found = _falsify(G, A.ids, B.ids, k1, k2, threshold, trials, seed)
+    found = _falsify(_graph_edges(G), A.ids, B.ids, k1, k2, threshold, trials, seed)
     if found is None:
         return RegVerdict(SAMPLED, True, threshold, trials=trials)
     u1, u2, e = found
@@ -270,10 +277,9 @@ class FindResult:
 def _keep_best(G: Graph, part: VertexSet, partner: VertexSet, k: int,
                banned: VertexSet) -> VertexSet:
     """The k members with highest degree into partner; banned ones go first."""
-    ids = part.to_list()
     # banned sorts last among keepers
-    ranked = sorted((v in banned, -d, v)
-                    for v, d in zip(ids, degrees_into(G, ids, partner)))
+    ranked = sorted((v in banned, -d, v) for v, d in
+                    zip(part.to_list(), degrees_into(G, part.ids, partner).tolist()))
     return VertexSet.from_ids(part.n, [v for _, _, v in ranked[:k]])
 
 
@@ -447,39 +453,50 @@ def compute_bad_set(
     threshold = (1 - eps) * effective_p
     size = bank_size(effective_p, len(V1), 4)
     k_drawn, k_v2 = _subset_sizes(eps, size, len(V2))
-    v2_ids = V2.ids
+    # Members of V1 and V2 go by their positions, which keep the id order, so
+    # every draw picks what it would over ids.  `block` packs G_c on (V1, V2),
+    # and `hood1` and `hood2` each ambient vertex's neighbours in V1 and V2.
+    block = np.packbits(adjacency(G_c, V1.ids, V2.ids), axis=1)
+    hood1, hood2 = (np.packbits(adjacency(gamma, ambient.ids, V.ids), axis=1)
+                    for V in (V1, V2))
 
-    def passes(a_ids: np.ndarray, b_ids: np.ndarray, k2: int, check_seed: int) -> bool:
-        if len(a_ids) <= checker_cap and len(b_ids) <= checker_cap:
-            return exact_lower_regular(G_c, VertexSet.from_ids(G_c.n, a_ids),
-                                       VertexSet.from_ids(G_c.n, b_ids), eps,
+    def edges(x: np.ndarray, y: np.ndarray, axis: int | None = None):
+        if axis == 0:
+            return np.unpackbits(block[x], axis=1, count=len(V2))[:, y].sum(axis=0)
+        member = np.zeros(len(V2), dtype=bool)
+        member[y] = True
+        return np.bitwise_count(block[x] & np.packbits(member)).sum(axis=axis)
+
+    def passes(a: np.ndarray, b: np.ndarray, k2: int, check_seed: int) -> bool:
+        if len(a) <= checker_cap and len(b) <= checker_cap:
+            return exact_lower_regular(G_c, VertexSet(G_c.n, V1.ids[a]),
+                                       VertexSet(G_c.n, V2.ids[b]), eps,
                                        effective_p, checker_cap).passed
-        return _falsify(G_c, a_ids, b_ids, k_drawn, k2, threshold,
-                        checker_trials, check_seed) is None
+        return _falsify(edges, a, b, k_drawn, k2, threshold, checker_trials,
+                        check_seed) is None
 
     rng = seeds.rng(seed)
     amb_ids = ambient.to_list()
-    nw_hoods: dict[int, np.ndarray] = {}  # ids of N(w) & V2, per partner w drawn
+    all_v2 = np.arange(len(V2))
+    nw_hoods: dict[int, np.ndarray] = {}  # N(w) in V2, per partner w drawn
     bad_ids = []
-    # on a two-set cycle V2 is the ambient set itself, so these are plain
-    # intersections, not neighbours_in (which wants v outside the set)
-    for v in amb_ids:
-        nv_ids = (gamma.neighbours(v) & V1).ids
-        if len(nv_ids) < size:
+    for i, v in enumerate(amb_ids):
+        nv = np.flatnonzero(np.unpackbits(hood1[i], count=len(V1)))
+        if len(nv) < size:
             bad_ids.append(v)
             continue
         for d in range(draws):
-            Nv = sample_ids(nv_ids, size, rng)
+            Nv = sample_ids(nv, size, rng)
             check_seed = seed + 1 + v * 1009 + d
-            if not passes(Nv, v2_ids, k_v2, check_seed):
+            if not passes(Nv, all_v2, k_v2, check_seed):
                 bad_ids.append(v)
                 break
-            w = amb_ids[int(rng.integers(len(amb_ids)))]
-            if w not in nw_hoods:
-                nw_hoods[w] = (gamma.neighbours(w) & V2).ids
-            if len(nw_hoods[w]) < size:
+            j = int(rng.integers(len(amb_ids)))
+            if j not in nw_hoods:
+                nw_hoods[j] = np.flatnonzero(np.unpackbits(hood2[j], count=len(V2)))
+            if len(nw_hoods[j]) < size:
                 continue
-            Nw = sample_ids(nw_hoods[w], size, rng)
+            Nw = sample_ids(nw_hoods[j], size, rng)
             if not passes(Nv, Nw, k_drawn, check_seed + 500009):
                 bad_ids.append(v)
                 break

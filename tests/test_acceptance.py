@@ -431,7 +431,7 @@ def test_07_verifier_agrees_with_oracle():
             nb = ((i0, j0 + 1) if j0 + 1 < emb.b
                   else (i0 + 1, j0) if i0 + 1 < emb.a
                   else (i0, j0 - 1))
-            lo = bg.part_of(img[nb]) * bg.part_size
+            lo = img[nb] // bg.part_size * bg.part_size
             used = set(img.values())
             img[pick] = next(v for v in range(lo, lo + bg.part_size)
                              if v not in used)

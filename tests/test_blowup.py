@@ -107,7 +107,8 @@ def test_structure_invariants():
     bg.validate()
     g, H = bg.gamma, bg.host.graph
     assert g.n == 6 * 15
-    assert bg.part_of(0) == 0 and bg.part_of(89) == 5
+    assert bg.part(0).to_list() == list(range(15))
+    assert bg.part(5).to_list() == list(range(75, 90))
     # locality: no edges across non-host pairs, none inside parts
     for x in range(6):
         for y in range(x + 1, 6):

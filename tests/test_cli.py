@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monogrid.blowup import build_blowup
+from monogrid.blowup import build_blowup, save_blowup
 from monogrid.cli import apply_colouring, build_parser, main, run_once
 from monogrid import embedder, pipeline
 from monogrid.config import (
@@ -26,7 +26,7 @@ from monogrid.config import (
     RunConfig,
     load_config,
 )
-from monogrid.graphs import read_graph
+from monogrid.graphs import read_graph, write_colouring
 from monogrid.hosts import host_cycle
 from monogrid.pipeline import regular_subgraph
 from monogrid.regularity import EXACT_CAP
@@ -83,6 +83,41 @@ def test_colouring_spec_bounds_checked():
         apply_colouring(bg, "mono 5", 2, 0)
 
 
+# sha256 of the blow-up graph file and of the colouring file of every strategy.
+# s = 70 is no multiple of 64, so the adjacency blocks straddle the parts.
+PINNED_GRAPH = "ebb5ce3d9fd9051572300bf3ed6c565e75dc0d79abb61bb1dcd71bd43c11b96a"
+PINNED_COLOURINGS = {
+    (2, "mono 1"): "81dd059e40342cc1e657e818b1c2605b0444c1d468a3faf2aa96b465ed123507",
+    (2, "uniform-random"):
+        "1d99afdbeafed99f134f5e5f5ee51db7680f8b63eb15682d9cf7b7db370cc8ed",
+    (2, "host-edge-split"):
+        "dd8832c8df3b9e77dcbbe5c5540cedf04f66639386b3cbfe2b48796c77a59254",
+    (2, "degree-adversary"):
+        "a866d204e07d5842e7a61195dc151b1dfc9283a63e92f29f0e130ccf3bc8f265",
+    (3, "mono 1"): "83f664e9d1b479666897e3f9c52ff8015fee397c6adba88d0f51cfa85ca23c57",
+    (3, "uniform-random"):
+        "c912e3813f2387276ea22cf5da5cc0a05688d1f3908b3eadce9ce8caa2c027cf",
+    (3, "host-edge-split"):
+        "02ff4e7c3eb0719969b730c021735fa96666e37c968dbbef22c095d6202015c2",
+    (3, "degree-adversary"):
+        "42310a87bec11d940470d67223e50115a2bda48906938374b8f26674660fc674",
+}
+
+
+def _file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("r,spec", sorted(PINNED_COLOURINGS))
+def test_blowup_and_colouring_files_are_pinned(tmp_path, r, spec):
+    bg = build_blowup(host_cycle(5), 70, 0.3, 7)
+    save_blowup(bg, str(tmp_path / "blowup"))
+    assert _file_sha256(tmp_path / "blowup.graph") == PINNED_GRAPH
+    write_colouring(apply_colouring(bg, spec, r, 7), str(tmp_path / "colouring.txt"),
+                    comment=spec)
+    assert _file_sha256(tmp_path / "colouring.txt") == PINNED_COLOURINGS[r, spec]
+
+
 def test_host_edge_split_colouring_recovered_exactly():
     # each part pair is monochromatic in its host edge's colour, so the
     # majority vote has no freedom: the settled colouring must reproduce
@@ -93,7 +128,7 @@ def test_host_edge_split_colouring_recovered_exactly():
     chi = apply_colouring(bg, "host-edge-split", 2, 3)
     want = {e: k % 2 for k, e in enumerate(sorted(H.graph.edges()))}
     for (u, v), c in chi.items():
-        assert c == want[(bg.part_of(u), bg.part_of(v))]
+        assert c == want[(u // bg.part_size, v // bg.part_size)]
     params = RegParams(r=2, max_degree=2, eps=Fraction(1, 4),
                        eps_inherit=Fraction(1, 16), alpha=Fraction(1, 2),
                        lam=Fraction(1), delta=Fraction(4, 64),

@@ -99,7 +99,7 @@ def test_first_row_is_deterministic():
     one = seed_first_row(ctx, 42)
     two = seed_first_row(ctx, 42)
     assert one.images == two.images
-    assert [b.bits for b in one.family] == [b.bits for b in two.family]
+    assert [b.to_list() for b in one.family] == [b.to_list() for b in two.family]
 
 
 def test_first_row_banks_avoid_bad_vertices():
@@ -128,7 +128,7 @@ def test_first_row_audit_rejects_empty_opening_pair():
     bg = build_blowup(host_cycle(5), 10, 1.0, 3)
     crossing = {}
     for u, v in bg.gamma.edges():
-        parts = {bg.part_of(u), bg.part_of(v)}
+        parts = {u // bg.part_size, v // bg.part_size}
         crossing[(u, v)] = 1 if parts == {0, 1} else 0
     chi = EdgeColouring(bg.gamma.n, 2, crossing)
     G = colour_subgraph(bg.gamma, chi, 0)

@@ -3,14 +3,15 @@
 The readers and writers work a block at a time with numpy; the per-line
 parser only sees blocks that are not canonical or hold a faulty line.  The
 references below are the per-line reader and the per-edge writer that the
-kernels replaced, copied verbatim: every file must read to an equal graph or
-colouring, or fail with the identical message, and every write must produce
-the same bytes.
+kernels replaced, copied verbatim but for building their results from edges:
+every file must read to an equal graph or colouring, or fail with the
+identical message, and every write must produce the same bytes.
 """
 
 import heapq
 import os
 import tempfile
+import tracemalloc
 from itertools import repeat
 
 import numpy as np
@@ -43,6 +44,18 @@ def _significant_lines(path):
             if not line or line.startswith("#"):
                 continue
             yield lineno, line.split()
+
+
+def _from_rows(n, rows):
+    """The graph of n int adjacency rows (bit v of rows[u] is edge uv)."""
+    edges = []
+    for u, row in enumerate(rows):
+        row >>= u + 1
+        while row:
+            low = row & -row
+            edges.append((u, u + low.bit_length()))
+            row ^= low
+    return Graph.from_edges(n, edges)
 
 
 def ref_read_graph(path):
@@ -78,7 +91,7 @@ def ref_read_graph(path):
         m += 1
     if n is None:
         raise ValueError(f"{path}: missing header line")
-    return Graph(n, rows, m)
+    return _from_rows(n, rows)
 
 
 def _paint(rows, u, v, c):
@@ -129,7 +142,7 @@ def ref_read_colouring(path, n=None):
             raise ValueError(f"{path}:{lineno}: {e}") from None
     if r is None:
         raise ValueError(f"{path}: missing header line")
-    return EdgeColouring.from_classes([Graph(len(cls), cls) for cls in rows])
+    return EdgeColouring.from_classes([_from_rows(len(cls), cls) for cls in rows])
 
 
 def _write_comment(fh, comment):
@@ -188,7 +201,6 @@ def _both(tmp: str, body: bytes, read, ref, *args, block=64):
         fh.write(body)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphs, "READ_BLOCK", block)
-        mp.setattr(graphs, "ROW_BLOCK", 8)
         got = _outcome(read, path, *args)
     return got, _outcome(ref, path, *args)
 
@@ -366,6 +378,9 @@ def files(draw, colours: bool):
     r = draw(st.sampled_from([2, 3]))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = sorted(draw(st.sets(st.sampled_from(pairs), max_size=80))) if pairs else []
+    # a stride of 7 spreads the ids over several 64-vertex blocks
+    stride = draw(st.sampled_from([1, 7]))
+    n, edges = n * stride, [(u * stride, v * stride) for u, v in edges]
     fields = [[str(u), str(v)] + ([str(draw(st.integers(0, r - 1)))] if colours else [])
               for u, v in edges]
     lines = [["r", str(r)] if colours else ["n", str(n)]] + fields
@@ -437,8 +452,8 @@ def _sparse(n: int, edges) -> Graph:
 
 
 GRAPH_CASES = [
-    Graph(0, []),
-    Graph(1, [0]),
+    _sparse(0, []),
+    _sparse(1, []),
     _sparse(2, [(0, 1)]),
     _sparse(200, [(0, 199), (5, 150)]),                # isolated high vertices
     _sparse(12001, [(0, 12000), (9999, 10000), (10000, 12000), (3, 10001)]),
@@ -463,23 +478,44 @@ def test_graph_round_trip_with_default_blocks(tmp_path, G):
     assert back == G and back.edge_count == G.edge_count
 
 
+def _traced_peak(read, path: str):
+    """What `read(path)` returns, and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        got = read(path)
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_one_long_edge_per_row_block(tmp_path):
-    # Edges (64k, n-1): each bitmap row block is as wide as its rightmost
-    # edge, so every block here spans the rest of the universe, and the
-    # bitmap holds 64 full-width rows per edge (about 8 * sum(n - 64k) bytes,
-    # 625 MB at n = 100,000).  The rows read back right; bounding the bitmap
-    # by the rows' own widths is left until a workload needs it.
-    n = 6400
-    G = _sparse(n, [(a, n - 1) for a in range(0, n - 1, graphs.ROW_BLOCK)])
+    # Edges (64k, n-1): every row block has one edge, and it reaches the far
+    # end of the universe.  Only the tiles that hold an edge are stored, so
+    # reading the file peaks within twice the tiles it reads.
+    n = 100_000
+    G = _sparse(n, [(a, n - 1) for a in range(0, n - 1, graphs.W)])
     path = str(tmp_path / "g.txt")
     write_graph(G, path)
-    assert _outcome(read_graph, path) == _outcome(ref_read_graph, path)
+    back, peak = _traced_peak(read_graph, path)
+    assert back == G and back.edge_count == len(range(0, n - 1, graphs.W))
+    assert peak <= 2 * back._tiles.nbytes
+
+
+def test_three_edges_in_a_million_vertices(tmp_path):
+    # the index grows with n / 64, not with (n / 64) squared
+    n = 1_000_000
+    G = _sparse(n, [(0, n - 1), (5, 700_000), (999_000, 999_001)])
+    path = str(tmp_path / "g.txt")
+    write_graph(G, path)
+    back, peak = _traced_peak(read_graph, path)
+    assert back == G
+    assert peak <= 2 * 2**20
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n"])
 def test_colouring_row_blocks_widen_line_by_line(tmp_path, end):
-    # a star whose leaves come in ascending order: the row blocks widen on
-    # every few lines
+    # a star whose leaves come in ascending order: every few lines open a
+    # new tile in each orientation
     body = "r 2\n" + "".join(f"0 {v} {v % 2}{end}" for v in range(1, 3001))
     got, want = _both(str(tmp_path), body.encode(), read_colouring, ref_read_colouring,
                       3001, block=1 << 12)
@@ -492,8 +528,8 @@ def _three_colours_one_empty() -> EdgeColouring:
 
 
 COLOURING_CASES = [
-    EdgeColouring.constant(Graph(0, []), 2),
-    EdgeColouring.constant(Graph(1, [0]), 2),
+    EdgeColouring.constant(_sparse(0, []), 2),
+    EdgeColouring.constant(_sparse(1, []), 2),
     EdgeColouring.constant(Graph.cycle(70), 2, 1),
     EdgeColouring.constant(_sparse(12001, [(0, 12000), (10000, 11000)]), 3, 2),
     _three_colours_one_empty(),
@@ -522,33 +558,28 @@ def colourings(draw):
 
 
 @SETTINGS
-@given(colourings(), st.sampled_from([8, 16, 64]))
-def test_writers_and_items_match_reference(case, rows):
+@given(colourings())
+def test_writers_and_items_match_reference(case):
     chi, mapping = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "EDGE_ROWS", rows)
-        mp.setattr(graphs, "ROW_BLOCK", 8)
-        assert list(chi.items()) == list(ref_items(chi)) == sorted(mapping.items())
-        assert (_bytes_of(write_colouring, chi, "c")
-                == _bytes_of(ref_write_colouring, chi, "c"))
-        for g in chi.classes:
-            assert _bytes_of(write_graph, g) == _bytes_of(ref_write_graph, g)
+    assert list(chi.items()) == list(ref_items(chi)) == sorted(mapping.items())
+    assert (_bytes_of(write_colouring, chi, "c")
+            == _bytes_of(ref_write_colouring, chi, "c"))
+    for g in chi.classes:
+        assert _bytes_of(write_graph, g) == _bytes_of(ref_write_graph, g)
 
 
 @SETTINGS
 @given(colourings(), st.integers(0, 2**32 - 1))
 def test_by_edge_paints_ascending_edges(case, seed):
     chi, _ = case
-    G = Graph(chi.n, [0] * chi.n)
-    for g in chi.classes:  # the union of the classes
-        G = Graph(G.n, [a | b for a, b in zip(G._rows, g._rows)])
+    G = Graph.from_edges(chi.n, [e for e, _ in chi.items()])  # the union of the classes
     draws = np.random.default_rng(seed).integers(0, chi.r, size=G.edge_count)
     rows = [[0] * G.n for _ in range(chi.r)]
     for (u, v), c in zip(G.edges(), draws.tolist()):
         rows[c][u] |= 1 << v
         rows[c][v] |= 1 << u
     painted = EdgeColouring.by_edge(G, chi.r, draws)
-    assert [g._rows for g in painted.classes] == rows
+    assert [[g.row(v) for v in range(G.n)] for g in painted.classes] == rows
     assert painted.colour_counts() == np.bincount(draws, minlength=chi.r).tolist()
 
 

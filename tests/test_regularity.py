@@ -413,11 +413,10 @@ def test_bad_set_empty_on_complete():
 def test_bad_set_catches_stripped_vertex():
     bg = triangle_blowup(40, 0.6, 1)
     victim = next(iter(bg.part(2)))
-    rows = [bg.gamma.row(v) for v in range(bg.gamma.n)]
-    for w in list(bg.gamma.neighbours(victim) & bg.part(0)):
-        rows[victim] &= ~(1 << w)
-        rows[w] &= ~(1 << victim)
-    damaged = Graph(bg.gamma.n, rows)
+    part0 = bg.part(0)
+    damaged = Graph.from_edges(bg.gamma.n, [
+        (u, v) for u, v in bg.gamma.edges()
+        if not (victim in (u, v) and (u in part0 or v in part0))])
     B = compute_bad_set(damaged, damaged, bg.part(0), bg.part(1),
                         bg.part(2), Fraction(9, 20), Fraction(1, 2), 0.6,
                         draws=2, seed=3)
@@ -466,12 +465,17 @@ def test_verdict_round_trips_to_json():
 #
 # The references below are the earlier `sampled_lower_regular` and
 # `compute_bad_set`: every subset a VertexSet, every density a Fraction.
-# They read the bit rows directly, so they share no edge count with the code
+# They read `Graph.row` directly, so they share no edge count with the code
 # under test.
 
 
+def _bits(S):
+    """The members of S as an int bitmask."""
+    return sum(1 << v for v in S)
+
+
 def _ref_density(G, U1, U2):
-    return Fraction(sum((G.row(u) & U2.bits).bit_count() for u in U1),
+    return Fraction(sum((G.row(u) & _bits(U2)).bit_count() for u in U1),
                     len(U1) * len(U2))
 
 
@@ -482,7 +486,8 @@ def _ref_sample(S, k, rng):
 
 
 def _ref_lowest_by_degree(G, pool, into, k):
-    return [v for _, v in sorted(((G.row(v) & into.bits).bit_count(), v)
+    mask = _bits(into)
+    return [v for _, v in sorted(((G.row(v) & mask).bit_count(), v)
                                  for v in pool)[:k]]
 
 
@@ -587,13 +592,11 @@ def damaged_triangles(draw, densities=(0.3, 0.5, 0.8, 1.0), victims=24):
     s = draw(st.integers(6, 24))
     p = draw(st.sampled_from(densities))
     bg = triangle_blowup(s, p, draw(st.integers(0, 2**16)))
-    rows = [bg.gamma.row(v) for v in range(bg.gamma.n)]
-    part2 = bg.part(2).to_list()
-    for victim in draw(st.lists(st.sampled_from(part2), max_size=victims)):
-        for w in bg.part(0):
-            rows[victim] &= ~(1 << w)
-            rows[w] &= ~(1 << victim)
-    return bg, p, Graph(bg.gamma.n, rows)
+    part0 = bg.part(0)
+    stripped = set(draw(st.lists(st.sampled_from(bg.part(2).to_list()), max_size=victims)))
+    return bg, p, Graph.from_edges(bg.gamma.n, [
+        (u, v) for u, v in bg.gamma.edges()
+        if not ({u, v} & stripped and (u in part0 or v in part0))])
 
 
 EQUIVALENCE = settings(max_examples=60, deadline=None)
