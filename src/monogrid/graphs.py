@@ -10,7 +10,7 @@ else.  The row of v is word v mod 64 of row block v // 64's tiles, so a
 subset degree is a gather, an AND with the subset's word mask and a popcount.
 
 Only this module sees that layout; the rest ask set-level questions
-(`adjacency`, `degrees_into`, `edge_count`, `pair_density`, `neighbours_in`,
+(`PairMatrix`, `degrees_into`, `edge_count`, `pair_density`, `neighbours_in`,
 `Graph.induced`, the `VertexSet` algebra).  `oracle.py` keeps its search state
 in int masks from `Graph.row`, the one conversion of tiles into ints.
 
@@ -82,31 +82,42 @@ def sample_ids(ids: np.ndarray, k: int, rng) -> np.ndarray:
 class VertexSet:
     """Immutable subset of 0..n-1: its members as a read-only sorted int64 array.
 
-    `VertexSet(n, ids)` adopts sorted distinct int64 ids unchecked;
-    `from_ids` takes any ids.  The word mask is built on first use.
+    `VertexSet(n, ids)` and `from_ids` take integer ids in any order,
+    duplicates allowed.  The word mask is built on first use.
     """
 
     __slots__ = ("n", "ids", "_mask")
 
-    def __init__(self, n: int, ids: np.ndarray):
+    def __init__(self, n: int, ids: Iterable[int]):
+        ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+        member = np.zeros(n, dtype=bool)
+        if ids.size:
+            if ids.dtype.kind not in "iu":
+                raise TypeError(f"vertex ids must be integers, not {ids.dtype}")
+            outside = (ids < 0) | (ids >= n)
+            if outside.any():
+                raise ValueError(f"vertex {ids[outside.argmax()]} outside universe of size {n}")
+            member[ids] = True
+        self._adopt(n, np.flatnonzero(member))
+
+    def _adopt(self, n: int, ids: np.ndarray) -> "VertexSet":
         ids.flags.writeable = False
-        self.n, self.ids = n, ids
-        self._mask: np.ndarray | None = None
+        self.n, self.ids, self._mask = n, ids, None  # the word mask, built on first use
+        return self
+
+    @classmethod
+    def _of(cls, n: int, ids: np.ndarray) -> "VertexSet":
+        """The set of sorted distinct int64 `ids`, adopted unchecked."""
+        return object.__new__(cls)._adopt(n, ids)
 
     @classmethod
     def from_ids(cls, n: int, ids: Iterable[int]) -> "VertexSet":
-        """The set of the given ids, in any order, duplicates allowed."""
-        ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
-        if not ids.size:
-            return cls.empty(n)
-        outside = (ids < 0) | (ids >= n)
-        if outside.any():
-            raise ValueError(f"vertex {ids[outside.argmax()]} outside universe of size {n}")
-        return cls(n, np.unique(ids.astype(np.int64)))
+        """The set of the given ids, as `VertexSet(n, ids)`."""
+        return cls(n, ids)
 
     @classmethod
     def empty(cls, n: int) -> "VertexSet":
-        return cls(n, np.empty(0, dtype=np.int64))
+        return cls._of(n, np.empty(0, dtype=np.int64))
 
     @property
     def size(self) -> int:
@@ -143,15 +154,15 @@ class VertexSet:
 
     def __and__(self, other: "VertexSet") -> "VertexSet":
         self._check_universe(other)
-        return VertexSet(self.n, self.ids[_holds(other._words(), self.ids)])
+        return VertexSet._of(self.n, self.ids[_holds(other._words(), self.ids)])
 
     def __or__(self, other: "VertexSet") -> "VertexSet":
         self._check_universe(other)
-        return VertexSet(self.n, np.union1d(self.ids, other.ids))
+        return VertexSet._of(self.n, np.union1d(self.ids, other.ids))
 
     def __sub__(self, other: "VertexSet") -> "VertexSet":
         self._check_universe(other)
-        return VertexSet(self.n, self.ids[~_holds(other._words(), self.ids)])
+        return VertexSet._of(self.n, self.ids[~_holds(other._words(), self.ids)])
 
     def isdisjoint(self, other: "VertexSet") -> bool:
         return not self & other
@@ -161,19 +172,19 @@ class VertexSet:
             raise ValueError(f"vertex {v} outside universe of size {self.n}")
         if v in self:
             return self
-        return VertexSet(self.n, np.insert(self.ids, np.searchsorted(self.ids, v), v))
+        return VertexSet._of(self.n, np.insert(self.ids, np.searchsorted(self.ids, v), v))
 
     def lowest(self, k: int) -> "VertexSet":
         """The k smallest member ids, as a new set."""
         if k < 0 or k > len(self):
             raise ValueError(f"cannot take {k} of {len(self)} members")
-        return VertexSet(self.n, self.ids[:k])
+        return VertexSet._of(self.n, self.ids[:k])
 
     def sample(self, k: int, rng) -> "VertexSet":
         """Uniform k-subset drawn with the supplied numpy Generator."""
         if k < 0 or k > len(self):
             raise ValueError(f"cannot sample {k} of {len(self)} members")
-        return VertexSet(self.n, sample_ids(self.ids, k, rng))
+        return VertexSet._of(self.n, sample_ids(self.ids, k, rng))
 
     def to_list(self) -> list[int]:
         return self.ids.tolist()
@@ -270,7 +281,7 @@ class Graph:
 
     def neighbours(self, v: int) -> VertexSet:
         words, cols = self._row_words(v)
-        return VertexSet(self.n, _word_ids(words, cols * W))
+        return VertexSet._of(self.n, _word_ids(words, cols * W))
 
     def induced(self, S: VertexSet) -> "Graph":
         """The subgraph on the members of S, on the same vertex ids 0..n-1."""
@@ -331,23 +342,42 @@ def _row_and(G: Graph, ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, n
     return G._tiles[tile, (ids & 63)[at]] & mask[G._col[tile]], at
 
 
-def adjacency(G: Graph, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
-    """The 0/1 matrix of G between two int64 id arrays, as bools: entry
-    (i, j) says whether a_ids[i] b_ids[j] is an edge; unchecked."""
-    blocks, col = np.unique(b_ids >> 6, return_inverse=True)
-    col = col * W + (b_ids & 63)  # b_ids[j]'s bit among the words of `blocks`
-    out = np.empty((len(a_ids), len(b_ids)), dtype=bool)
-    for r0 in range(0, len(a_ids), 1024):  # bounds the unpacked bits
-        ids = a_ids[r0:r0 + 1024]
-        tile, at = _row_tiles(G, ids)
-        where = np.searchsorted(blocks, G._col[tile]).clip(max=len(blocks) - 1)
-        hit = blocks[where] == G._col[tile]
-        tile, at = tile[hit], at[hit]
-        words = np.zeros((len(ids), len(blocks)), dtype=_U64)
-        words[at, where[hit]] = G._tiles[tile, (ids & 63)[at]]
-        bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-        np.take(bits.view(bool), col, axis=1, out=out[r0:r0 + len(ids)])
-    return out
+class PairMatrix:
+    """The 0/1 matrix of G between two int64 id arrays, packed 8 columns to a
+    byte by `np.packbits`: entry (i, j) says whether a_ids[i] b_ids[j] is an
+    edge.  Rows and columns go by position in the id arrays; unchecked."""
+
+    __slots__ = ("cols", "rows")
+
+    def __init__(self, G: Graph, a_ids: np.ndarray, b_ids: np.ndarray):
+        blocks, col = np.unique(b_ids >> 6, return_inverse=True)
+        col = col * W + (b_ids & 63)  # b_ids[j]'s bit among the words of `blocks`
+        self.cols = len(b_ids)
+        self.rows = np.empty((len(a_ids), -(-self.cols // 8)), dtype=np.uint8)
+        for r0 in range(0, len(a_ids), 1024):  # bounds the unpacked bits
+            ids = a_ids[r0:r0 + 1024]
+            tile, at = _row_tiles(G, ids)
+            where = np.searchsorted(blocks, G._col[tile]).clip(max=len(blocks) - 1)
+            hit = blocks[where] == G._col[tile]
+            tile, at = tile[hit], at[hit]
+            words = np.zeros((len(ids), len(blocks)), dtype=_U64)
+            words[at, where[hit]] = G._tiles[tile, (ids & 63)[at]]
+            bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+            self.rows[r0:r0 + len(ids)] = np.packbits(bits[:, col], axis=1)
+
+    def ones(self, i: int) -> np.ndarray:
+        """The columns of the ones of row i, ascending."""
+        return np.flatnonzero(np.unpackbits(self.rows[i], count=self.cols))
+
+    def count(self, x, y: np.ndarray, axis: int | None = None):
+        """The ones of the submatrix on rows x and columns y: in all (axis
+        None), per column (axis 0) or per row (axis 1), as `np.count_nonzero`
+        counts them."""
+        if axis == 0:
+            return np.unpackbits(self.rows[x], axis=1, count=self.cols)[:, y].sum(axis=0)
+        member = np.zeros(self.cols, dtype=bool)
+        member[y] = True
+        return np.bitwise_count(self.rows[x] & np.packbits(member)).sum(axis=axis)
 
 
 def degrees_into(G: Graph, ids: np.ndarray, B: VertexSet) -> np.ndarray:
@@ -393,7 +423,7 @@ def neighbours_in(G: Graph, v: int, B: VertexSet) -> VertexSet:
     if v in B:
         raise ValueError(f"vertex {v} must not belong to the target set")
     words, cols = G._row_words(v)
-    return VertexSet(G.n, _word_ids(words & B._words()[cols], cols * W))
+    return VertexSet._of(G.n, _word_ids(words & B._words()[cols], cols * W))
 
 
 # ---------------------------------------------------------------------------
@@ -431,18 +461,6 @@ def _edge_blocks(classes) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
         u, v, c = np.concatenate(us), np.concatenate(vs), np.concatenate(cs)
         order = np.argsort((u - R * W) * (int(v.max()) + 1) + v, kind="stable")
         yield u[order], v[order], c[order]
-
-
-def _key_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a non-empty int array, ascending, and each
-    entry's place among them (by a bitmap when the values are dense)."""
-    lo = int(key.min())
-    span = int(key.max()) - lo + 1
-    if span > 4 * len(key):
-        return np.unique(key, return_inverse=True)
-    seen = np.zeros(span, dtype=bool)
-    seen[key - lo] = True
-    return np.flatnonzero(seen) + lo, (np.cumsum(seen) - 1)[key - lo]
 
 
 class _ClassBuilder:
@@ -483,7 +501,7 @@ class _ClassBuilder:
 
     def has_any(self, a: np.ndarray, b: np.ndarray) -> bool:
         """Whether some edge {a[i], b[i]} is in some class."""
-        keys, at = _key_groups((a >> 6) * self.nb + (b >> 6))
+        keys, at = np.unique((a >> 6) * self.nb + (b >> 6), return_inverse=True)
         for slots, store in zip(self.slots, self.store):
             rows = np.array([slots.get(key, -1) for key in keys.tolist()],
                             dtype=np.int64)[at]
@@ -501,7 +519,7 @@ class _ClassBuilder:
             mine = slice(None) if len(present) == 1 else c == cls
             x = np.concatenate((a[mine], b[mine]))
             y = np.concatenate((b[mine], a[mine]))
-            keys, at = _key_groups((x >> 6) * self.nb + (y >> 6))
+            keys, at = np.unique((x >> 6) * self.nb + (y >> 6), return_inverse=True)
             rows = np.array(self._rows(cls, keys.tolist()), dtype=np.int64)
             np.bitwise_or.at(self.store[cls], (rows[at], x & 63), _bits(y & 63))
 

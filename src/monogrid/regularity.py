@@ -28,10 +28,9 @@ import numpy as np
 from monogrid import seeds
 from monogrid.graphs import (
     Graph,
+    PairMatrix,
     VertexSet,
-    adjacency,
     degrees_into,
-    edge_count,
     pair_density,
     sample_ids,
 )
@@ -164,10 +163,10 @@ def exact_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
     threshold = (1 - eps) * Fraction(p)
     k1, k2 = _subset_sizes(eps, len(A), len(B))
     a_ids, b_ids = A.to_list(), B.to_list()
-    M = adjacency(G, A.ids, B.ids)
+    M, all_b = PairMatrix(G, A.ids, B.ids), np.arange(len(b_ids))
     den, bound = threshold.denominator, threshold.numerator * k1 * k2
     for combo in combinations(range(len(a_ids)), k1):
-        degrees = np.count_nonzero(M[list(combo)], axis=0).tolist()
+        degrees = M.count(list(combo), all_b, 0).tolist()
         worst = sorted(zip(degrees, b_ids))[:k2]
         edge_sum = sum(d for d, _ in worst)
         if edge_sum * den < bound:
@@ -183,26 +182,15 @@ def _lowest(ids: np.ndarray, degrees: np.ndarray, k: int) -> np.ndarray:
     return ids[np.argsort(degrees, kind="stable")[:k]]
 
 
-def _graph_edges(G: Graph):
-    """The `edges` of `_falsify` for a check in G itself."""
-    def edges(x: np.ndarray, y: np.ndarray, axis: int | None = None):
-        if axis is None:
-            return edge_count(G, x, y)
-        x, y = (x, y) if axis == 1 else (y, x)
-        return degrees_into(G, x, VertexSet.from_ids(G.n, y))
-    return edges
-
-
-def _falsify(edges, a_ids: np.ndarray, b_ids: np.ndarray, k1: int, k2: int,
+def _falsify(M: PairMatrix, a: np.ndarray, b: np.ndarray, k1: int, k2: int,
              threshold: Fraction, trials: int, seed: int):
-    """The sampled trials of a check of the pair of sides (a_ids, b_ids),
-    two disjoint ascending id arrays, over k1 x k2 sub-pairs, with the
-    generator of `seed`.  `edges(x, y, axis)` counts, as `np.count_nonzero`
-    does, the ones of the 0/1 matrix of the checked graph between ids x of
-    the left side and ids y of the right.
+    """The sampled trials of a check of the pair of sides (a, b), ascending
+    row and column positions of the pair matrix M, over k1 x k2 sub-pairs,
+    with the generator of `seed`.  Positions keep the id order, so the draws
+    pick what they would over ids.
 
     Returns the first sub-pair whose density falls below `threshold`, as
-    (U1 ids, U2 ids, edge count), or None when every trial passes.  The
+    (U1 positions, U2 positions, edge count), or None when every trial passes.  The
     biased first half of the trials peels from the low-degree end (the left
     subset among the 2k1 lowest-degree-into-B vertices, then the right
     subset among the 2k2 lowest-degree vertices into the chosen left
@@ -214,16 +202,16 @@ def _falsify(edges, a_ids: np.ndarray, b_ids: np.ndarray, k1: int, k2: int,
     den, bound = threshold.denominator, threshold.numerator * k1 * k2
     # the biased trials' left pool: nothing the trials draw changes it
     if biased:
-        pool1 = _lowest(a_ids, edges(a_ids, b_ids, 1), min(2 * k1, len(a_ids)))
+        pool1 = _lowest(a, M.count(a, b, 1), min(2 * k1, len(a)))
     for t in range(trials):
         if t < biased:
             u1 = pool1[rng.choice(len(pool1), size=k1, replace=False)]
-            pool2 = _lowest(b_ids, edges(u1, b_ids, 0), min(2 * k2, len(b_ids)))
+            pool2 = _lowest(b, M.count(u1, b, 0), min(2 * k2, len(b)))
             u2 = pool2[rng.choice(len(pool2), size=k2, replace=False)]
         else:
-            u1 = a_ids[rng.choice(len(a_ids), size=k1, replace=False)]
-            u2 = b_ids[rng.choice(len(b_ids), size=k2, replace=False)]
-        e = int(edges(u1, u2))
+            u1 = a[rng.choice(len(a), size=k1, replace=False)]
+            u2 = b[rng.choice(len(b), size=k2, replace=False)]
+        e = int(M.count(u1, u2))
         if e * den < bound:
             return u1, u2, e
     return None
@@ -243,12 +231,13 @@ def sampled_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
     eps = Fraction(eps)
     threshold = (1 - eps) * Fraction(p)
     k1, k2 = _subset_sizes(eps, len(A), len(B))
-    found = _falsify(_graph_edges(G), A.ids, B.ids, k1, k2, threshold, trials, seed)
+    found = _falsify(PairMatrix(G, A.ids, B.ids), np.arange(len(A)), np.arange(len(B)),
+                     k1, k2, threshold, trials, seed)
     if found is None:
         return RegVerdict(SAMPLED, True, threshold, trials=trials)
     u1, u2, e = found
     return RegVerdict(SAMPLED, False, threshold,
-                      (VertexSet.from_ids(G.n, u1), VertexSet.from_ids(G.n, u2)),
+                      (VertexSet(G.n, A.ids[u1]), VertexSet(G.n, B.ids[u2])),
                       Fraction(e, k1 * k2), trials)
 
 
@@ -454,25 +443,17 @@ def compute_bad_set(
     size = bank_size(effective_p, len(V1), 4)
     k_drawn, k_v2 = _subset_sizes(eps, size, len(V2))
     # Members of V1 and V2 go by their positions, which keep the id order, so
-    # every draw picks what it would over ids.  `block` packs G_c on (V1, V2),
-    # and `hood1` and `hood2` each ambient vertex's neighbours in V1 and V2.
-    block = np.packbits(adjacency(G_c, V1.ids, V2.ids), axis=1)
-    hood1, hood2 = (np.packbits(adjacency(gamma, ambient.ids, V.ids), axis=1)
-                    for V in (V1, V2))
-
-    def edges(x: np.ndarray, y: np.ndarray, axis: int | None = None):
-        if axis == 0:
-            return np.unpackbits(block[x], axis=1, count=len(V2))[:, y].sum(axis=0)
-        member = np.zeros(len(V2), dtype=bool)
-        member[y] = True
-        return np.bitwise_count(block[x] & np.packbits(member)).sum(axis=axis)
+    # every draw picks what it would over ids.  `block` is G_c on (V1, V2),
+    # and `hood1` and `hood2` hold each ambient vertex's neighbours in V1 and V2.
+    block = PairMatrix(G_c, V1.ids, V2.ids)
+    hood1, hood2 = (PairMatrix(gamma, ambient.ids, V.ids) for V in (V1, V2))
 
     def passes(a: np.ndarray, b: np.ndarray, k2: int, check_seed: int) -> bool:
         if len(a) <= checker_cap and len(b) <= checker_cap:
             return exact_lower_regular(G_c, VertexSet(G_c.n, V1.ids[a]),
                                        VertexSet(G_c.n, V2.ids[b]), eps,
                                        effective_p, checker_cap).passed
-        return _falsify(edges, a, b, k_drawn, k2, threshold, checker_trials,
+        return _falsify(block, a, b, k_drawn, k2, threshold, checker_trials,
                         check_seed) is None
 
     rng = seeds.rng(seed)
@@ -481,7 +462,7 @@ def compute_bad_set(
     nw_hoods: dict[int, np.ndarray] = {}  # N(w) in V2, per partner w drawn
     bad_ids = []
     for i, v in enumerate(amb_ids):
-        nv = np.flatnonzero(np.unpackbits(hood1[i], count=len(V1)))
+        nv = hood1.ones(i)
         if len(nv) < size:
             bad_ids.append(v)
             continue
@@ -493,7 +474,7 @@ def compute_bad_set(
                 break
             j = int(rng.integers(len(amb_ids)))
             if j not in nw_hoods:
-                nw_hoods[j] = np.flatnonzero(np.unpackbits(hood2[j], count=len(V2)))
+                nw_hoods[j] = hood2.ones(j)
             if len(nw_hoods[j]) < size:
                 continue
             Nw = sample_ids(nw_hoods[j], size, rng)

@@ -11,6 +11,7 @@ import pytest
 from monogrid.graphs import (
     EdgeColouring,
     Graph,
+    PairMatrix,
     VertexSet,
     colour_subgraph,
     neighbours_in,
@@ -98,6 +99,33 @@ def test_vertexset_from_ids_rejects_ids_outside_the_universe(bad):
         VertexSet.from_ids(10, [3, bad, 4])
     with pytest.raises(ValueError, match=f"^vertex {bad} outside universe of size 10$"):
         VertexSet.from_ids(10, np.array([bad]))
+
+
+def test_pair_matrix_matches_has_edge():
+    # more than one 1024-row chunk, and id arrays that cross tile boundaries
+    rng = np.random.default_rng(5)
+    n = 1500
+    pairs = rng.integers(0, n, (6000, 2))
+    G = Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
+    a_ids = np.sort(rng.choice(n, 1100, replace=False))
+    b_ids = np.sort(rng.choice(n, 77, replace=False))
+    M = PairMatrix(G, a_ids, b_ids)
+    ref = np.array([[G.has_edge(a, b) for b in b_ids.tolist()] for a in a_ids.tolist()])
+    for i in (0, 1023, 1024, 1099):
+        assert M.ones(i).tolist() == np.flatnonzero(ref[i]).tolist()
+    x, y = np.sort(rng.choice(1100, 40, replace=False)), np.sort(rng.choice(77, 30, replace=False))
+    sub = ref[x][:, y]
+    assert M.count(x, y) == sub.sum()
+    assert M.count(x, y, 0).tolist() == sub.sum(axis=0).tolist()
+    assert M.count(x, y, 1).tolist() == sub.sum(axis=1).tolist()
+
+
+@pytest.mark.parametrize("ids", [[1.5], np.array([2.0, 3.0]), np.array([True])])
+def test_vertexset_from_ids_rejects_ids_that_are_not_integers(ids):
+    with pytest.raises(TypeError, match="^vertex ids must be integers"):
+        VertexSet.from_ids(10, ids)
+    with pytest.raises(TypeError, match="^vertex ids must be integers"):
+        VertexSet(10, ids)
 
 
 def test_vertexset_from_ids_takes_duplicates_and_empty_input():
@@ -363,10 +391,12 @@ def test_colouring_file_errors_carry_line_numbers(tmp_path, body, lineno):
 # ---------------------------------------------------------------------------
 # layout boundary
 
-# Adjacency is tiles only inside graphs.py; these modules ask set-level
-# questions instead.  oracle.py keeps int-mask search state, which it takes
-# from `Graph.row` and from nothing else of the layout.
-_TILE_READS = re.compile(r"\._(tiles|keys|ptr|col|mask|words|rows)\b|\.bits\b|\.row\(")
+# Adjacency is tiles only inside graphs.py, and bit operations on it too;
+# these modules ask set-level questions instead.  oracle.py keeps int-mask
+# search state, which it takes from `Graph.row` and from nothing else of the
+# layout.
+_TILE_READS = re.compile(r"\._(tiles|keys|ptr|col|mask|words|rows)\b|\.bits\b|\.row\("
+                         r"|\b(un)?packbits\b|\bbitwise_count\b")
 _SRC = Path(__file__).resolve().parents[1] / "src" / "monogrid"
 
 
