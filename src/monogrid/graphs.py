@@ -379,6 +379,32 @@ class PairMatrix:
         member[y] = True
         return np.bitwise_count(self.rows[x] & np.packbits(member)).sum(axis=axis)
 
+    def counts(self, x: np.ndarray, member: np.ndarray) -> np.ndarray:
+        """The ones of many submatrices: entry i counts those on the rows x[i]
+        and the columns member[i] marks, for an int (m, k) array x and an
+        (m, cols) bool array member."""
+        mask = np.packbits(member, axis=1)
+        return sum(np.bitwise_count(self.rows[col] & mask).sum(axis=1, dtype=np.int64)
+                   for col in x.T)
+
+
+class PairTiles:
+    """`PairMatrix.count` of G between two int64 id arrays, read from the tiles
+    with no matrix built, for a caller that reads only a few sub-pairs."""
+
+    __slots__ = ("G", "a_ids", "b_ids")
+
+    def __init__(self, G: Graph, a_ids: np.ndarray, b_ids: np.ndarray):
+        self.G, self.a_ids, self.b_ids = G, a_ids, b_ids
+
+    def count(self, x, y: np.ndarray, axis: int | None = None):
+        a, b = self.a_ids[x], self.b_ids[y]
+        if axis is None:
+            return edge_count(self.G, a, b)
+        if axis == 0:
+            return degrees_into(self.G, b, VertexSet(self.G.n, a))
+        return degrees_into(self.G, a, VertexSet(self.G.n, b))
+
 
 def degrees_into(G: Graph, ids: np.ndarray, B: VertexSet) -> np.ndarray:
     """|N(v) & B| for each v of the int64 id array `ids`, in order; unchecked."""
@@ -686,17 +712,20 @@ def colour_subgraph(G: Graph, chi: EdgeColouring, c: int) -> Graph:
 # Lines starting with "#" and blank lines are ignored in both.
 #
 # The writers emit every edge once, u < v, ascending.  The readers take the
-# file in blocks of about READ_BLOCK bytes cut at line ends.  A block after
-# the header whose every line is canonical (`_decimal_block`) and whose every
-# edge is new and valid (`_fresh`) goes into the builder in a few numpy
-# operations; any other block goes through the per-line parser, which
-# reports the first faulty line.
+# file in blocks of about READ_BLOCK bytes cut at line ends, the first block
+# also right after the header line.  A block after the header whose every
+# line is canonical (`_decimal_block`) and whose every edge is new and valid
+# (`_fresh`) goes into the builder in a few numpy operations; any other block
+# goes through the per-line parser, which reports the first faulty line.
 
 # Bytes per read block.  Reading the s = 600 graph and colouring back (8.6
 # and 10.4 MB of text) on one core of a 2-CPU Xeon, blocks of 4, 16 and 64
-# KiB take about 1.4, 0.75 and 0.63 s; reading the graph peaks 1.4 MB above
-# its 1.0 MB of tiles.
-READ_BLOCK = 64 * 1024
+# KiB take about 1.4, 0.75 and 0.63 s.  Blocks of 32 KiB take 0.56-0.65 s
+# against 0.53-0.60 s at 64 KiB, and cut the traced peak of reading the
+# graph from 2.4 to 1.8 MB (its tiles are 1.0 MB) and of then reading the
+# colouring from 3.2 to 2.7 MB; desk-mono's peak RSS is set by that second
+# read.
+READ_BLOCK = 32 * 1024
 
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 
@@ -764,21 +793,47 @@ def _significant_lines(path: str) -> Iterator[tuple[int, list[str]]]:
         yield from _significant(fh)
 
 
+def _line_count(block: bytes) -> int:
+    """The lines of a block as text mode counts them."""
+    count = block.count(b"\n")
+    if b"\r" in block:
+        count += block.count(b"\r") - block.count(b"\r\n")
+    return count
+
+
+def _head_end(block: bytes) -> int:
+    """Where the first line of a block that is neither blank nor a comment
+    ends, as bytes see blanks (text mode strips more), or the block's end."""
+    at = 0
+    while at < len(block):
+        end = block.index(b"\n", at) + 1
+        line = block[at:end].strip()
+        at = end
+        if line and not line.startswith(b"#"):
+            break
+    return at
+
+
 def _blocks(path: str) -> Iterator[tuple[int, bytes]]:
     """(number of its first line, bytes) of consecutive blocks of about
     READ_BLOCK bytes of a file, each ending in "\\n" (added to an unterminated
-    last line).  Lines are counted as text mode counts them."""
+    last line).  Lines are counted as text mode counts them.  The first block
+    is cut after its header line, so that the header goes alone to the line
+    parser and the lines after it can take the block path."""
     first, tail = 1, b""
     with open(path, "rb") as fh:
         while data := fh.read(READ_BLOCK):
             data = tail + data
             cut = data.rfind(b"\n") + 1
             block, tail = data[:cut], data[cut:]
+            if first == 1 and block:
+                head = _head_end(block)
+                yield first, block[:head]
+                first += _line_count(block[:head])
+                block = block[head:]
             if block:
                 yield first, block
-                first += block.count(b"\n")
-                if b"\r" in block:
-                    first += block.count(b"\r") - block.count(b"\r\n")
+                first += _line_count(block)
     if tail:
         yield first, tail + b"\n"
 

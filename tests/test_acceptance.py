@@ -44,9 +44,9 @@ from monogrid.regularity import (
     eps_schedule,
     exact_lower_regular,
     find_lower_regular_pair,
-    recheck_witness,
     sampled_lower_regular,
 )
+from witness import recheck_witness
 
 
 def _criterion(k: int, name: str, ok: bool, detail: str) -> None:

@@ -354,13 +354,14 @@ def test_canonical_blocks_skip_the_line_parser(tmp_path, monkeypatch):
     line_parser = graphs._significant
 
     def counted(lines, start=1):
-        calls.append(start)
+        lines = list(lines)
+        calls.append((start, len(lines)))
         return line_parser(lines, start)
 
     monkeypatch.setattr(graphs, "_significant", counted)
     monkeypatch.setattr(graphs, "READ_BLOCK", 1024)
     assert read_graph(path) == G
-    assert calls == [1]  # only the block holding the header
+    assert calls == [(1, 2)]  # only the comment and the header line
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from monogrid.regularity import (
     RegParams,
     check_lower_regular,
     eps_schedule,
-    recheck_witness,
 )
+from witness import recheck_witness
 
 SEEDS = [0, 1, 2, 7, 11, 42, 101, 2024]
 

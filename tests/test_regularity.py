@@ -27,9 +27,9 @@ from monogrid.regularity import (
     eps_schedule,
     exact_lower_regular,
     find_lower_regular_pair,
-    recheck_witness,
     sampled_lower_regular,
 )
+from witness import recheck_witness
 
 SEEDS = [0, 1, 2, 3, 4, 5, 6, 7]
 
@@ -624,4 +624,45 @@ def test_bad_set_matches_the_set_based_reference(case, eps, draws, seed, trials,
     bg, p, G = case
     args = (G, G, bg.part(0), bg.part(1), bg.part(2), eps, Fraction(1, 2), p,
             draws, seed, trials, cap)
+    # The audit draws its one-trial (N_v, V2) checks through
+    # `seeds.choice_sets`, with no generator per check, so only the audit
+    # stream, the first generator either makes, is compared; the kernel's
+    # draws are checked against numpy's in tests/test_seeds.py.
+    got, got_states = _outcome(compute_bad_set, *args)
+    want, want_states = _outcome(_ref_bad_set, *args)
+    assert (got, got_states[0]) == (want, want_states[0])
+
+
+@pytest.mark.parametrize("s, p, seed, draws", [(40, 0.15, 2, 1), (40, 0.3, 1, 1),
+                                               (60, 0.2, 0, 2)])
+def test_batched_audit_replays_its_failing_checks(s, p, seed, draws):
+    # Sparse blow-ups, where (N_v, V2) checks fail inside a batch: the audit
+    # stream goes back to the failing vertex, and the batches shrink to the
+    # runs of passing checks and grow again.
+    bg = triangle_blowup(s, p, seed)
+    args = (bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2), Fraction(9, 20),
+            Fraction(1, 2), p, draws, seed, 1, 0)
+    got, got_states = _outcome(compute_bad_set, *args)
+    want, want_states = _outcome(_ref_bad_set, *args)
+    assert got[0] == "BadSetError"
+    assert (got, got_states[0]) == (want, want_states[0])
+
+
+def test_audit_with_check_seeds_past_64_bits_draws_check_by_check():
+    # choice_sets takes uint64 seeds, so such an audit makes a generator per check
+    bg = triangle_blowup(24, 0.5, 1)
+    args = (bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2), Fraction(1, 4),
+            Fraction(1, 2), 0.5, 2, 2**64 - 5, 1, 0)
     assert _outcome(compute_bad_set, *args) == _outcome(_ref_bad_set, *args)
+
+
+def test_batched_audit_makes_one_generator():
+    # On a 4-cycle blow-up no ambient vertex has a neighbour in V2, so every
+    # check is an (N_v, V2) check, drawn without a generator of its own.
+    bg = build_blowup(host_cycle(4), 60, 0.5, 3)
+    args = (bg.gamma, bg.gamma, bg.part(1), bg.part(2), bg.part(0), Fraction(1, 4),
+            Fraction(1, 2), 0.5, 3, 11, 1, 0)
+    got, got_states = _outcome(compute_bad_set, *args)
+    want, want_states = _outcome(_ref_bad_set, *args)
+    assert (got, got_states[0]) == (want, want_states[0])
+    assert len(want_states) == 1 + 3 * 60 and len(got_states) == 1
