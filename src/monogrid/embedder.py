@@ -9,6 +9,9 @@ the next set of the cycle, and every row visits every set exactly once.
 Each placed vertex banks a candidate set inside the next cycle set; the row
 below is threaded through those banks after two cleaning passes, a degree
 filter against the occupied vertices and a backward connectivity filter.
+One generator, `placements`, places every cell: it walks the candidate
+vertices under a budget and yields each (vertex, bank) that passes the
+forward and link checks; row 0 takes the first, later rows search depth first.
 The finished grid is checked by independent code that knows nothing about
 how the rows were built.
 """
@@ -16,7 +19,11 @@ how the rows were built.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
+
+import numpy as np
 
 from monogrid import seeds
 from monogrid.blowup import BlowupGraph
@@ -183,37 +190,48 @@ class GridEmbedding:
     image: dict[tuple[int, int], int]
 
 
-def _check_pair(ctx: EmbedContext, A: VertexSet, B: VertexSet, trials: int,
-                seed: int) -> RegVerdict:
-    """One (eps, alpha p) sampled check in the working graph."""
-    return sampled_lower_regular(ctx.G, A, B, ctx.params.eps,
-                                 ctx.params.alpha_p, trials, seed)
+def placements(ctx: EmbedContext, vertices: VertexSet, target: VertexSet,
+               forward: VertexSet, link: VertexSet | None, skip_thin: bool,
+               cap: int, keys: tuple[tuple[int, ...], ...], knobs: Knobs,
+               stats: dict, refuse: Callable[[str, list[RegVerdict]], None]
+               ) -> Iterator[tuple[int, VertexSet]]:
+    """Every (vertex, bank) a grid cell can take, in search order.
 
-
-def _draw_banks(ctx: EmbedContext, hood: VertexSet, v: int,
-                forward: VertexSet, link: VertexSet | None, seed: int,
-                keys: tuple[tuple[int, ...], ...], knobs: Knobs, stats: dict):
-    """Candidate banks for vertex v, each with the verdicts it drew.
-
-    Try t, for t below knobs.subset_tries, samples a candidate-size subset
-    of `hood` from stream (*keys[0], v, t), checks it against `forward`
-    (stream keys[1]) and, when there is a previous bank `link`, checks
-    `link` against it (stream keys[2]), each check over
-    knobs.embed_check_trials trials.  Every draw and check is counted in
-    `stats`.
+    Walks `vertices` in ascending id until stats["vertices_tried"] reaches
+    `cap`.  Try t of vertex v, for t below knobs.subset_tries, samples a
+    candidate-size bank from N(v) & target with stream (*keys[0], v, t),
+    checks it against `forward` (stream keys[1]) and then `link`, the
+    previous bank if any, against it (stream keys[2]), over
+    knobs.embed_check_trials trials each.  Passing banks are yielded;
+    refused ones, and reaching the cap, go to refuse(detail, verdicts).  A
+    neighbourhood too small for a bank is skipped when `skip_thin` and
+    otherwise cannot occur.  Vertices, draws and checks count in `stats`.
     """
     draw_key, forward_key, link_key = keys
-    trials = knobs.embed_check_trials
-    for t in range(knobs.subset_tries):
-        stats["subsets_drawn"] += 1
-        drawn = hood.sample(ctx.candidate_size, seeds.rng(seed, *draw_key, v, t))
-        checks = [_check_pair(ctx, drawn, forward, trials,
-                              seeds.derive(seed, *forward_key, v, t))]
-        if link is not None:
-            checks.append(_check_pair(ctx, link, drawn, trials,
-                                      seeds.derive(seed, *link_key, v, t)))
-        stats["checks"] += len(checks)
-        yield drawn, checks
+    G, eps, alpha_p = ctx.G, ctx.params.eps, ctx.params.alpha_p
+    cand, trials = ctx.candidate_size, knobs.embed_check_trials
+    for v in vertices:
+        if stats["vertices_tried"] >= cap:
+            refuse("search budget exhausted", [])
+            return
+        stats["vertices_tried"] += 1
+        hood = neighbours_in(G, v, target)
+        if hood.size < cand:
+            assert skip_thin, f"vertex {v} cannot bank {cand} neighbours"
+            continue
+        for t in range(knobs.subset_tries):
+            stats["subsets_drawn"] += 1
+            bank = hood.sample(cand, seeds.rng(*draw_key, v, t))
+            checks = [sampled_lower_regular(G, bank, forward, eps, alpha_p, trials,
+                                            seeds.derive(*forward_key, v, t))]
+            if link is not None:
+                checks.append(sampled_lower_regular(G, link, bank, eps, alpha_p, trials,
+                                                    seeds.derive(*link_key, v, t)))
+            stats["checks"] += len(checks)
+            if all(c.passed for c in checks):
+                yield v, bank
+            else:
+                refuse(f"bank rejected at vertex {v}", checks)
 
 
 def seed_first_row(ctx: EmbedContext, seed: int, *,
@@ -224,26 +242,21 @@ def seed_first_row(ctx: EmbedContext, seed: int, *,
     at (2 eps', alpha p), over knobs.embed_audit_trials trials, with eps'
     the inheritance level; the first vertex only needs a large enough
     degree into the audited set.  Later positions draw their vertex from
-    the previous position's bank, so row edges come for free, and every
-    accepted vertex banks a fresh candidate set that passes the forward
-    check (against the next-but-one set minus bad) and the link check
-    (against the previous bank).
+    the previous position's bank, so row edges come for free.
 
-    Vertices are tried in ascending id, at most knobs.vertex_budget per
-    position, with knobs.subset_tries seeded draws each.  Exhausting a
-    position raises an EmbedFailure naming it and carrying the last failing
-    verdicts.
+    Each position takes the first (vertex, bank) of `placements`, with a
+    fresh budget of knobs.vertex_budget vertices, forward checks against
+    the next-but-one set minus bad and link checks against the previous
+    bank.  A position that yields none raises an EmbedFailure naming it and
+    carrying the verdicts of its last refused bank.
     """
     m = ctx.m
-    cand = ctx.candidate_size
     free = [ctx.free(t) for t in range(m)]
 
     if free[0] and free[1]:
-        opening = sampled_lower_regular(ctx.G, free[0], free[1],
-                                        2 * ctx.params.eps_inherit,
-                                        ctx.params.alpha_p,
-                                        knobs.embed_audit_trials,
-                                        seeds.derive(seed, 3))
+        opening = sampled_lower_regular(
+            ctx.G, free[0], free[1], 2 * ctx.params.eps_inherit, ctx.params.alpha_p,
+            knobs.embed_audit_trials, seeds.derive(seed, 3))
         if not opening.passed:
             raise EmbedFailure(
                 "first-row-audit", row=0, position=0, verdicts=[opening],
@@ -253,39 +266,30 @@ def seed_first_row(ctx: EmbedContext, seed: int, *,
     images: list[int] = []
     family: list[VertexSet] = []
     stats = {"vertices_tried": 0, "subsets_drawn": 0, "checks": 0}
+
+    def refuse(detail: str, verdicts: list[RegVerdict]) -> None:
+        if verdicts:
+            last[:] = verdicts
+
     for j in range(m):
         link = family[j - 1] if j > 0 else None
         pool = free[0] if link is None else link
         target = free[(j + 1) % m]
-        forward = free[(j + 2) % m]
-        placed = False
+        start = stats["vertices_tried"]
         last: list[RegVerdict] = []
-        tried = 0
-        for v in pool:
-            if tried >= knobs.vertex_budget:
-                break
-            tried += 1
-            stats["vertices_tried"] += 1
-            hood = neighbours_in(ctx.G, v, target)
-            if hood.size < cand:
-                continue
-            for drawn, checks in _draw_banks(ctx, hood, v, forward, link, seed,
-                                             ((1, j), (2, j), (4, j)),
-                                             knobs, stats):
-                if all(c.passed for c in checks):
-                    images.append(v)
-                    family.append(drawn)
-                    placed = True
-                    break
-                last = checks
-            if placed:
-                break
-        if not placed:
+        step = next(placements(ctx, pool, target, free[(j + 2) % m], link, True,
+                               start + knobs.vertex_budget,
+                               ((seed, 1, j), (seed, 2, j), (seed, 4, j)),
+                               knobs, stats, refuse), None)
+        if step is None:
             raise EmbedFailure(
                 "first-row", row=0, position=j, verdicts=last,
-                detail=f"no vertex qualified after trying {tried} "
+                detail=f"no vertex qualified after trying "
+                       f"{stats['vertices_tried'] - start} "
                        f"(pool {pool.size}, target {target.size})",
             )
+        images.append(step[0])
+        family.append(step[1])
     occupied = [ctx.bad[t].add(images[t]) for t in range(m)]
     return RowState(0, images, family, occupied, stats)
 
@@ -334,25 +338,24 @@ def backward_filter(s_prime: list[VertexSet], ctx: EmbedContext) -> list[VertexS
     the cut size is an error naming its index.
     """
     cut = ctx.candidate_size - ctx.backward_cut
-    out: list[VertexSet | None] = [None] * len(s_prime)
     last = s_prime[-1]
     if last.size < cut:
         raise EmbedFailure(
             "backward-filter", position=len(s_prime) - 1,
             detail=f"final bank has {last.size} members, need {cut}",
         )
-    out[-1] = last.lowest(cut)
+    out = [last.lowest(cut)]
     for j in range(len(s_prime) - 2, -1, -1):
         ids = s_prime[j].ids
-        pruned = VertexSet(ctx.G.n, ids[degrees_into(ctx.G, ids, out[j + 1]) > 0])
+        pruned = VertexSet(ctx.G.n, ids[degrees_into(ctx.G, ids, out[-1]) > 0])
         if pruned.size < cut:
             raise EmbedFailure(
                 "backward-filter", position=j,
                 detail=f"retained {pruned.size} of {s_prime[j].size} members, "
                        f"need {cut}",
             )
-        out[j] = pruned
-    return out  # type: ignore[return-value]
+        out.append(pruned)
+    return out[::-1]
 
 
 def embed_row(ctx: EmbedContext, prev: RowState, seed: int, *,
@@ -360,16 +363,17 @@ def embed_row(ctx: EmbedContext, prev: RowState, seed: int, *,
     """Thread the next row through the banks the previous row left behind.
 
     The banks are pruned of occupied vertices, degree-filtered, and
-    backward-filtered; the row itself is then a left-to-right walk picking
-    the lowest available id at each position, with backtracking when a
-    position cannot also bank a fresh candidate set for the row below.
+    backward-filtered; the row itself is then a depth-first search over
+    positions, left to right, through each position's `placements` from
+    the pruned bank (next to the cell on its left), sharing one budget of
+    knobs.vertex_budget * m vertices, and backtracking when a position
+    cannot also bank a fresh candidate set for the row below.
     Fresh banks avoid the occupied sets as they stand before this row, so
     a later row can only ever collide with the single vertex this row adds
     to each cycle set, and the pruning pass removes exactly that.
     """
     m = ctx.m
     i = prev.index + 1
-    cand = ctx.candidate_size
     occ = prev.occupied
     for t in range(m):
         if occ[t].size > ctx.q_target:
@@ -383,12 +387,10 @@ def embed_row(ctx: EmbedContext, prev: RowState, seed: int, *,
         return (i + j) % m
 
     try:
-        working = [prev.family[j] - occ[set_at(j)] for j in range(m)]
-        filtered = [
-            filter_well_connected(working[j], ctx.sets[set_at(j + 1)],
-                                  occ[set_at(j + 1)], ctx)
-            for j in range(m)
-        ]
+        filtered = [filter_well_connected(prev.family[j] - occ[set_at(j)],
+                                          ctx.sets[set_at(j + 1)],
+                                          occ[set_at(j + 1)], ctx)
+                    for j in range(m)]
         pruned = backward_filter(filtered, ctx)
     except EmbedFailure as e:
         raise EmbedFailure(e.stage, e.detail, row=i,
@@ -398,48 +400,32 @@ def embed_row(ctx: EmbedContext, prev: RowState, seed: int, *,
     banks: list[VertexSet | None] = [None] * m
     stats = {"vertices_tried": 0, "subsets_drawn": 0, "checks": 0,
              "backtracks": 0}
-    budget = [knobs.vertex_budget * m]
     deepest = {"position": 0, "verdicts": [], "detail": "no options"}
 
     def note(j: int, detail: str, verdicts: list[RegVerdict]) -> None:
         if j >= deepest["position"]:
             deepest.update(position=j, detail=detail, verdicts=verdicts)
 
-    def accepted(j: int):
-        """Every (vertex, bank) position j can take, in search order."""
-        if j == 0:
-            options = pruned[0]
-        else:
-            options = neighbours_in(ctx.G, images[j - 1], pruned[j])
+    def position(j: int):
+        """The placements of position j, next to the cell placed left of it."""
+        options = neighbours_in(ctx.G, images[j - 1], pruned[j]) if j > 0 else pruned[0]
         if not options:
             note(j, "no neighbour survives in the pruned bank", [])
-            return
         target = set_at(j + 1)
-        avail = ctx.sets[target] - occ[target]
-        forward = ctx.free(set_at(j + 2))
         link = banks[j - 1] if j > 0 else None
-        for v in options:
-            if budget[0] <= 0:
-                note(j, "search budget exhausted", [])
-                return
-            budget[0] -= 1
-            stats["vertices_tried"] += 1
-            hood = neighbours_in(ctx.G, v, avail)
-            # the degree filter ran against a padded, therefore smaller, set
-            assert hood.size >= cand
-            for drawn, checks in _draw_banks(ctx, hood, v, forward, link, seed,
-                                             ((4, i, j), (5, i, j), (6, i, j)),
-                                             knobs, stats):
-                if not all(c.passed for c in checks):
-                    note(j, f"bank rejected at vertex {v}", checks)
-                    continue
-                yield v, drawn
+        keys = ((seed, 4, i, j), (seed, 5, i, j), (seed, 6, i, j))
+        # the degree filter ran against a padded, therefore smaller, set, so
+        # no option is too thin to bank
+        return placements(ctx, options, ctx.sets[target] - occ[target],
+                          ctx.free(set_at(j + 2)), link, False,
+                          knobs.vertex_budget * m, keys,
+                          knobs, stats, partial(note, j))
 
-    # Depth-first over positions with one suspended search per placed
-    # position.  An explicit stack, not recursion: a self-referencing
+    # Depth-first over positions with one suspended placement generator per
+    # placed position.  An explicit stack, not recursion: a self-referencing
     # closure would keep this frame, and the context with its working
     # graph, alive until the cycle collector ran.
-    stack = [accepted(0)]
+    stack = [position(0)]
     while stack:
         j = len(stack) - 1
         step = next(stack[j], None)
@@ -452,18 +438,16 @@ def embed_row(ctx: EmbedContext, prev: RowState, seed: int, *,
         images[j], banks[j] = step
         if j + 1 == m:
             break
-        stack.append(accepted(j + 1))
+        stack.append(position(j + 1))
     if not stack:
         raise EmbedFailure(
             "row-path", row=i, position=deepest["position"],
             detail=deepest["detail"], verdicts=deepest["verdicts"],
         )
-    placed = [v for v in images if v is not None]
-    assert len(placed) == m
-    occupied = [occ[t] for t in range(m)]
-    for j, v in enumerate(placed):
+    occupied = list(occ)
+    for j, v in enumerate(images):
         occupied[set_at(j)] = occupied[set_at(j)].add(v)
-    return RowState(i, placed, banks, occupied, stats)  # type: ignore[arg-type]
+    return RowState(i, images, banks, occupied, stats)  # type: ignore[arg-type]
 
 
 def build_context(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
@@ -482,7 +466,7 @@ def build_context(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
             raise ValueError(f"no surviving set for host vertex {x}")
         sets.append(result.final_sets[x])
 
-    union = VertexSet.from_ids(bg.gamma.n, (v for U in sets for v in U))
+    union = VertexSet(bg.gamma.n, np.concatenate([U.ids for U in sets]))
     G = colour_subgraph(bg.gamma, chi, cycle.colour).induced(union)
 
     bad = []
@@ -520,15 +504,10 @@ def embed_grid(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
             f"{float(side):g}"
         )
     ctx = build_context(bg, chi, result, cycle, params, seed, knobs=knobs)
-    row = seed_first_row(ctx, seeds.derive(seed, 40, 0), knobs=knobs)
-    rows = [row]
+    rows = [seed_first_row(ctx, seeds.derive(seed, 40, 0), knobs=knobs)]
     for i in range(1, m):
-        row = embed_row(ctx, row, seeds.derive(seed, 40, i), knobs=knobs)
-        rows.append(row)
-    image = {}
-    for i, state in enumerate(rows):
-        for j, v in enumerate(state.images):
-            image[(i, j)] = v
+        rows.append(embed_row(ctx, rows[-1], seeds.derive(seed, 40, i), knobs=knobs))
+    image = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row.images)}
     return GridEmbedding(m, m, cycle.colour, image)
 
 
@@ -552,13 +531,10 @@ def verify_grid_embedding(gamma: Graph, chi: EdgeColouring,
                 violations.append(f"cell ({i}, {j}) maps outside the graph")
                 continue
             if v in seen:
-                violations.append(
-                    f"cells {seen[v]} and ({i}, {j}) share vertex {v}"
-                )
+                violations.append(f"cells {seen[v]} and ({i}, {j}) share vertex {v}")
             else:
                 seen[v] = (i, j)
-    for key in emb.image:
-        i, j = key
+    for i, j in emb.image:
         if not (0 <= i < emb.a and 0 <= j < emb.b):
             violations.append(f"cell ({i}, {j}) lies outside the grid")
 
@@ -569,9 +545,7 @@ def verify_grid_embedding(gamma: Graph, chi: EdgeColouring,
         if not (0 <= u < gamma.n and 0 <= v < gamma.n) or u == v:
             return
         if not gamma.has_edge(u, v):
-            violations.append(
-                f"grid edge {c1}-{c2} maps to the non-edge ({u}, {v})"
-            )
+            violations.append(f"grid edge {c1}-{c2} maps to the non-edge ({u}, {v})")
             return
         try:
             col = chi.colour(u, v)

@@ -82,8 +82,8 @@ def sample_ids(ids: np.ndarray, k: int, rng) -> np.ndarray:
 class VertexSet:
     """Immutable subset of 0..n-1: its members as a read-only sorted int64 array.
 
-    `VertexSet(n, ids)` and `from_ids` take integer ids in any order,
-    duplicates allowed.  The word mask is built on first use.
+    `VertexSet(n, ids)` takes integer ids in any order, duplicates
+    allowed.  The word mask is built on first use.
     """
 
     __slots__ = ("n", "ids", "_mask")
@@ -109,11 +109,6 @@ class VertexSet:
     def _of(cls, n: int, ids: np.ndarray) -> "VertexSet":
         """The set of sorted distinct int64 `ids`, adopted unchecked."""
         return object.__new__(cls)._adopt(n, ids)
-
-    @classmethod
-    def from_ids(cls, n: int, ids: Iterable[int]) -> "VertexSet":
-        """The set of the given ids, as `VertexSet(n, ids)`."""
-        return cls(n, ids)
 
     @classmethod
     def empty(cls, n: int) -> "VertexSet":
@@ -424,11 +419,6 @@ def edge_count(G: Graph, a_ids: np.ndarray, b_ids: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 
 
-def edges_between(G: Graph, A: VertexSet, B: VertexSet) -> int:
-    """e(A, B) for disjoint A, B."""
-    return edge_count(G, A.ids, B.ids)
-
-
 def pair_density(G: Graph, A: VertexSet, B: VertexSet) -> Fraction:
     """Exact bipartite density e(A,B) / (|A| |B|) for disjoint non-empty sets."""
     if A.n != G.n or B.n != G.n:
@@ -437,7 +427,7 @@ def pair_density(G: Graph, A: VertexSet, B: VertexSet) -> Fraction:
         raise ValueError("pair density needs non-empty sets")
     if not A.isdisjoint(B):
         raise ValueError("pair density needs disjoint sets")
-    return Fraction(edges_between(G, A, B), len(A) * len(B))
+    return Fraction(edge_count(G, A.ids, B.ids), len(A) * len(B))
 
 
 def neighbours_in(G: Graph, v: int, B: VertexSet) -> VertexSet:

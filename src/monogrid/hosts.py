@@ -43,18 +43,6 @@ class HostGraph:
         return f"HostGraph(n={self.graph.n}, m={self.graph.edge_count}, max_degree={self.max_degree})"
 
 
-def host_cycle(n: int) -> HostGraph:
-    return HostGraph(Graph.cycle(n))
-
-
-def host_path(n: int) -> HostGraph:
-    return HostGraph(Graph.path(n))
-
-
-def host_single_edge() -> HostGraph:
-    return HostGraph(Graph.from_edges(2, [(0, 1)]))
-
-
 def random_regular_host(n: int, d: int, seed: int, max_tries: int = 1000) -> HostGraph:
     """A uniformly random d-regular host via the pairing model.
 

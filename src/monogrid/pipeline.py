@@ -28,7 +28,7 @@ from monogrid.graphs import (
     Graph,
     VertexSet,
     colour_subgraph,
-    edges_between,
+    edge_count,
     pair_density,
 )
 from monogrid.hosts import HostGraph
@@ -182,7 +182,7 @@ def matching_decomposition(H: HostGraph) -> MatchingDecomposition:
 
 def majority_colour(chi: EdgeColouring, A: VertexSet, B: VertexSet) -> int:
     """The colour with the most edges between A and B; ties to the lowest index."""
-    counts = [edges_between(g, A, B) for g in chi.classes]
+    counts = [edge_count(g, A.ids, B.ids) for g in chi.classes]
     total = sum(counts)
     if total == 0:
         raise ValueError("empty pair: no edges to take a majority over")
@@ -330,7 +330,7 @@ def regular_subgraph(
         matched: set[int] = set()
         for x, y in matchings[level - 1]:
             Ux, Uy = chain.current(x), chain.current(y)
-            e_here = edges_between(bg.gamma, Ux, Uy)
+            e_here = edge_count(bg.gamma, Ux.ids, Uy.ids)
             mass = len(Ux) * len(Uy) * params.p
             precondition_ok = (1 - lam) * mass <= e_here <= (1 + lam) * mass
             c = majority_colour(chi, Ux, Uy)

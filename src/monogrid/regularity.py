@@ -165,8 +165,8 @@ def exact_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
         edge_sum = sum(d for d, _ in worst)
         if edge_sum * den < bound:
             return RegVerdict(EXACT, False, threshold,
-                              (VertexSet.from_ids(G.n, [a_ids[i] for i in combo]),
-                               VertexSet.from_ids(G.n, [b for _, b in worst])),
+                              (VertexSet(G.n, [a_ids[i] for i in combo]),
+                               VertexSet(G.n, [b for _, b in worst])),
                               Fraction(edge_sum, k1 * k2))
     return RegVerdict(EXACT, True, threshold)
 
@@ -266,7 +266,7 @@ def _keep_best(G: Graph, part: VertexSet, partner: VertexSet, k: int,
     # banned sorts last among keepers
     ranked = sorted((v in banned, -d, v) for v, d in
                     zip(part.to_list(), degrees_into(G, part.ids, partner).tolist()))
-    return VertexSet.from_ids(part.n, [v for _, _, v in ranked[:k]])
+    return VertexSet(part.n, [v for _, _, v in ranked[:k]])
 
 
 def find_lower_regular_pair(
@@ -277,10 +277,11 @@ def find_lower_regular_pair(
     alpha,
     p,
     lam_target,
-    budget: int = 200,
-    seed: int = 0,
-    check_trials: int = 64,
-    cap: int = EXACT_CAP,
+    *,
+    budget: int,
+    seed: int,
+    check_trials: int,
+    cap: int,
 ) -> FindResult:
     """Density-increment search for a lower-regular pair at (eps, alpha*p).
 
@@ -410,10 +411,11 @@ def compute_bad_set(
     eps,
     alpha,
     p,
-    draws: int = 20,
-    seed: int = 0,
-    checker_trials: int = 1,
-    checker_cap: int = 0,
+    *,
+    draws: int,
+    seed: int,
+    checker_trials: int,
+    checker_cap: int,
 ) -> VertexSet:
     """Audit which ambient vertices inherit regularity into (V1, V2).
 
@@ -542,7 +544,7 @@ def compute_bad_set(
             verdicts = [rounds(x)[0] for x in range(first, f)] + [rounds(f, stop=d)[0]]
             i, window = f + 1, failed + 1
         bad_ids += [amb_ids[x] for x, bad in enumerate(verdicts, first) if bad]
-    bad = VertexSet.from_ids(gamma.n, bad_ids)
+    bad = VertexSet(gamma.n, bad_ids)
     limit = eps * len(ambient)
     if bad.size > limit:
         raise BadSetError(bad, limit)

@@ -29,7 +29,7 @@ from monogrid.embedder import (
     verify_grid_embedding,
 )
 from monogrid.graphs import EdgeColouring, Graph, VertexSet, pair_density
-from monogrid.hosts import host_cycle
+from monogrid.hosts import HostGraph
 from monogrid.oracle import (
     arrows,
     contains_subgraph,
@@ -40,6 +40,7 @@ from monogrid.oracle import (
 )
 from monogrid.pipeline import PipelineFailure, find_mono_cycle, regular_subgraph
 from monogrid.regularity import (
+    EXACT_CAP,
     RegParams,
     eps_schedule,
     exact_lower_regular,
@@ -72,7 +73,7 @@ def _bipartite(rows: int, cols: int, density: float, seed: int) -> Graph:
 
 def test_01_edge_count_scaling():
     t0 = time.perf_counter()
-    H = host_cycle(50)
+    H = HostGraph(Graph.cycle(50))
     sizes = (100, 200, 400)
     means = []
     worst = 0.0
@@ -134,8 +135,8 @@ def _min_edge_table(mat: np.ndarray) -> np.ndarray:
 
 def test_02_slicing_survives_subsets():
     t0 = time.perf_counter()
-    left = VertexSet.from_ids(16, range(8))
-    right = VertexSet.from_ids(16, range(8, 16))
+    left = VertexSet(16, range(8))
+    right = VertexSet(16, range(8, 16))
     graphs = 1000
     passing = checks = anchors = slice_anchors = 0
     counterexamples = []
@@ -173,8 +174,8 @@ def test_02_slicing_survives_subsets():
                 # one concrete slice per passing combo, relative size 5/8
                 ids_a = sorted(int(x) for x in rng.choice(8, size=5, replace=False))
                 ids_b = sorted(8 + int(x) for x in rng.choice(8, size=5, replace=False))
-                v2 = exact_lower_regular(G, VertexSet.from_ids(16, ids_a),
-                                         VertexSet.from_ids(16, ids_b),
+                v2 = exact_lower_regular(G, VertexSet(16, ids_a),
+                                         VertexSet(16, ids_b),
                                          eps * 2, p)
                 assert v2.passed, (gi, eps, p)
                 slice_anchors += 1
@@ -195,8 +196,8 @@ def test_02_slicing_survives_subsets():
 def test_03_failure_witnesses_revalidate():
     t0 = time.perf_counter()
     failures = []  # (G, A, B, eps, expected threshold, verdict)
-    A10 = VertexSet.from_ids(20, range(10))
-    B10 = VertexSet.from_ids(20, range(10, 20))
+    A10 = VertexSet(20, range(10))
+    B10 = VertexSet(20, range(10, 20))
     eps, p = Fraction(1, 4), Fraction(4, 5)
     for seed in range(40):
         G = _bipartite(10, 10, 0.3, 3000 + seed)
@@ -211,12 +212,13 @@ def test_03_failure_witnesses_revalidate():
     # the increment search fails too when eps is harsh enough to reach
     # single vertices; its best verdict must carry the same guarantees
     eps_f, alpha, p_f = Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)
-    V1 = VertexSet.from_ids(28, range(14))
-    V2 = VertexSet.from_ids(28, range(14, 28))
+    V1 = VertexSet(28, range(14))
+    V2 = VertexSet(28, range(14, 28))
     for seed in range(30):
         G = _bipartite(14, 14, 0.55, 3200 + seed)
         fr = find_lower_regular_pair(G, V1, V2, eps_f, alpha, p_f, Fraction(1, 2),
-                                     budget=40, seed=seed, check_trials=8)
+                                     budget=40, seed=seed, check_trials=8,
+                                     cap=EXACT_CAP)
         if not fr.passed and fr.verdict.witness is not None:
             failures.append((G, fr.pair[0], fr.pair[1], eps_f,
                              (1 - eps_f) * alpha * p_f, fr.verdict))
@@ -248,14 +250,15 @@ def test_03_failure_witnesses_revalidate():
 def test_04_density_increment_search():
     t0 = time.perf_counter()
     eps, alpha, p, lam = Fraction(3, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1, 2)
-    V1 = VertexSet.from_ids(28, range(14))
-    V2 = VertexSet.from_ids(28, range(14, 28))
+    V1 = VertexSet(28, range(14))
+    V2 = VertexSet(28, range(14, 28))
     wins = 0
     reported = []
     for seed in range(50):
         G = _bipartite(14, 14, 0.5, 4000 + seed)
         fr = find_lower_regular_pair(G, V1, V2, eps, alpha, p, lam,
-                                     budget=200, seed=seed)
+                                     budget=200, seed=seed, check_trials=64,
+                                     cap=EXACT_CAP)
         if not fr.passed:
             assert fr.verdict is not None and not fr.verdict.passed
             reported.append((seed, "search"))
@@ -288,7 +291,7 @@ def test_04_density_increment_search():
 
 def test_05_pipeline_chain_conditions():
     t0 = time.perf_counter()
-    H = host_cycle(10)
+    H = HostGraph(Graph.cycle(10))
     s, p = 300, 0.35
     params = RegParams(r=2, max_degree=2, eps=Fraction(1, 4),
                        eps_inherit=Fraction(1, 16), alpha=Fraction(1, 4),
@@ -384,7 +387,7 @@ def test_06_end_to_end_runs(tmp_path):
 
 def test_07_verifier_agrees_with_oracle():
     t0 = time.perf_counter()
-    H = host_cycle(4)
+    H = HostGraph(Graph.cycle(4))
     s, p = 64, 0.6
     params = RegParams(r=2, max_degree=2, eps=Fraction(1, 4),
                        eps_inherit=Fraction(1, 16), alpha=Fraction(1, 2),

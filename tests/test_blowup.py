@@ -16,9 +16,6 @@ from monogrid.blowup import (
 from monogrid.graphs import Graph, pair_density
 from monogrid.hosts import (
     HostGraph,
-    host_cycle,
-    host_path,
-    host_single_edge,
     random_regular_host,
 )
 
@@ -30,12 +27,12 @@ SEEDS = [0, 1, 2, 3, 4]
 
 
 def test_host_degree_bound():
-    h = host_cycle(6)
+    h = HostGraph(Graph.cycle(6))
     assert h.max_degree == 2
     with pytest.raises(ValueError):
         HostGraph(Graph.complete(4), max_degree=2)
     # a single edge still gets the minimum legal bound
-    assert host_single_edge().max_degree == 2
+    assert HostGraph(Graph.path(2)).max_degree == 2
 
 
 def test_host_needs_two_vertices():
@@ -60,7 +57,7 @@ def test_random_regular_host_rejects_odd_product():
 
 
 def test_single_edge_p1_is_complete_bipartite():
-    bg = build_blowup(host_single_edge(), 2, 1.0, seed=0)
+    bg = build_blowup(HostGraph(Graph.path(2)), 2, 1.0, seed=0)
     bg.validate()
     assert bg.gamma.edge_count == 4
     assert pair_density(bg.gamma, bg.part(0), bg.part(1)) == 1
@@ -68,21 +65,21 @@ def test_single_edge_p1_is_complete_bipartite():
 
 def test_p_zero_rejected():
     with pytest.raises(ValueError):
-        build_blowup(host_single_edge(), 3, 0.0, seed=0)
+        build_blowup(HostGraph(Graph.path(2)), 3, 0.0, seed=0)
     with pytest.raises(ValueError):
-        build_blowup(host_single_edge(), 3, 1.5, seed=0)
+        build_blowup(HostGraph(Graph.path(2)), 3, 1.5, seed=0)
 
 
 def test_tiny_p_empty_and_deterministic():
-    a = build_blowup(host_single_edge(), 3, 1e-9, seed=99)
-    b = build_blowup(host_single_edge(), 3, 1e-9, seed=99)
+    a = build_blowup(HostGraph(Graph.path(2)), 3, 1e-9, seed=99)
+    b = build_blowup(HostGraph(Graph.path(2)), 3, 1e-9, seed=99)
     assert a.gamma.edge_count == 0
     assert a.gamma == b.gamma
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rebuild_equality(seed):
-    h = host_cycle(5)
+    h = HostGraph(Graph.cycle(5))
     a = build_blowup(h, 20, 0.3, seed)
     b = build_blowup(h, 20, 0.3, seed)
     assert a.gamma == b.gamma
@@ -93,7 +90,7 @@ def test_rebuild_equality(seed):
 def test_blocks_match_one_matrix_draw():
     # 150 rows are two full draws of 64 rows and a partial one of 22
     s, p, seed = 150, 0.3, 5
-    bg = build_blowup(host_path(3), s, p, seed)
+    bg = build_blowup(HostGraph(Graph.path(3)), s, p, seed)
     want = set()
     for x, y in bg.host.graph.edges():
         mat = seeds.rng(seed, x, y).random((s, s)) < p
@@ -103,7 +100,7 @@ def test_blocks_match_one_matrix_draw():
 
 
 def test_structure_invariants():
-    bg = build_blowup(host_cycle(6), 15, 0.4, seed=3)
+    bg = build_blowup(HostGraph(Graph.cycle(6)), 15, 0.4, seed=3)
     bg.validate()
     g, H = bg.gamma, bg.host.graph
     assert g.n == 6 * 15
@@ -120,7 +117,7 @@ def test_structure_invariants():
 
 
 def test_mean_edge_count_tracks_expectation():
-    h = host_cycle(50)
+    h = HostGraph(Graph.cycle(50))
     s, p = 200, 6 / math.sqrt(200)
     want = expected_edges(h, s, p)
     assert want == pytest.approx(848528.1, rel=1e-4)
@@ -131,7 +128,7 @@ def test_mean_edge_count_tracks_expectation():
 
 
 def test_expected_edges_simple():
-    assert expected_edges(host_single_edge(), 10, 0.5) == 50
+    assert expected_edges(HostGraph(Graph.path(2)), 10, 0.5) == 50
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +136,7 @@ def test_expected_edges_simple():
 
 
 def test_save_load_round_trip(tmp_path):
-    bg = build_blowup(host_cycle(4), 12, 0.35, seed=11)
+    bg = build_blowup(HostGraph(Graph.cycle(4)), 12, 0.35, seed=11)
     base = str(tmp_path / "blow")
     save_blowup(bg, base)
     back = load_blowup(base)
@@ -151,7 +148,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_load_detects_host_tampering(tmp_path):
-    bg = build_blowup(host_cycle(4), 5, 0.5, seed=0)
+    bg = build_blowup(HostGraph(Graph.cycle(4)), 5, 0.5, seed=0)
     base = str(tmp_path / "blow")
     save_blowup(bg, base)
     # swap the host file for a different graph of the same size
@@ -163,5 +160,5 @@ def test_load_detects_host_tampering(tmp_path):
 
 
 def test_host_hash_distinguishes():
-    assert host_hash(host_cycle(5)) != host_hash(host_path(5))
-    assert host_hash(host_cycle(5)) == host_hash(host_cycle(5))
+    assert host_hash(HostGraph(Graph.cycle(5))) != host_hash(HostGraph(Graph.path(5)))
+    assert host_hash(HostGraph(Graph.cycle(5))) == host_hash(HostGraph(Graph.cycle(5)))

@@ -26,8 +26,8 @@ from monogrid.config import (
     RunConfig,
     load_config,
 )
-from monogrid.graphs import read_graph, write_colouring
-from monogrid.hosts import host_cycle
+from monogrid.graphs import Graph, read_graph, write_colouring
+from monogrid.hosts import HostGraph
 from monogrid.pipeline import regular_subgraph
 from monogrid.regularity import EXACT_CAP
 from monogrid.regularity import RegParams, eps_schedule
@@ -65,7 +65,7 @@ def test_blowup_then_colour_round_trip(tmp_path):
 
 
 def test_colouring_strategies_are_seed_deterministic():
-    bg = build_blowup(host_cycle(4), 16, 0.5, 0)
+    bg = build_blowup(HostGraph(Graph.cycle(4)), 16, 0.5, 0)
     for spec in ("mono 1", "uniform-random", "host-edge-split", "degree-adversary"):
         one = dict(apply_colouring(bg, spec, 2, 7).items())
         two = dict(apply_colouring(bg, spec, 2, 7).items())
@@ -78,7 +78,7 @@ def test_colouring_strategies_are_seed_deterministic():
 
 
 def test_colouring_spec_bounds_checked():
-    bg = build_blowup(host_cycle(4), 8, 1.0, 0)
+    bg = build_blowup(HostGraph(Graph.cycle(4)), 8, 1.0, 0)
     with pytest.raises(ConfigError):
         apply_colouring(bg, "mono 5", 2, 0)
 
@@ -110,7 +110,7 @@ def _file_sha256(path) -> str:
 
 @pytest.mark.parametrize("r,spec", sorted(PINNED_COLOURINGS))
 def test_blowup_and_colouring_files_are_pinned(tmp_path, r, spec):
-    bg = build_blowup(host_cycle(5), 70, 0.3, 7)
+    bg = build_blowup(HostGraph(Graph.cycle(5)), 70, 0.3, 7)
     save_blowup(bg, str(tmp_path / "blowup"))
     assert _file_sha256(tmp_path / "blowup.graph") == PINNED_GRAPH
     write_colouring(apply_colouring(bg, spec, r, 7), str(tmp_path / "colouring.txt"),
@@ -122,7 +122,7 @@ def test_host_edge_split_colouring_recovered_exactly():
     # each part pair is monochromatic in its host edge's colour, so the
     # majority vote has no freedom: the settled colouring must reproduce
     # the host colouring edge for edge
-    H = host_cycle(4)
+    H = HostGraph(Graph.cycle(4))
     s, p = 64, 0.6
     bg = build_blowup(H, s, p, 3)
     chi = apply_colouring(bg, "host-edge-split", 2, 3)

@@ -1,6 +1,8 @@
 """Grid embedding: row seeding, the cleaning passes, and the verifier."""
 
 import gc
+import hashlib
+import json
 import weakref
 from fractions import Fraction as F
 
@@ -24,7 +26,7 @@ from monogrid.embedder import (
     write_embedding,
 )
 from monogrid.graphs import EdgeColouring, Graph, VertexSet, colour_subgraph
-from monogrid.hosts import host_cycle, host_single_edge
+from monogrid.hosts import HostGraph
 from monogrid.oracle import grid_graph
 from monogrid.pipeline import CycleCertificate, PipelineResult, regular_subgraph, \
     find_mono_cycle
@@ -37,12 +39,13 @@ def mono_colouring(G: Graph) -> EdgeColouring:
     return EdgeColouring.constant(G, 2, 0)
 
 
-def complete_ring_ctx(m: int = 5, s: int = 10):
-    """A p=1 blow-up of a host cycle, everything coloured 0, no bad vertices."""
-    bg = build_blowup(host_cycle(m), s, 1.0, 0)
+def complete_ring_ctx(m: int = 5, s: int = 10, p: float = 1.0):
+    """A blow-up of a host cycle, everything coloured 0, no bad vertices;
+    complete between neighbouring parts at the default p = 1."""
+    bg = build_blowup(HostGraph(Graph.cycle(m)), s, p, 0)
     chi = mono_colouring(bg.gamma)
     params = RegParams(r=2, max_degree=2, eps=F(1, 5), eps_inherit=F(1, 20),
-                       alpha=F(1, 2), lam=F(1), delta=F(1, 20), c=6.0, p=1.0)
+                       alpha=F(1, 2), lam=F(1), delta=F(1, 20), c=6.0, p=p)
     sets = [bg.part(t) for t in range(m)]
     bad = [VertexSet.empty(bg.gamma.n) for _ in range(m)]
     ctx = EmbedContext(sets, bad, 0, bg.gamma, params, s)
@@ -51,7 +54,7 @@ def complete_ring_ctx(m: int = 5, s: int = 10):
 
 def ring_instance(s: int, m: int, p: float, bg_seed: int, pipe_seed: int):
     """Blow up a host cycle, run the chain, and certify the obvious cycle."""
-    H = host_cycle(m)
+    H = HostGraph(Graph.cycle(m))
     bg = build_blowup(H, s, p, bg_seed)
     chi = mono_colouring(bg.gamma)
     params = RegParams(r=2, max_degree=2, eps=F(1, 4), eps_inherit=F(1, 16),
@@ -125,7 +128,7 @@ def test_first_row_fails_on_emptied_target_set():
 
 
 def test_first_row_audit_rejects_empty_opening_pair():
-    bg = build_blowup(host_cycle(5), 10, 1.0, 3)
+    bg = build_blowup(HostGraph(Graph.cycle(5)), 10, 1.0, 3)
     crossing = {}
     for u, v in bg.gamma.edges():
         parts = {u // bg.part_size, v // bg.part_size}
@@ -166,8 +169,8 @@ def filter_fixture():
     G = Graph.from_edges(12, [(0, 9), (1, 5), (1, 6), (1, 7), (1, 8), (2, 3)])
     params = RegParams(r=2, max_degree=2, eps=F(1, 4), eps_inherit=F(1, 16),
                        alpha=F(1, 2), lam=F(1), delta=F(1, 16), c=1.0, p=1.0)
-    sets = [VertexSet.from_ids(12, [0, 1, 2, 3]),
-            VertexSet.from_ids(12, range(5, 11))]
+    sets = [VertexSet(12, [0, 1, 2, 3]),
+            VertexSet(12, range(5, 11))]
     bad = [VertexSet.empty(12), VertexSet.empty(12)]
     ctx = EmbedContext(sets, bad, 0, G, params, 8)
     # candidate size 1, slack 1, padding target 4
@@ -184,18 +187,18 @@ def test_filter_keeps_everyone_at_full_density():
 
 def test_filter_excludes_vertex_wired_into_occupied():
     ctx = filter_fixture()
-    S = VertexSet.from_ids(12, [0, 1])
+    S = VertexSet(12, [0, 1])
     U_next = ctx.sets[1]
-    Q_next = VertexSet.from_ids(12, [5, 6, 7])
+    Q_next = VertexSet(12, [5, 6, 7])
     # Q pads to {5, 6, 7, 8}; vertex 1 has no edge to the remainder {9, 10}
     out = filter_well_connected(S, U_next, Q_next, ctx)
-    assert out == VertexSet.from_ids(12, [0])
+    assert out == VertexSet(12, [0])
 
 
 def test_filter_rejects_excess_drop():
     ctx = filter_fixture()
-    S = VertexSet.from_ids(12, [0, 1, 2])
-    Q_next = VertexSet.from_ids(12, [5, 6, 7])
+    S = VertexSet(12, [0, 1, 2])
+    Q_next = VertexSet(12, [5, 6, 7])
     with pytest.raises(EmbedFailure) as exc:
         filter_well_connected(S, ctx.sets[1], Q_next, ctx)
     assert exc.value.stage == "well-connected-filter"
@@ -204,8 +207,8 @@ def test_filter_rejects_excess_drop():
 
 def test_filter_rejects_oversized_occupied():
     ctx = filter_fixture()
-    S = VertexSet.from_ids(12, [0])
-    Q_next = VertexSet.from_ids(12, [5, 6, 7, 8, 9])
+    S = VertexSet(12, [0])
+    Q_next = VertexSet(12, [5, 6, 7, 8, 9])
     with pytest.raises(EmbedFailure) as exc:
         filter_well_connected(S, ctx.sets[1], Q_next, ctx)
     assert exc.value.stage == "occupied-overflow"
@@ -227,8 +230,8 @@ def test_backward_filter_flags_disconnected_banks():
     G = Graph.from_edges(16, [(0, 1)])
     params = RegParams(r=2, max_degree=2, eps=F(1, 4), eps_inherit=F(1, 16),
                        alpha=F(1, 2), lam=F(1), delta=F(1, 16), c=1.0, p=1.0)
-    sets = [VertexSet.from_ids(16, [0, 1, 2, 3]),
-            VertexSet.from_ids(16, [8, 9, 10, 11])]
+    sets = [VertexSet(16, [0, 1, 2, 3]),
+            VertexSet(16, [8, 9, 10, 11])]
     bad = [VertexSet.empty(16), VertexSet.empty(16)]
     ctx = EmbedContext(sets, bad, 0, G, params, 32)
     assert ctx.candidate_size - ctx.backward_cut == 2
@@ -238,7 +241,7 @@ def test_backward_filter_flags_disconnected_banks():
     assert exc.value.position == 0
     assert "retained 0" in exc.value.detail
     with pytest.raises(EmbedFailure) as exc:
-        backward_filter([sets[0], VertexSet.from_ids(16, [8])], ctx)
+        backward_filter([sets[0], VertexSet(16, [8])], ctx)
     assert exc.value.position == 1
     assert "final bank" in exc.value.detail
 
@@ -302,6 +305,51 @@ def test_embed_row_frees_its_context_without_the_cycle_collector(vertex_budget):
         gc.enable()
 
 
+def search_outcome(ctx: EmbedContext, knobs: Knobs) -> list:
+    """Each placed row's images, banks and stats, then the failure if any."""
+    out = []
+    try:
+        row = seed_first_row(ctx, 7, knobs=knobs)
+        while True:
+            out.append([row.images, [b.to_list() for b in row.family], row.stats])
+            if row.index + 1 == ctx.m:
+                return out
+            row = embed_row(ctx, row, 100 + row.index + 1, knobs=knobs)
+    except EmbedFailure as e:
+        out.append(e.to_json())
+    return out
+
+
+# (s, p, knobs, how the search ends, sha256 of its outcome as sorted JSON)
+PINNED_SEARCHES = [
+    (10, 1.0, {}, "success",
+     "f34cd24b0269fedbb2073e282f95bb4836d8ed5ed02efe39f138657d505a4fa9"),
+    (20, 0.9, {"embed_check_trials": 16}, "success",
+     "486871467fc19c78b4a35edf5ed39869032ad428a941fd8a64cb91ea586beb63"),
+    (10, 1.0, {"vertex_budget": 0}, "first-row",
+     "07d3c7e6ae8fff1946fb700e098012c03abecbf8fb46f6cc703d65ea2dc1e141"),
+    (10, 1.0, {"subset_tries": 0}, "first-row",
+     "d484458f195f28b384027002bcf835dc2698602c482f4b0e134af23e3d9d49f8"),
+    (20, 0.5, {"embed_check_trials": 8}, "first-row",
+     "e87350ced97de594b86136cc8c6dbb10f1d08c82d3b6d80e0092276a7074a8fc"),
+    (20, 0.5, {"embed_check_trials": 8, "vertex_budget": 1}, "first-row",
+     "4e92a4b0178612712d4cc220a38c00d1632aa612208f3941d19eb8748d7a5ce3"),
+    (20, 0.9, {"embed_check_trials": 16, "subset_tries": 2}, "row-path",
+     "076e8d512bb443650a7a1c6ca1c9774f3a3aef2e1592344cef33b62f5ea9cae1"),
+    (20, 0.9, {"embed_check_trials": 16, "vertex_budget": 1}, "row-path",
+     "2b52b7951acb7a70c586af92f2f50f1075ca557e0f1df223c255faedd11d2880"),
+]
+
+
+@pytest.mark.parametrize("s, p, knobs, ending, digest", PINNED_SEARCHES)
+def test_cell_search_is_pinned(s, p, knobs, ending, digest):
+    _, _, ctx = complete_ring_ctx(s=s, p=p)
+    out = search_outcome(ctx, Knobs(**knobs))
+    assert (out[-1]["stage"] if isinstance(out[-1], dict) else "success") == ending
+    text = json.dumps(out, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
 # ---------------------------------------------------------------------------
 # full grids
 
@@ -351,7 +399,7 @@ def test_grid_rejects_miscoloured_cycle(small_ring):
 
 
 def test_smallest_grid_is_a_four_cycle():
-    bg = build_blowup(host_single_edge(), 24, 1.0, 2)
+    bg = build_blowup(HostGraph(Graph.path(2)), 24, 1.0, 2)
     chi = mono_colouring(bg.gamma)
     params = RegParams(r=2, max_degree=2, eps=F(1, 3), eps_inherit=F(1, 12),
                        alpha=F(1, 2), lam=F(1), delta=F(1, 12), c=6.0, p=1.0)
@@ -367,7 +415,7 @@ def test_smallest_grid_is_a_four_cycle():
 
 def test_desk_scale_calibration():
     """C_10 at s=300, p=0.35: the working point the defaults are tuned for."""
-    H = host_cycle(10)
+    H = HostGraph(Graph.cycle(10))
     params = RegParams(r=2, max_degree=2, eps=F(1, 4), eps_inherit=F(1, 16),
                        alpha=F(1, 2), lam=F(1), delta=F(1, 30),
                        c=0.35 * 300 ** 0.5, p=0.35)

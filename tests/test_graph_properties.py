@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from monogrid.graphs import Graph, VertexSet, degrees_into, edges_between
+from monogrid.graphs import Graph, VertexSet, degrees_into, edge_count
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -25,7 +25,7 @@ def reference_ids(n: int, bits: int) -> list[int]:
 def vertex_set(n: int, bits: int) -> VertexSet:
     """The set of the set bits of `bits`, built from its ids out of order."""
     ids = reference_ids(n, bits)
-    return VertexSet.from_ids(n, ids[::-1] + ids[:len(ids) // 2])
+    return VertexSet(n, ids[::-1] + ids[:len(ids) // 2])
 
 
 @st.composite
@@ -96,7 +96,7 @@ def test_sample_keeps_the_rng_stream(case, seed, data):
     got = vertex_set(n, bits).sample(k, default_rng(seed))
     rng = default_rng(seed)
     picked = rng.choice(len(want), size=k, replace=False)
-    assert got == VertexSet.from_ids(n, [want[int(i)] for i in picked])
+    assert got == VertexSet(n, [want[int(i)] for i in picked])
 
 
 @st.composite
@@ -125,8 +125,8 @@ def graph_and_sets(draw):
     """A graph with two disjoint vertex sets of it, either possibly empty."""
     G = draw(graphs())
     side = draw(st.lists(st.sampled_from("ABx"), min_size=G.n, max_size=G.n))
-    A = VertexSet.from_ids(G.n, [v for v, t in enumerate(side) if t == "A"])
-    B = VertexSet.from_ids(G.n, [v for v, t in enumerate(side) if t == "B"])
+    A = VertexSet(G.n, [v for v, t in enumerate(side) if t == "A"])
+    B = VertexSet(G.n, [v for v, t in enumerate(side) if t == "B"])
     return G, A, B
 
 
@@ -148,7 +148,7 @@ def test_edges_between_match_an_edge_count(case):
     G, A, B = case
     want = sum(1 for u, v in G.edges()
                if (u in A and v in B) or (u in B and v in A))
-    assert edges_between(G, A, B) == edges_between(G, B, A) == want
+    assert edge_count(G, A.ids, B.ids) == edge_count(G, B.ids, A.ids) == want
 
 
 @SETTINGS

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monogrid import pipeline
-from monogrid.hosts import HostGraph, host_cycle, host_path, host_single_edge
+from monogrid.hosts import HostGraph
 from monogrid.pipeline import (
     CycleCertificate,
     MatchingDecomposition,
@@ -80,7 +80,7 @@ def test_disjoint_edges_need_one_matching():
 def test_five_cycle_needs_three_matchings():
     # an odd cycle has no proper 2-edge-colouring; the oracle confirms it
     assert not proper_edge_colouring_exists(Graph.cycle(5), 2)
-    md = matching_decomposition(host_cycle(5))
+    md = matching_decomposition(HostGraph(Graph.cycle(5)))
     assert len(md.matchings) == 3
 
 
@@ -95,7 +95,7 @@ def test_petersen_needs_four_matchings():
 
 
 def test_path_decomposes_into_two():
-    md = matching_decomposition(host_path(3))
+    md = matching_decomposition(HostGraph(Graph.path(3)))
     assert len(md.matchings) == 2
 
 
@@ -114,14 +114,14 @@ def test_decomposition_on_random_graphs(seed, n, p):
 
 
 def test_validate_rejects_overlapping_matchings():
-    H = host_path(3)
+    H = HostGraph(Graph.path(3))
     bad = MatchingDecomposition([[(0, 1), (1, 2)]])
     with pytest.raises(AssertionError):
         bad.validate(H)
 
 
 def test_validate_rejects_missing_edges():
-    H = host_path(3)
+    H = HostGraph(Graph.path(3))
     bad = MatchingDecomposition([[(0, 1)]])
     with pytest.raises(AssertionError):
         bad.validate(H)
@@ -132,8 +132,8 @@ def test_validate_rejects_missing_edges():
 
 
 def test_majority_seven_against_three():
-    bg = build_blowup(host_single_edge(), 5, 1.0, seed=0)
-    A = VertexSet.from_ids(bg.gamma.n, [0, 1])
+    bg = build_blowup(HostGraph(Graph.path(2)), 5, 1.0, seed=0)
+    A = VertexSet(bg.gamma.n, [0, 1])
     B = bg.part(1)
     between = [(u, v) for u in range(2) for v in range(5, 10)]
     mapping = {e: 0 for e in bg.gamma.edges()}
@@ -150,7 +150,7 @@ def test_majority_seven_against_three():
 
 
 def test_majority_tie_takes_lowest_colour():
-    bg = build_blowup(host_single_edge(), 2, 1.0, seed=0)
+    bg = build_blowup(HostGraph(Graph.path(2)), 2, 1.0, seed=0)
     edges = list(bg.gamma.edges())
     assert len(edges) == 4
     mapping = {e: (1 if i < 2 else 0) for i, e in enumerate(edges)}
@@ -159,7 +159,7 @@ def test_majority_tie_takes_lowest_colour():
 
 
 def test_majority_on_empty_pair_raises():
-    bg = build_blowup(host_single_edge(), 3, 1e-9, seed=0)
+    bg = build_blowup(HostGraph(Graph.path(2)), 3, 1e-9, seed=0)
     assert bg.gamma.edge_count == 0
     chi = EdgeColouring(bg.gamma.n, 2, {})
     with pytest.raises(ValueError):
@@ -168,7 +168,7 @@ def test_majority_on_empty_pair_raises():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_majority_class_carries_its_share(seed):
-    bg = build_blowup(host_single_edge(), 6, 1.0, seed=0)
+    bg = build_blowup(HostGraph(Graph.path(2)), 6, 1.0, seed=0)
     rng = np.random.default_rng(seed)
     mapping = {e: int(rng.integers(3)) for e in bg.gamma.edges()}
     chi = EdgeColouring(bg.gamma.n, 3, mapping)
@@ -190,7 +190,7 @@ def mono_params(eps, alpha, lam, p, delta) -> RegParams:
 
 
 def test_chain_completes_on_mono_single_edge():
-    bg = build_blowup(host_single_edge(), 12, 0.9, seed=3)
+    bg = build_blowup(HostGraph(Graph.path(2)), 12, 0.9, seed=3)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
     sched = eps_schedule(F(9, 20), 2, F(1))
@@ -227,7 +227,7 @@ def test_chain_shrinks_by_lowest_ids_on_complete_blowup():
 
 
 def test_chain_on_path_host_audits_inherited_pairs():
-    bg = build_blowup(host_path(3), 12, 0.9, seed=5)
+    bg = build_blowup(HostGraph(Graph.path(3)), 12, 0.9, seed=5)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
     sched = eps_schedule(F(9, 20), 2, F(1))
@@ -251,7 +251,7 @@ def test_chain_on_path_host_audits_inherited_pairs():
 
 
 def test_chain_reports_search_failure_with_witness():
-    bg = build_blowup(host_single_edge(), 20, 0.3, seed=1)
+    bg = build_blowup(HostGraph(Graph.path(2)), 20, 0.3, seed=1)
     rng = np.random.default_rng(7)
     mapping = {e: int(rng.integers(2)) for e in bg.gamma.edges()}
     chi = EdgeColouring(bg.gamma.n, 2, mapping)
@@ -274,7 +274,7 @@ def test_chain_reports_search_failure_with_witness():
 
 
 def test_chain_rejects_pair_below_majority_density():
-    bg = build_blowup(host_single_edge(), 20, 0.3, seed=1)
+    bg = build_blowup(HostGraph(Graph.path(2)), 20, 0.3, seed=1)
     rng = np.random.default_rng(7)
     mapping = {e: int(rng.integers(2)) for e in bg.gamma.edges()}
     chi = EdgeColouring(bg.gamma.n, 2, mapping)
@@ -293,7 +293,7 @@ def test_chain_lets_other_search_errors_through(monkeypatch):
         raise ValueError("injected search error")
 
     monkeypatch.setattr(pipeline, "find_lower_regular_pair", broken)
-    bg = build_blowup(host_single_edge(), 12, 0.9, seed=3)
+    bg = build_blowup(HostGraph(Graph.path(2)), 12, 0.9, seed=3)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
     sched = eps_schedule(F(9, 20), 2, F(1))
@@ -302,7 +302,7 @@ def test_chain_lets_other_search_errors_through(monkeypatch):
 
 
 def test_chain_rejects_mismatched_schedule():
-    bg = build_blowup(host_single_edge(), 6, 0.9, seed=0)
+    bg = build_blowup(HostGraph(Graph.path(2)), 6, 0.9, seed=0)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
     sched = eps_schedule(F(9, 20), 3, F(1))  # 4 levels
@@ -313,7 +313,7 @@ def test_chain_rejects_mismatched_schedule():
 def test_chain_flags_density_precondition_miss():
     # the blow-up is far denser than the declared p, so the recorded
     # uniformity precondition fails while the run still completes
-    bg = build_blowup(host_single_edge(), 12, 0.9, seed=2)
+    bg = build_blowup(HostGraph(Graph.path(2)), 12, 0.9, seed=2)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 4), F(1, 4), 0.5, F(1, 20))
     sched = eps_schedule(F(9, 20), 2, F(1))
@@ -323,7 +323,7 @@ def test_chain_flags_density_precondition_miss():
 
 
 def test_chain_is_deterministic():
-    bg = build_blowup(host_path(3), 12, 0.9, seed=5)
+    bg = build_blowup(HostGraph(Graph.path(3)), 12, 0.9, seed=5)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
     sched = eps_schedule(F(9, 20), 2, F(1))
@@ -333,7 +333,7 @@ def test_chain_is_deterministic():
 
 
 def test_result_json_shape():
-    bg = build_blowup(host_single_edge(), 12, 0.9, seed=3)
+    bg = build_blowup(HostGraph(Graph.path(2)), 12, 0.9, seed=3)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
     sched = eps_schedule(F(9, 20), 2, F(1))
@@ -349,7 +349,7 @@ def test_result_json_shape():
 
 
 def test_mono_cycle_on_constant_colouring_takes_the_longest():
-    H = host_cycle(10)
+    H = HostGraph(Graph.cycle(10))
     phi = EdgeColouring.constant(H.graph, 2, 0)
     cert = find_mono_cycle(H, phi, 3, 10)
     assert cert is not None
@@ -365,7 +365,7 @@ def test_mono_cycle_prefers_longer_lengths():
 
 
 def test_mono_cycle_absent_under_alternating_colouring():
-    H = host_cycle(10)
+    H = HostGraph(Graph.cycle(10))
     mapping = {}
     for i in range(10):
         u, v = i, (i + 1) % 10
@@ -406,7 +406,7 @@ def test_mono_cycle_budget_exhaustion_returns_none():
 
 
 def test_mono_cycle_as_long_as_a_1500_vertex_host():
-    H = host_cycle(1500)
+    H = HostGraph(Graph.cycle(1500))
     phi = EdgeColouring.constant(H.graph, 2, 0)
     cert = find_mono_cycle(H, phi, 1500, 1500)
     assert cert is not None
@@ -456,7 +456,7 @@ def test_cycle_search_matches_recursive_reference(case):
 
 
 def test_mono_cycle_range_validation():
-    H = host_cycle(5)
+    H = HostGraph(Graph.cycle(5))
     phi = EdgeColouring.constant(H.graph, 2, 0)
     for lo, hi in [(2, 4), (4, 3), (3, 6)]:
         with pytest.raises(ValueError):
@@ -474,7 +474,7 @@ def test_certificate_validation_catches_tampering():
         CycleCertificate(0, [0, 1, 2]).validate(H, phi, 4, 5)
     with pytest.raises(AssertionError):
         CycleCertificate(1, [0, 1, 2]).validate(H, phi, 3, 5)
-    C5 = host_cycle(5)
+    C5 = HostGraph(Graph.cycle(5))
     phi5 = EdgeColouring.constant(C5.graph, 2, 0)
     with pytest.raises(AssertionError):
         CycleCertificate(0, [0, 1, 3]).validate(C5, phi5, 3, 5)

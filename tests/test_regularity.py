@@ -14,7 +14,7 @@ from monogrid import seeds
 from monogrid.blowup import build_blowup
 from monogrid.config import load_config
 from monogrid.graphs import Graph, VertexSet, pair_density
-from monogrid.hosts import host_cycle
+from monogrid.hosts import HostGraph
 from monogrid.regularity import (
     BadSetError,
     EXACT,
@@ -41,7 +41,7 @@ def bipartite(na, nb, p, seed):
         (a, na + b) for a in range(na) for b in range(nb) if rng.random() < p
     ]
     g = Graph.from_edges(na + nb, edges)
-    return g, VertexSet.from_ids(g.n, range(na)), VertexSet.from_ids(
+    return g, VertexSet(g.n, range(na)), VertexSet(
         g.n, range(na, na + nb)
     )
 
@@ -49,7 +49,7 @@ def bipartite(na, nb, p, seed):
 def complete_pair(na, nb):
     edges = [(a, na + b) for a in range(na) for b in range(nb)]
     g = Graph.from_edges(na + nb, edges)
-    return g, VertexSet.from_ids(g.n, range(na)), VertexSet.from_ids(
+    return g, VertexSet(g.n, range(na)), VertexSet(
         g.n, range(na, na + nb)
     )
 
@@ -58,7 +58,7 @@ def isolated_vertex_pair(n=8):
     """Complete bipartite n+n except one left vertex has no edges at all."""
     edges = [(a, n + b) for a in range(1, n) for b in range(n)]
     g = Graph.from_edges(2 * n, edges)
-    return g, VertexSet.from_ids(g.n, range(n)), VertexSet.from_ids(
+    return g, VertexSet(g.n, range(n)), VertexSet(
         g.n, range(n, 2 * n)
     )
 
@@ -124,8 +124,8 @@ def test_exact_complete_pair_passes():
 
 def test_exact_edgeless_fails_with_half_witness():
     g = Graph.from_edges(8, [])
-    A = VertexSet.from_ids(8, range(4))
-    B = VertexSet.from_ids(8, range(4, 8))
+    A = VertexSet(8, range(4))
+    B = VertexSet(8, range(4, 8))
     v = exact_lower_regular(g, A, B, Fraction(1, 2), Fraction(1, 2))
     assert not v.passed
     U1, U2 = v.witness
@@ -173,8 +173,8 @@ def test_exact_size_reduction_soundness(seed):
 
 def test_sampled_edgeless_fails():
     g = Graph.from_edges(40, [])
-    A = VertexSet.from_ids(40, range(20))
-    B = VertexSet.from_ids(40, range(20, 40))
+    A = VertexSet(40, range(20))
+    B = VertexSet(40, range(20, 40))
     v = sampled_lower_regular(g, A, B, Fraction(1, 4), Fraction(1, 2), trials=1,
                               seed=0)
     assert not v.passed and v.mode == SAMPLED
@@ -249,8 +249,8 @@ def test_slicing_invariant_exhaustive_small(seed):
         pytest.skip("pair not regular at the base level")
     for sub_a in all_subsets_at_fraction(A.to_list(), delta):
         for sub_b in all_subsets_at_fraction(B.to_list(), delta):
-            SA = VertexSet.from_ids(g.n, sub_a)
-            SB = VertexSet.from_ids(g.n, sub_b)
+            SA = VertexSet(g.n, sub_a)
+            SB = VertexSet(g.n, sub_b)
             v = exact_lower_regular(g, SA, SB, eps / delta,
                                     Fraction(1, 2))
             assert v.passed, (sub_a, sub_b)
@@ -289,7 +289,8 @@ def test_monotonicity_in_eps(seed):
 def test_find_on_complete_pair():
     g, A, B = complete_pair(12, 12)
     out = find_lower_regular_pair(g, A, B, Fraction(1, 4), Fraction(1, 4), 1,
-                                  Fraction(1, 2), seed=0)
+                                  Fraction(1, 2), budget=200, seed=0,
+                                  check_trials=64, cap=EXACT_CAP)
     assert out.passed
     U1, U2 = out.pair
     assert U1.size == U2.size == 6
@@ -301,15 +302,16 @@ def test_find_lands_in_dense_block():
     n = 8
     edges = [(a, n + b) for a in range(4) for b in range(4)]
     g = Graph.from_edges(2 * n, edges)
-    A = VertexSet.from_ids(g.n, range(n))
-    B = VertexSet.from_ids(g.n, range(n, 2 * n))
+    A = VertexSet(g.n, range(n))
+    B = VertexSet(g.n, range(n, 2 * n))
     out = find_lower_regular_pair(g, A, B, Fraction(1, 4), Fraction(1, 4), 1,
-                                  Fraction(1, 4), seed=0)
+                                  Fraction(1, 4), budget=200, seed=0,
+                                  check_trials=64, cap=EXACT_CAP)
     assert out.passed
     U1, U2 = out.pair
     assert U1.size == U2.size == 2
-    block_a = VertexSet.from_ids(g.n, range(4))
-    block_b = VertexSet.from_ids(g.n, range(n, n + 4))
+    block_a = VertexSet(g.n, range(4))
+    block_b = VertexSet(g.n, range(n, n + 4))
     assert (U1 & block_a) == U1
     assert (U2 & block_b) == U2
     assert exact_lower_regular(g, U1, U2, Fraction(1, 4), Fraction(1, 4)).passed
@@ -319,7 +321,8 @@ def test_find_lands_in_dense_block():
 def test_find_outputs_pass_exact_at_fourteen(seed):
     g, A, B = bipartite(14, 14, 0.5, seed + 7000)
     out = find_lower_regular_pair(g, A, B, Fraction(3, 10), Fraction(1, 4), 0.5,
-                                  Fraction(1, 2), seed=seed)
+                                  Fraction(1, 2), budget=200, seed=seed,
+                                  check_trials=64, cap=EXACT_CAP)
     assert out.passed, f"seed {seed}: no regular pair found"
     U1, U2 = out.pair
     assert U1.size == U2.size == 7
@@ -330,24 +333,27 @@ def test_find_outputs_pass_exact_at_fourteen(seed):
 
 def test_find_requires_dense_pair():
     g = Graph.from_edges(8, [])
-    A = VertexSet.from_ids(8, range(4))
-    B = VertexSet.from_ids(8, range(4, 8))
+    A = VertexSet(8, range(4))
+    B = VertexSet(8, range(4, 8))
     with pytest.raises(ValueError, match="sparse"):
         find_lower_regular_pair(g, A, B, Fraction(1, 4), Fraction(1, 4), 1,
-                                Fraction(1, 2))
+                                Fraction(1, 2), budget=200, seed=0,
+                                check_trials=64, cap=EXACT_CAP)
 
 
 def test_find_rejects_empty_budget():
     g, A, B = bipartite(8, 8, 1.0, 0)
     with pytest.raises(ValueError, match="budget"):
         find_lower_regular_pair(g, A, B, Fraction(1, 4), Fraction(1, 2), 1,
-                                Fraction(1, 2), budget=0)
+                                Fraction(1, 2), budget=0, seed=0,
+                                check_trials=64, cap=EXACT_CAP)
 
 
 def test_find_failure_carries_best_pair():
     g, A, B = isolated_vertex_pair(8)
     out = find_lower_regular_pair(g, A, B, Fraction(1, 4), Fraction(4, 5), 1,
-                                  1, budget=7, seed=0)
+                                  1, budget=7, seed=0, check_trials=64,
+                                  cap=EXACT_CAP)
     assert not out.passed
     assert out.checks_used <= 7
     U1, U2 = out.pair
@@ -358,10 +364,10 @@ def test_find_failure_carries_best_pair():
 
 def test_find_is_deterministic():
     g, A, B = bipartite(14, 14, 0.5, 123)
-    a = find_lower_regular_pair(g, A, B, Fraction(3, 10), Fraction(1, 4), 0.5,
-                                Fraction(1, 2), seed=9)
-    b = find_lower_regular_pair(g, A, B, Fraction(3, 10), Fraction(1, 4), 0.5,
-                                Fraction(1, 2), seed=9)
+    a, b = (find_lower_regular_pair(g, A, B, Fraction(3, 10), Fraction(1, 4), 0.5,
+                                    Fraction(1, 2), budget=200, seed=9,
+                                    check_trials=64, cap=EXACT_CAP)
+            for _ in range(2))
     assert a.pair == b.pair and a.checks_used == b.checks_used
 
 
@@ -400,13 +406,14 @@ def test_schedule_rejects_bad_rule():
 
 
 def triangle_blowup(s, p, seed):
-    return build_blowup(host_cycle(3), s, p, seed)
+    return build_blowup(HostGraph(Graph.cycle(3)), s, p, seed)
 
 
 def test_bad_set_empty_on_complete():
     bg = triangle_blowup(12, 1.0, 0)
     B = compute_bad_set(bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2),
-                        Fraction(1, 4), Fraction(1, 2), 1.0, draws=2, seed=0)
+                        Fraction(1, 4), Fraction(1, 2), 1.0, draws=2, seed=0,
+                        checker_trials=1, checker_cap=0)
     assert B.size == 0
 
 
@@ -419,7 +426,7 @@ def test_bad_set_catches_stripped_vertex():
         if not (victim in (u, v) and (u in part0 or v in part0))])
     B = compute_bad_set(damaged, damaged, bg.part(0), bg.part(1),
                         bg.part(2), Fraction(9, 20), Fraction(1, 2), 0.6,
-                        draws=2, seed=3)
+                        draws=2, seed=3, checker_trials=1, checker_cap=0)
     assert victim in B
 
 
@@ -427,7 +434,8 @@ def test_bad_set_catches_stripped_vertex():
 def test_bad_set_small_on_cooperative_run(seed):
     bg = triangle_blowup(40, 0.6, seed)
     B = compute_bad_set(bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2),
-                        Fraction(9, 20), Fraction(1, 2), 0.6, draws=2, seed=seed)
+                        Fraction(9, 20), Fraction(1, 2), 0.6, draws=2, seed=seed,
+                        checker_trials=1, checker_cap=0)
     assert B.size <= 8
     assert (B & bg.part(2)) == B
 
@@ -436,7 +444,8 @@ def test_bad_set_allowance_breach_raises():
     bg = triangle_blowup(40, 0.15, 2)
     with pytest.raises(BadSetError) as err:
         compute_bad_set(bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2),
-                        Fraction(9, 20), Fraction(1, 2), 0.15, draws=2, seed=0)
+                        Fraction(9, 20), Fraction(1, 2), 0.15, draws=2, seed=0,
+                        checker_trials=1, checker_cap=0)
     assert err.value.bad.size > err.value.limit
 
 
@@ -444,7 +453,8 @@ def test_bad_set_rejects_zero_draws():
     bg = triangle_blowup(10, 0.5, 0)
     with pytest.raises(ValueError):
         compute_bad_set(bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2),
-                        Fraction(1, 4), Fraction(1, 2), 0.5, draws=0, seed=0)
+                        Fraction(1, 4), Fraction(1, 2), 0.5, draws=0, seed=0,
+                        checker_trials=1, checker_cap=0)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +492,7 @@ def _ref_density(G, U1, U2):
 def _ref_sample(S, k, rng):
     ids = S.to_list()
     picked = rng.choice(len(ids), size=k, replace=False)
-    return VertexSet.from_ids(S.n, [ids[int(i)] for i in picked])
+    return VertexSet(S.n, [ids[int(i)] for i in picked])
 
 
 def _ref_lowest_by_degree(G, pool, into, k):
@@ -503,10 +513,10 @@ def _ref_sampled(G, A, B, eps, p, trials, seed):
     for t in range(trials):
         if t < biased:
             pick1 = rng.choice(len(pool1), size=k1, replace=False)
-            U1 = VertexSet.from_ids(G.n, [pool1[int(i)] for i in pick1])
+            U1 = VertexSet(G.n, [pool1[int(i)] for i in pick1])
             pool2 = _ref_lowest_by_degree(G, b_ids, U1, min(2 * k2, len(b_ids)))
             pick2 = rng.choice(len(pool2), size=k2, replace=False)
-            U2 = VertexSet.from_ids(G.n, [pool2[int(i)] for i in pick2])
+            U2 = VertexSet(G.n, [pool2[int(i)] for i in pick2])
         else:
             U1 = _ref_sample(A, k1, rng)
             U2 = _ref_sample(B, k2, rng)
@@ -554,7 +564,7 @@ def _ref_bad_set(gamma, G_c, V1, V2, ambient, eps, alpha, p, draws, seed,
                 break
         if is_bad:
             bad_ids.append(v)
-    bad = VertexSet.from_ids(gamma.n, bad_ids)
+    bad = VertexSet(gamma.n, bad_ids)
     limit = eps * len(ambient)
     if bad.size > limit:
         raise BadSetError(bad, limit)
@@ -566,7 +576,7 @@ def _verdict_key(v):
     return (v.mode, v.passed, v.threshold, witness, v.witness_density, v.trials)
 
 
-def _outcome(fn, *args):
+def _outcome(fn, *args, **kwargs):
     """What a call returned or raised, and the final state of every generator
     it made, in the order it made them."""
     made = []
@@ -578,7 +588,7 @@ def _outcome(fn, *args):
     make = seeds.rng
     with mock.patch.object(seeds, "rng", recording_rng):
         try:
-            got = fn(*args)
+            got = fn(*args, **kwargs)
             result = _verdict_key(got) if isinstance(got, RegVerdict) else got.to_list()
         except BadSetError as e:
             result = ("BadSetError", e.bad.to_list(), e.limit)
@@ -622,14 +632,14 @@ def test_sampled_check_matches_the_set_based_reference(case, eps, trials, seed, 
        st.sampled_from([0, EXACT_CAP]))
 def test_bad_set_matches_the_set_based_reference(case, eps, draws, seed, trials, cap):
     bg, p, G = case
-    args = (G, G, bg.part(0), bg.part(1), bg.part(2), eps, Fraction(1, 2), p,
-            draws, seed, trials, cap)
+    args = (G, G, bg.part(0), bg.part(1), bg.part(2), eps, Fraction(1, 2), p)
+    kwargs = dict(draws=draws, seed=seed, checker_trials=trials, checker_cap=cap)
     # The audit draws its one-trial (N_v, V2) checks through
     # `seeds.choice_sets`, with no generator per check, so only the audit
     # stream, the first generator either makes, is compared; the kernel's
     # draws are checked against numpy's in tests/test_seeds.py.
-    got, got_states = _outcome(compute_bad_set, *args)
-    want, want_states = _outcome(_ref_bad_set, *args)
+    got, got_states = _outcome(compute_bad_set, *args, **kwargs)
+    want, want_states = _outcome(_ref_bad_set, *args, **kwargs)
     assert (got, got_states[0]) == (want, want_states[0])
 
 
@@ -641,9 +651,10 @@ def test_batched_audit_replays_its_failing_checks(s, p, seed, draws):
     # runs of passing checks and grow again.
     bg = triangle_blowup(s, p, seed)
     args = (bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2), Fraction(9, 20),
-            Fraction(1, 2), p, draws, seed, 1, 0)
-    got, got_states = _outcome(compute_bad_set, *args)
-    want, want_states = _outcome(_ref_bad_set, *args)
+            Fraction(1, 2), p)
+    kwargs = dict(draws=draws, seed=seed, checker_trials=1, checker_cap=0)
+    got, got_states = _outcome(compute_bad_set, *args, **kwargs)
+    want, want_states = _outcome(_ref_bad_set, *args, **kwargs)
     assert got[0] == "BadSetError"
     assert (got, got_states[0]) == (want, want_states[0])
 
@@ -652,17 +663,20 @@ def test_audit_with_check_seeds_past_64_bits_draws_check_by_check():
     # choice_sets takes uint64 seeds, so such an audit makes a generator per check
     bg = triangle_blowup(24, 0.5, 1)
     args = (bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2), Fraction(1, 4),
-            Fraction(1, 2), 0.5, 2, 2**64 - 5, 1, 0)
-    assert _outcome(compute_bad_set, *args) == _outcome(_ref_bad_set, *args)
+            Fraction(1, 2), 0.5)
+    kwargs = dict(draws=2, seed=2**64 - 5, checker_trials=1, checker_cap=0)
+    assert (_outcome(compute_bad_set, *args, **kwargs)
+            == _outcome(_ref_bad_set, *args, **kwargs))
 
 
 def test_batched_audit_makes_one_generator():
     # On a 4-cycle blow-up no ambient vertex has a neighbour in V2, so every
     # check is an (N_v, V2) check, drawn without a generator of its own.
-    bg = build_blowup(host_cycle(4), 60, 0.5, 3)
+    bg = build_blowup(HostGraph(Graph.cycle(4)), 60, 0.5, 3)
     args = (bg.gamma, bg.gamma, bg.part(1), bg.part(2), bg.part(0), Fraction(1, 4),
-            Fraction(1, 2), 0.5, 3, 11, 1, 0)
-    got, got_states = _outcome(compute_bad_set, *args)
-    want, want_states = _outcome(_ref_bad_set, *args)
+            Fraction(1, 2), 0.5)
+    kwargs = dict(draws=3, seed=11, checker_trials=1, checker_cap=0)
+    got, got_states = _outcome(compute_bad_set, *args, **kwargs)
+    want, want_states = _outcome(_ref_bad_set, *args, **kwargs)
     assert (got, got_states[0]) == (want, want_states[0])
     assert len(want_states) == 1 + 3 * 60 and len(got_states) == 1
