@@ -46,6 +46,7 @@ from monogrid.graphs import (
     write_graph,
 )
 from monogrid.oracle import (
+    SEARCH_BUDGET,
     arrows,
     contains_subgraph,
     expected_grid_count,
@@ -545,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--graph", required=True, help=f"graph spec: {GRAPH_SPEC}")
     k.add_argument("--target", required=True, help="graph spec, as for --graph")
     k.add_argument("--r", type=int, default=2)
-    k.add_argument("--budget", type=count, default=2_000_000)
+    k.add_argument("--budget", type=count, default=SEARCH_BUDGET)
     k.add_argument("--allow-large", action="store_true",
                    help="waive the edge-count guard on the exhaustive search")
     k.add_argument("--out", help="directory for an avoiding witness, if found")
@@ -555,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--graph", required=True, help=f"graph spec: {GRAPH_SPEC}")
     k.add_argument("--a", type=int, required=True)
     k.add_argument("--b", type=int, required=True)
-    k.add_argument("--budget", type=count, default=2_000_000)
+    k.add_argument("--budget", type=count, default=SEARCH_BUDGET)
     k.set_defaults(func=cmd_oracle)
 
     k = kinds.add_parser("count", help="Monte Carlo grid counts in G(n, p)")

@@ -23,8 +23,6 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
 
-import numpy as np
-
 from monogrid import seeds
 from monogrid.blowup import BlowupGraph
 from monogrid.config import Knobs
@@ -91,8 +89,8 @@ class EmbedContext:
     """Frozen surroundings for one grid embedding.
 
     sets[t] are the cycle sets, bad[t] the audited bad vertices inside
-    them, G the working graph: the chosen colour's edges restricted to the
-    union of the sets.  s is the blow-up part size the allowances are
+    them, G the working graph: the chosen colour class, asked only about
+    subsets of the sets.  s is the blow-up part size the allowances are
     quoted against, which may exceed the actual set sizes when the chain
     shrank its parts.
     """
@@ -466,8 +464,7 @@ def build_context(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
             raise ValueError(f"no surviving set for host vertex {x}")
         sets.append(result.final_sets[x])
 
-    union = VertexSet(bg.gamma.n, np.concatenate([U.ids for U in sets]))
-    G = colour_subgraph(bg.gamma, chi, cycle.colour).induced(union)
+    G = colour_subgraph(bg.gamma, chi, cycle.colour)
 
     bad = []
     for t in range(m):

@@ -11,8 +11,8 @@ subset degree is a gather, an AND with the subset's word mask and a popcount.
 
 Only this module sees that layout; the rest ask set-level questions
 (`PairMatrix`, `degrees_into`, `edge_count`, `pair_density`, `neighbours_in`,
-`Graph.induced`, the `VertexSet` algebra).  `oracle.py` keeps its search state
-in int masks from `Graph.row`, the one conversion of tiles into ints.
+the `VertexSet` algebra).  `oracle.py` keeps its search state in int masks
+from `Graph.row`, the one conversion of tiles into ints.
 
 A vertex set is a read-only sorted int64 array of member ids, with a word
 mask over 0..n-1 built on first use.  Iteration and `to_list` hand out Python
@@ -278,20 +278,6 @@ class Graph:
         words, cols = self._row_words(v)
         return VertexSet._of(self.n, _word_ids(words, cols * W))
 
-    def induced(self, S: VertexSet) -> "Graph":
-        """The subgraph on the members of S, on the same vertex ids 0..n-1."""
-        if len(S) == self.n:
-            return self
-        mask = S._words()
-        rows = mask[self._keys // max(_nblocks(self.n), 1)]  # the tiles' rows in S
-        touched = (rows != 0) & (mask[self._col] != 0)
-        tiles = self._tiles[touched]
-        tiles &= mask[self._col[touched], None]
-        out = (rows[touched, None] >> np.arange(W, dtype=np.uint64) & np.uint64(1)) == 0
-        tiles[out] = 0
-        kept = tiles.any(axis=1)
-        return Graph(self.n, self._keys[touched][kept], tiles[kept])
-
     def edge_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """All edges as int64 arrays (u, v) with u < v, a row block at a time,
         ascending."""
@@ -384,21 +370,17 @@ class PairMatrix:
 
 
 class PairTiles:
-    """`PairMatrix.count` of G between two int64 id arrays, read from the tiles
-    with no matrix built, for a caller that reads only a few sub-pairs."""
+    """`PairMatrix.count` of whole sub-pairs of G between two int64 id arrays,
+    read from the tiles with no matrix built, for a caller that reads only a
+    few sub-pairs."""
 
     __slots__ = ("G", "a_ids", "b_ids")
 
     def __init__(self, G: Graph, a_ids: np.ndarray, b_ids: np.ndarray):
         self.G, self.a_ids, self.b_ids = G, a_ids, b_ids
 
-    def count(self, x, y: np.ndarray, axis: int | None = None):
-        a, b = self.a_ids[x], self.b_ids[y]
-        if axis is None:
-            return edge_count(self.G, a, b)
-        if axis == 0:
-            return degrees_into(self.G, b, VertexSet(self.G.n, a))
-        return degrees_into(self.G, a, VertexSet(self.G.n, b))
+    def count(self, x, y: np.ndarray) -> int:
+        return edge_count(self.G, self.a_ids[x], self.b_ids[y])
 
 
 def degrees_into(G: Graph, ids: np.ndarray, B: VertexSet) -> np.ndarray:

@@ -34,6 +34,9 @@ ARROWS = "arrows"
 NOT_ARROWS = "not_arrows"
 UNKNOWN = "unknown"
 
+# the default node budget of one exhaustive search
+SEARCH_BUDGET = 2_000_000
+
 
 def grid_graph(a: int, b: int) -> Graph:
     """The a-by-b grid: cell (i, j) is vertex i*b + j, axis neighbours adjacent."""
@@ -295,7 +298,7 @@ def validate_not_arrows_witness(G: Graph, T: Graph, chi: EdgeColouring) -> bool:
     return True
 
 
-def arrows(G: Graph, T: Graph, r: int, budget: int = 2_000_000,
+def arrows(G: Graph, T: Graph, r: int, budget: int = SEARCH_BUDGET,
            allow_large: bool = False) -> ArrowResult:
     """Does every r-colouring of E(G) contain a monochromatic copy of T?
 
@@ -312,21 +315,17 @@ def arrows(G: Graph, T: Graph, r: int, budget: int = 2_000_000,
             f"{G.edge_count} edges is past the exhaustive-search guard; "
             "pass allow_large=True to insist"
         )
-    if r == 1:
-        # one colour class: the whole of G
-        found = contains_subgraph(G, T, budget)
-        if found.status == UNKNOWN:
-            return ArrowResult(UNKNOWN, None, found.nodes)
-        return ArrowResult(ARROWS if found.status == FOUND else NOT_ARROWS,
-                           None, found.nodes)
     whole = contains_subgraph(G, T, budget)
     if whole.status == UNKNOWN:
         return ArrowResult(UNKNOWN, None, whole.nodes)
     if whole.status == ABSENT:
-        # no copy in G at all, so any colouring avoids T
-        return ArrowResult(NOT_ARROWS, EdgeColouring.constant(G, r), whole.nodes)
-    if T.edge_count == 0:
-        # copies of an edgeless target need no coloured edges
+        # no copy in G at all, so any colouring avoids T; with one colour
+        # the class is G itself and no colouring is a witness
+        return ArrowResult(NOT_ARROWS, EdgeColouring.constant(G, r) if r > 1 else None,
+                           whole.nodes)
+    if r == 1 or T.edge_count == 0:
+        # with one colour the copy in G is monochromatic, and copies of an
+        # edgeless target need no coloured edges
         return ArrowResult(ARROWS, None, whole.nodes)
 
     edges = list(G.edges())
@@ -372,13 +371,6 @@ def arrows(G: Graph, T: Graph, r: int, budget: int = 2_000_000,
 # first-moment grid counts
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 def expected_grid_count(n: int, p: float, a: int, b: int) -> float:
     """Expected number of unlabelled a-by-b grid copies in a binomial random graph.
 
@@ -391,7 +383,7 @@ def expected_grid_count(n: int, p: float, a: int, b: int) -> float:
     if a * b > n:
         raise ValueError("grid has more vertices than the host")
     e = 2 * a * b - a - b
-    return _falling(n, a * b) * (p ** e) / grid_automorphisms(a, b)
+    return math.perm(n, a * b) * (p ** e) / grid_automorphisms(a, b)
 
 
 def _bits(n: int) -> np.ndarray:
@@ -480,28 +472,6 @@ def _count_grid_in_adj(A: np.ndarray, paths: tuple[np.ndarray, np.ndarray],
             sets = ends[first[c:c + step, None] + np.arange(d)]
             total += int(np.count_nonzero((sets[:, :, None] & sets[:, None, :]) == 0))
     return total
-
-
-_FAST_TUPLE_CAP = 200_000
-
-
-def count_grid_copies(G: Graph, a: int, b: int) -> int:
-    """Exact number of unlabelled a-by-b grid copies in G."""
-    if a < 1 or b < 1:
-        raise ValueError("grid dimensions must be at least 1")
-    aut = grid_automorphisms(a, b)
-    if b > a:
-        a, b = b, a  # count along the shorter axis
-    if b <= 3 and G.n <= 63:
-        A = np.zeros((G.n, G.n), dtype=bool)
-        for u, v in G.edges():
-            A[u, v] = A[v, u] = True
-        paths = _ordered_paths(A, a)
-        if len(paths[0]) <= _FAST_TUPLE_CAP:
-            return _count_grid_in_adj(A, paths, b) // aut
-    if a * b <= 12 and G.n <= 30:
-        return count_labelled_copies(G, grid_graph(a, b)) // aut
-    raise ValueError(f"grid counting intractable at n={G.n}, {a}x{b}")
 
 
 @dataclass(frozen=True)

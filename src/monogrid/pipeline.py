@@ -410,7 +410,7 @@ class CycleCertificate:
 
 
 def find_mono_cycle(H: HostGraph, phi: EdgeColouring, l_min: int, l_max: int,
-                    budget: int = 500_000) -> CycleCertificate | None:
+                    budget: int = Knobs.cycle_budget) -> CycleCertificate | None:
     """Longest-first search for a single-colour cycle with length in range.
 
     Tries lengths from l_max down, each colour class in turn, by a

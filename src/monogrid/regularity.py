@@ -156,17 +156,16 @@ def exact_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
     eps = Fraction(eps)
     threshold = (1 - eps) * Fraction(p)
     k1, k2 = _subset_sizes(eps, len(A), len(B))
-    a_ids, b_ids = A.to_list(), B.to_list()
-    M, all_b = PairMatrix(G, A.ids, B.ids), np.arange(len(b_ids))
+    M, all_b = PairMatrix(G, A.ids, B.ids), np.arange(len(B))
     den, bound = threshold.denominator, threshold.numerator * k1 * k2
-    for combo in combinations(range(len(a_ids)), k1):
-        degrees = M.count(list(combo), all_b, 0).tolist()
-        worst = sorted(zip(degrees, b_ids))[:k2]
-        edge_sum = sum(d for d, _ in worst)
+    for combo in combinations(range(len(A)), k1):
+        degrees = M.count(list(combo), all_b, 0)
+        worst = _lowest(all_b, degrees, k2)
+        edge_sum = int(degrees[worst].sum())
         if edge_sum * den < bound:
             return RegVerdict(EXACT, False, threshold,
-                              (VertexSet(G.n, [a_ids[i] for i in combo]),
-                               VertexSet(G.n, [b for _, b in worst])),
+                              (VertexSet(G.n, A.ids[list(combo)]),
+                               VertexSet(G.n, B.ids[worst])),
                               Fraction(edge_sum, k1 * k2))
     return RegVerdict(EXACT, True, threshold)
 
@@ -262,11 +261,12 @@ class FindResult:
 
 def _keep_best(G: Graph, part: VertexSet, partner: VertexSet, k: int,
                banned: VertexSet) -> VertexSet:
-    """The k members with highest degree into partner; banned ones go first."""
-    # banned sorts last among keepers
-    ranked = sorted((v in banned, -d, v) for v, d in
-                    zip(part.to_list(), degrees_into(G, part.ids, partner).tolist()))
-    return VertexSet(part.n, [v for _, _, v in ranked[:k]])
+    """The k members with highest degree into partner, ties by id; banned
+    members are kept only when the others run out."""
+    key = -degrees_into(G, part.ids, partner)
+    # a banned member's key rises above every unbanned one's
+    key[np.searchsorted(part.ids, (part & banned).ids)] += len(partner) + 1
+    return VertexSet(part.n, _lowest(part.ids, key, k))
 
 
 def find_lower_regular_pair(

@@ -483,15 +483,21 @@ def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, argv, message):
 # determinism pin and exit-code fuzz
 
 
-def test_desk_seed0_report_is_pinned():
-    # built the way the benchmark's desk-mono workload builds it; the same
-    # hash is pinned there, so a drift in any RNG stream fails here first
-    cfg = load_config(preset="desk", sets=(), seed=0, out="desk-s300-seed0")
+@pytest.mark.parametrize("sets,digest", [
+    ((), "829665fa3a817ba1797407787203bd35df6eb267e4fac288f048bcd619534da1"),
+    (("host=complete 11",),
+     "215c6850df243db88fcd8eb76026507e564c86346c4892e1271cb7b11b7851d8"),
+], ids=["desk", "complete-11"])
+def test_desk_seed0_report_is_pinned(sets, digest):
+    # The desk case is built the way the benchmark's desk-mono workload
+    # builds it; the same hash is pinned there, so a drift in any RNG stream
+    # fails here first.  On `complete 11` the cycle sets miss a host vertex's
+    # part, and the bad-set audit runs its (N_v, N_w) checks.
+    cfg = load_config(preset="desk", sets=sets, seed=0, out="desk-s300-seed0")
     with tempfile.TemporaryDirectory() as tmp:
         report, _ = run_once(cfg, Path(tmp))
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "829665fa3a817ba1797407787203bd35df6eb267e4fac288f048bcd619534da1")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 _ODD_VALUES = ("0", "-1", "1", "2", "3", "7", "1/0", "1/3", "1/20", "0.5", "nan",

@@ -15,9 +15,10 @@ from monogrid.oracle import (
     NOT_ARROWS,
     UNKNOWN,
     ArrowResult,
+    _count_grid_in_adj,
+    _ordered_paths,
     arrows,
     contains_subgraph,
-    count_grid_copies,
     count_labelled_copies,
     expected_grid_count,
     grid_automorphisms,
@@ -136,26 +137,25 @@ def test_search_agrees_with_permutation_check(seed):
 
 def test_grid_count_in_grid():
     # the 5x5 grid holds exactly the nine axis-aligned 3x3 subgrids
-    assert count_labelled_copies(grid_graph(5, 5), grid_graph(3, 3)) == 72
-    assert count_grid_copies(grid_graph(5, 5), 3, 3) == 9
+    labelled = count_labelled_copies(grid_graph(5, 5), grid_graph(3, 3))
+    assert labelled == 72 and labelled // grid_automorphisms(3, 3) == 9
 
 
 def test_four_cycles_of_k4():
-    assert count_grid_copies(Graph.complete(4), 2, 2) == 3
+    labelled = count_labelled_copies(Graph.complete(4), grid_graph(2, 2))
+    assert labelled // grid_automorphisms(2, 2) == 3
 
 
 @pytest.mark.parametrize("a,b", [(1, 2), (2, 2), (2, 3), (3, 3), (1, 3)])
 @pytest.mark.parametrize("seed", SEEDS[:4])
 def test_fast_count_matches_backtracking(a, b, seed):
+    # the Monte Carlo count's kernel, columns along the longer axis
     G = random_graph(12, 0.45, seed)
-    fast = count_grid_copies(G, a, b)
-    slow = count_labelled_copies(G, grid_graph(a, b)) // grid_automorphisms(a, b)
-    assert fast == slow
-
-
-def test_count_refuses_intractable():
-    with pytest.raises(ValueError):
-        count_grid_copies(random_graph(70, 0.1, 0), 5, 5)
+    A = np.zeros((G.n, G.n), dtype=bool)
+    for u, v in G.edges():
+        A[u, v] = A[v, u] = True
+    fast = _count_grid_in_adj(A, _ordered_paths(A, max(a, b)), min(a, b))
+    assert fast == count_labelled_copies(G, grid_graph(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +185,17 @@ def test_one_colour_is_containment():
     g = random_graph(7, 0.5, 4)
     assert arrows(g, g, 1).status == ARROWS
     assert arrows(Graph.complete(3), grid_graph(2, 2), 1).status == NOT_ARROWS
+    # one colour class is G itself: the answer and the node count are those
+    # of one search of G, and no colouring is a witness
+    for G, T, budget, status, nodes in [
+        (Graph.complete(5), Graph.complete(3), None, ARROWS, 3),
+        (Graph.cycle(6), Graph.complete(3), None, NOT_ARROWS, 18),
+        (Graph.cycle(12), Graph.cycle(5), None, NOT_ARROWS, 84),
+        (Graph.cycle(12), Graph.cycle(5), 10, UNKNOWN, 11),
+    ]:
+        out = arrows(G, T, 1) if budget is None else arrows(G, T, 1, budget=budget)
+        assert (out.status, out.nodes, out.witness) == (status, nodes, None)
+        assert out.nodes == contains_subgraph(G, T, budget).nodes
 
 
 def test_absent_target_never_arrows():
