@@ -8,6 +8,7 @@ column block), both orientations of every edge, sorted by the key R * nb + C
 blow-up's tiles cover its 2|E(H)| s x s blocks over host edges and nothing
 else.  The row of v is word v mod 64 of row block v // 64's tiles, so a
 subset degree is a gather, an AND with the subset's word mask and a popcount.
+A `PairMatrix` keeps such gathered rows and ANDs them with column masks.
 
 Only this module sees that layout; the rest ask set-level questions
 (`PairMatrix`, `degrees_into`, `edge_count`, `pair_density`, `neighbours_in`,
@@ -324,63 +325,51 @@ def _row_and(G: Graph, ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, n
 
 
 class PairMatrix:
-    """The 0/1 matrix of G between two int64 id arrays, packed 8 columns to a
-    byte by `np.packbits`: entry (i, j) says whether a_ids[i] b_ids[j] is an
-    edge.  Rows and columns go by position in the id arrays; unchecked."""
+    """The 0/1 matrix of G between two int64 id arrays, by position; unchecked.
 
-    __slots__ = ("cols", "rows")
+    Row i is a_ids[i]'s row words over the column blocks b_ids touch, and
+    entry (i, j) is bit `bit[j]` of them.  The words hold other neighbours
+    too, so a count ANDs them with a column mask; only per-column counts and
+    `ones` unpack bits, of the rows they read."""
+
+    __slots__ = ("words", "bit")
 
     def __init__(self, G: Graph, a_ids: np.ndarray, b_ids: np.ndarray):
-        blocks, col = np.unique(b_ids >> 6, return_inverse=True)
-        col = col * W + (b_ids & 63)  # b_ids[j]'s bit among the words of `blocks`
-        self.cols = len(b_ids)
-        self.rows = np.empty((len(a_ids), -(-self.cols // 8)), dtype=np.uint8)
-        for r0 in range(0, len(a_ids), 1024):  # bounds the unpacked bits
-            ids = a_ids[r0:r0 + 1024]
-            tile, at = _row_tiles(G, ids)
-            where = np.searchsorted(blocks, G._col[tile]).clip(max=len(blocks) - 1)
-            hit = blocks[where] == G._col[tile]
-            tile, at = tile[hit], at[hit]
-            words = np.zeros((len(ids), len(blocks)), dtype=_U64)
-            words[at, where[hit]] = G._tiles[tile, (ids & 63)[at]]
-            bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-            self.rows[r0:r0 + len(ids)] = np.packbits(bits[:, col], axis=1)
+        touched = np.zeros(_nblocks(G.n), dtype=bool)  # the column blocks b_ids touch
+        touched[b_ids >> 6] = True
+        word = np.cumsum(touched) - 1  # a touched block's word in a row
+        self.bit = word[b_ids >> 6] * W + (b_ids & 63)
+        tile, at = _row_tiles(G, a_ids)
+        hit = touched[G._col[tile]]
+        tile, at = tile[hit], at[hit]
+        self.words = np.zeros((len(a_ids), np.count_nonzero(touched)), dtype=_U64)
+        self.words[at, word[G._col[tile]]] = G._tiles[tile, (a_ids & 63)[at]]
 
     def ones(self, i: int) -> np.ndarray:
         """The columns of the ones of row i, ascending."""
-        return np.flatnonzero(np.unpackbits(self.rows[i], count=self.cols))
+        bits = np.unpackbits(self.words[i].view(np.uint8), bitorder="little")
+        return bits[self.bit].nonzero()[0]
+
+    def masks(self, member: np.ndarray) -> np.ndarray:
+        """The column masks of the columns each row of a bool array marks."""
+        bits = np.zeros(member.shape[:-1] + (self.words.shape[1] * W,), dtype=bool)
+        bits[..., self.bit] = member
+        return np.packbits(bits, axis=-1, bitorder="little").view(_U64)
+
+    def score(self, x, mask: np.ndarray, axis: int | None = None):
+        """The ones of rows x under a column mask, in all or per row (axis 1)."""
+        return np.bitwise_count(self.words[x] & mask).sum(axis=axis)
 
     def count(self, x, y: np.ndarray, axis: int | None = None):
         """The ones of the submatrix on rows x and columns y: in all (axis
         None), per column (axis 0) or per row (axis 1), as `np.count_nonzero`
         counts them."""
         if axis == 0:
-            return np.unpackbits(self.rows[x], axis=1, count=self.cols)[:, y].sum(axis=0)
-        member = np.zeros(self.cols, dtype=bool)
+            bits = np.unpackbits(self.words[x].view(np.uint8), axis=1, bitorder="little")
+            return bits[:, self.bit[y]].sum(axis=0)
+        member = np.zeros(len(self.bit), dtype=bool)
         member[y] = True
-        return np.bitwise_count(self.rows[x] & np.packbits(member)).sum(axis=axis)
-
-    def counts(self, x: np.ndarray, member: np.ndarray) -> np.ndarray:
-        """The ones of many submatrices: entry i counts those on the rows x[i]
-        and the columns member[i] marks, for an int (m, k) array x and an
-        (m, cols) bool array member."""
-        mask = np.packbits(member, axis=1)
-        return sum(np.bitwise_count(self.rows[col] & mask).sum(axis=1, dtype=np.int64)
-                   for col in x.T)
-
-
-class PairTiles:
-    """`PairMatrix.count` of whole sub-pairs of G between two int64 id arrays,
-    read from the tiles with no matrix built, for a caller that reads only a
-    few sub-pairs."""
-
-    __slots__ = ("G", "a_ids", "b_ids")
-
-    def __init__(self, G: Graph, a_ids: np.ndarray, b_ids: np.ndarray):
-        self.G, self.a_ids, self.b_ids = G, a_ids, b_ids
-
-    def count(self, x, y: np.ndarray) -> int:
-        return edge_count(self.G, self.a_ids[x], self.b_ids[y])
+        return self.score(x, self.masks(member), axis)
 
 
 def degrees_into(G: Graph, ids: np.ndarray, B: VertexSet) -> np.ndarray:

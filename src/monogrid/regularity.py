@@ -13,11 +13,9 @@ A sampled check with k1 x k2 subsets and threshold num/den fails a trial
 when its edge count e has e * den < num * k1 * k2, an exact integer
 cross-multiplication, so a verdict never depends on float rounding.  The
 sampled checks and the audit share one trial loop over int64 id arrays;
-`VertexSet`s and `Fraction` densities are built only for a witness.  A lone
-check of one trial counts on the graph's tiles (`PairTiles`); a lone check of
-more trials, and the audit, count on packed pair matrices (`PairMatrix`).
-The audit's one-trial (N_v, V2) checks draw their subsets a batch at a time
-through `seeds.choice_sets`, with no generator per check.
+`VertexSet`s and `Fraction` densities are built only for a witness.  Every
+check counts on a pair matrix (`PairMatrix`), and the audit's one-trial
+(N_v, V2) checks draw through `seeds.choice_sets`, with no generator per check.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from monogrid import seeds
 from monogrid.graphs import (
     Graph,
     PairMatrix,
-    PairTiles,
     VertexSet,
     degrees_into,
     pair_density,
@@ -175,7 +172,7 @@ def _lowest(ids: np.ndarray, degrees: np.ndarray, k: int) -> np.ndarray:
     return ids[np.argsort(degrees, kind="stable")[:k]]
 
 
-def _falsify(M: PairMatrix | PairTiles, a: np.ndarray, b: np.ndarray, k1: int,
+def _falsify(M: PairMatrix, a: np.ndarray, b: np.ndarray, k1: int,
              k2: int, threshold: Fraction, trials: int, seed: int):
     """The sampled trials of a check of the pair of sides (a, b), ascending
     row and column positions of the pair M, over k1 x k2 sub-pairs,
@@ -224,10 +221,7 @@ def sampled_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
     eps = Fraction(eps)
     threshold = (1 - eps) * Fraction(p)
     k1, k2 = _subset_sizes(eps, len(A), len(B))
-    # One trial is uniform and reads one sub-pair, which the tiles count for
-    # less than unpacking the whole pair; the biased trials read every row.
-    pair = (PairTiles if trials == 1 else PairMatrix)(G, A.ids, B.ids)
-    found = _falsify(pair, np.arange(len(A)), np.arange(len(B)),
+    found = _falsify(PairMatrix(G, A.ids, B.ids), np.arange(len(A)), np.arange(len(B)),
                      k1, k2, threshold, trials, seed)
     if found is None:
         return RegVerdict(SAMPLED, True, threshold, trials=trials)
@@ -432,21 +426,17 @@ def compute_bad_set(
     every vertex at realistic densities, because minimum subset densities
     concentrate only for subsets far larger than the drawn ones.
 
-    With one trial, the (N_v, V2) checks are drawn in batches by
-    `seeds.choice_sets` and scored with one popcount of each check's drawn
-    rows of the (V1, V2) pair matrix against its packed column mask; no
-    generator is made per check.  The audit's own stream (N_v, the partner w
-    and N_w) stays sequential, and while a batch fills its checks are taken
-    to pass.  The state of the stream is saved where a batch starts, so when
-    the batch holds a failing check the stream goes back, draws the batch's
-    rounds again up to the failing N_v, and the next batch starts after its
-    vertex; every draw then comes in the order of a check-by-check audit.  A
-    batch is at most `BATCH_BYTES` of working memory and, after a failure,
-    as long as the run of passing checks before it, doubling while its
-    checks pass.  The (N_v, N_w) checks, checks of more trials or under an
-    exact cap, checks whose seeds pass 2^64, and the checks of an audit
-    whose batches would hold fewer than k_v2 / 8 checks (from s = 2400 up
-    at desk scale) go one at a time through `_falsify` or the exact check.
+    With one trial, the (N_v, V2) checks make no generator of their own:
+    their seeds do not depend on the audit's own stream (N_v, the partner w
+    and N_w), so `seeds.choice_sets` draws every round's subsets for a batch
+    of ambient vertices ahead, and the audit, walking the vertices once in
+    order, scores each check where it reaches it as one popcount of N_v's
+    drawn rows under the check's column mask.  A batch takes about
+    `BATCH_BYTES` of working memory.  The (N_v, N_w) checks, checks of more
+    trials or under an exact cap, checks whose seeds pass 2^64, and the
+    checks of an audit whose batches would hold fewer than k_v2 / 8 checks
+    (from s = 2400 up at desk scale) go one at a time through `_falsify` or
+    the exact check.
     """
     if draws < 1:
         raise ValueError("need at least one draw per vertex")
@@ -471,51 +461,35 @@ def compute_bad_set(
         return _falsify(block, a, b, k_drawn, k2, threshold, checker_trials,
                         check_seed) is None
 
-    # A one-trial sampled (N_v, V2) check draws from its own seed's generator
-    # and nothing else, so `seeds.choice_sets` draws these checks a batch at
-    # a time; see the docstring for how the audit stream keeps its order.
+    # a batched check's count e fails when e < need: e * den < num * k1 * k2
     need = -(-threshold.numerator * k_drawn * k_v2 // threshold.denominator)
     # a check's share of a batch: about 16 bytes per draw of its subsets, a
-    # byte per member of the populations they are drawn from, and its column
-    # mask with one drawn row of `block` at a time
+    # byte per member of the populations they are drawn from, and a quarter
+    # byte per member of V2 for its column mask (column blocks x 8 bytes)
     most = max(1, BATCH_BYTES // (16 * (2 * k_drawn + k_v2) + size + len(V2) * 5 // 4))
     # The kernel takes k_v2 numpy steps a batch; with fewer than k_v2 / 8
     # checks to share them, a generator per check costs less.
     batched = (checker_trials == 1 and len(V2) > checker_cap and 8 * most >= k_v2
                and seed + 1009 * gamma.n + draws < 2**64)
 
-    def first_failure(checks: list) -> int | None:
-        """The position of the first failing check of a batch, or None."""
-        Nv = np.array([Nv for Nv, _, _, _ in checks])
-        picked, drawn = seeds.choice_sets([s for _, s, _, _ in checks],
-                                          [(size, k_drawn), (len(V2), k_v2)])
-        e = block.counts(Nv[picked].reshape(len(checks), k_drawn), drawn)
-        failed = np.flatnonzero(e < need)  # e < need: e * den < num * k1 * k2
-        return int(failed[0]) if len(failed) else None
-
     rng = seeds.rng(seed)
     amb_ids = ambient.to_list()
     all_v2 = np.arange(len(V2))
     nw_hoods: dict[int, np.ndarray] = {}  # N(w) in V2, per partner w drawn
 
-    def rounds(i: int, stop: int = draws) -> tuple[bool, list]:
-        """Draw and check ambient vertex i's rounds: whether it is bad, and its
-        batched checks as (N_v, check seed, i, round).  The vertex ends bad
-        right after the N_v draw of round `stop`."""
+    def is_bad(i: int, picked, masks) -> bool:
+        """Draw and check ambient vertex i's rounds; a batched round d counts
+        rows N_v[picked[d]] of `block` under the column mask masks[d]."""
         v = amb_ids[i]
         nv = hood1.ones(i)
         if len(nv) < size:
-            return True, []
-        deferred = []
+            return True
         for d in range(draws):
             Nv = sample_ids(nv, size, rng)
             check_seed = seed + 1 + v * 1009 + d
-            if d == stop:
-                return True, deferred
-            if batched:
-                deferred.append((Nv, check_seed, i, d))
-            elif not passes(Nv, all_v2, k_v2, check_seed):
-                return True, deferred
+            if not (block.score(Nv[picked[d]], masks[d]) >= need if batched
+                    else passes(Nv, all_v2, k_v2, check_seed)):
+                return True
             j = int(rng.integers(len(amb_ids)))
             if j not in nw_hoods:
                 nw_hoods[j] = hood2.ones(j)
@@ -523,27 +497,22 @@ def compute_bad_set(
                 continue
             Nw = sample_ids(nw_hoods[j], size, rng)
             if not passes(Nv, Nw, k_drawn, check_seed + 500009):
-                return True, deferred
-        return False, deferred
+                return True
+        return False
 
     bad_ids = []
-    i, window = 0, most
-    while i < len(amb_ids):
-        first, start, verdicts, checks = i, rng.bit_generator.state, [], []
-        while i < len(amb_ids) and len(checks) < window:
-            bad, deferred = rounds(i)
-            verdicts.append(bad)
-            checks += deferred
-            i += 1
-        failed = first_failure(checks) if checks else None
-        if failed is None:
-            window = min(2 * window, most)
-        else:
-            _, _, f, d = checks[failed]
-            rng.bit_generator.state = start
-            verdicts = [rounds(x)[0] for x in range(first, f)] + [rounds(f, stop=d)[0]]
-            i, window = f + 1, failed + 1
-        bad_ids += [amb_ids[x] for x, bad in enumerate(verdicts, first) if bad]
+    step = max(1, most // draws)  # the ambient vertices of one batch
+    for first in range(0, len(amb_ids), step):
+        span = range(first, min(first + step, len(amb_ids)))
+        picked = masks = [None] * len(span)
+        if batched:
+            picked, drawn = seeds.choice_sets(
+                [seed + 1 + amb_ids[i] * 1009 + d for i in span for d in range(draws)],
+                [(size, k_drawn), (len(V2), k_v2)])
+            picked = picked.nonzero()[1].reshape(len(span), draws, k_drawn)
+            masks = block.masks(drawn).reshape(len(span), draws, -1)
+        bad_ids += [amb_ids[i] for i, pick, mask in zip(span, picked, masks)
+                    if is_bad(i, pick, mask)]
     bad = VertexSet(gamma.n, bad_ids)
     limit = eps * len(ambient)
     if bad.size > limit:

@@ -12,9 +12,9 @@ from monogrid.graphs import (
     EdgeColouring,
     Graph,
     PairMatrix,
-    PairTiles,
     VertexSet,
     colour_subgraph,
+    edge_count,
     neighbours_in,
     pair_density,
     read_colouring,
@@ -103,7 +103,8 @@ def test_vertexset_from_ids_rejects_ids_outside_the_universe(bad):
 
 
 def test_pair_matrix_matches_has_edge():
-    # more than one 1024-row chunk, and id arrays that cross tile boundaries
+    # id arrays that cross tile boundaries, and row words that hold
+    # neighbours outside the columns
     rng = np.random.default_rng(5)
     n = 1500
     pairs = rng.integers(0, n, (6000, 2))
@@ -116,14 +117,18 @@ def test_pair_matrix_matches_has_edge():
         assert M.ones(i).tolist() == np.flatnonzero(ref[i]).tolist()
     x, y = np.sort(rng.choice(1100, 40, replace=False)), np.sort(rng.choice(77, 30, replace=False))
     sub = ref[x][:, y]
-    assert M.count(x, y) == PairTiles(G, a_ids, b_ids).count(x, y) == sub.sum()
+    assert M.count(x, y) == edge_count(G, a_ids[x], b_ids[y]) == sub.sum()
     assert M.count(x, y, 0).tolist() == sub.sum(axis=0).tolist()
     assert M.count(x, y, 1).tolist() == sub.sum(axis=1).tolist()
-    # many submatrices at once: rows xs[i], the columns member[i] marks
+    everything = np.arange(1100), np.arange(77)
+    assert M.count(*everything) == edge_count(G, a_ids, b_ids) == ref.sum()
+    # many submatrices at once: rows xs[i] under the mask of the columns member[i] marks
     xs = np.array([rng.choice(1100, 5, replace=False) for _ in range(9)])
     member = rng.random((9, 77)) < 0.3
-    assert M.counts(xs, member).tolist() == [
+    masks = M.masks(member)
+    assert [M.score(row, mask) for row, mask in zip(xs, masks)] == [
         int(ref[row][:, cols].sum()) for row, cols in zip(xs, member)]
+    assert M.score(xs[0], masks[0], 1).tolist() == ref[xs[0]][:, member[0]].sum(axis=1).tolist()
 
 
 @pytest.mark.parametrize("ids", [[1.5], np.array([2.0, 3.0]), np.array([True])])
@@ -398,10 +403,11 @@ def test_colouring_file_errors_carry_line_numbers(tmp_path, body, lineno):
 # layout boundary
 
 # Adjacency is tiles only inside graphs.py, and bit operations on it too;
-# these modules ask set-level questions instead.  oracle.py keeps int-mask
+# these modules ask set-level questions instead, and read no `PairMatrix`
+# words or column bits (`.words`, `.bit`).  oracle.py keeps int-mask
 # search state, which it takes from `Graph.row` and from nothing else of the
 # layout.
-_TILE_READS = re.compile(r"\._(tiles|keys|ptr|col|mask|words|rows)\b|\.bits\b|\.row\("
+_TILE_READS = re.compile(r"\._(tiles|keys|ptr|col|mask|words|rows)\b|\.(bits?|words)\b|\.row\("
                          r"|\b(un)?packbits\b|\bbitwise_count\b")
 _SRC = Path(__file__).resolve().parents[1] / "src" / "monogrid"
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monogrid import seeds
+from monogrid import regularity, seeds
 
 from monogrid.blowup import build_blowup
 from monogrid.config import load_config
@@ -646,9 +646,9 @@ def test_bad_set_matches_the_set_based_reference(case, eps, draws, seed, trials,
 @pytest.mark.parametrize("s, p, seed, draws", [(40, 0.15, 2, 1), (40, 0.3, 1, 1),
                                                (60, 0.2, 0, 2)])
 def test_batched_audit_replays_its_failing_checks(s, p, seed, draws):
-    # Sparse blow-ups, where (N_v, V2) checks fail inside a batch: the audit
-    # stream goes back to the failing vertex, and the batches shrink to the
-    # runs of passing checks and grow again.
+    # Sparse blow-ups, where (N_v, V2) checks fail inside a batch: the
+    # failing vertex draws no more rounds, and the audit stream goes on to
+    # the next vertex as a check-by-check audit's does.
     bg = triangle_blowup(s, p, seed)
     args = (bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2), Fraction(9, 20),
             Fraction(1, 2), p)
@@ -656,6 +656,30 @@ def test_batched_audit_replays_its_failing_checks(s, p, seed, draws):
     got, got_states = _outcome(compute_bad_set, *args, **kwargs)
     want, want_states = _outcome(_ref_bad_set, *args, **kwargs)
     assert got[0] == "BadSetError"
+    assert (got, got_states[0]) == (want, want_states[0])
+
+
+@pytest.mark.parametrize("s, p, seed, draws", [(40, 0.15, 2, 1), (40, 0.3, 1, 1),
+                                               (60, 0.2, 0, 2)])
+def test_audit_in_many_small_batches_matches_the_reference(s, p, seed, draws, monkeypatch):
+    # 2200 bytes hold 4 or 5 checks here, so the audit draws its checks a
+    # few vertices at a time, with failing checks inside the batches.
+    monkeypatch.setattr(regularity, "BATCH_BYTES", 2200)
+    batches, choice_sets = [], seeds.choice_sets
+
+    def counting_choice_sets(check_seeds, shapes):
+        batches.append(len(check_seeds))
+        return choice_sets(check_seeds, shapes)
+
+    monkeypatch.setattr(seeds, "choice_sets", counting_choice_sets)
+    bg = triangle_blowup(s, p, seed)
+    args = (bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2), Fraction(9, 20),
+            Fraction(1, 2), p)
+    kwargs = dict(draws=draws, seed=seed, checker_trials=1, checker_cap=0)
+    got, got_states = _outcome(compute_bad_set, *args, **kwargs)
+    want, want_states = _outcome(_ref_bad_set, *args, **kwargs)
+    assert got[0] == "BadSetError" and len(got[1]) > len(batches) > 5
+    assert sum(batches) == s * draws and max(batches) <= 5
     assert (got, got_states[0]) == (want, want_states[0])
 
 
