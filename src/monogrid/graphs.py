@@ -75,9 +75,41 @@ def _word_ids(words: np.ndarray, base: np.ndarray) -> np.ndarray:
     return base[nz][at >> 6] + (at & 63)
 
 
-def sample_ids(ids: np.ndarray, k: int, rng) -> np.ndarray:
-    """A uniform k-subset of an id array, drawn with a numpy Generator, sorted."""
-    return np.sort(ids[rng.choice(len(ids), size=k, replace=False)])
+def floyd(rng, n, k: int, bit: np.ndarray, taken: np.ndarray) -> Iterator[np.ndarray]:
+    """A uniform k-subset of range(n) for every row of the word masks `taken`
+    at once, by Floyd's algorithm a step at a time: for j = n - k, ..., n - 1,
+    every row draws t uniform in [0, j] (one `rng.integers` call over the
+    rows) and picks t, or j when it holds t already.  `n` is an int, or one
+    int per row, each at least k.
+
+    A row holds position t when its mask has bit bit[t] set, or bit[r, t] for
+    row r when `bit` is 2-D; `taken` starts empty and ends holding each row's
+    subset.  Yields each step's picks, one per row.
+    """
+    rows, flat = len(taken), taken.reshape(-1)
+    # row r's positions start at at[r] in the flat bit map, its bits at base[r]
+    at = np.arange(rows) * (bit.shape[1] if bit.ndim == 2 else 0)
+    bit, base = bit.reshape(-1), np.arange(rows) * (taken.shape[1] * W)
+    for step in range(k):
+        top = n - k + step
+        t = rng.integers(0, top + 1, size=rows)
+        t = np.where(_holds(flat, base + bit[at + t]), top, t)
+        b = base + bit[at + t]
+        flat[b >> 6] |= _bits(b & 63)
+        yield t
+
+
+def subsets(rng, n, k: int, rows: int) -> np.ndarray:
+    """Uniform k-subsets of range(n), `n` an int or one int per row, one
+    subset per row, ascending in each row: `floyd` over bit-per-position
+    masks."""
+    top = int(np.max(n, initial=k))
+    picks = np.empty((rows, k), dtype=np.int64)
+    taken = np.zeros((rows, _nblocks(top)), dtype=_U64)
+    for step, t in enumerate(floyd(rng, n, k, np.arange(top), taken)):
+        picks[:, step] = t
+    picks.sort(axis=1)
+    return picks
 
 
 class VertexSet:
@@ -180,7 +212,7 @@ class VertexSet:
         """Uniform k-subset drawn with the supplied numpy Generator."""
         if k < 0 or k > len(self):
             raise ValueError(f"cannot sample {k} of {len(self)} members")
-        return VertexSet._of(self.n, sample_ids(self.ids, k, rng))
+        return VertexSet._of(self.n, np.sort(self.ids[rng.choice(len(self), size=k, replace=False)]))
 
     def to_list(self) -> list[int]:
         return self.ids.tolist()
@@ -330,7 +362,7 @@ class PairMatrix:
     Row i is a_ids[i]'s row words over the column blocks b_ids touch, and
     entry (i, j) is bit `bit[j]` of them.  The words hold other neighbours
     too, so a count ANDs them with a column mask; only per-column counts and
-    `ones` unpack bits, of the rows they read."""
+    `select` unpack bits, of the rows they read."""
 
     __slots__ = ("words", "bit")
 
@@ -345,20 +377,36 @@ class PairMatrix:
         self.words = np.zeros((len(a_ids), np.count_nonzero(touched)), dtype=_U64)
         self.words[at, word[G._col[tile]]] = G._tiles[tile, (a_ids & 63)[at]]
 
-    def ones(self, i: int) -> np.ndarray:
-        """The columns of the ones of row i, ascending."""
-        bits = np.unpackbits(self.words[i].view(np.uint8), bitorder="little")
-        return bits[self.bit].nonzero()[0]
+    def select(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The columns of row x[r]'s ones of ranks t[r, i] (ascending order,
+        from 0), for every r and i; the rows are unpacked 64 at a time."""
+        out = np.empty(t.shape, dtype=np.int64)
+        for lo in range(0, len(x), W):
+            bits = np.unpackbits(self.words[x[lo:lo + W]].view(np.uint8), axis=1,
+                                 bitorder="little")[:, self.bit]
+            ones = np.flatnonzero(bits)  # row * columns + column, ascending
+            first = np.searchsorted(ones, np.arange(len(bits)) * bits.shape[1])
+            out[lo:lo + W] = ones[first[:, None] + t[lo:lo + W]] % bits.shape[1]
+        return out
 
-    def masks(self, member: np.ndarray) -> np.ndarray:
-        """The column masks of the columns each row of a bool array marks."""
-        bits = np.zeros(member.shape[:-1] + (self.words.shape[1] * W,), dtype=bool)
-        bits[..., self.bit] = member
-        return np.packbits(bits, axis=-1, bitorder="little").view(_U64)
+    def draw(self, rng, rows: int, y: np.ndarray, k: int) -> np.ndarray:
+        """The column masks of a uniform k-subset of the columns y, or of y[r]
+        for row r when y is 2-D, for each of `rows` rows: `floyd`, testing
+        membership on the masks themselves."""
+        taken = np.zeros((rows, self.words.shape[1]), dtype=_U64)
+        for _ in floyd(rng, y.shape[-1], k, self.bit[y], taken):
+            pass
+        return taken
 
-    def score(self, x, mask: np.ndarray, axis: int | None = None):
-        """The ones of rows x under a column mask, in all or per row (axis 1)."""
-        return np.bitwise_count(self.words[x] & mask).sum(axis=axis)
+    def score(self, x: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """The ones of rows x[r] under the column mask masks[r], for each r:
+        one popcount pass per column of the (checks, k) row positions x."""
+        total = np.zeros(len(x), dtype=np.int64)
+        for rows in x.T:
+            words = self.words[rows]
+            words &= masks
+            total += np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+        return total
 
     def count(self, x, y: np.ndarray, axis: int | None = None):
         """The ones of the submatrix on rows x and columns y: in all (axis
@@ -367,9 +415,9 @@ class PairMatrix:
         if axis == 0:
             bits = np.unpackbits(self.words[x].view(np.uint8), axis=1, bitorder="little")
             return bits[:, self.bit[y]].sum(axis=0)
-        member = np.zeros(len(self.bit), dtype=bool)
-        member[y] = True
-        return self.score(x, self.masks(member), axis)
+        mask = _word_mask(self.words.shape[1] * W, self.bit[y])
+        per_row = np.bitwise_count(self.words[x] & mask).sum(axis=1, dtype=np.int64)
+        return per_row if axis == 1 else per_row.sum()
 
 
 def degrees_into(G: Graph, ids: np.ndarray, B: VertexSet) -> np.ndarray:

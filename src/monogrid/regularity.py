@@ -12,10 +12,11 @@ empirical bad-set audit used by the embedder.
 A sampled check with k1 x k2 subsets and threshold num/den fails a trial
 when its edge count e has e * den < num * k1 * k2, an exact integer
 cross-multiplication, so a verdict never depends on float rounding.  The
-sampled checks and the audit share one trial loop over int64 id arrays;
-`VertexSet`s and `Fraction` densities are built only for a witness.  Every
-check counts on a pair matrix (`PairMatrix`), and the audit's one-trial
-(N_v, V2) checks draw through `seeds.choice_sets`, with no generator per check.
+sampled checks and the audit's checks of more than one trial share one
+trial loop over int64 id arrays; `VertexSet`s and `Fraction` densities are
+built only for a witness.  Every check counts on a pair matrix
+(`PairMatrix`); the audit draws its one-trial checks in bulk from its own
+stream and scores them in one popcount pass.
 """
 
 from __future__ import annotations
@@ -34,13 +35,10 @@ from monogrid.graphs import (
     VertexSet,
     degrees_into,
     pair_density,
-    sample_ids,
+    subsets,
 )
 
 EXACT_CAP = 16
-
-# the working memory of one batch of the bad-set audit's (N_v, V2) checks
-BATCH_BYTES = 1 << 18
 
 EXACT = "exact"
 SAMPLED = "sampled"
@@ -413,12 +411,14 @@ def compute_bad_set(
 ) -> VertexSet:
     """Audit which ambient vertices inherit regularity into (V1, V2).
 
-    For each v in ambient, draw `draws` subsets of its neighbourhood in the
-    blow-up `gamma` within V1, of size ceil(alpha |V1| p / 4) (and partner
-    subsets for a sampled w), and mark v bad if any (N_v, V2) or (N_v, N_w)
-    check fails at (eps, alpha p) in the colour graph.  Vertices without
-    enough neighbours to fill a subset are bad automatically.  Raises when
-    the bad set outgrows eps * |ambient|.
+    Each ambient vertex v draws `draws` rounds.  A round draws N_v, a subset
+    of v's neighbourhood in the blow-up `gamma` within V1 of size
+    ceil(alpha |V1| p / 4), and checks (N_v, V2); then it draws a partner w
+    among the ambient vertices and, when w has enough neighbours in V2 to
+    fill a subset N_w of the same size, checks (N_v, N_w).  Every check is
+    at (eps, alpha p) in the colour graph.  A vertex is bad when it has too
+    few neighbours in V1 to fill N_v, or when any of its checks fails.
+    Raises when the bad set outgrows eps * |ambient|.
 
     The inner checks run in sampled mode with `checker_trials` trials; their
     power is a deliberate calibration knob.  Exhaustive checking of the tiny
@@ -426,17 +426,25 @@ def compute_bad_set(
     every vertex at realistic densities, because minimum subset densities
     concentrate only for subsets far larger than the drawn ones.
 
-    With one trial, the (N_v, V2) checks make no generator of their own:
-    their seeds do not depend on the audit's own stream (N_v, the partner w
-    and N_w), so `seeds.choice_sets` draws every round's subsets for a batch
-    of ambient vertices ahead, and the audit, walking the vertices once in
-    order, scores each check where it reaches it as one popcount of N_v's
-    drawn rows under the check's column mask.  A batch takes about
-    `BATCH_BYTES` of working memory.  The (N_v, N_w) checks, checks of more
-    trials or under an exact cap, checks whose seeds pass 2^64, and the
-    checks of an audit whose batches would hold fewer than k_v2 / 8 checks
-    (from s = 2400 up at desk scale) go one at a time through `_falsify` or
-    the exact check.
+    No draw depends on a check's outcome, so the audit draws from its one
+    stream, `seeds.rng(seed)`, in bulk: every draw below is made for all the
+    rows at once, a row being a round (v, d) of a vertex v that fills N_v,
+    in ambient order, and each subset by `graphs.floyd`.  In order:
+
+    1. N_v, for every row;
+    2. for a one-trial sampled (N_v, V2) check, its ceil(eps |N_v|) members
+       of N_v, then its ceil(eps |V2|) members of V2, for every row;
+    3. the partner w, for every row;
+    4. N_w, for every row whose w fills it;
+    5. for a one-trial sampled (N_v, N_w) check, its members of N_v, then of
+       N_w, ceil(eps |N_v|) of each, for those rows.
+
+    The one-trial sampled checks are then scored in one popcount pass a kind.
+    Checks of more trials, and checks under the exact cap, draw nothing from
+    the audit's stream: they run one at a time, all the (N_v, V2) checks of
+    step 2, in row order, before step 3, and the (N_v, N_w) checks after
+    step 4, through `_falsify` with the seed seed + 1 + 1009 v + d (plus
+    500009 for (N_v, N_w)), or through the exact check.
     """
     if draws < 1:
         raise ValueError("need at least one draw per vertex")
@@ -447,73 +455,50 @@ def compute_bad_set(
     threshold = (1 - eps) * effective_p
     size = bank_size(effective_p, len(V1), 4)
     k_drawn, k_v2 = _subset_sizes(eps, size, len(V2))
-    # Members of V1 and V2 go by their positions, which keep the id order, so
-    # every draw picks what it would over ids.  `block` is G_c on (V1, V2),
-    # and `hood1` and `hood2` hold each ambient vertex's neighbours in V1 and V2.
+    # Members of V1 and V2 go by their positions, which keep the id order.
+    # `block` is G_c on (V1, V2), and `hood1` and `hood2` hold each ambient
+    # vertex's neighbours in V1 and V2.
     block = PairMatrix(G_c, V1.ids, V2.ids)
     hood1, hood2 = (PairMatrix(gamma, ambient.ids, V.ids) for V in (V1, V2))
-
-    def passes(a: np.ndarray, b: np.ndarray, k2: int, check_seed: int) -> bool:
-        if len(a) <= checker_cap and len(b) <= checker_cap:
-            return exact_lower_regular(G_c, VertexSet(G_c.n, V1.ids[a]),
-                                       VertexSet(G_c.n, V2.ids[b]), eps,
-                                       effective_p, checker_cap).passed
-        return _falsify(block, a, b, k_drawn, k2, threshold, checker_trials,
-                        check_seed) is None
-
-    # a batched check's count e fails when e < need: e * den < num * k1 * k2
-    need = -(-threshold.numerator * k_drawn * k_v2 // threshold.denominator)
-    # a check's share of a batch: about 16 bytes per draw of its subsets, a
-    # byte per member of the populations they are drawn from, and a quarter
-    # byte per member of V2 for its column mask (column blocks x 8 bytes)
-    most = max(1, BATCH_BYTES // (16 * (2 * k_drawn + k_v2) + size + len(V2) * 5 // 4))
-    # The kernel takes k_v2 numpy steps a batch; with fewer than k_v2 / 8
-    # checks to share them, a generator per check costs less.
-    batched = (checker_trials == 1 and len(V2) > checker_cap and 8 * most >= k_v2
-               and seed + 1009 * gamma.n + draws < 2**64)
-
+    everyone, all_v2 = np.arange(len(ambient)), np.arange(len(V2))
+    deg1 = hood1.count(everyone, np.arange(len(V1)), 1)
+    deg2 = hood2.count(everyone, all_v2, 1)
+    fat = np.flatnonzero(deg1 >= size)
+    v = np.repeat(fat, draws)  # the ambient position of each row
+    # a row's check seed, less seed + 1: 1009 v + d for round d of vertex v
+    row_keys = 1009 * ambient.ids[v] + np.tile(np.arange(draws), len(fat))
     rng = seeds.rng(seed)
-    amb_ids = ambient.to_list()
-    all_v2 = np.arange(len(V2))
-    nw_hoods: dict[int, np.ndarray] = {}  # N(w) in V2, per partner w drawn
 
-    def is_bad(i: int, picked, masks) -> bool:
-        """Draw and check ambient vertex i's rounds; a batched round d counts
-        rows N_v[picked[d]] of `block` under the column mask masks[d]."""
-        v = amb_ids[i]
-        nv = hood1.ones(i)
-        if len(nv) < size:
-            return True
-        for d in range(draws):
-            Nv = sample_ids(nv, size, rng)
-            check_seed = seed + 1 + v * 1009 + d
-            if not (block.score(Nv[picked[d]], masks[d]) >= need if batched
-                    else passes(Nv, all_v2, k_v2, check_seed)):
-                return True
-            j = int(rng.integers(len(amb_ids)))
-            if j not in nw_hoods:
-                nw_hoods[j] = hood2.ones(j)
-            if len(nw_hoods[j]) < size:
-                continue
-            Nw = sample_ids(nw_hoods[j], size, rng)
-            if not passes(Nv, Nw, k_drawn, check_seed + 500009):
-                return True
-        return False
+    def fails(a: np.ndarray, b: np.ndarray | None, keys: np.ndarray, k2: int) -> np.ndarray:
+        """Whether the check of (a[r], b[r]) fails, for each row r of the
+        (rows, size) V1 and V2 positions a and b; b None stands for V2.  A
+        check run one at a time draws with the seed seed + 1 + keys[r]."""
+        cols = [all_v2] * len(a) if b is None else b
+        if size <= checker_cap and (b is not None or len(V2) <= checker_cap):
+            return np.array([not exact_lower_regular(
+                G_c, VertexSet(G_c.n, V1.ids[x]), VertexSet(G_c.n, V2.ids[y]), eps,
+                effective_p, checker_cap).passed for x, y in zip(a, cols)], dtype=bool)
+        if checker_trials > 1:
+            return np.array([_falsify(block, x, y, k_drawn, k2, threshold, checker_trials,
+                                      seed + 1 + key) is not None
+                             for key, x, y in zip(keys.tolist(), a, cols)], dtype=bool)
+        rows = np.take_along_axis(a, subsets(rng, size, k_drawn, len(a)), 1)
+        masks = block.draw(rng, len(a), all_v2 if b is None else b, k2)
+        # e fails when e * den < num * k1 * k2, that is when e < need
+        need = -(-threshold.numerator * k_drawn * k2 // threshold.denominator)
+        return block.score(rows, masks) < need
 
-    bad_ids = []
-    step = max(1, most // draws)  # the ambient vertices of one batch
-    for first in range(0, len(amb_ids), step):
-        span = range(first, min(first + step, len(amb_ids)))
-        picked = masks = [None] * len(span)
-        if batched:
-            picked, drawn = seeds.choice_sets(
-                [seed + 1 + amb_ids[i] * 1009 + d for i in span for d in range(draws)],
-                [(size, k_drawn), (len(V2), k_v2)])
-            picked = picked.nonzero()[1].reshape(len(span), draws, k_drawn)
-            masks = block.masks(drawn).reshape(len(span), draws, -1)
-        bad_ids += [amb_ids[i] for i, pick, mask in zip(span, picked, masks)
-                    if is_bad(i, pick, mask)]
-    bad = VertexSet(gamma.n, bad_ids)
+    # N_v: ranks among v's neighbours in V1, looked up a vertex's rounds at once
+    Nv = hood1.select(fat, subsets(rng, deg1[v], size, len(v)).reshape(
+        len(fat), draws * size)).reshape(-1, size)
+    failed = fails(Nv, None, row_keys, k_v2)
+    w = rng.integers(len(ambient), size=len(v))
+    met = np.flatnonzero(deg2[w] >= size)  # the rows whose partner fills N_w
+    Nw = hood2.select(w[met], subsets(rng, deg2[w[met]], size, len(met)))
+    failed[met] |= fails(Nv[met], Nw, row_keys[met] + 500009, k_drawn)
+    is_bad = deg1 < size
+    is_bad[v[failed]] = True
+    bad = VertexSet(gamma.n, ambient.ids[is_bad])
     limit = eps * len(ambient)
     if bad.size > limit:
         raise BadSetError(bad, limit)

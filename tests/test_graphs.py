@@ -19,6 +19,7 @@ from monogrid.graphs import (
     pair_density,
     read_colouring,
     read_graph,
+    subsets,
     write_colouring,
     write_graph,
 )
@@ -113,8 +114,13 @@ def test_pair_matrix_matches_has_edge():
     b_ids = np.sort(rng.choice(n, 77, replace=False))
     M = PairMatrix(G, a_ids, b_ids)
     ref = np.array([[G.has_edge(a, b) for b in b_ids.tolist()] for a in a_ids.tolist()])
-    for i in (0, 1023, 1024, 1099):
-        assert M.ones(i).tolist() == np.flatnonzero(ref[i]).tolist()
+    # every row with a one, across 64-row blocks, some twice: a random, the
+    # first and the last of its ones
+    rows = np.flatnonzero(ref.any(axis=1))[::-1].repeat(2)
+    degree = ref[rows].sum(axis=1)
+    ranks = np.stack([rng.integers(degree), np.zeros_like(degree), degree - 1], axis=1)
+    assert M.select(rows, ranks).tolist() == [
+        np.flatnonzero(ref[i])[t].tolist() for i, t in zip(rows, ranks)]
     x, y = np.sort(rng.choice(1100, 40, replace=False)), np.sort(rng.choice(77, 30, replace=False))
     sub = ref[x][:, y]
     assert M.count(x, y) == edge_count(G, a_ids[x], b_ids[y]) == sub.sum()
@@ -122,13 +128,28 @@ def test_pair_matrix_matches_has_edge():
     assert M.count(x, y, 1).tolist() == sub.sum(axis=1).tolist()
     everything = np.arange(1100), np.arange(77)
     assert M.count(*everything) == edge_count(G, a_ids, b_ids) == ref.sum()
-    # many submatrices at once: rows xs[i] under the mask of the columns member[i] marks
+    # many submatrices at once: rows xs[r] under the mask of a subset of columns
     xs = np.array([rng.choice(1100, 5, replace=False) for _ in range(9)])
-    member = rng.random((9, 77)) < 0.3
-    masks = M.masks(member)
-    assert [M.score(row, mask) for row, mask in zip(xs, masks)] == [
-        int(ref[row][:, cols].sum()) for row, cols in zip(xs, member)]
-    assert M.score(xs[0], masks[0], 1).tolist() == ref[xs[0]][:, member[0]].sum(axis=1).tolist()
+    for cols in (np.arange(77), np.array([rng.choice(77, 30, replace=False) for _ in xs])):
+        # drawn on the masks, the same subsets as drawn on positions
+        masks = M.draw(np.random.default_rng(3), len(xs), cols, 20)
+        at = subsets(np.random.default_rng(3), cols.shape[-1], 20, len(xs))
+        picked = np.take_along_axis(np.broadcast_to(cols, (len(xs), cols.shape[-1])), at, 1)
+        assert M.score(xs, masks).tolist() == [
+            int(ref[row][:, c].sum()) for row, c in zip(xs, picked)]
+
+
+def test_subsets_are_uniform():
+    # every 2-subset of range(5) about equally often, each row ascending
+    got = subsets(np.random.default_rng(0), 5, 2, 20000)
+    assert (np.diff(got, axis=1) > 0).all() and got.min() >= 0 and got.max() < 5
+    _, counts = np.unique(got, axis=0, return_counts=True)
+    assert len(counts) == 10 and abs(counts - 2000).max() < 150
+    # a size per row; n == k takes all of range(n)
+    n = np.array([3, 7, 2, 9])
+    got = subsets(np.random.default_rng(1), n, 2, 4)
+    assert (got < n[:, None]).all() and (np.diff(got, axis=1) > 0).all()
+    assert subsets(np.random.default_rng(2), 4, 4, 3).tolist() == [[0, 1, 2, 3]] * 3
 
 
 @pytest.mark.parametrize("ids", [[1.5], np.array([2.0, 3.0]), np.array([True])])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monogrid import regularity, seeds
+from monogrid import seeds
 
 from monogrid.blowup import build_blowup
 from monogrid.config import load_config
@@ -532,39 +532,67 @@ def _ref_check(G, A, B, eps, p, trials, seed, cap):
     return _ref_sampled(G, A, B, eps, p, trials, seed)
 
 
+def _ref_floyd(rng, n, k, rows):
+    """Floyd's algorithm for `rows` k-subsets of range(n) (n an int, or an int
+    array with one per row), a step at a time over all rows, as the audit
+    draws; each row's picks ascending."""
+    picked = [[] for _ in range(rows)]
+    for step in range(k):
+        top = n - k + step
+        tops = [top] * rows if isinstance(top, int) else top.tolist()
+        for row, t, j in zip(picked, rng.integers(0, top + 1, size=rows).tolist(), tops):
+            row.append(j if t in row else t)
+    return [sorted(row) for row in picked]
+
+
 def _ref_bad_set(gamma, G_c, V1, V2, ambient, eps, alpha, p, draws, seed,
                  checker_trials, checker_cap):
+    """The audit of `compute_bad_set`: the same stream drawn in the same order,
+    with every one-trial sampled check judged by `Graph.row` and `Fraction`
+    densities."""
     eps = Fraction(eps)
     effective_p = Fraction(alpha) * Fraction(p)
+    threshold = (1 - eps) * effective_p
     size = math.ceil(effective_p * len(V1) / 4)
-    rng = seeds.rng(seed)
+    k_drawn = max(1, math.ceil(eps * size))
+    k_v2 = max(1, math.ceil(eps * len(V2)))
     amb_ids = ambient.to_list()
-    bad_ids = []
-    for v in amb_ids:
-        nv_full = gamma.neighbours(v) & V1
-        if nv_full.size < size:
-            bad_ids.append(v)
-            continue
-        is_bad = False
-        for d in range(draws):
-            Nv = _ref_sample(nv_full, size, rng)
-            check_seed = seed + 1 + v * 1009 + d
-            if not _ref_check(G_c, Nv, V2, eps, effective_p, checker_trials,
-                              check_seed, checker_cap).passed:
-                is_bad = True
-                break
-            w = amb_ids[int(rng.integers(len(amb_ids)))]
-            nw_full = gamma.neighbours(w) & V2
-            if nw_full.size < size:
-                continue
-            Nw = _ref_sample(nw_full, size, rng)
-            if not _ref_check(G_c, Nv, Nw, eps, effective_p, checker_trials,
-                              check_seed + 500009, checker_cap).passed:
-                is_bad = True
-                break
-        if is_bad:
-            bad_ids.append(v)
-    bad = VertexSet(gamma.n, bad_ids)
+    hoods1 = {v: (gamma.neighbours(v) & V1).to_list() for v in amb_ids}
+    hoods2 = {v: (gamma.neighbours(v) & V2).to_list() for v in amb_ids}
+    rows = [(v, d) for v in amb_ids if len(hoods1[v]) >= size for d in range(draws)]
+    rng = seeds.rng(seed)
+    failed = set()
+
+    def check(pairs, n2, k2, salt):
+        """Judge the checks of (N_v, U) for each row r and n2-set U of pairs."""
+        if size <= checker_cap and n2 <= checker_cap:
+            results = [exact_lower_regular(G_c, Nv[r], U, eps, effective_p,
+                                           checker_cap).passed for r, U in pairs]
+        elif checker_trials > 1:
+            results = [_ref_sampled(G_c, Nv[r], U, eps, effective_p, checker_trials,
+                                    seed + 1 + 1009 * rows[r][0] + rows[r][1] + salt).passed
+                       for r, U in pairs]
+        else:
+            picks1 = _ref_floyd(rng, size, k_drawn, len(pairs))
+            picks2 = _ref_floyd(rng, n2, k2, len(pairs))
+            results = []
+            for (r, U), p1, p2 in zip(pairs, picks1, picks2):
+                members1, members2 = Nv[r].to_list(), U.to_list()
+                U1 = VertexSet(G_c.n, [members1[i] for i in p1])
+                U2 = VertexSet(G_c.n, [members2[i] for i in p2])
+                results.append(_ref_density(G_c, U1, U2) >= threshold)
+        failed.update(r for (r, _), ok in zip(pairs, results) if not ok)
+
+    Nv = [VertexSet(G_c.n, [hoods1[v][i] for i in picks]) for (v, _), picks in zip(
+        rows, _ref_floyd(rng, np.array([len(hoods1[v]) for v, _ in rows]), size, len(rows)))]
+    check([(r, V2) for r in range(len(rows))], len(V2), k_v2, 0)
+    partners = [amb_ids[j] for j in rng.integers(len(amb_ids), size=len(rows)).tolist()]
+    met = [r for r, w in enumerate(partners) if len(hoods2[w]) >= size]
+    Nw = [VertexSet(G_c.n, [hoods2[partners[r]][i] for i in picks]) for r, picks in zip(
+        met, _ref_floyd(rng, np.array([len(hoods2[partners[r]]) for r in met]), size, len(met)))]
+    check(list(zip(met, Nw)), size, k_drawn, 500009)
+    bad = VertexSet(gamma.n, [v for v in amb_ids if len(hoods1[v]) < size]
+                    + [rows[r][0] for r in failed])
     limit = eps * len(ambient)
     if bad.size > limit:
         raise BadSetError(bad, limit)
@@ -634,73 +662,33 @@ def test_bad_set_matches_the_set_based_reference(case, eps, draws, seed, trials,
     bg, p, G = case
     args = (G, G, bg.part(0), bg.part(1), bg.part(2), eps, Fraction(1, 2), p)
     kwargs = dict(draws=draws, seed=seed, checker_trials=trials, checker_cap=cap)
-    # The audit draws its one-trial (N_v, V2) checks through
-    # `seeds.choice_sets`, with no generator per check, so only the audit
-    # stream, the first generator either makes, is compared; the kernel's
-    # draws are checked against numpy's in tests/test_seeds.py.
-    got, got_states = _outcome(compute_bad_set, *args, **kwargs)
-    want, want_states = _outcome(_ref_bad_set, *args, **kwargs)
-    assert (got, got_states[0]) == (want, want_states[0])
-
-
-@pytest.mark.parametrize("s, p, seed, draws", [(40, 0.15, 2, 1), (40, 0.3, 1, 1),
-                                               (60, 0.2, 0, 2)])
-def test_batched_audit_replays_its_failing_checks(s, p, seed, draws):
-    # Sparse blow-ups, where (N_v, V2) checks fail inside a batch: the
-    # failing vertex draws no more rounds, and the audit stream goes on to
-    # the next vertex as a check-by-check audit's does.
-    bg = triangle_blowup(s, p, seed)
-    args = (bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2), Fraction(9, 20),
-            Fraction(1, 2), p)
-    kwargs = dict(draws=draws, seed=seed, checker_trials=1, checker_cap=0)
-    got, got_states = _outcome(compute_bad_set, *args, **kwargs)
-    want, want_states = _outcome(_ref_bad_set, *args, **kwargs)
-    assert got[0] == "BadSetError"
-    assert (got, got_states[0]) == (want, want_states[0])
-
-
-@pytest.mark.parametrize("s, p, seed, draws", [(40, 0.15, 2, 1), (40, 0.3, 1, 1),
-                                               (60, 0.2, 0, 2)])
-def test_audit_in_many_small_batches_matches_the_reference(s, p, seed, draws, monkeypatch):
-    # 2200 bytes hold 4 or 5 checks here, so the audit draws its checks a
-    # few vertices at a time, with failing checks inside the batches.
-    monkeypatch.setattr(regularity, "BATCH_BYTES", 2200)
-    batches, choice_sets = [], seeds.choice_sets
-
-    def counting_choice_sets(check_seeds, shapes):
-        batches.append(len(check_seeds))
-        return choice_sets(check_seeds, shapes)
-
-    monkeypatch.setattr(seeds, "choice_sets", counting_choice_sets)
-    bg = triangle_blowup(s, p, seed)
-    args = (bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2), Fraction(9, 20),
-            Fraction(1, 2), p)
-    kwargs = dict(draws=draws, seed=seed, checker_trials=1, checker_cap=0)
-    got, got_states = _outcome(compute_bad_set, *args, **kwargs)
-    want, want_states = _outcome(_ref_bad_set, *args, **kwargs)
-    assert got[0] == "BadSetError" and len(got[1]) > len(batches) > 5
-    assert sum(batches) == s * draws and max(batches) <= 5
-    assert (got, got_states[0]) == (want, want_states[0])
-
-
-def test_audit_with_check_seeds_past_64_bits_draws_check_by_check():
-    # choice_sets takes uint64 seeds, so such an audit makes a generator per check
-    bg = triangle_blowup(24, 0.5, 1)
-    args = (bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2), Fraction(1, 4),
-            Fraction(1, 2), 0.5)
-    kwargs = dict(draws=2, seed=2**64 - 5, checker_trials=1, checker_cap=0)
+    # the audit stream first, then any check's own generator, in the same order
     assert (_outcome(compute_bad_set, *args, **kwargs)
             == _outcome(_ref_bad_set, *args, **kwargs))
 
 
-def test_batched_audit_makes_one_generator():
-    # On a 4-cycle blow-up no ambient vertex has a neighbour in V2, so every
-    # check is an (N_v, V2) check, drawn without a generator of its own.
-    bg = build_blowup(HostGraph(Graph.cycle(4)), 60, 0.5, 3)
-    args = (bg.gamma, bg.gamma, bg.part(1), bg.part(2), bg.part(0), Fraction(1, 4),
-            Fraction(1, 2), 0.5)
-    kwargs = dict(draws=3, seed=11, checker_trials=1, checker_cap=0)
-    got, got_states = _outcome(compute_bad_set, *args, **kwargs)
-    want, want_states = _outcome(_ref_bad_set, *args, **kwargs)
-    assert (got, got_states[0]) == (want, want_states[0])
-    assert len(want_states) == 1 + 3 * 60 and len(got_states) == 1
+@settings(max_examples=40, deadline=None)
+@given(st.integers(8, 40), st.sampled_from([0.3, 0.5, 0.8]), st.integers(0, 2**16),
+       EPS_VALUES, st.integers(1, 3), st.integers(0, 2**20), st.integers(1, 3),
+       st.sampled_from([0, EXACT_CAP]), st.data())
+def test_audit_flags_planted_vertices_and_spares_a_complete_blowup(s, p, bseed, eps, draws,
+                                                                   seed, trials, cap, data):
+    # Outcomes that no draw of the audit's stream can change: a vertex whose
+    # neighbours in V1 have no colour edge to V2 fails every (N_v, V2) check,
+    # and in a complete blow-up every check passes.
+    kwargs = dict(draws=draws, seed=seed, checker_trials=trials, checker_cap=cap)
+    bg = triangle_blowup(s, p, bseed)
+    V1, V2, ambient = bg.part(0), bg.part(1), bg.part(2)
+    victims = data.draw(st.lists(st.sampled_from(ambient.to_list()), min_size=1,
+                                 max_size=3, unique=True))
+    cut = set().union(*((bg.gamma.neighbours(v) & V1).to_list() for v in victims))
+    G_c = Graph.from_edges(bg.gamma.n, [(u, w) for u, w in bg.gamma.edges()
+                                        if not ({u, w} & cut and (u in V2 or w in V2))])
+    try:
+        bad = compute_bad_set(bg.gamma, G_c, V1, V2, ambient, eps, Fraction(1, 2), p, **kwargs)
+    except BadSetError as e:
+        bad = e.bad
+    assert all(v in bad for v in victims)
+    full = triangle_blowup(s, 1.0, bseed)
+    assert compute_bad_set(full.gamma, full.gamma, full.part(0), full.part(1), full.part(2),
+                           eps, Fraction(1, 2), 1.0, **kwargs).size == 0
