@@ -502,11 +502,12 @@ class _ClassBuilder:
     """r colour classes on 0..n-1 under construction.
 
     Class c keeps its tiles in the rows of `store[c]` in the order they were
-    made, and `slots[c]` maps each tile key to its row.  Each edge is ORed
-    into the tiles of both its orientations as it arrives.  The store grows
-    in place by a quarter at a time, and `graphs` sorts it in place, so a
-    class never holds much more than its tiles.  Callers check an edge
-    before adding it: nothing here rejects a duplicate.
+    made, and `slots[c]` maps each tile key to its row.  Edges arrive in
+    batches through `add_many` (or as a dense block through `add_block`),
+    and each is ORed into the tiles of both its orientations.  The store
+    grows in place by a quarter at a time, and `graphs` sorts it in place,
+    so a class never holds much more than its tiles.  Callers check a batch
+    with `has_any` before adding it: nothing here rejects a duplicate.
     """
 
     def __init__(self, n: int, r: int):
@@ -521,18 +522,6 @@ class _ClassBuilder:
         if len(slots) > len(store):
             store.resize((len(slots) + len(store) // 4 + 8, W), refcheck=False)
         return rows
-
-    def has(self, a: int, b: int) -> bool:
-        """Whether edge {a, b} is in some class."""
-        key = (a >> 6) * self.nb + (b >> 6)
-        return any(key in slots and store[slots[key], a & 63] >> np.uint64(b & 63) & 1
-                   for slots, store in zip(self.slots, self.store))
-
-    def add(self, a: int, b: int, c: int) -> None:
-        """Put edge {a, b} (in range, no self-loop, in no class yet) into class c."""
-        for x, y in ((a, b), (b, a)):
-            row = self._rows(c, ((x >> 6) * self.nb + (y >> 6),))[0]
-            self.store[c][row, x & 63] |= np.uint64(1 << (y & 63))
 
     def has_any(self, a: np.ndarray, b: np.ndarray) -> bool:
         """Whether some edge {a[i], b[i]} is in some class."""
@@ -605,9 +594,10 @@ def _paint(acc: _ClassBuilder, u: int, v: int, c: int) -> None:
     if not 0 <= c < acc.r:
         raise ValueError(f"colour {c} outside 0..{acc.r - 1}")
     a, b = min(u, v), max(u, v)
-    if acc.has(a, b):
+    ends = np.array([[a], [b]])
+    if acc.has_any(*ends):
         raise ValueError(f"edge {(a, b)} coloured twice")
-    acc.add(a, b, c)
+    acc.add_many(*ends, np.array([c]))
 
 
 class EdgeColouring:
@@ -915,9 +905,10 @@ def read_graph(path: str) -> Graph:
                 raise ValueError(f"{path}:{lineno}: vertex id out of range")
             if u == v:
                 raise ValueError(f"{path}:{lineno}: self-loop")
-            if acc.has(u, v):
+            ends = np.array([[u], [v]])
+            if acc.has_any(*ends):
                 raise ValueError(f"{path}:{lineno}: duplicate edge ({u}, {v})")
-            acc.add(u, v, 0)
+            acc.add_many(*ends, np.array([0]))
     if acc is None:
         raise ValueError(f"{path}: missing header line")
     return acc.graphs()[0]

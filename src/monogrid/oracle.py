@@ -11,8 +11,8 @@ The subgraph search is one depth-first loop over int masks (the rows that
 size meets the recursion limit.  It prunes by forward checking (the cheapest
 form of Ullmann's refinement, J. ACM 23(1), 1976): each unplaced pattern
 vertex next to a placed one keeps a candidate mask, and a branch is cut as
-soon as one empties.  The cut branches hold no embedding, so every answer,
-found mapping and count is that of the plain search; only the node count is
+soon as one empties.  The cut branches hold no embedding, so every answer
+and found mapping is that of the plain search; only the node count is
 smaller.  Grid counts with at most three columns never enumerate grids: numpy
 extends the column paths, then the compatible column pairs, a position at a
 time, and counts three-column grids from the pairs' occupancy masks.
@@ -146,9 +146,8 @@ def _embed(
     plan: _Plan,
     images: list[int],
     budget: _Budget,
-    count_all: bool = False,
-) -> int | None:
-    """Extend the anchors images[:plan.fixed] along the plan; count or stop at one.
+) -> bool | None:
+    """Extend the anchors images[:plan.fixed] along the plan; stop at one.
 
     Depth-first with an explicit stack, trying each depth's candidates in
     ascending vertex order.  Forward checking: placing a vertex intersects
@@ -157,14 +156,13 @@ def _embed(
     completion, so the surviving branches are those of the plain search, in
     the same order; only the node count falls.
 
-    Returns the completion count in counting mode, 1/0 when searching for a
-    single embedding (with `images` left holding it), or None on budget
-    exhaustion.
+    Returns True (with `images` left holding the embedding), False, or None
+    on budget exhaustion.
     """
     k = len(plan.order)
     top = plan.fixed
     if top == k:
-        return 1
+        return True
     ahead = plan.ahead
     used = 0
     for g in images[:top]:
@@ -182,14 +180,13 @@ def _embed(
     d = top
     base[d] = tuple(dom[f] for f in ahead[d])
     left[d] = dom[d] & ~used
-    total = 0
     while True:
         cand = left[d]
         if not cand:
             for f, m in zip(ahead[d], base[d]):
                 dom[f] = m
             if d == top:
-                return total
+                return False
             d -= 1
             used ^= 1 << images[d]
             continue
@@ -208,10 +205,7 @@ def _embed(
                 break
         else:
             if d + 1 == k:
-                if not count_all:
-                    return 1
-                total += 1
-                continue
+                return True
             used |= low
             d += 1
             base[d] = tuple(dom[f] for f in ahead[d])
@@ -234,19 +228,6 @@ def contains_subgraph(G: Graph, T: Graph, budget: int | None = None) -> SearchRe
     if out:
         return SearchResult(FOUND, dict(zip(plan.order, images)), tracker.nodes)
     return SearchResult(ABSENT, None, tracker.nodes)
-
-
-def count_labelled_copies(G: Graph, T: Graph, budget: int | None = None) -> int:
-    """Exact number of injective adjacency-preserving maps T -> G."""
-    if T.n == 0:
-        return 1
-    rows = [G.row(v) for v in G.vertices()]
-    plan = _plan(T, _search_order(T))
-    tracker = _Budget(budget)
-    out = _embed(rows, plan, [0] * T.n, tracker, count_all=True)
-    if out is None:
-        raise RuntimeError(f"copy count exhausted its budget after {tracker.nodes} nodes")
-    return out
 
 
 # ---------------------------------------------------------------------------

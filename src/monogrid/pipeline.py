@@ -333,6 +333,9 @@ def regular_subgraph(
             e_here = edge_count(bg.gamma, Ux.ids, Uy.ids)
             mass = len(Ux) * len(Uy) * params.p
             precondition_ok = (1 - lam) * mass <= e_here <= (1 + lam) * mass
+            if not e_here:
+                raise PipelineFailure("majority-density", level, (x, y),
+                                      "pair has no edges to take a majority over")
             c = majority_colour(chi, Ux, Uy)
             if pair_density(chi.classes[c], Ux, Uy) < params.alpha_p:
                 raise PipelineFailure(

@@ -500,9 +500,21 @@ def test_desk_seed0_report_is_pinned(sets, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_edgeless_pair_fails_at_pipeline(tmp_path):
+    # at p = 1e-9 the blow-up has no edges, so the first host edge's pair has
+    # none to take a majority over
+    out = tmp_path / "run"
+    code = main(["run", "--preset", "desk", "--set", "p=1e-9", "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    assert code == 1 and report["status"] == "failed-at-pipeline"
+    failure = report["failure"]
+    assert (failure["pipeline_stage"], failure["level"], failure["edge"]) == \
+        ("majority-density", 1, [0, 1])
+
+
 _ODD_VALUES = ("0", "-1", "1", "2", "3", "7", "1/0", "1/3", "1/20", "0.5", "nan",
-               "inf", "1e9", "true", "x", "", "cycle 4", "complete 4", "path 3",
-               "mono 1", "uniform-random", "quarter", "identity")
+               "inf", "1e9", "1e-9", "true", "x", "", "cycle 4", "complete 4",
+               "path 3", "mono 1", "uniform-random", "quarter", "identity")
 # `out` would move the run out of its temporary directory
 _FUZZ_KEYS = sorted(_ALL_KEYS - {"out"})
 
