@@ -15,7 +15,10 @@ soon as one empties.  The cut branches hold no embedding, so every answer
 and found mapping is that of the plain search; only the node count is
 smaller.  Grid counts with at most three columns never enumerate grids: numpy
 extends the column paths, then the compatible column pairs, a position at a
-time, and counts three-column grids from the pairs' occupancy masks.
+time, and counts three-column grids from the pairs' occupancy masks.  They
+build only the copies whose middle column runs from a lower to a higher end
+id and double the result: reversing every column is a grid automorphism that
+swaps the two directions, so the halving is exact.
 """
 
 from __future__ import annotations
@@ -395,6 +398,26 @@ def _ordered_paths(A: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
 # broadcasts: at 8 bytes a mask, a pass stays near 2 MB.
 _TRIPLE_CHUNK = 1 << 18
 
+# Bound on the expected cells (rows times n) of the largest array one count
+# builds: a stage of partial paths or column pairs against its n-wide
+# candidate masks.  At about ten bytes a cell (the int64 occupancy broadcast
+# and the bool masks beside it) one sample stays near 200 MB.
+_COUNT_CELLS = 1 << 24
+
+
+def _largest_stage(n: int, p: float, a: int, b: int) -> float:
+    """Expected rows of the largest stage of the count of b columns of a
+    vertices in G(n, p): the ordered k-vertex paths for k <= a, then, with
+    two or more columns, the kept column pairs with their second column
+    built to m <= a positions.
+    """
+    rows = [math.perm(n, k) * p ** (k - 1) for k in range(1, a + 1)]
+    if b > 1:
+        kept = 0.5 if a > 1 else 1.0
+        rows += [kept * math.perm(n, a + m) * p ** (a + 2 * m - 2)
+                 for m in range(1, a + 1)]
+    return max(rows)
+
 
 def _rungs(A: np.ndarray, tuples: np.ndarray,
            masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -429,6 +452,13 @@ def _count_grid_in_adj(A: np.ndarray, paths: tuple[np.ndarray, np.ndarray],
     position by position, all columns pairwise disjoint.  With at most three
     columns the disjointness is purely pairwise, so the count needs only the
     sparse compatibility relation between columns, never a t x t matrix.
+
+    Only half the copies are built.  Reversing every column is an
+    automorphism of the grid, and it reverses the middle column (the first
+    when b = 2).  A column of two or more vertices has distinct ends, so of
+    each copy and its reversal exactly one has a middle column running from
+    a lower to a higher end id: the count keeps those middles and doubles.
+    A one-vertex column is its own reversal and keeps the full count.
     """
     tuples, masks = paths
     t = len(tuples)
@@ -436,14 +466,19 @@ def _count_grid_in_adj(A: np.ndarray, paths: tuple[np.ndarray, np.ndarray],
         return 0
     if b == 1:
         return t
+    # keep the middles that run from a lower to a higher end id
+    copies = 1
+    if tuples.shape[1] > 1:
+        keep = tuples[:, 0] < tuples[:, -1]
+        tuples, masks, copies = tuples[keep], masks[keep], 2
     mids, ends = _rungs(A, tuples, masks)
     if b == 2:
-        return len(mids)
+        return copies * len(mids)
     # b == 3: a middle column j with ends i, k from j's compatible set (a run
     # of `ends`, since `mids` ascend), needing only i and k disjoint.  The
     # (j, i, k) triples are broadcast for all middles of one set size at
     # once, a chunk of middles at a time.
-    size = np.bincount(mids, minlength=t)
+    size = np.bincount(mids, minlength=len(tuples))
     start = np.cumsum(size) - size
     total = 0
     for d in (np.flatnonzero(np.bincount(size)[2:]) + 2).tolist():
@@ -452,7 +487,7 @@ def _count_grid_in_adj(A: np.ndarray, paths: tuple[np.ndarray, np.ndarray],
         for c in range(0, len(first), step):
             sets = ends[first[c:c + step, None] + np.arange(d)]
             total += int(np.count_nonzero((sets[:, :, None] & sets[:, None, :]) == 0))
-    return total
+    return copies * total
 
 
 @dataclass(frozen=True)
@@ -488,7 +523,7 @@ def monte_carlo_grid_count(n: int, p: float, a: int, b: int, samples: int,
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     lo, hi = (b, a) if a >= b else (a, b)
-    if lo > 3 or n > 63:
+    if lo > 3 or n > 63 or n * _largest_stage(n, p, hi, lo) > _COUNT_CELLS:
         raise ValueError(f"refusing Monte Carlo at n={n}, {a}x{b}: counting intractable")
     expectation = expected_grid_count(n, p, a, b)
     aut = grid_automorphisms(a, b)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from monogrid.oracle import (
     monte_carlo_grid_count,
     validate_not_arrows_witness,
 )
-from test_oracle_kernels import count_labelled_copies
+from test_oracle_kernels import _matrix, count_labelled_copies
 
 SEEDS = [0, 1, 2, 3, 5, 8, 13, 21]
 
@@ -139,6 +140,17 @@ def test_grid_count_in_grid():
     # the 5x5 grid holds exactly the nine axis-aligned 3x3 subgrids
     labelled = count_labelled_copies(grid_graph(5, 5), grid_graph(3, 3))
     assert labelled == 72 and labelled // grid_automorphisms(3, 3) == 9
+    # the Monte Carlo count's kernel, with a-vertex columns, b of them: in
+    # K_9 every injective placement is a copy; a path's one-vertex columns
+    # are their own reversal and hold 2(n - b + 1) copies
+    A = _matrix(grid_graph(5, 5))
+    assert _count_grid_in_adj(A, _ordered_paths(A, 3), 3) == 72
+    A = _matrix(Graph.complete(9))
+    for a, b in ((1, 3), (2, 3), (3, 2), (3, 3)):
+        assert _count_grid_in_adj(A, _ordered_paths(A, a), b) == math.perm(9, a * b)
+    A = _matrix(Graph.path(7))
+    for b in (2, 3):
+        assert _count_grid_in_adj(A, _ordered_paths(A, 1), b) == 2 * (7 - b + 1)
 
 
 def test_four_cycles_of_k4():
@@ -151,9 +163,7 @@ def test_four_cycles_of_k4():
 def test_fast_count_matches_backtracking(a, b, seed):
     # the Monte Carlo count's kernel, columns along the longer axis
     G = random_graph(12, 0.45, seed)
-    A = np.zeros((G.n, G.n), dtype=bool)
-    for u, v in G.edges():
-        A[u, v] = A[v, u] = True
+    A = _matrix(G)
     fast = _count_grid_in_adj(A, _ordered_paths(A, max(a, b)), min(a, b))
     assert fast == count_labelled_copies(G, grid_graph(a, b))
 
@@ -294,11 +304,15 @@ def test_monte_carlo_consistency_small():
 
 
 # the guard admits exactly the grids with at most 3 rows or columns in
-# hosts of at most 63 vertices, the reach of the int64 path masks
-@pytest.mark.parametrize("n,a,b", [(70, 5, 5), (64, 3, 3), (30, 4, 4), (64, 1, 2)])
-def test_monte_carlo_refuses_intractable(n, a, b):
+# hosts of at most 63 vertices, the reach of the int64 path masks, whose
+# count's largest stage is expected to fit its memory bound: K_30 holds
+# perm(30, 6), about 4.3e8, labelled 3x2 column pairs
+@pytest.mark.parametrize("n,a,b,p", [(70, 5, 5, 0.2), (64, 3, 3, 0.2), (30, 4, 4, 0.2),
+                                     (64, 1, 2, 0.2), (30, 3, 3, 1.0)],
+                         ids=["70-5-5", "64-3-3", "30-4-4", "64-1-2", "30-3-3-p1"])
+def test_monte_carlo_refuses_intractable(n, a, b, p):
     with pytest.raises(ValueError):
-        monte_carlo_grid_count(n, 0.2, a, b, samples=1, seed=0)
+        monte_carlo_grid_count(n, p, a, b, samples=1, seed=0)
 
 
 @pytest.mark.parametrize("n,a,b", [(63, 3, 3), (63, 2, 7), (30, 3, 4), (31, 4, 3)])

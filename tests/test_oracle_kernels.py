@@ -14,7 +14,7 @@ The reference's copy count is the one exhaustive counter the suite has;
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monogrid import oracle
@@ -298,9 +298,27 @@ def sparse_adjacency(draw):
     return _adjacency(n, p, draw(st.integers(0, 2**32 - 1))), a
 
 
+def _matrix(G: Graph) -> np.ndarray:
+    A = np.zeros((G.n, G.n), dtype=bool)
+    for u, v in G.edges():
+        A[u, v] = A[v, u] = True
+    return A
+
+
+# dense inputs the sparse strategy never draws: K_9, where every injective
+# placement is a copy, and the 5x5 grid with its 72 labelled 3x3 copies
+K9, GRID5 = _matrix(Graph.complete(9)), _matrix(grid_graph(5, 5))
+
+
 @SETTINGS
 @given(sparse_adjacency(), st.sampled_from([1, 2, 3]),
        st.sampled_from([oracle._TRIPLE_CHUNK, 20]))
+@example((K9, 1), 3, 20)
+@example((K9, 2), 3, 20)
+@example((K9, 3), 2, oracle._TRIPLE_CHUNK)
+@example((K9, 3), 3, 20)
+@example((GRID5, 3), 3, 20)
+@example((GRID5, 2), 3, oracle._TRIPLE_CHUNK)
 def test_grid_counts_match_the_reference(case, b, chunk):
     A, a = case
     paths = oracle._ordered_paths(A, a)
