@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
-from monogrid.graphs import Graph, read_graph
+from monogrid.graphs import MAX_COLOURS, Graph, read_graph
 from monogrid.hosts import HostGraph, random_regular_host
 from monogrid.oracle import grid_graph
 from monogrid.regularity import EXACT_CAP, EpsSchedule, RegParams, eps_schedule
@@ -33,12 +33,12 @@ def _knob(default: int, least: int, most: int | None = None):
 class Knobs:
     """Every trial and budget knob of a run, each with its default.
 
-    Beside each default sit the least accepted value and, for the two
-    exact-check caps, the greatest.  A sampled check or audit that draws
+    Beside each default sit the least accepted value and, for the
+    exact-check cap, the greatest.  A sampled check or audit that draws
     nothing decides nothing, and the density-increment search needs one
     check to report on, so those start at 1.  An exact check enumerates
     every k-subset of its pair, which stops being tractable above
-    `EXACT_CAP` vertices, so the caps stop there.
+    `EXACT_CAP` vertices, so the cap stops there.
     """
 
     find_budget: int = _knob(60, 1)
@@ -46,8 +46,6 @@ class Knobs:
     audit_trials: int = _knob(8, 1)
     check_cap: int = _knob(EXACT_CAP, 0, EXACT_CAP)
     badset_draws: int = _knob(2, 1)
-    badset_trials: int = _knob(1, 1)
-    badset_cap: int = _knob(0, 0, EXACT_CAP)
     subset_tries: int = _knob(10, 0)
     vertex_budget: int = _knob(50, 0)
     embed_check_trials: int = _knob(1, 1)
@@ -59,11 +57,17 @@ class Knobs:
 # it is also the default lam
 SHRINK = {"quarter": Fraction(1, 4), "identity": Fraction(1)}
 
+# The bad-set audit scores every check with one sampled trial and none
+# exactly.  Reports echo those two values under the names of the knobs that
+# once set them, so every report keeps its bytes; the next re-pin of the
+# report hashes deletes this echo.
+AUDIT_ECHO = {"badset_trials": 1, "badset_cap": 0}
+
 # Every legal key, grouped by how its value parses.  Parameter keys absent
 # after merging are derived in resolve order: alpha from r, eps from alpha,
-# eps_inherit from eps, delta from the host order, max_degree from the
-# host's degree bound, p from c and s.
-_INT_KEYS = ("r", "max_degree", "s", "seed") + tuple(f.name for f in fields(Knobs))
+# eps_inherit from eps, delta from the host order, p from c and s.  The
+# degree bound is always the host's own.
+_INT_KEYS = ("r", "s", "seed") + tuple(f.name for f in fields(Knobs))
 _FRACTION_KEYS = ("eps", "eps_inherit", "alpha", "lam", "delta")
 _FLOAT_KEYS = ("c", "p")
 _BOOL_KEYS = ("allow_alpha_override",)
@@ -197,6 +201,8 @@ def parse_colouring_spec(spec: str, r: int) -> list[str]:
     """Validate a colouring strategy spec for r colours and return its tokens."""
     if r < 2:
         raise ConfigError(f"need at least 2 colours, got r={r}")
+    if r > MAX_COLOURS:
+        raise ConfigError(f"need at most {MAX_COLOURS} colours, got r={r}")
     tokens = spec.split()
     if tokens and tokens[0] == "mono":
         if len(tokens) != 2:
@@ -255,7 +261,7 @@ class RunConfig:
                 "alpha": str(p.alpha), "lam": str(p.lam),
                 "delta": str(p.delta), "c": p.c, "p": p.p,
             },
-            "knobs": asdict(self.knobs),
+            "knobs": {**asdict(self.knobs), **AUDIT_ECHO},
         }
 
 
@@ -306,13 +312,6 @@ def _resolve(merged: dict[str, str], preset: str | None) -> RunConfig:
         delta = _parse_fraction("delta", merged["delta"])
     else:
         delta = min(Fraction(1, 4 * host.graph.n), eps / 4, lam / 4)
-    # the level schedule has one level per matching of the host's bound
-    max_degree = _parse_int("max_degree",
-                            merged.get("max_degree", str(host.max_degree)))
-    if max_degree != host.max_degree:
-        raise ConfigError(f"max_degree={max_degree} differs from the host's degree "
-                          f"bound {host.max_degree}")
-
     if "p" in merged:
         p = _parse_float("p", merged["p"])
         c = _parse_float("c", merged["c"]) if "c" in merged else p * math.sqrt(s)
@@ -321,7 +320,8 @@ def _resolve(merged: dict[str, str], preset: str | None) -> RunConfig:
         p = min(1.0, c / math.sqrt(s))
 
     try:
-        params = RegParams(r=r, max_degree=max_degree,
+        # the level schedule has one level per matching of the host's bound
+        params = RegParams(r=r, max_degree=host.max_degree,
                            eps=eps, eps_inherit=eps_inherit, alpha=alpha, lam=lam,
                            delta=delta, c=c, p=p)
     except ValueError as e:

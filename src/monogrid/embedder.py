@@ -453,8 +453,7 @@ def build_context(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
                   knobs: Knobs = Knobs()) -> EmbedContext:
     """Assemble the cycle sets, working graph and bad sets for one embedding.
 
-    The bad-set audits read their draws, trials and exact-check cap from
-    `knobs`.
+    The bad-set audits read their draws from `knobs`.
     """
     m = len(cycle.vertices)
     cycle.validate(bg.host, result.phi, 2, max(2, m))
@@ -473,7 +472,6 @@ def build_context(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
                 bg.gamma, G, sets[(t + 1) % m], sets[(t + 2) % m], sets[t],
                 params.eps, params.alpha, params.p,
                 draws=knobs.badset_draws, seed=seeds.derive(seed, 17, t),
-                checker_trials=knobs.badset_trials, checker_cap=knobs.badset_cap,
             ))
         except BadSetError as e:
             raise EmbedFailure("bad-set", str(e), position=t) from e

@@ -44,6 +44,14 @@ import numpy as np
 W = 64
 _U64 = np.dtype("<u8")
 
+# The largest vertex and colour counts a graph or colouring file may declare.
+# A graph's row-block index holds n / 64 + 1 int64 words, 2 MiB at
+# MAX_VERTICES, and a colouring keeps one graph per colour, so a colouring
+# at both bounds indexes 512 MiB before its first edge.  The readers refuse
+# larger counts before they allocate anything.
+MAX_VERTICES = 1 << 24
+MAX_COLOURS = 1 << 8
+
 
 def _nblocks(n: int) -> int:
     """ceil(n / W): the row (and column) blocks of a universe of size n."""
@@ -893,6 +901,9 @@ def read_graph(path: str) -> Graph:
                     raise ValueError(f"{path}:{lineno}: bad vertex count") from None
                 if n < 0:
                     raise ValueError(f"{path}:{lineno}: negative vertex count")
+                if n > MAX_VERTICES:
+                    raise ValueError(f"{path}:{lineno}: vertex count {n} exceeds "
+                                     f"{MAX_VERTICES}")
                 acc = _ClassBuilder(n, 1)
                 continue
             if len(parts) != 2:
@@ -933,6 +944,9 @@ def read_colouring(path: str, n: int) -> EdgeColouring:
                     raise ValueError(f"{path}:{lineno}: bad colour count") from None
                 if r < 2:
                     raise ValueError(f"{path}:{lineno}: colour count must be >= 2")
+                if r > MAX_COLOURS:
+                    raise ValueError(f"{path}:{lineno}: colour count {r} exceeds "
+                                     f"{MAX_COLOURS}")
                 acc = _ClassBuilder(n, r)
                 continue
             if len(parts) != 3:

@@ -11,12 +11,11 @@ empirical bad-set audit used by the embedder.
 
 A sampled check with k1 x k2 subsets and threshold num/den fails a trial
 when its edge count e has e * den < num * k1 * k2, an exact integer
-cross-multiplication, so a verdict never depends on float rounding.  The
-sampled checks and the audit's checks of more than one trial share one
-trial loop over int64 id arrays; `VertexSet`s and `Fraction` densities are
-built only for a witness.  Every check counts on a pair matrix
-(`PairMatrix`); the audit draws its one-trial checks in bulk from its own
-stream and scores them in one popcount pass.
+cross-multiplication, so a verdict never depends on float rounding.  A
+sampled check runs its trials over int64 position arrays; `VertexSet`s and
+`Fraction` densities are built only for a witness.  Every check counts on a
+pair matrix (`PairMatrix`); the audit draws its one-trial checks in bulk
+from its own stream and scores them in one popcount pass.
 """
 
 from __future__ import annotations
@@ -170,20 +169,28 @@ def _lowest(ids: np.ndarray, degrees: np.ndarray, k: int) -> np.ndarray:
     return ids[np.argsort(degrees, kind="stable")[:k]]
 
 
-def _falsify(M: PairMatrix, a: np.ndarray, b: np.ndarray, k1: int,
-             k2: int, threshold: Fraction, trials: int, seed: int):
-    """The sampled trials of a check of the pair of sides (a, b), ascending
-    row and column positions of the pair M, over k1 x k2 sub-pairs,
-    with the generator of `seed`.  Positions keep the id order, so the draws
-    pick what they would over ids.
+def sampled_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
+                          trials: int, seed: int) -> RegVerdict:
+    """Randomized falsifier: samples exact-size subset pairs, half biased low.
 
-    Returns the first sub-pair whose density falls below `threshold`, as
-    (U1 positions, U2 positions, edge count), or None when every trial passes.  The
-    biased first half of the trials peels from the low-degree end (the left
-    subset among the 2k1 lowest-degree-into-B vertices, then the right
+    Each trial draws a ceil(eps|A|) x ceil(eps|B|) sub-pair with the
+    generator of `seed` and fails when its density falls below (1-eps)p.
+    The biased first half of the trials peels from the low-degree end (the
+    left subset among the 2k1 lowest-degree-into-B vertices, then the right
     subset among the 2k2 lowest-degree vertices into the chosen left
-    subset); the rest are uniform.
+    subset); the rest are uniform.  Trials draw positions in A and B, which
+    keep the id order, so they pick what they would over ids.  A pass is
+    one-sided; a fail carries the first failing sub-pair as an exactly
+    checkable witness.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if not A or not B or not A.isdisjoint(B):
+        raise ValueError("need disjoint non-empty sides")
+    eps = Fraction(eps)
+    threshold = (1 - eps) * Fraction(p)
+    k1, k2 = _subset_sizes(eps, len(A), len(B))
+    M, a, b = PairMatrix(G, A.ids, B.ids), np.arange(len(A)), np.arange(len(B))
     rng = seeds.rng(seed)
     biased = trials // 2
     # e / (k1 k2) < num / den, in integers
@@ -201,32 +208,10 @@ def _falsify(M: PairMatrix, a: np.ndarray, b: np.ndarray, k1: int,
             u2 = b[rng.choice(len(b), size=k2, replace=False)]
         e = int(M.count(u1, u2))
         if e * den < bound:
-            return u1, u2, e
-    return None
-
-
-def sampled_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
-                          trials: int, seed: int) -> RegVerdict:
-    """Randomized falsifier: samples exact-size subset pairs, half biased low.
-
-    See `_falsify` for the trials.  A pass is one-sided; a fail carries an
-    exactly checkable witness.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if not A or not B or not A.isdisjoint(B):
-        raise ValueError("need disjoint non-empty sides")
-    eps = Fraction(eps)
-    threshold = (1 - eps) * Fraction(p)
-    k1, k2 = _subset_sizes(eps, len(A), len(B))
-    found = _falsify(PairMatrix(G, A.ids, B.ids), np.arange(len(A)), np.arange(len(B)),
-                     k1, k2, threshold, trials, seed)
-    if found is None:
-        return RegVerdict(SAMPLED, True, threshold, trials=trials)
-    u1, u2, e = found
-    return RegVerdict(SAMPLED, False, threshold,
-                      (VertexSet(G.n, A.ids[u1]), VertexSet(G.n, B.ids[u2])),
-                      Fraction(e, k1 * k2), trials)
+            return RegVerdict(SAMPLED, False, threshold,
+                              (VertexSet(G.n, A.ids[u1]), VertexSet(G.n, B.ids[u2])),
+                              Fraction(e, k1 * k2), trials)
+    return RegVerdict(SAMPLED, True, threshold, trials=trials)
 
 
 def check_lower_regular(G: Graph, A: VertexSet, B: VertexSet, eps, p,
@@ -406,8 +391,6 @@ def compute_bad_set(
     *,
     draws: int,
     seed: int,
-    checker_trials: int,
-    checker_cap: int,
 ) -> VertexSet:
     """Audit which ambient vertices inherit regularity into (V1, V2).
 
@@ -416,15 +399,11 @@ def compute_bad_set(
     ceil(alpha |V1| p / 4), and checks (N_v, V2); then it draws a partner w
     among the ambient vertices and, when w has enough neighbours in V2 to
     fill a subset N_w of the same size, checks (N_v, N_w).  Every check is
-    at (eps, alpha p) in the colour graph.  A vertex is bad when it has too
-    few neighbours in V1 to fill N_v, or when any of its checks fails.
-    Raises when the bad set outgrows eps * |ambient|.
-
-    The inner checks run in sampled mode with `checker_trials` trials; their
-    power is a deliberate calibration knob.  Exhaustive checking of the tiny
-    drawn neighbourhoods (pass checker_cap=EXACT_CAP to get it) condemns
-    every vertex at realistic densities, because minimum subset densities
-    concentrate only for subsets far larger than the drawn ones.
+    one sampled trial at (eps, alpha p) in the colour graph: one sub-pair of
+    ceil(eps |side|) members a side, failing below (1 - eps) alpha p.  A
+    vertex is bad when it has too few neighbours in V1 to fill N_v, or when
+    any of its checks fails.  Raises when the bad set outgrows
+    eps * |ambient|.
 
     No draw depends on a check's outcome, so the audit draws from its one
     stream, `seeds.rng(seed)`, in bulk: every draw below is made for all the
@@ -432,19 +411,14 @@ def compute_bad_set(
     in ambient order, and each subset by `graphs.floyd`.  In order:
 
     1. N_v, for every row;
-    2. for a one-trial sampled (N_v, V2) check, its ceil(eps |N_v|) members
-       of N_v, then its ceil(eps |V2|) members of V2, for every row;
+    2. the (N_v, V2) check's ceil(eps |N_v|) members of N_v, then its
+       ceil(eps |V2|) members of V2, for every row;
     3. the partner w, for every row;
     4. N_w, for every row whose w fills it;
-    5. for a one-trial sampled (N_v, N_w) check, its members of N_v, then of
-       N_w, ceil(eps |N_v|) of each, for those rows.
+    5. the (N_v, N_w) check's members of N_v, then of N_w, ceil(eps |N_v|)
+       of each, for those rows.
 
-    The one-trial sampled checks are then scored in one popcount pass a kind.
-    Checks of more trials, and checks under the exact cap, draw nothing from
-    the audit's stream: they run one at a time, all the (N_v, V2) checks of
-    step 2, in row order, before step 3, and the (N_v, N_w) checks after
-    step 4, through `_falsify` with the seed seed + 1 + 1009 v + d (plus
-    500009 for (N_v, N_w)), or through the exact check.
+    Each kind of check is then scored in one popcount pass.
     """
     if draws < 1:
         raise ValueError("need at least one draw per vertex")
@@ -465,25 +439,14 @@ def compute_bad_set(
     deg2 = hood2.count(everyone, all_v2, 1)
     fat = np.flatnonzero(deg1 >= size)
     v = np.repeat(fat, draws)  # the ambient position of each row
-    # a row's check seed, less seed + 1: 1009 v + d for round d of vertex v
-    row_keys = 1009 * ambient.ids[v] + np.tile(np.arange(draws), len(fat))
     rng = seeds.rng(seed)
 
-    def fails(a: np.ndarray, b: np.ndarray | None, keys: np.ndarray, k2: int) -> np.ndarray:
-        """Whether the check of (a[r], b[r]) fails, for each row r of the
-        (rows, size) V1 and V2 positions a and b; b None stands for V2.  A
-        check run one at a time draws with the seed seed + 1 + keys[r]."""
-        cols = [all_v2] * len(a) if b is None else b
-        if size <= checker_cap and (b is not None or len(V2) <= checker_cap):
-            return np.array([not exact_lower_regular(
-                G_c, VertexSet(G_c.n, V1.ids[x]), VertexSet(G_c.n, V2.ids[y]), eps,
-                effective_p, checker_cap).passed for x, y in zip(a, cols)], dtype=bool)
-        if checker_trials > 1:
-            return np.array([_falsify(block, x, y, k_drawn, k2, threshold, checker_trials,
-                                      seed + 1 + key) is not None
-                             for key, x, y in zip(keys.tolist(), a, cols)], dtype=bool)
+    def fails(a: np.ndarray, b: np.ndarray, k2: int) -> np.ndarray:
+        """Whether the check of (a[r], b) fails, for each row r of the
+        (rows, size) V1 positions a, against the V2 positions b: all of V2,
+        or one row of V2 positions per row of a."""
         rows = np.take_along_axis(a, subsets(rng, size, k_drawn, len(a)), 1)
-        masks = block.draw(rng, len(a), all_v2 if b is None else b, k2)
+        masks = block.draw(rng, len(a), b, k2)
         # e fails when e * den < num * k1 * k2, that is when e < need
         need = -(-threshold.numerator * k_drawn * k2 // threshold.denominator)
         return block.score(rows, masks) < need
@@ -491,11 +454,11 @@ def compute_bad_set(
     # N_v: ranks among v's neighbours in V1, looked up a vertex's rounds at once
     Nv = hood1.select(fat, subsets(rng, deg1[v], size, len(v)).reshape(
         len(fat), draws * size)).reshape(-1, size)
-    failed = fails(Nv, None, row_keys, k_v2)
+    failed = fails(Nv, all_v2, k_v2)
     w = rng.integers(len(ambient), size=len(v))
     met = np.flatnonzero(deg2[w] >= size)  # the rows whose partner fills N_w
     Nw = hood2.select(w[met], subsets(rng, deg2[w[met]], size, len(met)))
-    failed[met] |= fails(Nv[met], Nw, row_keys[met] + 500009, k_drawn)
+    failed[met] |= fails(Nv[met], Nw, k_drawn)
     is_bad = deg1 < size
     is_bad[v[failed]] = True
     bad = VertexSet(gamma.n, ambient.ids[is_bad])

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, artifacts, config errors, colourings."""
 
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -15,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monogrid
 from monogrid.blowup import build_blowup, save_blowup
 from monogrid.cli import apply_colouring, build_parser, main, run_once
 from monogrid import embedder, pipeline
 from monogrid.config import (
     _ALL_KEYS,
+    AUDIT_ECHO,
     GRAPH_SPEC,
     ConfigError,
     Knobs,
@@ -218,6 +221,33 @@ def test_verify_exit_codes(tmp_path):
                  embedding]) == 2
 
 
+@pytest.mark.parametrize("graph,colouring,message", [
+    ("n 1099511627776\n1099511627775 1\n", "r 2\n",
+     "g.txt:1: vertex count 1099511627776 exceeds 16777216"),
+    ("n 3\n0 1\n", "r 100000000\n0 1 0\n1 2 1\n",
+     "c.txt:1: colour count 100000000 exceeds 256"),
+], ids=["vertices", "colours"])
+def test_verify_refuses_oversized_header_counts(tmp_path, capsys, graph, colouring,
+                                                message):
+    (tmp_path / "g.txt").write_text(graph)
+    (tmp_path / "c.txt").write_text(colouring)
+    assert main(["verify", str(tmp_path / "g.txt"), str(tmp_path / "c.txt"),
+                 str(tmp_path / "e.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    if colouring == "r 2\n":
+        assert main(["oracle", "grid", "--graph", f"file {tmp_path / 'g.txt'}",
+                     "--a", "1", "--b", "2"]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_run_refuses_an_oversized_colour_count(tmp_path, capsys):
+    assert main(["run", "--preset", "desk", "--set", "r=100000000000",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "need at most 256 colours, got r=100000000000" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_oracle_arrows_writes_witness(tmp_path, capsys):
     assert main(["oracle", "arrows", "--graph", "complete 5",
                  "--target", "complete 3", "--r", "2",
@@ -303,7 +333,7 @@ def test_run_reports_grid_side_outside_host_cycles(tmp_path, delta, side):
 
 @pytest.mark.parametrize("key", ["check_trials", "audit_trials",
                                  "embed_check_trials", "embed_audit_trials",
-                                 "badset_trials", "badset_draws"])
+                                 "badset_draws"])
 def test_trial_knobs_must_be_positive(tmp_path, capsys, key):
     with pytest.raises(ConfigError, match=key):
         load_config(preset="desk", sets=(f"{key}=0",))
@@ -314,26 +344,34 @@ def test_trial_knobs_must_be_positive(tmp_path, capsys, key):
 
 
 KNOBS = dataclasses.fields(Knobs)
+# every attribute name the package reads outside config.py
+_READ = {node.attr for path in Path(monogrid.__file__).parent.glob("*.py")
+         if path.name != "config.py"
+         for node in ast.walk(ast.parse(path.read_text()))
+         if isinstance(node, ast.Attribute)}
 
 
 @pytest.mark.parametrize("knob", KNOBS, ids=[f.name for f in KNOBS])
 def test_knob_table(tmp_path, capsys, knob):
     # the record, the config keys and the report's knobs name the same keys,
-    # and a knob below its least value is a config error
+    # beside the audit's echoed constants; the package reads every knob; and
+    # a knob below its least value is a config error
     key, least = knob.name, knob.metadata["least"]
     cfg = load_config(preset="desk")
     assert {f.name for f in dataclasses.fields(RunConfig)} == {
         "preset", "host_spec", "s", "seed", "colouring", "out", "lam_rule",
         "allow_alpha_override", "params", "knobs"}
-    assert len(KNOBS) == 12 and set(cfg.to_json()["knobs"]) == {f.name for f in KNOBS}
+    assert len(KNOBS) == 10 and not set(AUDIT_ECHO) & {f.name for f in KNOBS}
+    assert cfg.to_json()["knobs"] == {**dataclasses.asdict(cfg.knobs), **AUDIT_ECHO}
     assert getattr(cfg.knobs, key) == cfg.to_json()["knobs"][key] == knob.default
+    assert key in _READ
     assert main(["run", "--preset", "desk", "--set", f"{key}={least - 1}",
                  "--out", str(tmp_path / "run")]) == 2
     assert f"{key} must be at least {least}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("key", ["check_cap", "badset_cap"])
+@pytest.mark.parametrize("key", ["check_cap"])
 def test_exact_caps_stop_at_the_exact_cap(tmp_path, capsys, key):
     # an exact check enumerates every k-subset of its pair; at a cap of 300
     # a desk run was still enumerating after a minute
@@ -408,7 +446,7 @@ def test_unbuildable_random_regular_host_is_a_config_error(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     assert "no simple 5-regular graph" in capsys.readouterr().err
     assert main(["run", "--preset", "desk", "--set", "host=random-regular 6 5",
-                 "--set", "max_degree=5", "--out", str(tmp_path / "run")]) == 2
+                 "--out", str(tmp_path / "run")]) == 2
     assert "no simple 5-regular graph" in capsys.readouterr().err
 
 
@@ -426,9 +464,10 @@ def test_every_command_speaks_one_grammar(tmp_path, capsys):
 
 
 def test_run_rejects_max_degree_off_the_host_bound(tmp_path, capsys):
+    # the degree bound is always the host's own, so no key sets it
     assert main(["run", "--preset", "desk", "--set", "max_degree=3",
                  "--out", str(tmp_path)]) == 2
-    assert "host's degree bound 2" in capsys.readouterr().err
+    assert "unknown configuration key(s): max_degree" in capsys.readouterr().err
 
 
 def test_readme_and_help_state_the_one_grammar():

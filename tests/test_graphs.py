@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from monogrid.graphs import (
+    MAX_COLOURS,
+    MAX_VERTICES,
     EdgeColouring,
     Graph,
     PairMatrix,
@@ -383,6 +385,8 @@ def test_graph_file_format(tmp_path):
         ("n 3\n0 3\n", 2),       # out of range
         ("n 3\n1 1\n", 2),       # self-loop
         ("n 3\n0 1\n1 0\n", 3),  # duplicate edge
+        (f"n {MAX_VERTICES + 1}\n0 1\n", 1),         # too many vertices
+        ("# big\nn 1099511627776\n1099511627775 1\n", 2),
     ],
 )
 def test_graph_file_errors_carry_line_numbers(tmp_path, body, lineno):
@@ -411,6 +415,8 @@ def test_colouring_file_round_trip(tmp_path):
         ("r 2\n0 1\n", 2),           # wrong field count
         ("r 2\n0 1 5\n", 2),         # colour out of range
         ("r 2\n0 1 0\n1 0 1\n", 3),  # duplicate edge
+        (f"r {MAX_COLOURS + 1}\n", 1),  # too many colours
+        ("r 100000000\n0 1 0\n", 1),
     ],
 )
 def test_colouring_file_errors_carry_line_numbers(tmp_path, body, lineno):
@@ -418,6 +424,14 @@ def test_colouring_file_errors_carry_line_numbers(tmp_path, body, lineno):
     path.write_text(body)
     with pytest.raises(ValueError, match=f":{lineno}:"):
         read_colouring(str(path), n=4)
+
+
+def test_readers_take_header_counts_up_to_their_bounds(tmp_path):
+    graph, colouring = tmp_path / "g.txt", tmp_path / "c.txt"
+    graph.write_text(f"n {MAX_VERTICES}\n0 1\n")
+    assert read_graph(str(graph)).n == MAX_VERTICES
+    colouring.write_text(f"r {MAX_COLOURS}\n0 1 {MAX_COLOURS - 1}\n")
+    assert read_colouring(str(colouring), n=3).r == MAX_COLOURS
 
 
 # ---------------------------------------------------------------------------

@@ -412,8 +412,7 @@ def triangle_blowup(s, p, seed):
 def test_bad_set_empty_on_complete():
     bg = triangle_blowup(12, 1.0, 0)
     B = compute_bad_set(bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2),
-                        Fraction(1, 4), Fraction(1, 2), 1.0, draws=2, seed=0,
-                        checker_trials=1, checker_cap=0)
+                        Fraction(1, 4), Fraction(1, 2), 1.0, draws=2, seed=0)
     assert B.size == 0
 
 
@@ -426,7 +425,7 @@ def test_bad_set_catches_stripped_vertex():
         if not (victim in (u, v) and (u in part0 or v in part0))])
     B = compute_bad_set(damaged, damaged, bg.part(0), bg.part(1),
                         bg.part(2), Fraction(9, 20), Fraction(1, 2), 0.6,
-                        draws=2, seed=3, checker_trials=1, checker_cap=0)
+                        draws=2, seed=3)
     assert victim in B
 
 
@@ -434,8 +433,7 @@ def test_bad_set_catches_stripped_vertex():
 def test_bad_set_small_on_cooperative_run(seed):
     bg = triangle_blowup(40, 0.6, seed)
     B = compute_bad_set(bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2),
-                        Fraction(9, 20), Fraction(1, 2), 0.6, draws=2, seed=seed,
-                        checker_trials=1, checker_cap=0)
+                        Fraction(9, 20), Fraction(1, 2), 0.6, draws=2, seed=seed)
     assert B.size <= 8
     assert (B & bg.part(2)) == B
 
@@ -444,8 +442,7 @@ def test_bad_set_allowance_breach_raises():
     bg = triangle_blowup(40, 0.15, 2)
     with pytest.raises(BadSetError) as err:
         compute_bad_set(bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2),
-                        Fraction(9, 20), Fraction(1, 2), 0.15, draws=2, seed=0,
-                        checker_trials=1, checker_cap=0)
+                        Fraction(9, 20), Fraction(1, 2), 0.15, draws=2, seed=0)
     assert err.value.bad.size > err.value.limit
 
 
@@ -453,8 +450,26 @@ def test_bad_set_rejects_zero_draws():
     bg = triangle_blowup(10, 0.5, 0)
     with pytest.raises(ValueError):
         compute_bad_set(bg.gamma, bg.gamma, bg.part(0), bg.part(1), bg.part(2),
-                        Fraction(1, 4), Fraction(1, 2), 0.5, draws=0, seed=0,
-                        checker_trials=1, checker_cap=0)
+                        Fraction(1, 4), Fraction(1, 2), 0.5, draws=0, seed=0)
+
+
+def test_exact_checks_condemn_drawn_neighbourhoods_at_desk_density():
+    # Why the audit samples: at desk density an audit draws 14-vertex
+    # neighbourhoods, and minimum subset densities concentrate only for
+    # subsets far larger than those, so an exact check of a drawn
+    # (N_v, N_w) pair fails, and an exact audit would condemn every vertex.
+    s, p, eps, alpha = 300, 0.35, Fraction(1, 4), Fraction(1, 2)
+    bg = triangle_blowup(s, p, 0)
+    size = math.ceil(alpha * Fraction(p) * s / 4)
+    assert size == 14
+    rng = seeds.rng(0)
+    for _ in range(5):
+        v, w = bg.part(2).sample(2, rng).to_list()
+        Nv = (bg.gamma.neighbours(v) & bg.part(0)).sample(size, rng)
+        Nw = (bg.gamma.neighbours(w) & bg.part(1)).sample(size, rng)
+        verdict = exact_lower_regular(bg.gamma, Nv, Nw, eps, alpha * Fraction(p))
+        assert verdict.mode == EXACT
+        assert recheck_witness(bg.gamma, Nv, Nw, eps, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +541,6 @@ def _ref_sampled(G, A, B, eps, p, trials, seed):
     return RegVerdict(SAMPLED, True, threshold, trials=trials)
 
 
-def _ref_check(G, A, B, eps, p, trials, seed, cap):
-    if len(A) <= cap and len(B) <= cap:
-        return exact_lower_regular(G, A, B, eps, p, cap)
-    return _ref_sampled(G, A, B, eps, p, trials, seed)
-
-
 def _ref_floyd(rng, n, k, rows):
     """Floyd's algorithm for `rows` k-subsets of range(n) (n an int, or an int
     array with one per row), a step at a time over all rows, as the audit
@@ -545,8 +554,7 @@ def _ref_floyd(rng, n, k, rows):
     return [sorted(row) for row in picked]
 
 
-def _ref_bad_set(gamma, G_c, V1, V2, ambient, eps, alpha, p, draws, seed,
-                 checker_trials, checker_cap):
+def _ref_bad_set(gamma, G_c, V1, V2, ambient, eps, alpha, p, draws, seed):
     """The audit of `compute_bad_set`: the same stream drawn in the same order,
     with every one-trial sampled check judged by `Graph.row` and `Fraction`
     densities."""
@@ -563,34 +571,25 @@ def _ref_bad_set(gamma, G_c, V1, V2, ambient, eps, alpha, p, draws, seed,
     rng = seeds.rng(seed)
     failed = set()
 
-    def check(pairs, n2, k2, salt):
+    def check(pairs, n2, k2):
         """Judge the checks of (N_v, U) for each row r and n2-set U of pairs."""
-        if size <= checker_cap and n2 <= checker_cap:
-            results = [exact_lower_regular(G_c, Nv[r], U, eps, effective_p,
-                                           checker_cap).passed for r, U in pairs]
-        elif checker_trials > 1:
-            results = [_ref_sampled(G_c, Nv[r], U, eps, effective_p, checker_trials,
-                                    seed + 1 + 1009 * rows[r][0] + rows[r][1] + salt).passed
-                       for r, U in pairs]
-        else:
-            picks1 = _ref_floyd(rng, size, k_drawn, len(pairs))
-            picks2 = _ref_floyd(rng, n2, k2, len(pairs))
-            results = []
-            for (r, U), p1, p2 in zip(pairs, picks1, picks2):
-                members1, members2 = Nv[r].to_list(), U.to_list()
-                U1 = VertexSet(G_c.n, [members1[i] for i in p1])
-                U2 = VertexSet(G_c.n, [members2[i] for i in p2])
-                results.append(_ref_density(G_c, U1, U2) >= threshold)
-        failed.update(r for (r, _), ok in zip(pairs, results) if not ok)
+        picks1 = _ref_floyd(rng, size, k_drawn, len(pairs))
+        picks2 = _ref_floyd(rng, n2, k2, len(pairs))
+        for (r, U), p1, p2 in zip(pairs, picks1, picks2):
+            members1, members2 = Nv[r].to_list(), U.to_list()
+            U1 = VertexSet(G_c.n, [members1[i] for i in p1])
+            U2 = VertexSet(G_c.n, [members2[i] for i in p2])
+            if _ref_density(G_c, U1, U2) < threshold:
+                failed.add(r)
 
     Nv = [VertexSet(G_c.n, [hoods1[v][i] for i in picks]) for (v, _), picks in zip(
         rows, _ref_floyd(rng, np.array([len(hoods1[v]) for v, _ in rows]), size, len(rows)))]
-    check([(r, V2) for r in range(len(rows))], len(V2), k_v2, 0)
+    check([(r, V2) for r in range(len(rows))], len(V2), k_v2)
     partners = [amb_ids[j] for j in rng.integers(len(amb_ids), size=len(rows)).tolist()]
     met = [r for r, w in enumerate(partners) if len(hoods2[w]) >= size]
     Nw = [VertexSet(G_c.n, [hoods2[partners[r]][i] for i in picks]) for r, picks in zip(
         met, _ref_floyd(rng, np.array([len(hoods2[partners[r]]) for r in met]), size, len(met)))]
-    check(list(zip(met, Nw)), size, k_drawn, 500009)
+    check(list(zip(met, Nw)), size, k_drawn)
     bad = VertexSet(gamma.n, [v for v in amb_ids if len(hoods1[v]) < size]
                     + [rows[r][0] for r in failed])
     limit = eps * len(ambient)
@@ -656,27 +655,24 @@ def test_sampled_check_matches_the_set_based_reference(case, eps, trials, seed, 
 
 @EQUIVALENCE
 @given(damaged_triangles(densities=(0.5, 0.8, 1.0), victims=3), EPS_VALUES,
-       st.integers(1, 3), st.integers(0, 2**20), st.integers(1, 4),
-       st.sampled_from([0, EXACT_CAP]))
-def test_bad_set_matches_the_set_based_reference(case, eps, draws, seed, trials, cap):
+       st.integers(1, 3), st.integers(0, 2**20))
+def test_bad_set_matches_the_set_based_reference(case, eps, draws, seed):
     bg, p, G = case
     args = (G, G, bg.part(0), bg.part(1), bg.part(2), eps, Fraction(1, 2), p)
-    kwargs = dict(draws=draws, seed=seed, checker_trials=trials, checker_cap=cap)
-    # the audit stream first, then any check's own generator, in the same order
+    kwargs = dict(draws=draws, seed=seed)
     assert (_outcome(compute_bad_set, *args, **kwargs)
             == _outcome(_ref_bad_set, *args, **kwargs))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(8, 40), st.sampled_from([0.3, 0.5, 0.8]), st.integers(0, 2**16),
-       EPS_VALUES, st.integers(1, 3), st.integers(0, 2**20), st.integers(1, 3),
-       st.sampled_from([0, EXACT_CAP]), st.data())
+       EPS_VALUES, st.integers(1, 3), st.integers(0, 2**20), st.data())
 def test_audit_flags_planted_vertices_and_spares_a_complete_blowup(s, p, bseed, eps, draws,
-                                                                   seed, trials, cap, data):
+                                                                   seed, data):
     # Outcomes that no draw of the audit's stream can change: a vertex whose
     # neighbours in V1 have no colour edge to V2 fails every (N_v, V2) check,
     # and in a complete blow-up every check passes.
-    kwargs = dict(draws=draws, seed=seed, checker_trials=trials, checker_cap=cap)
+    kwargs = dict(draws=draws, seed=seed)
     bg = triangle_blowup(s, p, bseed)
     V1, V2, ambient = bg.part(0), bg.part(1), bg.part(2)
     victims = data.draw(st.lists(st.sampled_from(ambient.to_list()), min_size=1,
