@@ -26,7 +26,6 @@ from monogrid.graphs import (
     read_graph,
     write_graph,
 )
-from monogrid.hosts import HostGraph
 
 # rows of a host edge's s x s block drawn per call to the edge's generator
 _DRAW_ROWS = 64
@@ -35,7 +34,7 @@ _DRAW_ROWS = 64
 @dataclass(frozen=True)
 class BlowupGraph:
     gamma: Graph
-    host: HostGraph
+    host: Graph
     part_size: int
     p: float
     seed: int
@@ -46,7 +45,7 @@ class BlowupGraph:
 
     def validate(self) -> None:
         """Independence of the parts, and no edge outside the host edges."""
-        n, H = self.gamma.n, self.host.graph
+        n, H = self.gamma.n, self.host
         if n != H.n * self.part_size:
             raise AssertionError("vertex count is not host size times part size")
         for x, own in enumerate(self.parts):
@@ -59,15 +58,17 @@ class BlowupGraph:
                 raise AssertionError(f"edge leaves the host edges at part {x}")
 
 
-def build_blowup(H: HostGraph, s: int, p: float, seed: int) -> BlowupGraph:
+def build_blowup(H: Graph, s: int, p: float, seed: int) -> BlowupGraph:
     """Blow each host vertex up into s vertices; host edges become random pairs."""
+    if H.n < 2:
+        raise ValueError("a host needs at least two vertices")
     if s < 1:
         raise ValueError("part size must be at least 1")
     if not 0.0 < p <= 1.0:
         raise ValueError("edge probability must lie in (0, 1]")
-    n = H.graph.n * s
+    n = H.n * s
     acc = _ClassBuilder(n, 1)
-    for x, y in H.graph.edges():
+    for x, y in H.edges():
         rng = seeds.rng(seed, x, y)
         # a few rows of floats at a time draw the same stream as one (s, s)
         # draw, without holding its s*s float64 matrix
@@ -76,7 +77,7 @@ def build_blowup(H: HostGraph, s: int, p: float, seed: int) -> BlowupGraph:
             np.less(rng.random((min(_DRAW_ROWS, s - i), s)), p,
                     out=mat[i:i + _DRAW_ROWS])
         acc.add_block(x * s, y * s, mat)
-    return BlowupGraph(acc.graphs()[0], H, s, p, seed, _parts(H.graph.n, s))
+    return BlowupGraph(acc.graphs()[0], H, s, p, seed, _parts(H.n, s))
 
 
 def _parts(h: int, s: int) -> list[VertexSet]:
@@ -84,14 +85,14 @@ def _parts(h: int, s: int) -> list[VertexSet]:
     return [VertexSet(h * s, np.arange(x * s, (x + 1) * s)) for x in range(h)]
 
 
-def expected_edges(H: HostGraph, s: int, p: float) -> float:
+def expected_edges(H: Graph, s: int, p: float) -> float:
     """Exact mean edge count of the blow-up: one binomial per host edge."""
-    return H.graph.edge_count * s * s * p
+    return H.edge_count * s * s * p
 
 
-def host_hash(H: HostGraph) -> str:
-    text = f"n {H.graph.n} d {H.max_degree}\n" + "".join(
-        f"{u} {v}\n" for u, v in H.graph.edges()
+def host_hash(H: Graph) -> str:
+    text = f"n {H.n} d {H.degree_bound()}\n" + "".join(
+        f"{u} {v}\n" for u, v in H.edges()
     )
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -102,19 +103,19 @@ def host_hash(H: HostGraph) -> str:
 
 def save_blowup(bg: BlowupGraph, basename: str) -> None:
     write_graph(bg.gamma, basename + ".graph")
-    write_graph(bg.host.graph, basename + ".host")
+    write_graph(bg.host, basename + ".host")
     with open(basename + ".meta", "w") as fh:
         fh.write(f"part_size {bg.part_size}\n")
         fh.write(f"p {bg.p!r}\n")
         fh.write(f"c {bg.p * math.sqrt(bg.part_size)!r}\n")
         fh.write(f"seed {bg.seed}\n")
-        fh.write(f"host_max_degree {bg.host.max_degree}\n")
+        fh.write(f"host_max_degree {bg.host.degree_bound()}\n")
         fh.write(f"host_hash {host_hash(bg.host)}\n")
 
 
 def load_blowup(basename: str) -> BlowupGraph:
     gamma = read_graph(basename + ".graph")
-    hostg = read_graph(basename + ".host")
+    host = read_graph(basename + ".host")
     meta: dict[str, str] = {}
     for lineno, parts in _significant_lines(basename + ".meta"):
         if len(parts) != 2:
@@ -123,11 +124,14 @@ def load_blowup(basename: str) -> BlowupGraph:
     missing = {"host_max_degree", "host_hash", "part_size", "p", "seed"} - set(meta)
     if missing:
         raise ValueError(f"{basename}.meta: missing key(s) {', '.join(sorted(missing))}")
-    host = HostGraph(hostg, int(meta["host_max_degree"]))
+    bound = host.degree_bound()
+    if meta["host_max_degree"] != str(bound):
+        raise ValueError(f"{basename}.meta: host_max_degree {meta['host_max_degree']} "
+                         f"is not the host's degree bound {bound}")
     if meta["host_hash"] != host_hash(host):
         raise ValueError(f"{basename}.meta: host hash mismatch")
     s = int(meta["part_size"])
     bg = BlowupGraph(gamma, host, s, float(meta["p"]), int(meta["seed"]),
-                     _parts(hostg.n, s))
+                     _parts(host.n, s))
     bg.validate()
     return bg

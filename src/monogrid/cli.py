@@ -92,8 +92,8 @@ def apply_colouring(bg, spec: str, r: int, seed: int) -> EdgeColouring:
     if tokens[0] == "uniform-random":
         colours = seeds.rng(seed, 23).integers(0, r, size=gamma.edge_count)
     elif tokens[0] == "host-edge-split":
-        split = np.zeros((bg.host.graph.n,) * 2, dtype=np.int64)  # host edge -> colour
-        for k, (x, y) in enumerate(bg.host.graph.edges()):
+        split = np.zeros((bg.host.n,) * 2, dtype=np.int64)  # host edge -> colour
+        for k, (x, y) in enumerate(bg.host.edges()):
             split[x, y] = k % r
         s = bg.part_size
         colours = np.concatenate([split[u // s, v // s] for u, v in gamma.edge_blocks()]
@@ -144,12 +144,12 @@ def run_once(cfg: RunConfig, outdir: Path) -> tuple[dict, dict]:
     try:
         with stage("host"):
             H = build_host(cfg.host_spec, cfg.seed)
-            write_graph(H.graph, str(outdir / "host.graph"), comment=cfg.host_spec)
+            write_graph(H, str(outdir / "host.graph"), comment=cfg.host_spec)
             report["artifacts"]["host"] = "host.graph"
             report["stages"]["host"] = {
-                "n": H.graph.n,
-                "edges": H.graph.edge_count,
-                "max_degree": H.max_degree,
+                "n": H.n,
+                "edges": H.edge_count,
+                "max_degree": H.degree_bound(),
             }
 
         with stage("blowup"):
@@ -185,12 +185,12 @@ def run_once(cfg: RunConfig, outdir: Path) -> tuple[dict, dict]:
         # grid side and the length of the host cycle it winds around, so it
         # must be a cycle length the host can hold.
         side = cfg.grid_side()
-        if side.denominator != 1 or not 3 <= side <= H.graph.n:
+        if side.denominator != 1 or not 3 <= side <= H.n:
             raise StageError(
                 "embed",
                 f"the planned grid side delta*s = {cfg.params.delta} * {cfg.s} "
                 f"= {float(side):g} is not an integer from 3 to the host order "
-                f"{H.graph.n}, so no square grid fits the plan; adjust delta or s",
+                f"{H.n}, so no square grid fits the plan; adjust delta or s",
             )
         m = int(side)
 
@@ -286,9 +286,9 @@ def cmd_gen_host(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "host.graph"
-    write_graph(H.graph, str(path), comment=args.host)
-    print(f"wrote {path}: n={H.graph.n} edges={H.graph.edge_count} "
-          f"max_degree={H.max_degree}")
+    write_graph(H, str(path), comment=args.host)
+    print(f"wrote {path}: n={H.n} edges={H.edge_count} "
+          f"max_degree={H.degree_bound()}")
     return 0
 
 

@@ -15,8 +15,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
-from monogrid.graphs import MAX_COLOURS, Graph, read_graph
-from monogrid.hosts import HostGraph, random_regular_host
+from monogrid.graphs import MAX_COLOURS, MAX_VERTICES, Graph, read_graph
 from monogrid.oracle import grid_graph
 from monogrid.regularity import EXACT_CAP, EpsSchedule, RegParams, eps_schedule
 
@@ -164,6 +163,19 @@ GRAPH_SPEC = ("'cycle N', 'path N', 'complete N', 'single-edge', "
 _SPEC_ARITY = {"cycle": 1, "path": 1, "complete": 1, "single-edge": 0,
                "random-regular": 2, "grid": 2, "file": 1}
 
+# kind -> the (vertex, edge) counts of the graph its integer arguments name
+_SPEC_SIZE = {"cycle": lambda n: (n, n), "path": lambda n: (n, n - 1),
+              "complete": lambda n: (n, n * (n - 1) // 2),
+              "single-edge": lambda: (2, 1),
+              "random-regular": lambda n, d: (n, n * d // 2),
+              "grid": lambda a, b: (a * b, 2 * a * b - a - b)}
+
+# The most edges a spec may name.  The parser refuses a spec past this or
+# past MAX_VERTICES before it builds anything.  A random-regular graph gives
+# nearly every edge tiles of its own, so at this bound `random-regular 65536 2`
+# peaks at 97 MB under tracemalloc, and `cycle`, `path` and `grid` at 20 MB.
+MAX_SPEC_EDGES = 1 << 16
+
 
 def parse_graph_spec(spec: str, seed: int = 0) -> Graph:
     """The graph a spec in `GRAPH_SPEC` names; random graphs draw from `seed`."""
@@ -173,28 +185,34 @@ def parse_graph_spec(spec: str, seed: int = 0) -> Graph:
     try:
         if kind == "file":
             return read_graph(args[0])
+        ints = [int(a) for a in args]
+        n, m = _SPEC_SIZE[kind](*ints)
+        if n > MAX_VERTICES:
+            raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
+        if m > MAX_SPEC_EDGES:
+            raise ValueError(f"edge count {m} exceeds {MAX_SPEC_EDGES}")
         build = {
             "cycle": Graph.cycle, "path": Graph.path, "complete": Graph.complete,
             "single-edge": lambda: Graph.path(2),
-            "random-regular": lambda n, d: random_regular_host(n, d, seed).graph,
+            "random-regular": lambda n, d: Graph.random_regular(n, d, seed),
             "grid": grid_graph,
         }[kind]
-        return build(*(int(a) for a in args))
+        return build(*ints)
     except (ValueError, OSError) as e:
         raise ConfigError(f"graph spec {spec!r}: {e}") from None
 
 
-def build_host(spec: str, seed: int) -> HostGraph:
-    """The host graph `spec` names, with the bound max(2, its maximum degree).
+def build_host(spec: str, seed: int) -> Graph:
+    """The host graph `spec` names, refused if it has fewer than two vertices.
 
     The run seed doubles as the generation seed for random hosts, so a
-    config plus seed pins the host exactly.
+    config plus seed pins the host exactly.  Its degree bound, and with it
+    the level count, is `Graph.degree_bound`.
     """
-    G = parse_graph_spec(spec, seed)
-    try:
-        return HostGraph(G)
-    except ValueError as e:
-        raise ConfigError(f"host spec {spec!r}: {e}") from None
+    H = parse_graph_spec(spec, seed)
+    if H.n < 2:
+        raise ConfigError(f"host spec {spec!r}: a host needs at least two vertices")
+    return H
 
 
 def parse_colouring_spec(spec: str, r: int) -> list[str]:
@@ -311,7 +329,7 @@ def _resolve(merged: dict[str, str], preset: str | None) -> RunConfig:
     if "delta" in merged:
         delta = _parse_fraction("delta", merged["delta"])
     else:
-        delta = min(Fraction(1, 4 * host.graph.n), eps / 4, lam / 4)
+        delta = min(Fraction(1, 4 * host.n), eps / 4, lam / 4)
     if "p" in merged:
         p = _parse_float("p", merged["p"])
         c = _parse_float("c", merged["c"]) if "c" in merged else p * math.sqrt(s)
@@ -321,7 +339,7 @@ def _resolve(merged: dict[str, str], preset: str | None) -> RunConfig:
 
     try:
         # the level schedule has one level per matching of the host's bound
-        params = RegParams(r=r, max_degree=host.max_degree,
+        params = RegParams(r=r, max_degree=host.degree_bound(),
                            eps=eps, eps_inherit=eps_inherit, alpha=alpha, lam=lam,
                            delta=delta, c=c, p=p)
     except ValueError as e:

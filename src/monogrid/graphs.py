@@ -40,6 +40,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from monogrid import seeds
+
 # bits per word: the rows, and the columns, of one tile
 W = 64
 _U64 = np.dtype("<u8")
@@ -51,6 +53,9 @@ _U64 = np.dtype("<u8")
 # larger counts before they allocate anything.
 MAX_VERTICES = 1 << 24
 MAX_COLOURS = 1 << 8
+
+# pairings `Graph.random_regular` draws before it gives up
+_PAIRING_TRIES = 1000
 
 
 def _nblocks(n: int) -> int:
@@ -281,6 +286,28 @@ class Graph:
             raise ValueError("a path needs at least 1 vertex")
         return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
+    @classmethod
+    def random_regular(cls, n: int, d: int, seed: int) -> "Graph":
+        """A uniformly random d-regular graph via the pairing model.
+
+        Each vertex contributes d points; a uniform perfect matching on the
+        points induces the edges, and outcomes with loops or repeated edges
+        are rejected and redrawn.  Rejection is cheap at the small degrees
+        used here.
+        """
+        if n < 2 or d < 1 or d >= n:
+            raise ValueError("need 2 <= n and 1 <= d < n")
+        if n * d % 2:
+            raise ValueError("n*d must be even for a d-regular graph")
+        rng = seeds.rng(seed)
+        for _ in range(_PAIRING_TRIES):
+            ends = rng.permutation(n * d).reshape(-1, 2) // d
+            u, v = ends.min(axis=1), ends.max(axis=1)
+            if (u == v).any() or len(np.unique(u * n + v)) < len(u):
+                continue
+            return cls.from_edges(n, np.column_stack((u, v)))
+        raise ValueError(f"no simple {d}-regular graph found in {_PAIRING_TRIES} pairings")
+
     @property
     def edge_count(self) -> int:
         return self._m
@@ -306,6 +333,11 @@ class Graph:
         degrees = np.zeros((nb, W), dtype=np.int64)
         np.add.at(degrees, self._keys // max(nb, 1), np.bitwise_count(self._tiles))
         return int(degrees.max(initial=0))
+
+    def degree_bound(self) -> int:
+        """The maximum degree, but at least 2: a host's edges split into this
+        many + 1 matchings, one per level of the chain."""
+        return max(2, self.max_degree())
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from monogrid import seeds
-from monogrid.graphs import EdgeColouring, Graph, colour_subgraph
+from monogrid.graphs import MAX_COLOURS, EdgeColouring, Graph, colour_subgraph
 
 FOUND = "found"
 ABSENT = "absent"
@@ -294,6 +294,8 @@ def arrows(G: Graph, T: Graph, r: int, budget: int = SEARCH_BUDGET,
     """
     if r < 1:
         raise ValueError("need at least one colour")
+    if r > MAX_COLOURS:
+        raise ValueError(f"need at most {MAX_COLOURS} colours, got r={r}")
     if G.edge_count > 30 and not allow_large:
         raise ValueError(
             f"{G.edge_count} edges is past the exhaustive-search guard; "

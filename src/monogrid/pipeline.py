@@ -31,7 +31,6 @@ from monogrid.graphs import (
     edge_count,
     pair_density,
 )
-from monogrid.hosts import HostGraph
 from monogrid.regularity import (
     EpsSchedule,
     RegParams,
@@ -49,12 +48,12 @@ from monogrid.regularity import (
 class MatchingDecomposition:
     matchings: list[list[tuple[int, int]]]
 
-    def validate(self, H: HostGraph) -> None:
+    def validate(self, H: Graph) -> None:
         seen = set()
         for matching in self.matchings:
             touched = set()
             for u, v in matching:
-                if not H.graph.has_edge(u, v):
+                if not H.has_edge(u, v):
                     raise AssertionError(f"({u}, {v}) is not a host edge")
                 if u in touched or v in touched:
                     raise AssertionError(f"({u}, {v}) collides within its matching")
@@ -63,9 +62,9 @@ class MatchingDecomposition:
                 if key in seen:
                     raise AssertionError(f"edge {key} appears twice")
                 seen.add(key)
-        if len(seen) != H.graph.edge_count:
+        if len(seen) != H.edge_count:
             raise AssertionError("matchings do not cover the edge set")
-        if len(self.matchings) > H.max_degree + 1:
+        if len(self.matchings) > H.degree_bound() + 1:
             raise AssertionError("too many matchings")
 
 
@@ -164,9 +163,9 @@ def _proper_edge_colouring(G: Graph) -> dict[tuple[int, int], int]:
     return col
 
 
-def matching_decomposition(H: HostGraph) -> MatchingDecomposition:
+def matching_decomposition(H: Graph) -> MatchingDecomposition:
     """Partition E(H) into at most max_degree+1 matchings."""
-    col = _proper_edge_colouring(H.graph)
+    col = _proper_edge_colouring(H)
     classes: dict[int, list[tuple[int, int]]] = {}
     for edge, c in col.items():
         classes.setdefault(c, []).append(edge)
@@ -308,17 +307,17 @@ def regular_subgraph(
     H = bg.host
     chi.validate_total(bg.gamma)
     levels = len(schedule)
-    if levels != H.max_degree + 1:
+    if levels != H.degree_bound() + 1:
         raise ValueError(
             f"schedule has {levels} levels, host degree bound wants "
-            f"{H.max_degree + 1}"
+            f"{H.degree_bound() + 1}"
         )
     decomp = matching_decomposition(H)
     matchings = list(decomp.matchings) + [
         [] for _ in range(levels - len(decomp.matchings))
     ]
 
-    chain = ChainState({x: [bg.part(x)] for x in H.graph.vertices()})
+    chain = ChainState({x: [bg.part(x)] for x in H.vertices()})
     phi_map: dict[tuple[int, int], int] = {}
     edge_log: list[EdgeRecord] = []
     audit_log: list[AuditRecord] = []
@@ -358,7 +357,7 @@ def regular_subgraph(
             phi_map[(x, y)] = c  # matching edges come as (min, max)
             edge_log.append(EdgeRecord((x, y), level, c, precondition_ok,
                                        found.verdict, found.checks_used))
-        for x in H.graph.vertices():
+        for x in H.vertices():
             if x not in matched:
                 cur = chain.current(x)
                 target = math.ceil(lam_i * cur.size)
@@ -379,9 +378,9 @@ def regular_subgraph(
                 raise PipelineFailure("inheritance-audit", level, (x, y),
                                       verdict)
 
-    phi = EdgeColouring(H.graph.n, chi.r, phi_map)
-    phi.validate_total(H.graph)
-    final = {x: chain.current(x) for x in H.graph.vertices()}
+    phi = EdgeColouring(H.n, chi.r, phi_map)
+    phi.validate_total(H)
+    final = {x: chain.current(x) for x in H.vertices()}
     return PipelineResult(phi, final, chain, edge_log, audit_log, decomp)
 
 
@@ -394,7 +393,7 @@ class CycleCertificate:
     colour: int
     vertices: list[int]
 
-    def validate(self, H: HostGraph, phi: EdgeColouring,
+    def validate(self, H: Graph, phi: EdgeColouring,
                  l_min: int, l_max: int) -> None:
         ell = len(self.vertices)
         if not l_min <= ell <= l_max:
@@ -403,7 +402,7 @@ class CycleCertificate:
             raise AssertionError("cycle repeats a vertex")
         for i in range(ell):
             u, v = self.vertices[i], self.vertices[(i + 1) % ell]
-            if not H.graph.has_edge(u, v):
+            if not H.has_edge(u, v):
                 raise AssertionError(f"({u}, {v}) is not a host edge")
             if phi.colour(u, v) != self.colour:
                 raise AssertionError(f"({u}, {v}) has the wrong colour")
@@ -412,7 +411,7 @@ class CycleCertificate:
         return {"colour": self.colour, "vertices": list(self.vertices)}
 
 
-def find_mono_cycle(H: HostGraph, phi: EdgeColouring, l_min: int, l_max: int,
+def find_mono_cycle(H: Graph, phi: EdgeColouring, l_min: int, l_max: int,
                     budget: int = Knobs.cycle_budget) -> CycleCertificate | None:
     """Longest-first search for a single-colour cycle with length in range.
 
@@ -421,9 +420,9 @@ def find_mono_cycle(H: HostGraph, phi: EdgeColouring, l_min: int, l_max: int,
     None if the budget runs out or no such cycle exists; hosts carry no
     guarantee of one.
     """
-    if not 3 <= l_min <= l_max <= H.graph.n:
+    if not 3 <= l_min <= l_max <= H.n:
         raise ValueError("need 3 <= l_min <= l_max <= |V(H)|")
-    classes = [colour_subgraph(H.graph, phi, c) for c in range(phi.r)]
+    classes = [colour_subgraph(H, phi, c) for c in range(phi.r)]
     spent = 0
     for ell in range(l_max, l_min - 1, -1):
         for c in range(phi.r):

@@ -29,7 +29,6 @@ from monogrid.embedder import (
     verify_grid_embedding,
 )
 from monogrid.graphs import EdgeColouring, Graph, VertexSet, pair_density
-from monogrid.hosts import HostGraph
 from monogrid.oracle import (
     arrows,
     contains_subgraph,
@@ -73,7 +72,7 @@ def _bipartite(rows: int, cols: int, density: float, seed: int) -> Graph:
 
 def test_01_edge_count_scaling():
     t0 = time.perf_counter()
-    H = HostGraph(Graph.cycle(50))
+    H = Graph.cycle(50)
     sizes = (100, 200, 400)
     means = []
     worst = 0.0
@@ -291,7 +290,7 @@ def test_04_density_increment_search():
 
 def test_05_pipeline_chain_conditions():
     t0 = time.perf_counter()
-    H = HostGraph(Graph.cycle(10))
+    H = Graph.cycle(10)
     s, p = 300, 0.35
     params = RegParams(r=2, max_degree=2, eps=Fraction(1, 4),
                        eps_inherit=Fraction(1, 16), alpha=Fraction(1, 4),
@@ -316,7 +315,7 @@ def test_05_pipeline_chain_conditions():
         res.chain.assert_cardinalities(sched)
         for chain in res.chain.chains.values():
             assert len(chain) == levels + 1
-        res.phi.validate_total(H.graph)
+        res.phi.validate_total(H)
         finals = [a for a in res.audit_log if a.level == levels]
         assert finals
         assert all(a.verdict.passed and a.verdict.mode == "sampled" for a in finals)
@@ -387,7 +386,7 @@ def test_06_end_to_end_runs(tmp_path):
 
 def test_07_verifier_agrees_with_oracle():
     t0 = time.perf_counter()
-    H = HostGraph(Graph.cycle(4))
+    H = Graph.cycle(4)
     s, p = 64, 0.6
     params = RegParams(r=2, max_degree=2, eps=Fraction(1, 4),
                        eps_inherit=Fraction(1, 16), alpha=Fraction(1, 2),

@@ -1,5 +1,6 @@
 """Blow-up construction, determinism, expected edge counts, persistence."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,11 +14,8 @@ from monogrid.blowup import (
     load_blowup,
     save_blowup,
 )
+from monogrid.config import ConfigError, build_host
 from monogrid.graphs import Graph, pair_density
-from monogrid.hosts import (
-    HostGraph,
-    random_regular_host,
-)
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -27,29 +25,38 @@ SEEDS = [0, 1, 2, 3, 4]
 
 
 def test_host_degree_bound():
-    h = HostGraph(Graph.cycle(6))
-    assert h.max_degree == 2
-    with pytest.raises(ValueError):
-        HostGraph(Graph.complete(4), max_degree=2)
+    assert Graph.cycle(6).degree_bound() == 2
+    assert Graph.complete(4).degree_bound() == 3
     # a single edge still gets the minimum legal bound
-    assert HostGraph(Graph.path(2)).max_degree == 2
+    assert Graph.path(2).degree_bound() == 2
 
 
 def test_host_needs_two_vertices():
-    with pytest.raises(ValueError):
-        HostGraph(Graph.from_edges(1, []))
+    with pytest.raises(ValueError, match="at least two vertices"):
+        build_blowup(Graph.from_edges(1, []), 3, 0.5, seed=0)
+    with pytest.raises(ConfigError, match="at least two vertices"):
+        build_host("path 1", 0)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_regular_host(seed):
-    h = random_regular_host(12, 3, seed)
-    assert all(h.graph.degree(v) == 3 for v in h.graph.vertices())
-    assert h.max_degree == 3
+    h = Graph.random_regular(12, 3, seed)
+    assert all(h.degree(v) == 3 for v in h.vertices())
+    assert h.degree_bound() == 3
 
 
 def test_random_regular_host_rejects_odd_product():
     with pytest.raises(ValueError):
-        random_regular_host(5, 3, 0)
+        Graph.random_regular(5, 3, 0)
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (0, "b5de76dd31570728"), (1, "763eaa3d2549be4f"), (2, "8a61169669302fd0"),
+])
+def test_random_regular_edges_are_pinned(seed, digest):
+    # the pairing draws, and so a random-regular host's edges, are fixed
+    text = "".join(f"{u} {v}\n" for u, v in Graph.random_regular(20, 3, seed).edges())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +64,7 @@ def test_random_regular_host_rejects_odd_product():
 
 
 def test_single_edge_p1_is_complete_bipartite():
-    bg = build_blowup(HostGraph(Graph.path(2)), 2, 1.0, seed=0)
+    bg = build_blowup(Graph.path(2), 2, 1.0, seed=0)
     bg.validate()
     assert bg.gamma.edge_count == 4
     assert pair_density(bg.gamma, bg.part(0), bg.part(1)) == 1
@@ -65,21 +72,21 @@ def test_single_edge_p1_is_complete_bipartite():
 
 def test_p_zero_rejected():
     with pytest.raises(ValueError):
-        build_blowup(HostGraph(Graph.path(2)), 3, 0.0, seed=0)
+        build_blowup(Graph.path(2), 3, 0.0, seed=0)
     with pytest.raises(ValueError):
-        build_blowup(HostGraph(Graph.path(2)), 3, 1.5, seed=0)
+        build_blowup(Graph.path(2), 3, 1.5, seed=0)
 
 
 def test_tiny_p_empty_and_deterministic():
-    a = build_blowup(HostGraph(Graph.path(2)), 3, 1e-9, seed=99)
-    b = build_blowup(HostGraph(Graph.path(2)), 3, 1e-9, seed=99)
+    a = build_blowup(Graph.path(2), 3, 1e-9, seed=99)
+    b = build_blowup(Graph.path(2), 3, 1e-9, seed=99)
     assert a.gamma.edge_count == 0
     assert a.gamma == b.gamma
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rebuild_equality(seed):
-    h = HostGraph(Graph.cycle(5))
+    h = Graph.cycle(5)
     a = build_blowup(h, 20, 0.3, seed)
     b = build_blowup(h, 20, 0.3, seed)
     assert a.gamma == b.gamma
@@ -90,9 +97,9 @@ def test_rebuild_equality(seed):
 def test_blocks_match_one_matrix_draw():
     # 150 rows are two full draws of 64 rows and a partial one of 22
     s, p, seed = 150, 0.3, 5
-    bg = build_blowup(HostGraph(Graph.path(3)), s, p, seed)
+    bg = build_blowup(Graph.path(3), s, p, seed)
     want = set()
-    for x, y in bg.host.graph.edges():
+    for x, y in bg.host.edges():
         mat = seeds.rng(seed, x, y).random((s, s)) < p
         want.update((x * s + i, y * s + j) for i, j in zip(*np.nonzero(mat)))
     assert set(bg.gamma.edges()) == want
@@ -100,9 +107,9 @@ def test_blocks_match_one_matrix_draw():
 
 
 def test_structure_invariants():
-    bg = build_blowup(HostGraph(Graph.cycle(6)), 15, 0.4, seed=3)
+    bg = build_blowup(Graph.cycle(6), 15, 0.4, seed=3)
     bg.validate()
-    g, H = bg.gamma, bg.host.graph
+    g, H = bg.gamma, bg.host
     assert g.n == 6 * 15
     assert bg.part(0).to_list() == list(range(15))
     assert bg.part(5).to_list() == list(range(75, 90))
@@ -117,7 +124,7 @@ def test_structure_invariants():
 
 
 def test_mean_edge_count_tracks_expectation():
-    h = HostGraph(Graph.cycle(50))
+    h = Graph.cycle(50)
     s, p = 200, 6 / math.sqrt(200)
     want = expected_edges(h, s, p)
     assert want == pytest.approx(848528.1, rel=1e-4)
@@ -128,7 +135,7 @@ def test_mean_edge_count_tracks_expectation():
 
 
 def test_expected_edges_simple():
-    assert expected_edges(HostGraph(Graph.path(2)), 10, 0.5) == 50
+    assert expected_edges(Graph.path(2), 10, 0.5) == 50
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +143,7 @@ def test_expected_edges_simple():
 
 
 def test_save_load_round_trip(tmp_path):
-    bg = build_blowup(HostGraph(Graph.cycle(4)), 12, 0.35, seed=11)
+    bg = build_blowup(Graph.cycle(4), 12, 0.35, seed=11)
     base = str(tmp_path / "blow")
     save_blowup(bg, base)
     back = load_blowup(base)
@@ -148,7 +155,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_load_detects_host_tampering(tmp_path):
-    bg = build_blowup(HostGraph(Graph.cycle(4)), 5, 0.5, seed=0)
+    bg = build_blowup(Graph.cycle(4), 5, 0.5, seed=0)
     base = str(tmp_path / "blow")
     save_blowup(bg, base)
     # swap the host file for a different graph of the same size
@@ -160,5 +167,5 @@ def test_load_detects_host_tampering(tmp_path):
 
 
 def test_host_hash_distinguishes():
-    assert host_hash(HostGraph(Graph.cycle(5))) != host_hash(HostGraph(Graph.path(5)))
-    assert host_hash(HostGraph(Graph.cycle(5))) == host_hash(HostGraph(Graph.cycle(5)))
+    assert host_hash(Graph.cycle(5)) != host_hash(Graph.path(5))
+    assert host_hash(Graph.cycle(5)) == host_hash(Graph.cycle(5))

@@ -30,7 +30,6 @@ from monogrid.config import (
     load_config,
 )
 from monogrid.graphs import Graph, read_graph, write_colouring
-from monogrid.hosts import HostGraph
 from monogrid.pipeline import regular_subgraph
 from monogrid.regularity import EXACT_CAP
 from monogrid.regularity import RegParams, eps_schedule
@@ -68,7 +67,7 @@ def test_blowup_then_colour_round_trip(tmp_path):
 
 
 def test_colouring_strategies_are_seed_deterministic():
-    bg = build_blowup(HostGraph(Graph.cycle(4)), 16, 0.5, 0)
+    bg = build_blowup(Graph.cycle(4), 16, 0.5, 0)
     for spec in ("mono 1", "uniform-random", "host-edge-split", "degree-adversary"):
         one = dict(apply_colouring(bg, spec, 2, 7).items())
         two = dict(apply_colouring(bg, spec, 2, 7).items())
@@ -81,7 +80,7 @@ def test_colouring_strategies_are_seed_deterministic():
 
 
 def test_colouring_spec_bounds_checked():
-    bg = build_blowup(HostGraph(Graph.cycle(4)), 8, 1.0, 0)
+    bg = build_blowup(Graph.cycle(4), 8, 1.0, 0)
     with pytest.raises(ConfigError):
         apply_colouring(bg, "mono 5", 2, 0)
 
@@ -113,7 +112,7 @@ def _file_sha256(path) -> str:
 
 @pytest.mark.parametrize("r,spec", sorted(PINNED_COLOURINGS))
 def test_blowup_and_colouring_files_are_pinned(tmp_path, r, spec):
-    bg = build_blowup(HostGraph(Graph.cycle(5)), 70, 0.3, 7)
+    bg = build_blowup(Graph.cycle(5), 70, 0.3, 7)
     save_blowup(bg, str(tmp_path / "blowup"))
     assert _file_sha256(tmp_path / "blowup.graph") == PINNED_GRAPH
     write_colouring(apply_colouring(bg, spec, r, 7), str(tmp_path / "colouring.txt"),
@@ -125,11 +124,11 @@ def test_host_edge_split_colouring_recovered_exactly():
     # each part pair is monochromatic in its host edge's colour, so the
     # majority vote has no freedom: the settled colouring must reproduce
     # the host colouring edge for edge
-    H = HostGraph(Graph.cycle(4))
+    H = Graph.cycle(4)
     s, p = 64, 0.6
     bg = build_blowup(H, s, p, 3)
     chi = apply_colouring(bg, "host-edge-split", 2, 3)
-    want = {e: k % 2 for k, e in enumerate(sorted(H.graph.edges()))}
+    want = {e: k % 2 for k, e in enumerate(sorted(H.edges()))}
     for (u, v), c in chi.items():
         assert c == want[(u // bg.part_size, v // bg.part_size)]
     params = RegParams(r=2, max_degree=2, eps=Fraction(1, 4),
@@ -311,6 +310,19 @@ def test_colour_reports_meta_without_host_hash(tmp_path, capsys):
     assert "blowup.meta" in err and "host_hash" in err
 
 
+def test_colour_refuses_meta_off_the_host_degree_bound(tmp_path, capsys):
+    assert main(["blowup", "--host", "cycle 4", "--s", "6", "--p", "0.5",
+                 "--out", str(tmp_path)]) == 0
+    meta = tmp_path / "blowup.meta"
+    meta.write_text(meta.read_text().replace("host_max_degree 2", "host_max_degree 3"))
+    assert main(["colour", "--blowup", str(tmp_path / "blowup"),
+                 "--colouring", "mono 0", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "blowup.meta: host_max_degree 3 is not the host's degree bound 2" in err
+    assert not (tmp_path / "colouring.txt").exists()
+
+
 def test_blowup_reports_bad_host_file(tmp_path, capsys):
     host = tmp_path / "bad.host"
     host.write_text("n 3\n0 5\n")
@@ -439,6 +451,20 @@ def test_gen_host_rejects_malformed_spec(tmp_path, capsys, spec):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("cycle 100000000000", "vertex count 100000000000 exceeds 16777216"),
+    ("complete 100000", "edge count 4999950000 exceeds 65536"),
+])
+def test_oversized_graph_specs_are_refused_before_building(tmp_path, capsys, spec,
+                                                           message):
+    assert main(["gen-host", "--host", spec, "--out", str(tmp_path / "h")]) == 2
+    assert main(["oracle", "grid", "--graph", spec, "--a", "2", "--b", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count(f"error: graph spec {spec!r}: {message}") == 2
+    assert "Traceback" not in captured.err and not captured.out
+    assert not (tmp_path / "h").exists()
+
+
 def test_unbuildable_random_regular_host_is_a_config_error(tmp_path, capsys):
     # the only 5-regular graph on 6 vertices is K6, which the pairing model
     # practically never draws
@@ -506,8 +532,10 @@ SWEEP = ["experiment", "uniformity-sweep", "--p", "0.5", "--sizes", "1"]
       "--budget", "-1", "--out", "{out}"], "argument --budget: must be at least 1, got -1"),
     (["experiment", "pipeline-success-rate", "--preset", "desk", "--runs", "-1",
       "--out", "{out}"], "argument --runs: must be at least 1, got -1"),
+    (["oracle", "arrows", "--graph", "complete 4", "--target", "complete 3",
+      "--r", "100000000", "--out", "{out}"], "need at most 256 colours, got r=100000000"),
 ], ids=["blowup-s", "sweep-s", "sweep-trials", "first-moment-p", "first-moment-samples",
-        "grid-budget", "arrows-budget", "success-rate-runs"])
+        "grid-budget", "arrows-budget", "success-rate-runs", "arrows-r"])
 def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, argv, message):
     # exit 2 with a message, no traceback, and no file claims the bad value
     argv = [a.replace("{out}", str(tmp_path / "out")) for a in argv]
@@ -553,7 +581,8 @@ def test_edgeless_pair_fails_at_pipeline(tmp_path):
 
 _ODD_VALUES = ("0", "-1", "1", "2", "3", "7", "1/0", "1/3", "1/20", "0.5", "nan",
                "inf", "1e9", "1e-9", "true", "x", "", "cycle 4", "complete 4",
-               "path 3", "mono 1", "uniform-random", "quarter", "identity")
+               "path 3", "mono 1", "uniform-random", "quarter", "identity",
+               "cycle 100000000000", "complete 100000")
 # `out` would move the run out of its temporary directory
 _FUZZ_KEYS = sorted(_ALL_KEYS - {"out"})
 

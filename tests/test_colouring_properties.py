@@ -15,7 +15,6 @@ from monogrid.graphs import (
     read_colouring,
     write_colouring,
 )
-from monogrid.hosts import HostGraph
 from monogrid.pipeline import majority_colour
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -111,7 +110,7 @@ def test_constant_rejects_colour_out_of_range():
 @given(st.integers(0, 2**16), st.sampled_from([2, 3]), st.data())
 def test_majority_colour_matches_per_edge_count(seed, r, data):
     s = 6
-    bg = build_blowup(HostGraph(Graph.path(2)), s, 0.6, seed)
+    bg = build_blowup(Graph.path(2), s, 0.6, seed)
     colours = data.draw(st.lists(st.integers(0, r - 1),
                                  min_size=bg.gamma.edge_count,
                                  max_size=bg.gamma.edge_count))

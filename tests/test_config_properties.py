@@ -34,7 +34,7 @@ def test_build_host_resolves_or_is_a_config_error(text, seed):
         H = build_host(text, seed)
     except ConfigError:
         return
-    assert H.graph.n >= 2 and H.max_degree >= 2
+    assert H.n >= 2 and H.degree_bound() >= 2
 
 
 @SETTINGS

@@ -26,7 +26,6 @@ from monogrid.embedder import (
     write_embedding,
 )
 from monogrid.graphs import EdgeColouring, Graph, VertexSet, colour_subgraph
-from monogrid.hosts import HostGraph
 from monogrid.oracle import grid_graph
 from monogrid.pipeline import CycleCertificate, PipelineResult, regular_subgraph, \
     find_mono_cycle
@@ -42,7 +41,7 @@ def mono_colouring(G: Graph) -> EdgeColouring:
 def complete_ring_ctx(m: int = 5, s: int = 10, p: float = 1.0):
     """A blow-up of a host cycle, everything coloured 0, no bad vertices;
     complete between neighbouring parts at the default p = 1."""
-    bg = build_blowup(HostGraph(Graph.cycle(m)), s, p, 0)
+    bg = build_blowup(Graph.cycle(m), s, p, 0)
     chi = mono_colouring(bg.gamma)
     params = RegParams(r=2, max_degree=2, eps=F(1, 5), eps_inherit=F(1, 20),
                        alpha=F(1, 2), lam=F(1), delta=F(1, 20), c=6.0, p=p)
@@ -54,7 +53,7 @@ def complete_ring_ctx(m: int = 5, s: int = 10, p: float = 1.0):
 
 def ring_instance(s: int, m: int, p: float, bg_seed: int, pipe_seed: int):
     """Blow up a host cycle, run the chain, and certify the obvious cycle."""
-    H = HostGraph(Graph.cycle(m))
+    H = Graph.cycle(m)
     bg = build_blowup(H, s, p, bg_seed)
     chi = mono_colouring(bg.gamma)
     params = RegParams(r=2, max_degree=2, eps=F(1, 4), eps_inherit=F(1, 16),
@@ -128,7 +127,7 @@ def test_first_row_fails_on_emptied_target_set():
 
 
 def test_first_row_audit_rejects_empty_opening_pair():
-    bg = build_blowup(HostGraph(Graph.cycle(5)), 10, 1.0, 3)
+    bg = build_blowup(Graph.cycle(5), 10, 1.0, 3)
     crossing = {}
     for u, v in bg.gamma.edges():
         parts = {u // bg.part_size, v // bg.part_size}
@@ -399,7 +398,7 @@ def test_grid_rejects_miscoloured_cycle(small_ring):
 
 
 def test_smallest_grid_is_a_four_cycle():
-    bg = build_blowup(HostGraph(Graph.path(2)), 24, 1.0, 2)
+    bg = build_blowup(Graph.path(2), 24, 1.0, 2)
     chi = mono_colouring(bg.gamma)
     params = RegParams(r=2, max_degree=2, eps=F(1, 3), eps_inherit=F(1, 12),
                        alpha=F(1, 2), lam=F(1), delta=F(1, 12), c=6.0, p=1.0)
@@ -415,7 +414,7 @@ def test_smallest_grid_is_a_four_cycle():
 
 def test_desk_scale_calibration():
     """C_10 at s=300, p=0.35: the working point the defaults are tuned for."""
-    H = HostGraph(Graph.cycle(10))
+    H = Graph.cycle(10)
     params = RegParams(r=2, max_degree=2, eps=F(1, 4), eps_inherit=F(1, 16),
                        alpha=F(1, 2), lam=F(1), delta=F(1, 30),
                        c=0.35 * 300 ** 0.5, p=0.35)

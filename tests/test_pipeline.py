@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monogrid import pipeline
-from monogrid.hosts import HostGraph
 from monogrid.pipeline import (
     CycleCertificate,
     MatchingDecomposition,
@@ -71,7 +70,7 @@ def proper_edge_colouring_exists(G: Graph, k: int) -> bool:
 
 
 def test_disjoint_edges_need_one_matching():
-    H = HostGraph(Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]))
+    H = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
     md = matching_decomposition(H)
     assert len(md.matchings) == 1
     assert sorted(md.matchings[0]) == [(0, 1), (2, 3), (4, 5)]
@@ -80,7 +79,7 @@ def test_disjoint_edges_need_one_matching():
 def test_five_cycle_needs_three_matchings():
     # an odd cycle has no proper 2-edge-colouring; the oracle confirms it
     assert not proper_edge_colouring_exists(Graph.cycle(5), 2)
-    md = matching_decomposition(HostGraph(Graph.cycle(5)))
+    md = matching_decomposition(Graph.cycle(5))
     assert len(md.matchings) == 3
 
 
@@ -89,13 +88,13 @@ def test_petersen_needs_four_matchings():
     assert G.edge_count == 15
     assert all(G.degree(v) == 3 for v in G.vertices())
     assert not proper_edge_colouring_exists(G, 3)
-    md = matching_decomposition(HostGraph(G))
+    md = matching_decomposition(G)
     assert len(md.matchings) == 4
-    md.validate(HostGraph(G))
+    md.validate(G)
 
 
 def test_path_decomposes_into_two():
-    md = matching_decomposition(HostGraph(Graph.path(3)))
+    md = matching_decomposition(Graph.path(3))
     assert len(md.matchings) == 2
 
 
@@ -107,21 +106,20 @@ def test_decomposition_on_random_graphs(seed, n, p):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
     G = Graph.from_edges(n, edges)
-    H = HostGraph(G)
-    md = matching_decomposition(H)  # validates internally
+    md = matching_decomposition(G)  # validates internally
     assert len(md.matchings) <= max(2, G.max_degree()) + 1
     assert all(md.matchings)
 
 
 def test_validate_rejects_overlapping_matchings():
-    H = HostGraph(Graph.path(3))
+    H = Graph.path(3)
     bad = MatchingDecomposition([[(0, 1), (1, 2)]])
     with pytest.raises(AssertionError):
         bad.validate(H)
 
 
 def test_validate_rejects_missing_edges():
-    H = HostGraph(Graph.path(3))
+    H = Graph.path(3)
     bad = MatchingDecomposition([[(0, 1)]])
     with pytest.raises(AssertionError):
         bad.validate(H)
@@ -132,7 +130,7 @@ def test_validate_rejects_missing_edges():
 
 
 def test_majority_seven_against_three():
-    bg = build_blowup(HostGraph(Graph.path(2)), 5, 1.0, seed=0)
+    bg = build_blowup(Graph.path(2), 5, 1.0, seed=0)
     A = VertexSet(bg.gamma.n, [0, 1])
     B = bg.part(1)
     between = [(u, v) for u in range(2) for v in range(5, 10)]
@@ -150,7 +148,7 @@ def test_majority_seven_against_three():
 
 
 def test_majority_tie_takes_lowest_colour():
-    bg = build_blowup(HostGraph(Graph.path(2)), 2, 1.0, seed=0)
+    bg = build_blowup(Graph.path(2), 2, 1.0, seed=0)
     edges = list(bg.gamma.edges())
     assert len(edges) == 4
     mapping = {e: (1 if i < 2 else 0) for i, e in enumerate(edges)}
@@ -159,7 +157,7 @@ def test_majority_tie_takes_lowest_colour():
 
 
 def test_majority_on_empty_pair_raises():
-    bg = build_blowup(HostGraph(Graph.path(2)), 3, 1e-9, seed=0)
+    bg = build_blowup(Graph.path(2), 3, 1e-9, seed=0)
     assert bg.gamma.edge_count == 0
     chi = EdgeColouring(bg.gamma.n, 2, {})
     with pytest.raises(ValueError):
@@ -168,7 +166,7 @@ def test_majority_on_empty_pair_raises():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_majority_class_carries_its_share(seed):
-    bg = build_blowup(HostGraph(Graph.path(2)), 6, 1.0, seed=0)
+    bg = build_blowup(Graph.path(2), 6, 1.0, seed=0)
     rng = np.random.default_rng(seed)
     mapping = {e: int(rng.integers(3)) for e in bg.gamma.edges()}
     chi = EdgeColouring(bg.gamma.n, 3, mapping)
@@ -190,7 +188,7 @@ def mono_params(eps, alpha, lam, p, delta) -> RegParams:
 
 
 def test_chain_completes_on_mono_single_edge():
-    bg = build_blowup(HostGraph(Graph.path(2)), 12, 0.9, seed=3)
+    bg = build_blowup(Graph.path(2), 12, 0.9, seed=3)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
     sched = eps_schedule(F(9, 20), 2, F(1))
@@ -212,7 +210,7 @@ def test_chain_completes_on_mono_single_edge():
 def test_chain_shrinks_by_lowest_ids_on_complete_blowup():
     # p=1 makes every check pass and every tie-break go to the lowest id,
     # so the whole chain is a hand-computable fixture
-    host = HostGraph(Graph.from_edges(3, [(0, 1)]))
+    host = Graph.from_edges(3, [(0, 1)])
     bg = build_blowup(host, 12, 1.0, seed=0)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 1.0, F(1, 10))
@@ -227,7 +225,7 @@ def test_chain_shrinks_by_lowest_ids_on_complete_blowup():
 
 
 def test_chain_on_path_host_audits_inherited_pairs():
-    bg = build_blowup(HostGraph(Graph.path(3)), 12, 0.9, seed=5)
+    bg = build_blowup(Graph.path(3), 12, 0.9, seed=5)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
     sched = eps_schedule(F(9, 20), 2, F(1))
@@ -241,7 +239,7 @@ def test_chain_on_path_host_audits_inherited_pairs():
     assert all(a.verdict.passed for a in res.audit_log)
     # independent recheck of the promised invariant: every host edge's final
     # pair passes at (eps, alpha p) in its assigned colour
-    for u, v in bg.host.graph.edges():
+    for u, v in bg.host.edges():
         G_c = colour_subgraph(bg.gamma, chi, res.phi.colour(u, v))
         verdict = check_lower_regular(
             G_c, res.final_sets[u], res.final_sets[v], params.eps,
@@ -251,7 +249,7 @@ def test_chain_on_path_host_audits_inherited_pairs():
 
 
 def test_chain_reports_search_failure_with_witness():
-    bg = build_blowup(HostGraph(Graph.path(2)), 20, 0.3, seed=1)
+    bg = build_blowup(Graph.path(2), 20, 0.3, seed=1)
     rng = np.random.default_rng(7)
     mapping = {e: int(rng.integers(2)) for e in bg.gamma.edges()}
     chi = EdgeColouring(bg.gamma.n, 2, mapping)
@@ -274,7 +272,7 @@ def test_chain_reports_search_failure_with_witness():
 
 
 def test_chain_rejects_pair_below_majority_density():
-    bg = build_blowup(HostGraph(Graph.path(2)), 20, 0.3, seed=1)
+    bg = build_blowup(Graph.path(2), 20, 0.3, seed=1)
     rng = np.random.default_rng(7)
     mapping = {e: int(rng.integers(2)) for e in bg.gamma.edges()}
     chi = EdgeColouring(bg.gamma.n, 2, mapping)
@@ -293,7 +291,7 @@ def test_chain_lets_other_search_errors_through(monkeypatch):
         raise ValueError("injected search error")
 
     monkeypatch.setattr(pipeline, "find_lower_regular_pair", broken)
-    bg = build_blowup(HostGraph(Graph.path(2)), 12, 0.9, seed=3)
+    bg = build_blowup(Graph.path(2), 12, 0.9, seed=3)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
     sched = eps_schedule(F(9, 20), 2, F(1))
@@ -302,7 +300,7 @@ def test_chain_lets_other_search_errors_through(monkeypatch):
 
 
 def test_chain_rejects_mismatched_schedule():
-    bg = build_blowup(HostGraph(Graph.path(2)), 6, 0.9, seed=0)
+    bg = build_blowup(Graph.path(2), 6, 0.9, seed=0)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
     sched = eps_schedule(F(9, 20), 3, F(1))  # 4 levels
@@ -313,7 +311,7 @@ def test_chain_rejects_mismatched_schedule():
 def test_chain_flags_density_precondition_miss():
     # the blow-up is far denser than the declared p, so the recorded
     # uniformity precondition fails while the run still completes
-    bg = build_blowup(HostGraph(Graph.path(2)), 12, 0.9, seed=2)
+    bg = build_blowup(Graph.path(2), 12, 0.9, seed=2)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 4), F(1, 4), 0.5, F(1, 20))
     sched = eps_schedule(F(9, 20), 2, F(1))
@@ -323,7 +321,7 @@ def test_chain_flags_density_precondition_miss():
 
 
 def test_chain_is_deterministic():
-    bg = build_blowup(HostGraph(Graph.path(3)), 12, 0.9, seed=5)
+    bg = build_blowup(Graph.path(3), 12, 0.9, seed=5)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
     sched = eps_schedule(F(9, 20), 2, F(1))
@@ -333,7 +331,7 @@ def test_chain_is_deterministic():
 
 
 def test_result_json_shape():
-    bg = build_blowup(HostGraph(Graph.path(2)), 12, 0.9, seed=3)
+    bg = build_blowup(Graph.path(2), 12, 0.9, seed=3)
     chi = EdgeColouring.constant(bg.gamma, 2, 0)
     params = mono_params(F(9, 20), F(1, 2), F(1, 2), 0.9, F(1, 10))
     sched = eps_schedule(F(9, 20), 2, F(1))
@@ -349,8 +347,8 @@ def test_result_json_shape():
 
 
 def test_mono_cycle_on_constant_colouring_takes_the_longest():
-    H = HostGraph(Graph.cycle(10))
-    phi = EdgeColouring.constant(H.graph, 2, 0)
+    H = Graph.cycle(10)
+    phi = EdgeColouring.constant(H, 2, 0)
     cert = find_mono_cycle(H, phi, 3, 10)
     assert cert is not None
     assert len(cert.vertices) == 10
@@ -358,14 +356,14 @@ def test_mono_cycle_on_constant_colouring_takes_the_longest():
 
 
 def test_mono_cycle_prefers_longer_lengths():
-    H = HostGraph(Graph.complete(4))
-    phi = EdgeColouring.constant(H.graph, 2, 0)
+    H = Graph.complete(4)
+    phi = EdgeColouring.constant(H, 2, 0)
     cert = find_mono_cycle(H, phi, 3, 4)
     assert cert is not None and len(cert.vertices) == 4
 
 
 def test_mono_cycle_absent_under_alternating_colouring():
-    H = HostGraph(Graph.cycle(10))
+    H = Graph.cycle(10)
     mapping = {}
     for i in range(10):
         u, v = i, (i + 1) % 10
@@ -377,7 +375,7 @@ def test_mono_cycle_absent_under_alternating_colouring():
 def test_mono_cycle_scans_both_colours():
     # a red triangle and a blue square in one host
     edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]
-    H = HostGraph(Graph.from_edges(7, edges))
+    H = Graph.from_edges(7, edges)
     mapping = {(0, 1): 1, (1, 2): 1, (0, 2): 1,
                (3, 4): 0, (4, 5): 0, (5, 6): 0, (3, 6): 0}
     phi = EdgeColouring(7, 2, mapping)
@@ -389,8 +387,8 @@ def test_mono_cycle_scans_both_colours():
 
 def test_every_two_colouring_of_k5_has_a_short_mono_cycle():
     # brute force over all 1024 colourings; each certificate is re-validated
-    H = HostGraph(Graph.complete(5))
-    edges = list(H.graph.edges())
+    H = Graph.complete(5)
+    edges = list(H.edges())
     for code in range(1 << 10):
         mapping = {e: (code >> i) & 1 for i, e in enumerate(edges)}
         phi = EdgeColouring(5, 2, mapping)
@@ -400,14 +398,14 @@ def test_every_two_colouring_of_k5_has_a_short_mono_cycle():
 
 
 def test_mono_cycle_budget_exhaustion_returns_none():
-    H = HostGraph(Graph.complete(5))
-    phi = EdgeColouring.constant(H.graph, 2, 0)
+    H = Graph.complete(5)
+    phi = EdgeColouring.constant(H, 2, 0)
     assert find_mono_cycle(H, phi, 3, 5, budget=0) is None
 
 
 def test_mono_cycle_as_long_as_a_1500_vertex_host():
-    H = HostGraph(Graph.cycle(1500))
-    phi = EdgeColouring.constant(H.graph, 2, 0)
+    H = Graph.cycle(1500)
+    phi = EdgeColouring.constant(H, 2, 0)
     cert = find_mono_cycle(H, phi, 1500, 1500)
     assert cert is not None
     assert cert.colour == 0 and cert.vertices == list(range(1500))
@@ -456,16 +454,16 @@ def test_cycle_search_matches_recursive_reference(case):
 
 
 def test_mono_cycle_range_validation():
-    H = HostGraph(Graph.cycle(5))
-    phi = EdgeColouring.constant(H.graph, 2, 0)
+    H = Graph.cycle(5)
+    phi = EdgeColouring.constant(H, 2, 0)
     for lo, hi in [(2, 4), (4, 3), (3, 6)]:
         with pytest.raises(ValueError):
             find_mono_cycle(H, phi, lo, hi)
 
 
 def test_certificate_validation_catches_tampering():
-    H = HostGraph(Graph.complete(5))
-    phi = EdgeColouring.constant(H.graph, 2, 0)
+    H = Graph.complete(5)
+    phi = EdgeColouring.constant(H, 2, 0)
     good = CycleCertificate(0, [0, 1, 2])
     good.validate(H, phi, 3, 5)
     with pytest.raises(AssertionError):
@@ -474,7 +472,7 @@ def test_certificate_validation_catches_tampering():
         CycleCertificate(0, [0, 1, 2]).validate(H, phi, 4, 5)
     with pytest.raises(AssertionError):
         CycleCertificate(1, [0, 1, 2]).validate(H, phi, 3, 5)
-    C5 = HostGraph(Graph.cycle(5))
-    phi5 = EdgeColouring.constant(C5.graph, 2, 0)
+    C5 = Graph.cycle(5)
+    phi5 = EdgeColouring.constant(C5, 2, 0)
     with pytest.raises(AssertionError):
         CycleCertificate(0, [0, 1, 3]).validate(C5, phi5, 3, 5)

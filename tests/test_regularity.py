@@ -14,7 +14,6 @@ from monogrid import seeds
 from monogrid.blowup import build_blowup
 from monogrid.config import load_config
 from monogrid.graphs import Graph, VertexSet, pair_density
-from monogrid.hosts import HostGraph
 from monogrid.regularity import (
     BadSetError,
     EXACT,
@@ -406,7 +405,7 @@ def test_schedule_rejects_bad_rule():
 
 
 def triangle_blowup(s, p, seed):
-    return build_blowup(HostGraph(Graph.cycle(3)), s, p, seed)
+    return build_blowup(Graph.cycle(3), s, p, seed)
 
 
 def test_bad_set_empty_on_complete():
