@@ -18,6 +18,7 @@ import numpy as np
 
 from monogrid import seeds
 from monogrid.graphs import (
+    MAX_VERTICES,
     Graph,
     VertexSet,
     _ClassBuilder,
@@ -29,6 +30,13 @@ from monogrid.graphs import (
 
 # rows of a host edge's s x s block drawn per call to the edge's generator
 _DRAW_ROWS = 64
+
+# The most host-edge cells |E(H)| * s^2 a blow-up may span.  Its tiles take
+# about cells / 4 bytes (a bit per cell, stored from both ends of the edge),
+# and each host edge's draw matrix s^2 bytes, so a single-edge host is the
+# worst shape: at this bound (s = 23170) `build_blowup` peaks at 742 MB of
+# RSS, against 205 MB for `cycle 80` at s = 2400 (4.6e8 cells).
+MAX_CELLS = 1 << 29
 
 
 @dataclass(frozen=True)
@@ -58,12 +66,25 @@ class BlowupGraph:
                 raise AssertionError(f"edge leaves the host edges at part {x}")
 
 
+def check_size(H: Graph, s: int) -> None:
+    """Refuse a blow-up of H with parts of s vertices past MAX_VERTICES
+    vertices or MAX_CELLS host-edge cells, before anything is built."""
+    if H.n * s > MAX_VERTICES:
+        raise ValueError(f"blow-up of {H.n} host vertices at s = {s} has "
+                         f"{H.n * s} vertices, more than {MAX_VERTICES}")
+    cells = H.edge_count * s * s
+    if cells > MAX_CELLS:
+        raise ValueError(f"blow-up of {H.edge_count} host edges at s = {s} spans "
+                         f"{cells} cells, more than {MAX_CELLS}")
+
+
 def build_blowup(H: Graph, s: int, p: float, seed: int) -> BlowupGraph:
     """Blow each host vertex up into s vertices; host edges become random pairs."""
     if H.n < 2:
         raise ValueError("a host needs at least two vertices")
     if s < 1:
         raise ValueError("part size must be at least 1")
+    check_size(H, s)
     if not 0.0 < p <= 1.0:
         raise ValueError("edge probability must lie in (0, 1]")
     n = H.n * s
@@ -131,7 +152,13 @@ def load_blowup(basename: str) -> BlowupGraph:
     if meta["host_hash"] != host_hash(host):
         raise ValueError(f"{basename}.meta: host hash mismatch")
     s = int(meta["part_size"])
+    if gamma.n != host.n * s:
+        raise ValueError(f"{basename}.meta: part_size {s} times the host's {host.n} "
+                         f"vertices is not the graph's {gamma.n}")
     bg = BlowupGraph(gamma, host, s, float(meta["p"]), int(meta["seed"]),
                      _parts(host.n, s))
-    bg.validate()
+    try:
+        bg.validate()
+    except AssertionError as e:
+        raise ValueError(f"{basename}.graph: {e}") from None
     return bg

@@ -50,7 +50,6 @@ from monogrid.oracle import (
     arrows,
     contains_subgraph,
     expected_grid_count,
-    grid_graph,
     monte_carlo_grid_count,
     validate_not_arrows_witness,
 )
@@ -296,7 +295,10 @@ def cmd_blowup(args) -> int:
     H = build_host(args.host, args.seed)
     if not 0 < args.p <= 1:
         raise ConfigError(f"p must lie in (0, 1], got {args.p}")
-    bg = build_blowup(H, args.s, args.p, args.seed)
+    try:
+        bg = build_blowup(H, args.s, args.p, args.seed)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     save_blowup(bg, str(outdir / "blowup"))
@@ -360,10 +362,7 @@ def cmd_oracle(args) -> int:
         return 0
     if args.kind == "grid":
         G = parse_graph_spec(args.graph)
-        try:
-            T = grid_graph(args.a, args.b)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        T = parse_graph_spec(f"grid {args.a} {args.b}")
         res = contains_subgraph(G, T, args.budget)
         print(json.dumps({"status": res.status, "nodes": res.nodes},
                          sort_keys=True))
@@ -434,7 +433,10 @@ def cmd_experiment(args) -> int:
         if not 0 < args.p <= 1:
             raise ConfigError(f"p must lie in (0, 1], got {args.p}")
         H = build_host("single-edge", args.seed)
-        bg = build_blowup(H, args.s, args.p, args.seed)
+        try:
+            bg = build_blowup(H, args.s, args.p, args.seed)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         A, B = bg.part(0), bg.part(1)
         rows = []
         for i, k in enumerate(sizes):

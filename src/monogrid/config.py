@@ -15,6 +15,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
+from monogrid.blowup import check_size
 from monogrid.graphs import MAX_COLOURS, MAX_VERTICES, Graph, read_graph
 from monogrid.oracle import grid_graph
 from monogrid.regularity import EXACT_CAP, EpsSchedule, RegParams, eps_schedule
@@ -326,6 +327,10 @@ def _resolve(merged: dict[str, str], preset: str | None) -> RunConfig:
 
     host_spec = merged["host"]
     host = build_host(host_spec, seed)
+    try:
+        check_size(host, s)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     if "delta" in merged:
         delta = _parse_fraction("delta", merged["delta"])
     else:

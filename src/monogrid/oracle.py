@@ -323,9 +323,7 @@ def arrows(G: Graph, T: Graph, r: int, budget: int = SEARCH_BUDGET,
     depth, status, witness = 0, ARROWS, None
     while depth >= 0:
         if depth == len(edges):
-            chi = EdgeColouring.from_classes(
-                [Graph.from_edges(G.n, [e for e, k in zip(edges, tried) if k == c])
-                 for c in range(r)])
+            chi = EdgeColouring.by_edge(G, r, tried)
             if validate_not_arrows_witness(G, T, chi):
                 status, witness = NOT_ARROWS, chi
                 break

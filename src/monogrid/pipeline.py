@@ -68,17 +68,17 @@ class MatchingDecomposition:
             raise AssertionError("too many matchings")
 
 
-def _proper_edge_colouring(G: Graph) -> dict[tuple[int, int], int]:
-    """Misra-Gries style proper edge colouring with at most max_degree+1 colours.
+def matching_decomposition(H: Graph) -> MatchingDecomposition:
+    """Partition E(H) into at most max_degree+1 matchings.
 
-    Maintains a fan of neighbours, inverts an alternating two-colour path,
-    then rotates a fan prefix.  Quadratic and simple; hosts are small.
+    The matchings are the classes of a Misra-Gries proper edge colouring:
+    each edge builds a fan of neighbours, inverts an alternating two-colour
+    path, then rotates a fan prefix.  The colour map is the only record; a
+    vertex's colours are read off it.  Quadratic and simple; hosts are small.
     """
-    ncol = max(1, G.max_degree()) + 1
+    ncol = max(1, H.max_degree()) + 1
+    N = [list(H.neighbours(v)) for v in H.vertices()]
     col: dict[tuple[int, int], int] = {}
-    # per-vertex colour multiset: a path inversion or fan rotation briefly
-    # parks one colour on two edges of a vertex, so plain sets desync
-    used: list[dict[int, int]] = [{} for _ in range(G.n)]
 
     def key(u: int, v: int) -> tuple[int, int]:
         return (u, v) if u < v else (v, u)
@@ -86,90 +86,55 @@ def _proper_edge_colouring(G: Graph) -> dict[tuple[int, int], int]:
     def get(u: int, v: int) -> int | None:
         return col.get(key(u, v))
 
-    def assign(u: int, v: int, c: int) -> None:
-        old = col.get(key(u, v))
-        for x in (u, v):
-            if old is not None:
-                if used[x][old] == 1:
-                    del used[x][old]
-                else:
-                    used[x][old] -= 1
-            used[x][c] = used[x].get(c, 0) + 1
-        col[key(u, v)] = c
+    def colours(v: int) -> set[int | None]:
+        return {get(v, w) for w in N[v]}
 
     def free(v: int) -> int:
-        for c in range(ncol):
-            if c not in used[v]:
-                return c
-        raise AssertionError("no free colour; degree bound violated")
+        # at most max_degree coloured edges meet v, so one of ncol is free
+        return min(set(range(ncol)) - colours(v))
 
-    for u, v in G.edges():
-        # maximal fan at u starting from v
+    for u, v in H.edges():
+        # maximal fan at u starting from v: each next edge is coloured and
+        # its colour is free at the fan's last vertex
         fan = [v]
-        fanset = {v}
         while True:
-            last = fan[-1]
-            ext = None
-            for w in G.neighbours(u):
-                cw = get(u, w)
-                if cw is None or w in fanset:
-                    continue
-                if cw not in used[last]:
-                    ext = w
-                    break
-            if ext is None:
+            taken = colours(fan[-1]) | {None}
+            ext = [w for w in N[u] if w not in fan and get(u, w) not in taken]
+            if not ext:
                 break
-            fan.append(ext)
-            fanset.add(ext)
+            fan.append(ext[0])
         c = free(u)
         d = free(fan[-1])
-        if c != d:
-            # walk the d/c alternating path from u, then flip it; properness
-            # makes each step unique, so the walk cannot double back
-            path = []
-            at, want = u, d
-            while True:
-                nxt = None
-                for w in G.neighbours(at):
-                    if get(at, w) == want:
-                        nxt = w
-                        break
-                if nxt is None:
-                    break
-                path.append((at, nxt))
-                at = nxt
-                want = c if want == d else d
-            for idx, (a, b) in enumerate(path):
-                # the walk alternates d, c, d, ...; the flip swaps the two
-                assign(a, b, c if idx % 2 == 0 else d)
+        # walk the d/c alternating path from u, then flip it; properness
+        # makes each step unique, so the walk cannot double back (with
+        # c == d the walk is empty, as c is free at u)
+        path = []
+        at, want = u, d
+        while True:
+            nxt = next((w for w in N[at] if get(at, w) == want), None)
+            if nxt is None:
+                break
+            path.append(key(at, nxt))
+            at, want = nxt, (c if want == d else d)
+        for idx, edge in enumerate(path):
+            col[edge] = c if idx % 2 == 0 else d
         # rotate at the first vertex where d is free AND the prefix is still
         # a fan; the inversion may have recoloured a fan edge, so fan-ness
         # has to be rechecked, not assumed
         w_idx = None
         for i, fw in enumerate(fan):
-            if i > 0 and get(u, fan[i]) in used[fan[i - 1]]:
+            if i > 0 and get(u, fw) in colours(fan[i - 1]):
                 break
-            if d not in used[fw]:
+            if d not in colours(fw):
                 w_idx = i
                 break
         if w_idx is None:
             raise AssertionError("fan rotation found no slot; colouring bug")
-        # shift colours towards u's end of the fan, last edge first, so no
-        # colour ever sits on two edges at u while the books are open
-        shifted = [get(u, fan[j + 1]) for j in range(w_idx)]
-        assign(u, fan[w_idx], d)
-        for j in reversed(range(w_idx)):
-            assign(u, fan[j], shifted[j])
-    return col
-
-
-def matching_decomposition(H: Graph) -> MatchingDecomposition:
-    """Partition E(H) into at most max_degree+1 matchings."""
-    col = _proper_edge_colouring(H)
-    classes: dict[int, list[tuple[int, int]]] = {}
-    for edge, c in col.items():
-        classes.setdefault(c, []).append(edge)
-    matchings = [sorted(classes[c]) for c in sorted(classes)]
+        for j in range(w_idx):
+            col[key(u, fan[j])] = get(u, fan[j + 1])
+        col[key(u, fan[w_idx])] = d
+    matchings = [sorted(e for e, x in col.items() if x == c)
+                 for c in sorted(set(col.values()))]
     out = MatchingDecomposition(matchings)
     out.validate(H)
     return out

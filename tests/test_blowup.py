@@ -8,14 +8,16 @@ import pytest
 
 from monogrid import seeds
 from monogrid.blowup import (
+    MAX_CELLS,
     build_blowup,
+    check_size,
     expected_edges,
     host_hash,
     load_blowup,
     save_blowup,
 )
 from monogrid.config import ConfigError, build_host
-from monogrid.graphs import Graph, pair_density
+from monogrid.graphs import MAX_VERTICES, Graph, pair_density
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -75,6 +77,20 @@ def test_p_zero_rejected():
         build_blowup(Graph.path(2), 3, 0.0, seed=0)
     with pytest.raises(ValueError):
         build_blowup(Graph.path(2), 3, 1.5, seed=0)
+
+
+def test_size_bound_admits_the_measured_runs_and_refuses_past_it():
+    # desk at s = 4800 and a `cycle 80` host at s = 2400 fit; one more
+    # vertex per part past either bound does not
+    check_size(Graph.cycle(10), 4800)
+    check_size(Graph.cycle(80), 2400)
+    side = math.isqrt(MAX_CELLS)
+    check_size(Graph.path(2), side)
+    with pytest.raises(ValueError, match=f"spans {(side + 1) ** 2} cells"):
+        build_blowup(Graph.path(2), side + 1, 0.5, 0)
+    check_size(Graph.from_edges(MAX_VERTICES // 1024, [(0, 1)]), 1024)
+    with pytest.raises(ValueError, match="vertices, more than"):
+        build_blowup(Graph.from_edges(MAX_VERTICES // 1024 + 1, [(0, 1)]), 1024, 0.5, 0)
 
 
 def test_tiny_p_empty_and_deterministic():

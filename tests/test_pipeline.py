@@ -1,12 +1,13 @@
 """Tests for the matching decomposition, the level chain, and cycle extraction."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from monogrid.blowup import build_blowup
-from monogrid.config import Knobs
+from monogrid.config import Knobs, parse_graph_spec
 from monogrid.graphs import EdgeColouring, Graph, VertexSet, colour_subgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +110,26 @@ def test_decomposition_on_random_graphs(seed, n, p):
     md = matching_decomposition(G)  # validates internally
     assert len(md.matchings) <= max(2, G.max_degree()) + 1
     assert all(md.matchings)
+
+
+# sha256 prefixes of repr(matchings), computed with the per-vertex colour
+# multiset implementation the colour-map-only one replaced; the counts and
+# validity checks above would not notice a changed matching
+@pytest.mark.parametrize("spec,seed,digest", [
+    ("cycle 10", 0, "a3bc69dd763d55b3"),
+    ("complete 10", 0, "41bff2c80ef1a89a"),
+    ("complete 11", 0, "37cc562e90e894f2"),
+    ("grid 4 5", 0, "63d29fe1e13a6096"),
+    ("petersen", 0, "4f7cf0bdfffb3d90"),
+    ("random-regular 20 3", 0, "34431aa50b676e8d"),
+    ("random-regular 20 3", 1, "d4646692d3573585"),
+    ("random-regular 20 3", 2, "ee0d5ae0224cd90c"),
+    ("random-regular 30 4", 0, "5dd8898fd686ff6e"),
+])
+def test_decomposition_is_pinned(spec, seed, digest):
+    H = petersen() if spec == "petersen" else parse_graph_spec(spec, seed)
+    md = matching_decomposition(H)
+    assert hashlib.sha256(repr(md.matchings).encode()).hexdigest()[:16] == digest
 
 
 def test_validate_rejects_overlapping_matchings():
