@@ -27,6 +27,7 @@ from monogrid import seeds
 from monogrid.blowup import BlowupGraph
 from monogrid.config import Knobs
 from monogrid.graphs import (
+    MAX_VERTICES,
     EdgeColouring,
     Graph,
     VertexSet,
@@ -510,25 +511,29 @@ def verify_grid_embedding(gamma: Graph, chi: EdgeColouring,
                           emb: GridEmbedding) -> tuple[bool, list[str]]:
     """Independent check of a finished grid: totality, injectivity, edges.
 
-    Walks every cell and every one of the 2ab - a - b grid edges directly
-    on the supplied graph and colouring; returns a flag and the list of
-    violations found, one line each.
+    Walks every placed cell and every one of the 2ab - a - b grid edges
+    between placed cells directly on the supplied graph and colouring;
+    returns a flag and the list of violations found, one line each.  The
+    cells with no image share one line, which names the first of them.
     """
     violations = []
+    cells = sorted(c for c in emb.image if 0 <= c[0] < emb.a and 0 <= c[1] < emb.b)
+    missing = emb.a * emb.b - len(cells)
+    if missing:
+        # among the first len(cells) + 1 cells in row-major order one is missing
+        first = next(c for c in (divmod(k, emb.b) for k in range(len(cells) + 1))
+                     if c not in emb.image)
+        more = f", nor do {missing - 1} more cells" if missing > 1 else ""
+        violations.append(f"cell {first} has no image{more}")
     seen: dict[int, tuple[int, int]] = {}
-    for i in range(emb.a):
-        for j in range(emb.b):
-            if (i, j) not in emb.image:
-                violations.append(f"cell ({i}, {j}) has no image")
-                continue
-            v = emb.image[(i, j)]
-            if not 0 <= v < gamma.n:
-                violations.append(f"cell ({i}, {j}) maps outside the graph")
-                continue
-            if v in seen:
-                violations.append(f"cells {seen[v]} and ({i}, {j}) share vertex {v}")
-            else:
-                seen[v] = (i, j)
+    for i, j in cells:
+        v = emb.image[(i, j)]
+        if not 0 <= v < gamma.n:
+            violations.append(f"cell ({i}, {j}) maps outside the graph")
+        elif v in seen:
+            violations.append(f"cells {seen[v]} and ({i}, {j}) share vertex {v}")
+        else:
+            seen[v] = (i, j)
     for i, j in emb.image:
         if not (0 <= i < emb.a and 0 <= j < emb.b):
             violations.append(f"cell ({i}, {j}) lies outside the grid")
@@ -552,12 +557,11 @@ def verify_grid_embedding(gamma: Graph, chi: EdgeColouring,
                 f"grid edge {c1}-{c2} has colour {col}, want {emb.colour}"
             )
 
-    for i in range(emb.a):
-        for j in range(emb.b):
-            if j + 1 < emb.b:
-                check_edge((i, j), (i, j + 1))
-            if i + 1 < emb.a:
-                check_edge((i, j), (i + 1, j))
+    for i, j in cells:
+        if j + 1 < emb.b:
+            check_edge((i, j), (i, j + 1))
+        if i + 1 < emb.a:
+            check_edge((i, j), (i + 1, j))
     return not violations, violations
 
 
@@ -594,6 +598,9 @@ def read_embedding(path: str) -> GridEmbedding:
                 ) from None
             if header[0] < 1 or header[1] < 1 or header[2] < 0:
                 raise ValueError(f"{path}:{lineno}: bad grid dimensions")
+            if header[0] * header[1] > MAX_VERTICES:
+                raise ValueError(f"{path}:{lineno}: grid of {header[0] * header[1]} "
+                                 f"cells exceeds {MAX_VERTICES}")
             continue
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'i j vertex'")

@@ -13,7 +13,9 @@ form of Ullmann's refinement, J. ACM 23(1), 1976): each unplaced pattern
 vertex next to a placed one keeps a candidate mask, and a branch is cut as
 soon as one empties.  The cut branches hold no embedding, so every answer
 and found mapping is that of the plain search; only the node count is
-smaller.  Grid counts with at most three columns never enumerate grids: numpy
+smaller.  It is the package's one backtracking search: `find_cycle` runs it
+on a cycle placed in path order, for the pipeline's one-coloured host cycle.
+Grid counts with at most three columns never enumerate grids: numpy
 extends the column paths, then the compatible column pairs, a position at a
 time, and counts three-column grids from the pairs' occupancy masks.  They
 build only the copies whose middle column runs from a lower to a higher end
@@ -215,14 +217,12 @@ def _embed(
             left[d] = dom[d] & ~used
 
 
-def contains_subgraph(G: Graph, T: Graph, budget: int | None = None) -> SearchResult:
-    """Search for an injective adjacency-preserving map of T into G."""
-    if T.n == 0:
-        return SearchResult(FOUND, {}, 0)
+def _search(G: Graph, T: Graph, order: list[int], budget: int | None) -> SearchResult:
+    """Embed T in G, placing T's vertices in `order`."""
     if T.n > G.n or T.edge_count > G.edge_count or T.max_degree() > G.max_degree():
         return SearchResult(ABSENT, None, 0)
     rows = [G.row(v) for v in G.vertices()]
-    plan = _plan(T, _search_order(T))
+    plan = _plan(T, order)
     tracker = _Budget(budget)
     images = [0] * T.n
     out = _embed(rows, plan, images, tracker)
@@ -231,6 +231,23 @@ def contains_subgraph(G: Graph, T: Graph, budget: int | None = None) -> SearchRe
     if out:
         return SearchResult(FOUND, dict(zip(plan.order, images)), tracker.nodes)
     return SearchResult(ABSENT, None, tracker.nodes)
+
+
+def contains_subgraph(G: Graph, T: Graph, budget: int | None = None) -> SearchResult:
+    """Search for an injective adjacency-preserving map of T into G."""
+    return _search(G, T, _search_order(T), budget)
+
+
+def find_cycle(G: Graph, ell: int, budget: int | None) -> tuple[list[int] | None, int]:
+    """A cycle of G on exactly ell vertices, in path order, or None; and the
+    nodes the search placed.
+
+    Depth d places the cycle's d-th vertex, candidates ascending, so the
+    cycle found starts at the least vertex on any ell-cycle.  None also when
+    the budget runs out; the node count then exceeds the budget.
+    """
+    found = _search(G, Graph.cycle(ell), list(range(ell)), budget)
+    return (list(found.mapping.values()) if found.status == FOUND else None), found.nodes
 
 
 # ---------------------------------------------------------------------------

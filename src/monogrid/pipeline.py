@@ -31,6 +31,7 @@ from monogrid.graphs import (
     edge_count,
     pair_density,
 )
+from monogrid.oracle import find_cycle
 from monogrid.regularity import (
     EpsSchedule,
     RegParams,
@@ -380,10 +381,10 @@ def find_mono_cycle(H: Graph, phi: EdgeColouring, l_min: int, l_max: int,
                     budget: int = Knobs.cycle_budget) -> CycleCertificate | None:
     """Longest-first search for a single-colour cycle with length in range.
 
-    Tries lengths from l_max down, each colour class in turn, by a
-    backtracking walk that pins the smallest cycle vertex first.  Returns
-    None if the budget runs out or no such cycle exists; hosts carry no
-    guarantee of one.
+    Tries lengths from l_max down, each colour class in turn, by the
+    oracle's forward-checking search (`oracle.find_cycle`); the budget caps
+    the placements of all of them together.  Returns None if the budget runs
+    out or no such cycle exists; hosts carry no guarantee of one.
     """
     if not 3 <= l_min <= l_max <= H.n:
         raise ValueError("need 3 <= l_min <= l_max <= |V(H)|")
@@ -391,55 +392,12 @@ def find_mono_cycle(H: Graph, phi: EdgeColouring, l_min: int, l_max: int,
     spent = 0
     for ell in range(l_max, l_min - 1, -1):
         for c in range(phi.r):
-            found, cost = _cycle_of_length(classes[c], ell, budget - spent)
-            spent += cost
-            if found is None:
-                continue
-            out = CycleCertificate(c, found)
-            out.validate(H, phi, l_min, l_max)
-            return out
+            found, nodes = find_cycle(classes[c], ell, budget - spent)
+            spent += nodes
+            if found is not None:
+                out = CycleCertificate(c, found)
+                out.validate(H, phi, l_min, l_max)
+                return out
+            if spent > budget:
+                return None
     return None
-
-
-def _cycle_of_length(G: Graph, ell: int, budget: int):
-    """Cycle on exactly ell vertices, or None; second slot is nodes spent."""
-    spent = 0
-    for start in G.vertices():
-        if G.degree(start) < 2:
-            continue
-        found, spent = _extend_cycle(G, start, ell, spent, budget)
-        if found is not None or spent >= budget:
-            return found, spent
-    return None, spent
-
-
-def _extend_cycle(G: Graph, start: int, ell: int, spent: int, budget: int):
-    """Depth-first search for a cycle on ell vertices whose least vertex is start.
-
-    Returns the cycle or None, and the node count carried on from `spent`.
-    Each path vertex keeps an iterator over its neighbours on an explicit
-    stack, so a cycle as long as the host never meets the recursion limit.
-    A step that reaches the budget ends the search at its depth, and every
-    shallower depth with a candidate left spends one more node to stop.
-    """
-    path = [start]
-    on_path = 1 << start
-    stack = [iter(G.neighbours(start))]
-    while stack:
-        w = next(stack[-1], None)
-        if w is not None:
-            if w <= start or (on_path >> w) & 1:
-                continue
-            spent += 1
-        if w is None or spent >= budget:
-            stack.pop()
-            on_path ^= 1 << path.pop()
-            continue
-        if len(path) + 1 == ell:
-            if G.has_edge(w, start):
-                return path + [w], spent
-            continue
-        path.append(w)
-        on_path |= 1 << w
-        stack.append(iter(G.neighbours(w)))
-    return None, spent

@@ -513,6 +513,17 @@ def test_verifier_flags_missing_cell():
     assert any("cell (1, 2) has no image" in v for v in violations)
 
 
+def test_verifier_reports_missing_cells_in_one_line():
+    G, chi, emb = identity_grid(3, 4)
+    image = {c: v for c, v in emb.image.items() if c not in ((0, 1), (2, 0), (2, 3))}
+    ok, violations = verify_grid_embedding(G, chi, GridEmbedding(3, 4, 0, image))
+    assert not ok
+    assert violations == ["cell (0, 1) has no image, nor do 2 more cells"]
+    ok, violations = verify_grid_embedding(
+        G, chi, GridEmbedding(4096, 4096, 0, {(0, 0): 0, (0, 1): 1}))
+    assert violations == ["cell (0, 2) has no image, nor do 16777213 more cells"]
+
+
 # ---------------------------------------------------------------------------
 # files
 
@@ -533,6 +544,7 @@ def test_embedding_file_round_trip(tmp_path):
     ("grid 2 2 colour 0\n5 0 1\n", "outside the grid"),
     ("grid 2 2 colour 0\n0 0\n", "expected 'i j vertex'"),
     ("grid 2 2 colour 0\n0 0 -3\n", "negative"),
+    ("grid 100000 100000 colour 0\n0 0 1\n", "cells exceeds 16777216"),
 ])
 def test_embedding_file_rejects_garbage(tmp_path, content, needle):
     path = tmp_path / "broken.embedding"

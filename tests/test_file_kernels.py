@@ -3,7 +3,8 @@
 The readers and writers work a block at a time with numpy; the per-line
 parser only sees blocks that are not canonical or hold a faulty line.  The
 references below are the per-line reader and the per-edge writer that the
-kernels replaced, copied verbatim but for building their results from edges:
+kernels replaced, copied verbatim but for building their results from edges
+and for refusing the header counts the readers refuse before they allocate:
 every file must read to an equal graph or colouring, or fail with the
 identical message, and every write must produce the same bytes.
 """
@@ -16,7 +17,7 @@ from itertools import repeat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monogrid import graphs
@@ -72,6 +73,9 @@ def ref_read_graph(path):
                 raise ValueError(f"{path}:{lineno}: bad vertex count") from None
             if n < 0:
                 raise ValueError(f"{path}:{lineno}: negative vertex count")
+            if n > graphs.MAX_VERTICES:
+                raise ValueError(f"{path}:{lineno}: vertex count {n} exceeds "
+                                 f"{graphs.MAX_VERTICES}")
             rows = [0] * n
             continue
         if len(parts) != 2:
@@ -125,6 +129,9 @@ def ref_read_colouring(path, n=None):
                 raise ValueError(f"{path}:{lineno}: bad colour count") from None
             if r < 2:
                 raise ValueError(f"{path}:{lineno}: colour count must be >= 2")
+            if r > graphs.MAX_COLOURS:
+                raise ValueError(f"{path}:{lineno}: colour count {r} exceeds "
+                                 f"{graphs.MAX_COLOURS}")
             rows = [[0] * (n or 0) for _ in range(r)]
             continue
         if len(parts) != 3:
@@ -428,6 +435,7 @@ def files(draw, colours: bool):
 
 @SETTINGS
 @given(files(colours=False), st.sampled_from([8, 40, 64, 200, 1 << 14]))
+@example((b"\nn 99999999999999999999\n", 0), 64)
 def test_graph_reader_matches_reference(case, block):
     body, _ = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -437,6 +445,7 @@ def test_graph_reader_matches_reference(case, block):
 
 @SETTINGS
 @given(files(colours=True), st.sampled_from([8, 40, 64, 200, 1 << 14]))
+@example((b"\nr 99999999999999999999\n", 0), 64)
 def test_colouring_reader_matches_reference(case, block):
     body, n = case
     with tempfile.TemporaryDirectory() as tmp:

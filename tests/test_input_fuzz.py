@@ -1,8 +1,8 @@
 """Exit-code fuzz of the file inputs.
 
-Small written files (a blow-up's graph, host and `.meta` sidecar, and a
-colouring of the blow-up) get their headers, edge lines, colour lines and
-sidecar keys and values mutated; `verify`, `oracle grid --graph "file ..."`
+Small written files (a blow-up's graph, host and `.meta` sidecar, a
+colouring of the blow-up and a grid embedding in it) get their headers, edge
+lines, colour lines, cell lines and sidecar keys and values mutated; `verify`, `oracle grid --graph "file ..."`
 and `colour --blowup` then read them.  Every run ends in exit 0, 1 or 2, and
 none in a traceback.
 """
@@ -20,7 +20,8 @@ from monogrid.cli import main
 from monogrid.embedder import GridEmbedding, write_embedding
 from monogrid.graphs import EdgeColouring, Graph, write_colouring
 
-FILES = ("blowup.graph", "blowup.host", "blowup.meta", "colouring.txt")
+FILES = ("blowup.graph", "blowup.host", "blowup.meta", "colouring.txt",
+         "grid.embedding")
 
 # What a mutation writes into a line.  Every count here is either small or
 # past the readers' bounds, so no example builds a large graph.

@@ -9,6 +9,7 @@ import pytest
 from monogrid.blowup import build_blowup
 from monogrid.config import Knobs, parse_graph_spec
 from monogrid.graphs import EdgeColouring, Graph, VertexSet, colour_subgraph
+from monogrid.oracle import find_cycle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,6 @@ from monogrid.pipeline import (
     CycleCertificate,
     MatchingDecomposition,
     PipelineFailure,
-    _cycle_of_length,
     find_mono_cycle,
     majority_colour,
     matching_decomposition,
@@ -432,9 +432,9 @@ def test_mono_cycle_as_long_as_a_1500_vertex_host():
     assert cert.colour == 0 and cert.vertices == list(range(1500))
 
 
-def _reference_cycle_of_length(G: Graph, ell: int, budget: int):
-    """Recursive form of the cycle search: same order, same node accounting."""
-    counter = [0]
+def _reference_cycle_of_length(G: Graph, ell: int):
+    """Recursive form of the plain cycle search: each start in ascending
+    order, a path that pins it as the least vertex, ascending neighbours."""
 
     def extend(start, path, on_path):
         if len(path) == ell:
@@ -442,9 +442,6 @@ def _reference_cycle_of_length(G: Graph, ell: int, budget: int):
         for w in G.neighbours(path[-1]):
             if w <= start or (on_path >> w) & 1:
                 continue
-            counter[0] += 1
-            if counter[0] >= budget:
-                return None
             got = extend(start, path + [w], on_path | (1 << w))
             if got is not None:
                 return got
@@ -454,9 +451,9 @@ def _reference_cycle_of_length(G: Graph, ell: int, budget: int):
         if G.degree(start) < 2:
             continue
         found = extend(start, [start], 1 << start)
-        if found is not None or counter[0] >= budget:
-            return found, counter[0]
-    return None, counter[0]
+        if found is not None:
+            return found
+    return None
 
 
 @settings(max_examples=200, deadline=None)
@@ -465,13 +462,52 @@ def _reference_cycle_of_length(G: Graph, ell: int, budget: int):
     st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
             .filter(lambda e: e[0] != e[1])),
     st.integers(3, n),
-    st.integers(0, 400),
 )))
 def test_cycle_search_matches_recursive_reference(case):
-    n, pairs, ell, budget = case
+    n, pairs, ell = case
     G = Graph.from_edges(n, pairs)
-    assert _cycle_of_length(G, ell, budget) == \
-        _reference_cycle_of_length(G, ell, budget)
+    found, nodes = find_cycle(G, ell, None)
+    assert found == _reference_cycle_of_length(G, ell)
+    # a budget of `nodes` lets the whole search through; one less stops it
+    # at its last placement, and the count then passes the budget
+    assert find_cycle(G, ell, nodes) == (found, nodes)
+    if nodes:
+        assert find_cycle(G, ell, nodes - 1) == (None, nodes)
+
+
+def _colourings(H: Graph):
+    """The two constant 2-colourings of H, then ten uniform seeded ones."""
+    yield np.zeros(H.edge_count, dtype=int)
+    yield np.ones(H.edge_count, dtype=int)
+    for seed in range(10):
+        yield np.random.default_rng(seed).integers(0, 2, H.edge_count)
+
+
+# sha256 prefixes of repr([(colour, vertices) or None, ...]) over
+# `_colourings`, computed with the cycle search's own depth-first walk that
+# the oracle's forward-checking search replaced; the validity checks above
+# would not notice another cycle of the same length
+@pytest.mark.parametrize("spec,l_min,l_max,digest", [
+    ("cycle 10", 3, 10, "db618b2850a221c0"),
+    ("cycle 10", 10, 10, "db618b2850a221c0"),
+    ("cycle 80", 3, 80, "54aff64cdd13a95a"),
+    ("cycle 80", 10, 10, "6a1031603bf8193f"),
+    ("complete 10", 3, 10, "347f67c6ff863412"),
+    ("complete 10", 10, 10, "8f015f4a57ccd316"),
+    ("complete 11", 3, 11, "7903005da2329512"),
+    ("complete 11", 10, 10, "55451ce8960df389"),
+    ("random-regular 20 3", 3, 20, "4e130e62195b3f7b"),
+    ("random-regular 20 3", 10, 10, "29b978971129359c"),
+    ("grid 5 6", 3, 30, "0e1c7ce435e762c5"),
+    ("grid 5 6", 10, 10, "0aacc758aef1d3e6"),
+])
+def test_mono_cycles_are_pinned(spec, l_min, l_max, digest):
+    H = parse_graph_spec(spec, 0)
+    certs = []
+    for colours in _colourings(H):
+        cert = find_mono_cycle(H, EdgeColouring.by_edge(H, 2, colours), l_min, l_max)
+        certs.append(None if cert is None else (cert.colour, cert.vertices))
+    assert hashlib.sha256(repr(certs).encode()).hexdigest()[:16] == digest
 
 
 def test_mono_cycle_range_validation():
