@@ -25,32 +25,43 @@ class ConfigError(Exception):
     """A configuration that cannot be acted on.  The CLI maps this to exit 2."""
 
 
-def _knob(default: int, least: int, most: int | None = None):
+def _knob(default: int, least: int, most: int):
     return field(default=default, metadata={"least": least, "most": most})
+
+
+# The most trials a sampled check or audit may run, and the most checks or
+# subset tries a search may spend.  On one core of a 2-CPU Xeon a desk run
+# at s = 300 takes 8 s with check_trials at this bound and 15 s with
+# audit_trials there; find_budget there takes 3 s at s = 2.
+MOST_TRIALS = 10_000
 
 
 @dataclass(frozen=True)
 class Knobs:
     """Every trial and budget knob of a run, each with its default.
 
-    Beside each default sit the least accepted value and, for the
-    exact-check cap, the greatest.  A sampled check or audit that draws
-    nothing decides nothing, and the density-increment search needs one
-    check to report on, so those start at 1.  An exact check enumerates
-    every k-subset of its pair, which stops being tractable above
-    `EXACT_CAP` vertices, so the cap stops there.
+    Beside each default sit the least and the greatest accepted value.  A
+    sampled check or audit that draws nothing decides nothing, and the
+    density-increment search needs one check to report on, so those start
+    at 1.  An exact check enumerates every k-subset of its pair, which stops
+    being tractable above `EXACT_CAP` vertices, so the cap stops there.  The
+    trial counts, the search's checks and the subset tries stop at
+    `MOST_TRIALS`.  The bad-set audit makes every one of its draws for each
+    ambient vertex, so it stops at 1,000 draws, where a desk run at s = 300
+    takes 16 s.  A vertex budget past `MAX_VERTICES` spans any graph, and
+    the cycle search stops at 20 times its default budget of nodes.
     """
 
-    find_budget: int = _knob(60, 1)
-    check_trials: int = _knob(24, 1)
-    audit_trials: int = _knob(8, 1)
+    find_budget: int = _knob(60, 1, MOST_TRIALS)
+    check_trials: int = _knob(24, 1, MOST_TRIALS)
+    audit_trials: int = _knob(8, 1, MOST_TRIALS)
     check_cap: int = _knob(EXACT_CAP, 0, EXACT_CAP)
-    badset_draws: int = _knob(2, 1)
-    subset_tries: int = _knob(10, 0)
-    vertex_budget: int = _knob(50, 0)
-    embed_check_trials: int = _knob(1, 1)
-    embed_audit_trials: int = _knob(1, 1)
-    cycle_budget: int = _knob(500000, 0)
+    badset_draws: int = _knob(2, 1, 1_000)
+    subset_tries: int = _knob(10, 0, MOST_TRIALS)
+    vertex_budget: int = _knob(50, 0, MAX_VERTICES)
+    embed_check_trials: int = _knob(1, 1, MOST_TRIALS)
+    embed_audit_trials: int = _knob(1, 1, MOST_TRIALS)
+    cycle_budget: int = _knob(500000, 0, 10_000_000)
 
 
 # lam_rule -> the constant factor every level of the schedule shrinks by;
@@ -356,7 +367,7 @@ def _resolve(merged: dict[str, str], preset: str | None) -> RunConfig:
         least, most = f.metadata["least"], f.metadata["most"]
         if value < least:
             raise ConfigError(f"{f.name} must be at least {least}, got {value}")
-        if most is not None and value > most:
+        if value > most:
             raise ConfigError(f"{f.name} must be at most {most}, got {value}")
 
     return RunConfig(

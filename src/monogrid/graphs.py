@@ -24,12 +24,16 @@ their rational thresholds by integer cross-multiplication.
 An r-edge-colouring is stored as its r colour-class graphs, because every
 step downstream works inside one colour's subgraph.
 
-Every graph is built by `_ClassBuilder`, which ORs each edge into the tiles
-of both its orientations as it arrives.  The file writers decode one row
-block of tiles at a time into ascending edge arrays and format them as ASCII
-in one vectorised pass.  The readers parse each block of canonical lines in
-one pass; any other block goes through the per-line parser, the one source
-of every "path:line:" message.
+Graphs built from edges, from drawn blocks or from files go through
+`_ClassBuilder`, which ORs each edge into the tiles of both its orientations
+as it arrives.  One decoder, `_upper_bits`, unpacks a row block's non-zero
+words from the diagonal on into the bits of its edges uv with u < v.  The
+file writers turn those bits into ascending edge arrays and format them as
+ASCII in one vectorised pass; `EdgeColouring.by_edge` masks them by colour
+into copies of the graph's own tiles and transposes the upper tiles for the
+lower ones, with no sort and no per-edge scatter.  The readers parse each
+block of canonical lines in one pass; any other block goes through the
+per-line parser, the one source of every "path:line:" message.
 """
 
 from __future__ import annotations
@@ -505,6 +509,29 @@ def neighbours_in(G: Graph, v: int, B: VertexSet) -> VertexSet:
 # edge arrays <-> tiles, a row block at a time
 
 
+# _ABOVE[i] keeps the bits j > i of word i of a diagonal tile
+_ABOVE = np.triu(np.ones((W, W), dtype=bool), k=1)
+
+
+def _upper_bits(g: Graph, R: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The edges uv with u < v of g's row block R, bit by bit: lo, the index of
+    the block's first tile from the diagonal on; the row i and the tile lo + k
+    of each non-zero word of those tiles; and the words' bits unpacked as a
+    (words, W) bool array, bit j of word (i, k) in column j, the bits of v <= u
+    cleared.  In flat order the set bits are the block's edges ascending by
+    (u, v).  Only non-zero words are unpacked."""
+    lo, hi = g._ptr[R], g._ptr[R + 1]
+    lo += np.searchsorted(g._col[lo:hi], R)  # the tiles from the diagonal on
+    words = g._tiles[lo:hi].T  # word [i, k] is row i of tile lo + k
+    i, k = np.nonzero(words)
+    bits = np.unpackbits(words[i, k].view(np.uint8),
+                         bitorder="little").reshape(-1, W).view(bool)
+    if lo < hi and g._col[lo] == R:  # the diagonal tile: keep the bits above it
+        diagonal = k == 0
+        bits[diagonal] &= _ABOVE[i[diagonal]]
+    return int(lo), i, k, bits
+
+
 def _edge_blocks(classes) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Every edge of the graphs `classes` (class c is colour c) as int64 arrays
     (u, v, c) with u < v, a row block of W values of u at a time, ascending by
@@ -512,21 +539,14 @@ def _edge_blocks(classes) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
     for R in range(_nblocks(classes[0].n)):
         us, vs, cs = [], [], []
         for c, g in enumerate(classes):
-            lo, hi = g._ptr[R], g._ptr[R + 1]
-            if lo == hi:
+            if g._ptr[R] == g._ptr[R + 1]:
                 continue
-            lo += np.searchsorted(g._col[lo:hi], R)  # the tiles from the diagonal on
-            words = g._tiles[lo:hi].T  # word [i, k] is row i of tile lo + k
-            i, k = np.nonzero(words)
-            at = np.flatnonzero(np.unpackbits(words[i, k].view(np.uint8),
-                                              bitorder="little"))
-            u = R * W + i[at >> 6]
-            v = g._col[lo + k[at >> 6]] * W + (at & 63)
-            above = v > u
-            if above.any():
-                us.append(u[above])
-                vs.append(v[above])
-                cs.append(np.full(len(us[-1]), c))
+            lo, i, k, bits = _upper_bits(g, R)
+            at = np.flatnonzero(bits)
+            if at.size:
+                us.append(R * W + i[at >> 6])
+                vs.append(g._col[lo + k[at >> 6]] * W + (at & 63))
+                cs.append(np.full(at.size, c))
         if not us:
             continue
         if len(us) == 1:
@@ -536,6 +556,29 @@ def _edge_blocks(classes) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
         u, v, c = np.concatenate(us), np.concatenate(vs), np.concatenate(cs)
         order = np.argsort((u - R * W) * (int(v.max()) + 1) + v, kind="stable")
         yield u[order], v[order], c[order]
+
+
+# (shift, mask) of the rounds of a 64 x 64 bit transpose: each swaps the
+# off-diagonal quarters of every 2*shift x 2*shift block of bits
+_TRANSPOSE_ROUNDS = tuple(
+    (shift, np.uint64(mask)) for shift, mask in (
+        (32, 0x00000000FFFFFFFF), (16, 0x0000FFFF0000FFFF),
+        (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
+        (2, 0x3333333333333333), (1, 0x5555555555555555)))
+
+
+def _transpose(tiles: np.ndarray) -> np.ndarray:
+    """Every 64 x 64 bit tile of the (..., W) uint64 array `tiles`
+    transposed, bit j of word i to bit i of word j, in six mask-and-shift
+    rounds over whole words."""
+    out = tiles.copy()
+    for shift, mask in _TRANSPOSE_ROUNDS:
+        pairs = out.reshape(-1, W // (2 * shift), 2, shift)
+        low, high = pairs[:, :, 0], pairs[:, :, 1]
+        swap = ((low >> np.uint64(shift)) ^ high) & mask
+        high ^= swap
+        low ^= swap << np.uint64(shift)
+    return out
 
 
 class _ClassBuilder:
@@ -678,18 +721,46 @@ class EdgeColouring:
 
     @classmethod
     def by_edge(cls, G: Graph, r: int, colours) -> "EdgeColouring":
-        """G's edges in ascending order, the i-th one in colour colours[i]."""
+        """G's edges in ascending order, the i-th one in colour colours[i].
+
+        Every class is masked out of G's own tiles: each row block's edge
+        bits (`_upper_bits`) take their colours in ascending edge order, and
+        the tiles below the diagonal are bit transposes of those above it.
+        No edge array is sorted or scattered; r copies of G's tile array are
+        held at once.
+        """
         colours = np.asarray(colours, dtype=np.int64)
         if len(colours) != G.edge_count:
             raise ValueError(f"{len(colours)} colours for {G.edge_count} edges")
         if len(colours) and not 0 <= colours.min() <= colours.max() < r:
             raise ValueError(f"colours outside 0..{r - 1}")
-        acc = _ClassBuilder(G.n, r)
+        nb, keys = _nblocks(G.n), G._keys
+        row, col = keys // max(nb, 1), G._col
+        upper = np.flatnonzero(col >= row)  # the tiles from the diagonal on
+        # class c's tiles: a copy of G's, at first with only its bits of u < v
+        tiles = [np.zeros((len(keys), W), dtype=_U64) for _ in range(r)]
+        # the row blocks with a tile from the diagonal on (np.unique here would
+        # import numpy.ma on first use, half a megabyte of RSS)
+        blocks = np.flatnonzero(np.bincount(row[upper], minlength=nb)).tolist()
         at = 0
-        for u, v in G.edge_blocks():
-            acc.add_many(u, v, colours[at:at + len(u)])
-            at += len(u)
-        return cls.from_classes(acc.graphs())
+        for R in blocks:
+            lo, i, k, bits = _upper_bits(G, R)
+            # the colour of each bit's edge, r at the bits of no edge
+            drawn = np.full(bits.shape, r, dtype=np.min_scalar_type(r))
+            edges = np.count_nonzero(bits)
+            drawn[bits] = colours[at:at + edges]
+            at += edges
+            for c, t in enumerate(tiles):
+                t[lo + k, i] = np.packbits(drawn == c, bitorder="little").view(_U64)
+        # tile (C, R) of a class is the transpose of its tile (R, C) with C >= R
+        mirror = np.searchsorted(keys, col[upper] * nb + row[upper])
+        classes = []
+        for t in tiles:
+            t[mirror] |= _transpose(t[upper])
+            held = t.any(axis=1)
+            # a class that holds every tile of G adopts its array uncopied
+            classes.append(Graph(G.n, keys[held], t if held.all() else t[held]))
+        return cls.from_classes(classes)
 
     def colour(self, u: int, v: int) -> int:
         if 0 <= u < self.n and 0 <= v < self.n:

@@ -106,6 +106,12 @@ PINNED_COLOURINGS = {
 }
 
 
+# sha256 of the colouring file of the benchmark's desk-random run at seed 0
+# (desk, uniform-random, alpha = 1/4, s = 300)
+PINNED_DESK_RANDOM_COLOURING = \
+    "b31c0682d79e7471b14470e8a9ef4af558e95e654c4278600c1f50d1e5fe9464"
+
+
 def _file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -118,6 +124,14 @@ def test_blowup_and_colouring_files_are_pinned(tmp_path, r, spec):
     write_colouring(apply_colouring(bg, spec, r, 7), str(tmp_path / "colouring.txt"),
                     comment=spec)
     assert _file_sha256(tmp_path / "colouring.txt") == PINNED_COLOURINGS[r, spec]
+
+
+def test_desk_random_colouring_is_pinned_at_full_scale(tmp_path):
+    cfg = load_config(preset="desk", sets=("colouring=uniform-random", "alpha=1/4"),
+                      seed=0, out="random-seed0")
+    report, _ = run_once(cfg, tmp_path)
+    assert report["status"] == "failed-at-cycle" and cfg.s == 300
+    assert _file_sha256(tmp_path / "colouring.txt") == PINNED_DESK_RANDOM_COLOURING
 
 
 def test_host_edge_split_colouring_recovered_exactly():
@@ -381,8 +395,8 @@ _READ = {node.attr for path in Path(monogrid.__file__).parent.glob("*.py")
 def test_knob_table(tmp_path, capsys, knob):
     # the record, the config keys and the report's knobs name the same keys,
     # beside the audit's echoed constants; the package reads every knob; and
-    # a knob below its least value is a config error
-    key, least = knob.name, knob.metadata["least"]
+    # a knob below its least value or above its greatest is a config error
+    key, least, most = knob.name, knob.metadata["least"], knob.metadata["most"]
     cfg = load_config(preset="desk")
     assert {f.name for f in dataclasses.fields(RunConfig)} == {
         "preset", "host_spec", "s", "seed", "colouring", "out", "lam_rule",
@@ -394,6 +408,10 @@ def test_knob_table(tmp_path, capsys, knob):
     assert main(["run", "--preset", "desk", "--set", f"{key}={least - 1}",
                  "--out", str(tmp_path / "run")]) == 2
     assert f"{key} must be at least {least}" in capsys.readouterr().err
+    assert least <= knob.default <= most < 100000000
+    assert main(["run", "--preset", "desk", "--set", f"{key}={most + 1}",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert f"{key} must be at most {most}, got {most + 1}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -613,18 +631,18 @@ def test_edgeless_pair_fails_at_pipeline(tmp_path):
         ("majority-density", 1, [0, 1])
 
 
-_ODD_VALUES = ("0", "-1", "1", "2", "3", "7", "1/0", "1/3", "1/20", "0.5", "nan",
-               "inf", "1e9", "1e-9", "true", "x", "", "cycle 4", "complete 4",
+_ODD_VALUES = ("0", "-1", "1", "2", "3", "7", "100000000", "1/0", "1/3", "1/20", "0.5",
+               "nan", "inf", "1e9", "1e-9", "true", "x", "", "cycle 4", "complete 4",
                "path 3", "mono 1", "uniform-random", "quarter", "identity",
                "cycle 100000000000", "complete 100000")
 # `out` would move the run out of its temporary directory
 _FUZZ_KEYS = sorted(_ALL_KEYS - {"out"})
 
 
-# s = 100000000 is refused by the blow-up bound; it is not among the odd
-# values, which any integer key may draw, since the trial and budget knobs
-# have no upper bound: desk runs with find_budget (s = 2) or check_trials
-# (s = 60) at 100000000 went on past 30 s
+# Any key may draw 100000000.  The blow-up bound refuses it for s, and every
+# trial and budget knob stops below it, so no run at that value outlasts the
+# fuzz: desk runs with find_budget (s = 2) or check_trials (s = 60) at
+# 100000000 went on past 30 s before the knobs had a greatest value.
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(st.integers(2, 60), st.sampled_from([45, 60, 100000000])),
        st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_ODD_VALUES)),

@@ -12,6 +12,7 @@ identical message, and every write must produce the same bytes.
 import heapq
 import os
 import tempfile
+import time
 import tracemalloc
 from itertools import repeat
 
@@ -578,19 +579,33 @@ def test_writers_and_items_match_reference(case):
         assert _bytes_of(write_graph, g) == _bytes_of(ref_write_graph, g)
 
 
+def ref_by_edge(n, edges, r, draws):
+    """The reference painter: the i-th of the edges in ascending order goes to
+    class draws[i], each class is built from its own edges, and the file
+    lists the painted edges in that order."""
+    edges = sorted(edges)
+    classes = [Graph.from_edges(n, [e for e, c in zip(edges, draws.tolist()) if c == k])
+               for k in range(r)]
+    body = "".join(f"{u} {v} {c}\n" for (u, v), c in zip(edges, draws.tolist()))
+    return classes, f"# c\nr {r}\n{body}".encode()
+
+
+def _paints_like_the_reference(chi, n, edges, draws):
+    """`chi`, painted by `by_edge`, has the reference's classes and file."""
+    classes, body = ref_by_edge(n, edges, chi.r, draws)
+    assert list(chi.classes) == classes
+    assert chi.colour_counts() == np.bincount(draws, minlength=chi.r).tolist()
+    assert _bytes_of(write_colouring, chi, "c") == body
+
+
 @SETTINGS
 @given(colourings(), st.integers(0, 2**32 - 1))
 def test_by_edge_paints_ascending_edges(case, seed):
-    chi, _ = case
-    G = Graph.from_edges(chi.n, [e for e, _ in chi.items()])  # the union of the classes
-    draws = np.random.default_rng(seed).integers(0, chi.r, size=G.edge_count)
-    rows = [[0] * G.n for _ in range(chi.r)]
-    for (u, v), c in zip(G.edges(), draws.tolist()):
-        rows[c][u] |= 1 << v
-        rows[c][v] |= 1 << u
-    painted = EdgeColouring.by_edge(G, chi.r, draws)
-    assert [[g.row(v) for v in range(G.n)] for g in painted.classes] == rows
-    assert painted.colour_counts() == np.bincount(draws, minlength=chi.r).tolist()
+    chi, mapping = case
+    draws = np.random.default_rng(seed).integers(0, chi.r, size=len(mapping))
+    G = Graph.from_edges(chi.n, list(mapping))  # the union of the classes
+    _paints_like_the_reference(EdgeColouring.by_edge(G, chi.r, draws), chi.n,
+                               list(mapping), draws)
 
 
 def test_by_edge_rejects_a_wrong_draw():
@@ -599,3 +614,39 @@ def test_by_edge_rejects_a_wrong_draw():
         EdgeColouring.by_edge(G, 2, np.zeros(4, dtype=np.int64))
     with pytest.raises(ValueError, match="outside 0..1"):
         EdgeColouring.by_edge(G, 2, np.full(5, 2))
+
+
+BY_EDGE_GRAPHS = {
+    "star": (1 << 16, [(0, v) for v in range(1, 1 << 16)]),
+    "long-edges": (20_000, [(a, 19_999) for a in range(0, 19_999, graphs.W)]),
+    "three-edges": (1_000_000, [(0, 999_999), (5, 700_000), (999_000, 999_001)]),
+    "complete-70": (70, [(u, v) for u in range(70) for v in range(u + 1, 70)]),
+    "n0": (0, []),
+    "n1": (1, []),
+}
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+@pytest.mark.parametrize("name", sorted(BY_EDGE_GRAPHS))
+def test_by_edge_on_wide_and_tiny_graphs(name, r):
+    # the draws skip the odd colours below r - 1, so from r = 3 on some
+    # classes stay empty
+    n, edges = BY_EDGE_GRAPHS[name]
+    G = Graph.from_edges(n, edges)
+    palette = [c for c in range(r) if c % 2 == 0 or c == r - 1]
+    draws = np.random.default_rng(r).choice(palette, size=len(edges))
+    start = time.process_time()
+    chi = EdgeColouring.by_edge(G, r, draws)
+    # the star spans 1024 row blocks of 1024 tiles each: only the non-zero
+    # words of its 2047 tiles are unpacked, not 2^32 bits, so it paints in
+    # well under a second
+    assert time.process_time() - start < 1.0
+    _paints_like_the_reference(chi, n, edges, draws)
+
+
+def test_tile_transpose_moves_bit_j_of_word_i_to_bit_i_of_word_j():
+    tiles = np.random.default_rng(0).integers(0, 2**64, size=(3, graphs.W),
+                                              dtype=np.uint64)
+    bits = np.unpackbits(tiles.view(np.uint8), bitorder="little").reshape(3, 64, 64)
+    want = np.packbits(bits.transpose(0, 2, 1), bitorder="little").view(np.uint64)
+    assert np.array_equal(graphs._transpose(tiles), want.reshape(3, graphs.W))
