@@ -25,15 +25,17 @@ An r-edge-colouring is stored as its r colour-class graphs, because every
 step downstream works inside one colour's subgraph.
 
 Graphs built from edges, from drawn blocks or from files go through
-`_ClassBuilder`, which ORs each edge into the tiles of both its orientations
-as it arrives.  One decoder, `_upper_bits`, unpacks a row block's non-zero
-words from the diagonal on into the bits of its edges uv with u < v.  The
-file writers turn those bits into ascending edge arrays and format them as
-ASCII in one vectorised pass; `EdgeColouring.by_edge` masks them by colour
-into copies of the graph's own tiles and transposes the upper tiles for the
-lower ones, with no sort and no per-edge scatter.  The readers parse each
-block of canonical lines in one pass; any other block goes through the
-per-line parser, the one source of every "path:line:" message.
+`_ClassBuilder`, which ORs each edge uv with u < v into its upper tile only,
+as it arrives, and fills the lower tiles once at the end with their bit
+transposes (`_mirror`).  One decoder, `_upper_bits`, unpacks a row block's
+non-zero words from the diagonal on into the bits of its edges uv with
+u < v.  The file writers turn those bits into ascending edge arrays and
+format them as ASCII in one vectorised pass; `EdgeColouring.by_edge` masks
+them by colour into copies of the graph's own tiles and mirrors the upper
+tiles the same way, with no sort and no per-edge scatter.  The readers parse
+each block of canonical lines in one pass, and a block in writer order goes
+into the builder with no check for repeats; any other block goes through
+the per-line parser, the one source of every "path:line:" message.
 """
 
 from __future__ import annotations
@@ -558,43 +560,63 @@ def _edge_blocks(classes) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
         yield u[order], v[order], c[order]
 
 
-# (shift, mask) of the rounds of a 64 x 64 bit transpose: each swaps the
-# off-diagonal quarters of every 2*shift x 2*shift block of bits
+# (shift, mask) of the rounds of an 8 x 8 bit transpose of a word whose byte
+# r is row r: each swaps the off-diagonal quarters of every 2^k x 2^k block
 _TRANSPOSE_ROUNDS = tuple(
-    (shift, np.uint64(mask)) for shift, mask in (
-        (32, 0x00000000FFFFFFFF), (16, 0x0000FFFF0000FFFF),
-        (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
-        (2, 0x3333333333333333), (1, 0x5555555555555555)))
+    (np.uint64(shift), np.uint64(mask)) for shift, mask in (
+        (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
 
 
 def _transpose(tiles: np.ndarray) -> np.ndarray:
-    """Every 64 x 64 bit tile of the (..., W) uint64 array `tiles`
-    transposed, bit j of word i to bit i of word j, in six mask-and-shift
-    rounds over whole words."""
-    out = tiles.copy()
+    """Every 64 x 64 bit tile of the (k, W) uint64 array `tiles` transposed,
+    bit j of word i to bit i of word j.  Byte b of word 8I + r holds bits
+    8b to 8b + 7 of row 8I + r, so the eight bytes of each 8 x 8 block (I, b)
+    are gathered into one word, which three mask-and-shift rounds transpose,
+    and the block is put back at (b, I)."""
+    k = len(tiles)
+    x = tiles.view(np.uint8).reshape(k, 8, 8, 8).transpose(0, 1, 3, 2).copy().view(_U64)
     for shift, mask in _TRANSPOSE_ROUNDS:
-        pairs = out.reshape(-1, W // (2 * shift), 2, shift)
-        low, high = pairs[:, :, 0], pairs[:, :, 1]
-        swap = ((low >> np.uint64(shift)) ^ high) & mask
-        high ^= swap
-        low ^= swap << np.uint64(shift)
-    return out
+        t = (x ^ (x >> shift)) & mask
+        x = x ^ t ^ (t << shift)
+    blocks = x.view(np.uint8).reshape(k, 8, 8, 8).transpose(0, 2, 3, 1)
+    return np.ascontiguousarray(blocks).view(_U64).reshape(k, W)
+
+
+# Tiles `_mirror` transposes at a time: 32 KiB of them.  Reading a written
+# graph, or a three-colouring, of one tile per row block (n = 100,000)
+# peaks at 1.4x the tiles it returns under tracemalloc, and at 2.2x with
+# 512 at a time.
+_MIRROR_TILES = 64
+
+
+def _mirror(tiles: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> None:
+    """OR into tile lower[k] of `tiles` the bit transpose of tile upper[k],
+    for every k, a chunk at a time; a diagonal tile is its own lower[k], and
+    no other tile is both an upper and a lower one."""
+    for lo in range(0, len(upper), _MIRROR_TILES):
+        part = slice(lo, lo + _MIRROR_TILES)
+        tiles[lower[part]] |= _transpose(tiles[upper[part]])
 
 
 class _ClassBuilder:
     """r colour classes on 0..n-1 under construction.
 
-    Class c keeps its tiles in the rows of `store[c]` in the order they were
-    made, and `slots[c]` maps each tile key to its row.  Edges arrive in
-    batches through `add_many` (or as a dense block through `add_block`),
-    and each is ORed into the tiles of both its orientations.  The store
-    grows in place by a quarter at a time, and `graphs` sorts it in place,
-    so a class never holds much more than its tiles.  Callers check a batch
-    with `has_any` before adding it: nothing here rejects a duplicate.
+    Each edge uv with u < v is stored once, in its upper tile: bit v mod W of
+    word u mod W of tile (u // W, v // W).  Class c keeps those tiles in the
+    rows of `store[c]` in the order they were made, and `slots[c]` maps each
+    tile key to its row.  Edges arrive in batches through `add_many` (or as a
+    dense block through `add_block`).  No edge held has a key u * n + v
+    above `top`, so a batch whose keys rise from above it repeats no edge.
+    The store grows in place by a quarter at a time; `graphs` grows it once
+    more, to hold the lower tiles as transposes of the upper ones, and sorts
+    it in place, so a class never holds much more than its tiles.  Callers
+    check a batch with `has_any` before adding it: nothing here rejects a
+    duplicate.
     """
 
     def __init__(self, n: int, r: int):
         self.n, self.r, self.nb = n, r, _nblocks(n)
+        self.top = -1
         self.slots: list[dict[int, int]] = [{} for _ in range(r)]
         self.store = [np.zeros((0, W), dtype=_U64) for _ in range(r)]
 
@@ -608,12 +630,13 @@ class _ClassBuilder:
 
     def has_any(self, a: np.ndarray, b: np.ndarray) -> bool:
         """Whether some edge {a[i], b[i]} is in some class."""
-        keys, at = np.unique((a >> 6) * self.nb + (b >> 6), return_inverse=True)
+        x, y = np.minimum(a, b), np.maximum(a, b)
+        keys, at = np.unique((x >> 6) * self.nb + (y >> 6), return_inverse=True)
         for slots, store in zip(self.slots, self.store):
             rows = np.array([slots.get(key, -1) for key in keys.tolist()],
                             dtype=np.int64)[at]
             held = rows >= 0
-            if (store[rows[held], a[held] & 63] >> (b[held] & 63).astype(np.uint64)
+            if (store[rows[held], x[held] & 63] >> (y[held] & 63).astype(np.uint64)
                     & np.uint64(1)).any():
                 return True
         return False
@@ -621,38 +644,56 @@ class _ClassBuilder:
     def add_many(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
         """Put the edges {a[i], b[i]} (in range, no self-loops, in no class
         yet) into classes c[i]."""
+        x, y = np.minimum(a, b), np.maximum(a, b)
+        if x.size:
+            self.top = max(self.top, int((x * self.n + y).max()))
         present = np.flatnonzero(np.bincount(c))
         for cls in present.tolist():
             mine = slice(None) if len(present) == 1 else c == cls
-            x = np.concatenate((a[mine], b[mine]))
-            y = np.concatenate((b[mine], a[mine]))
-            keys, at = np.unique((x >> 6) * self.nb + (y >> 6), return_inverse=True)
+            u, v = x[mine], y[mine]
+            # a run of edges with one u and one column block fills one word:
+            # OR its bits first (in writer order, each word is one run)
+            word = u * self.nb + (v >> 6)
+            run = np.flatnonzero(np.concatenate(([True], word[1:] != word[:-1])))
+            bits = np.bitwise_or.reduceat(_bits(v & 63), run)
+            u, v = u[run], v[run]
+            keys, at = np.unique((u >> 6) * self.nb + (v >> 6), return_inverse=True)
             rows = np.array(self._rows(cls, keys.tolist()), dtype=np.int64)
-            np.bitwise_or.at(self.store[cls], (rows[at], x & 63), _bits(y & 63))
+            np.bitwise_or.at(self.store[cls], (rows[at], u & 63), bits)
 
     def add_block(self, x0: int, y0: int, mat: np.ndarray) -> None:
         """Put edge {x0 + i, y0 + j} into class 0 for each True mat[i, j]; the
         vertex ranges of the rows and of the columns are disjoint."""
-        for x0, y0, mat in ((x0, y0, mat), (y0, x0, mat.T)):
-            (rows, cols), c0 = mat.shape, y0 >> 6
-            keys = np.arange(c0, _nblocks(y0 + cols))
-            strip = np.zeros((W, len(keys) * W), dtype=bool)
-            for r in range(x0 >> 6, _nblocks(x0 + rows)):
-                lo, hi = max(r * W, x0), min((r + 1) * W, x0 + rows)
-                strip[:] = False
-                strip[lo - r * W:hi - r * W, y0 - c0 * W:y0 - c0 * W + cols] = \
-                    mat[lo - x0:hi - x0]
-                block = np.packbits(strip, axis=1, bitorder="little").view(_U64).T
-                filled = block.any(axis=1)
-                at = self._rows(0, (r * self.nb + keys[filled]).tolist())
-                self.store[0][at] |= block[filled]
+        if x0 > y0:  # every edge lies below the diagonal: store its transpose
+            x0, y0, mat = y0, x0, mat.T
+        (rows, cols), c0 = mat.shape, y0 >> 6
+        self.top = max(self.top, (x0 + rows - 1) * self.n + y0 + cols - 1)
+        keys = np.arange(c0, _nblocks(y0 + cols))
+        strip = np.zeros((W, len(keys) * W), dtype=bool)
+        for r in range(x0 >> 6, _nblocks(x0 + rows)):
+            lo, hi = max(r * W, x0), min((r + 1) * W, x0 + rows)
+            strip[:] = False
+            strip[lo - r * W:hi - r * W, y0 - c0 * W:y0 - c0 * W + cols] = \
+                mat[lo - x0:hi - x0]
+            block = np.packbits(strip, axis=1, bitorder="little").view(_U64).T
+            filled = block.any(axis=1)
+            at = self._rows(0, (r * self.nb + keys[filled]).tolist())
+            self.store[0][at] |= block[filled]
 
     def graphs(self) -> list[Graph]:
         """The classes as Graphs; the builder is spent afterwards."""
         out = []
         for slots, store in zip(self.slots, self.store):
-            keys = np.fromiter(slots, dtype=np.int64, count=len(slots))
-            store.resize((len(keys), W), refcheck=False)
+            upper = np.fromiter(slots, dtype=np.int64, count=len(slots))
+            row, col = np.divmod(upper, max(self.nb, 1))
+            # tile (C, R) of each upper tile (R, C) off the diagonal goes in a
+            # new row after the upper tiles; a diagonal tile is its own mirror
+            off = np.flatnonzero(row != col)
+            keys = np.concatenate((upper, col[off] * self.nb + row[off]))
+            store.resize((len(keys), W), refcheck=False)  # the new rows are zero
+            lower = np.arange(len(upper))
+            lower[off] = np.arange(len(upper), len(keys))
+            _mirror(store, np.arange(len(upper)), lower)
             # put row order[k] at row k, one cycle of the permutation at a time
             order = np.argsort(keys).tolist()
             for start in range(len(order)):
@@ -756,7 +797,7 @@ class EdgeColouring:
         mirror = np.searchsorted(keys, col[upper] * nb + row[upper])
         classes = []
         for t in tiles:
-            t[mirror] |= _transpose(t[upper])
+            _mirror(t, upper, mirror)
             held = t.any(axis=1)
             # a class that holds every tile of G adopts its array uncopied
             classes.append(Graph(G.n, keys[held], t if held.all() else t[held]))
@@ -824,17 +865,20 @@ def colour_subgraph(G: Graph, chi: EdgeColouring, c: int) -> Graph:
 # The writers emit every edge once, u < v, ascending.  The readers take the
 # file in blocks of about READ_BLOCK bytes cut at line ends, the first block
 # also right after the header line.  A block after the header whose every
-# line is canonical (`_decimal_block`) and whose every edge is new and valid
-# (`_fresh`) goes into the builder in a few numpy operations; any other block
-# goes through the per-line parser, which reports the first faulty line.
+# line is canonical (`_decimal_block`: digits and single spaces, ended by
+# "\n" or "\r\n") and whose every edge is new and valid (`_fresh`) goes into
+# the builder in a few numpy operations.  A block in writer order is new by
+# its order alone: u < v on every line, and keys u * n + v that rise from
+# above the largest key the builder holds.  Any other block is sorted and
+# looked up in the builder, or goes through the per-line parser, which
+# reports the first faulty line.
 
 # Bytes per read block.  Reading the s = 600 graph and colouring back (8.6
-# and 10.4 MB of text) on one core of a 2-CPU Xeon, blocks of 4, 16 and 64
-# KiB take about 1.4, 0.75 and 0.63 s.  Blocks of 32 KiB take 0.56-0.65 s
-# against 0.53-0.60 s at 64 KiB, and cut the traced peak of reading the
-# graph from 2.4 to 1.8 MB (its tiles are 1.0 MB) and of then reading the
-# colouring from 3.2 to 2.7 MB; desk-mono's peak RSS is set by that second
-# read.
+# and 10.4 MB of text) on one core of a 2-CPU Xeon, best of five, blocks of
+# 16, 32 and 64 KiB take 0.30-0.31, 0.23-0.25 and 0.21-0.32 s.  The traced
+# peak of reading the graph is 1.49, 1.53 and 1.62 MB (its tiles are 1.05
+# MB), and of then reading the colouring beside it 2.57, 2.57 and 2.82 MB;
+# desk-mono's peak RSS is set by that second read.
 READ_BLOCK = 32 * 1024
 
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
@@ -847,23 +891,25 @@ def _write_comment(fh, comment: str | None) -> None:
 
 
 def _ascii_lines(*cols: np.ndarray) -> bytes:
-    """Lines of equal-length non-negative int columns as ASCII, "a b ...\n" per row.
+    """Lines of equal-length int columns as ASCII, "a b ...\n" per row; every
+    value lies in 0..2**32 - 1 (vertex ids and colours lie far below).
 
     Each field is written right-aligned in a fixed-width character matrix, one
-    digit place at a time; the leading zeros are then dropped in one boolean
-    compress, which reads the matrix line by line.
+    digit place at a time, dividing uint32 copies of the columns; the leading
+    zeros are then dropped in one boolean compress, which reads the matrix
+    line by line.
     """
     widths = [int(np.searchsorted(_POW10, x.max(), side="right")) or 1 for x in cols]
     chars = np.empty((len(cols[0]), sum(widths) + len(cols)), dtype=np.uint8)
     keep = np.ones(chars.shape, dtype=bool)
     at = 0
     for x, width in zip(cols, widths):
-        q = x
+        q = x.astype(np.uint32)
         for k in reversed(range(width)):  # column at + k holds place 10**(width-1-k)
             r = q // 10
             chars[:, at + k] = q - 10 * r + ord("0")
             if k < width - 1:
-                keep[:, at + k] = x >= _POW10[width - 1 - k]
+                keep[:, at + k] = q != 0  # q is x // 10**(width-1-k)
             q = r
         at += width + 1
         chars[:, at - 1] = ord(" ")
@@ -960,25 +1006,42 @@ _SEPARATORS = {w: np.array([ord(" ")] * (w - 1) + [ord("\n")], dtype=np.uint8)
 
 def _decimal_block(block: bytes, width: int) -> np.ndarray | None:
     """The (lines, width) int64 fields of a block whose every line is `width`
-    runs of 1 to 18 ASCII digits split by single spaces, or None if a line is
-    not."""
+    runs of 1 to 18 ASCII digits split by single spaces and ended by "\\n" or
+    "\\r\\n", or None if a line is not."""
+    if b"\r" in block:  # a lone "\r" ends a line too: leave it to the line parser
+        if block.count(b"\r") != block.count(b"\r\n"):
+            return None
+        block = block.replace(b"\r\n", b"\n")
     a = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero((a - ord("0")) > 9)  # every byte but a digit ends a field
+    digit = a - ord("0")
+    ends = np.flatnonzero(digit > 9)  # every byte but a digit ends a field
     if not ends.size or ends.size % width or ends[-1] != a.size - 1:
         return None
     if (a[ends].reshape(-1, width) != _SEPARATORS[width]).any():
         return None
-    step = np.diff(ends, prepend=-1)  # a field's length plus one
-    if step.min() < 2 or step.max() > 19:
+    length = np.diff(ends, prepend=-1) - 1
+    if length.min() < 1 or length.max() > 18:
         return None
-    return np.fromstring(block, dtype=np.int64, sep=" ").reshape(-1, width)
+    # each field's value, a digit place at a time back from its last digit
+    at = ends - 1
+    value = digit[at].astype(np.int64)
+    for k in range(1, int(length.max())):
+        at -= 1
+        value += digit[at] * (length > k) * _POW10[k]
+    return value.reshape(-1, width)
 
 
 def _fresh(acc: _ClassBuilder, u: np.ndarray, v: np.ndarray, n: int) -> bool:
     """Whether the edges u[i]v[i] lie in 0..n-1, are no self-loops, are
-    pairwise distinct and are in no class of `acc` yet."""
+    pairwise distinct and are in no class of `acc` yet.  A block in writer
+    order, u < v on every line and the keys u * n + v rising from above
+    `acc.top`, passes on that alone."""
     if max(u.max(), v.max()) >= n or (u == v).any():
         return False
+    if n <= 2 ** 31 and (u < v).all():  # exact int64 keys
+        key = u * n + v
+        if key[0] > acc.top and (key[1:] > key[:-1]).all():
+            return True
     a, b = np.minimum(u, v), np.maximum(u, v)
     span = int(b.max()) + 1
     if int(a.max()) * span >= 2 ** 62:  # no exact int64 key: leave it to the line parser

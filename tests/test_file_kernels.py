@@ -353,11 +353,18 @@ def test_earlier_of_two_faults_is_reported(tmp_path, block, faults, message):
                        block=block) == ":3: edge (0, 1) coloured twice"
 
 
-def test_canonical_blocks_skip_the_line_parser(tmp_path, monkeypatch):
-    G = Graph.from_edges(300, [(u, v) for u in range(300) for v in range(u + 1, 300)
-                               if (u * 7 + v * 3) % 5 == 0])
-    path = str(tmp_path / "g.txt")
-    write_graph(G, path, comment="big")
+def _big_graph() -> Graph:
+    return Graph.from_edges(300, [(u, v) for u in range(300) for v in range(u + 1, 300)
+                                  if (u * 7 + v * 3) % 5 == 0])
+
+
+def _big_colouring() -> EdgeColouring:
+    G = _big_graph()
+    return EdgeColouring.by_edge(G, 3, np.arange(G.edge_count) % 3)
+
+
+def _count_line_parser(monkeypatch) -> list:
+    """Record (first line number, lines) of each block the per-line parser gets."""
     calls = []
     line_parser = graphs._significant
 
@@ -367,9 +374,177 @@ def test_canonical_blocks_skip_the_line_parser(tmp_path, monkeypatch):
         return line_parser(lines, start)
 
     monkeypatch.setattr(graphs, "_significant", counted)
+    return calls
+
+
+def test_canonical_blocks_skip_the_line_parser(tmp_path, monkeypatch):
+    G = _big_graph()
+    path = str(tmp_path / "g.txt")
+    write_graph(G, path, comment="big")
+    calls = _count_line_parser(monkeypatch)
     monkeypatch.setattr(graphs, "READ_BLOCK", 1024)
     assert read_graph(path) == G
     assert calls == [(1, 2)]  # only the comment and the header line
+
+
+def test_crlf_files_take_the_block_path(tmp_path, monkeypatch):
+    G, chi = _big_graph(), _big_colouring()
+    gpath, cpath = str(tmp_path / "g.txt"), str(tmp_path / "c.txt")
+    for path, body in ((gpath, _bytes_of(write_graph, G, "big")),
+                       (cpath, _bytes_of(write_colouring, chi, "three"))):
+        with open(path, "wb") as fh:
+            fh.write(body.replace(b"\n", b"\r\n"))
+    calls = _count_line_parser(monkeypatch)
+    monkeypatch.setattr(graphs, "READ_BLOCK", 1024)
+    assert read_graph(gpath) == G
+    assert read_colouring(cpath, G.n).classes == chi.classes
+    assert calls == [(1, 2), (1, 2)]  # each file's comment and header line
+
+
+def _lines_of(write, obj) -> list[str]:
+    return _bytes_of(write, obj).decode().splitlines()
+
+
+# Faults 600 lines down, in a block that would take the block path; the
+# per-line parser reports each at the line and with the message of the
+# same fault in a "\n" file.
+@pytest.mark.parametrize("fault,message", [
+    ("10 5", ":601: duplicate edge (10, 5)"),
+    ("7 7", ":601: self-loop"),
+    ("0 300", ":601: vertex id out of range"),
+    ("1 2 3", ":601: expected 'u v'"),
+])
+def test_crlf_graph_faults_keep_their_line(tmp_path, fault, message):
+    lines = _lines_of(write_graph, _big_graph())
+    assert "5 10" in lines[:600]
+    lines.insert(600, fault)
+    for end in ("\n", "\r\n"):
+        body = "".join(line + end for line in lines).encode()
+        got, want = _both(str(tmp_path), body, read_graph, ref_read_graph, block=1024)
+        assert got == want and got[2].endswith(message)
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("5 10 0", ":601: edge (5, 10) coloured twice"),
+    ("5 11 3", ":601: colour 3 outside 0..2"),
+    ("0 300 1", ":601: bad edge (0, 300): vertex id out of range 0..299"),
+])
+def test_crlf_colouring_faults_keep_their_line(tmp_path, fault, message):
+    lines = _lines_of(write_colouring, _big_colouring())
+    assert any(line.startswith("5 10 ") for line in lines[:600])
+    lines.insert(600, fault)
+    for end in ("\n", "\r\n"):
+        body = "".join(line + end for line in lines).encode()
+        got, want = _both(str(tmp_path), body, read_colouring, ref_read_colouring, 300,
+                          block=1024)
+        assert got == want and got[2].endswith(message)
+
+
+@pytest.mark.parametrize("block,width,fields", [
+    (b"123456789012345678 7\n0 1\n", 2, [[123456789012345678, 7], [0, 1]]),
+    (b"5 60 7\r\n0 1 2\n", 3, [[5, 60, 7], [0, 1, 2]]),
+    (b"1234567890123456789 7\n", 2, None),  # 19 digits
+    (b"5 6\r7 8\n", 2, None),              # a lone CR ends a line
+    (b"5 6\r\r\n", 2, None),
+    (b"5  6\n", 2, None),
+])
+def test_decimal_block_fields(block, width, fields):
+    got = graphs._decimal_block(block, width)
+    assert (None if got is None else got.tolist()) == fields
+
+
+def test_written_files_never_look_into_the_builder(tmp_path, monkeypatch):
+    # every block a writer emits has u < v on each line and keys that rise
+    # from above the builder's top, so no block is checked for repeats
+    G, chi = _big_graph(), _big_colouring()
+    gpath, cpath = str(tmp_path / "g.txt"), str(tmp_path / "c.txt")
+    write_graph(G, gpath, comment="big")
+    write_colouring(chi, cpath, comment="three")
+    calls = []
+    has_any = graphs._ClassBuilder.has_any
+
+    def counted(self, a, b):
+        calls.append(len(a))
+        return has_any(self, a, b)
+
+    monkeypatch.setattr(graphs._ClassBuilder, "has_any", counted)
+    monkeypatch.setattr(graphs, "READ_BLOCK", 256)
+    assert read_graph(gpath) == G
+    assert read_colouring(cpath, G.n).classes == chi.classes
+    assert calls == []
+
+
+def _reader(colours: bool):
+    """The write, the object, the reader and the reference of one file kind."""
+    if colours:
+        return write_colouring, _big_colouring(), read_colouring, ref_read_colouring, (300,)
+    return write_graph, _big_graph(), read_graph, ref_read_graph, ()
+
+
+@pytest.mark.parametrize("colours", [False, True])
+def test_blocks_in_reverse_order_read_like_the_reference(tmp_path, colours):
+    write, obj, read, ref, args = _reader(colours)
+    lines = _lines_of(write, obj)
+    runs = [lines[k:k + 20] for k in range(1, len(lines), 20)]
+    body = "\n".join(lines[:1] + [line for run in runs[::-1] for line in run]) + "\n"
+    got, want = _both(str(tmp_path), body.encode(), read, ref, *args, block=256)
+    assert got == want and got[0] != "error"
+
+
+@pytest.mark.parametrize("colours", [False, True])
+def test_comment_halfway_reads_like_the_reference(tmp_path, colours):
+    write, obj, read, ref, args = _reader(colours)
+    lines = _lines_of(write, obj)
+    lines.insert(len(lines) // 2, "# halfway")
+    got, want = _both(str(tmp_path), ("\n".join(lines) + "\n").encode(), read, ref,
+                      *args, block=256)
+    assert got == want and got[0] != "error"
+
+
+def _first_lines(body: str, block: int) -> list[int]:
+    """The number of the first line of each block the readers cut `body` into."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file.txt")
+        with open(path, "w") as fh:
+            fh.write(body)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "READ_BLOCK", block)
+            return [first for first, _ in graphs._blocks(path)]
+
+
+def test_line_parsed_edges_raise_the_top(tmp_path):
+    # A comment line sends its block to the per-line parser.  That block's
+    # last edge comes again first in the next block, whose keys rise: only
+    # the top that the per-line edges raised tells that block has a repeat.
+    lines = _lines_of(write_graph, _big_graph())
+    comment = len(lines) // 2 + 1  # its line number
+    lines.insert(comment - 1, "# halfway")
+    for last in range(comment + 1, comment + 100):
+        body = "\n".join(lines[:last] + [lines[last - 1]] + lines[last:]) + "\n"
+        firsts = _first_lines(body, 256)
+        if last + 1 in firsts and not any(comment < f <= last for f in firsts):
+            break
+    else:
+        pytest.fail("no edge ends the comment's block")
+    u, v = lines[last - 1].split()
+    got, want = _both(str(tmp_path), body.encode(), read_graph, ref_read_graph, block=256)
+    assert got == want and got[2].endswith(f":{last + 1}: duplicate edge ({u}, {v})")
+
+
+@pytest.mark.parametrize("colours", [False, True])
+def test_repeat_of_an_earlier_blocks_edge_is_refused(tmp_path, colours):
+    write, obj, read, ref, args = _reader(colours)
+    lines = _lines_of(write, obj)
+    early = lines[3]  # a block or more before the repeat, at any block size here
+    lines.insert(900, early)
+    u, v = early.split()[:2]
+    message = (f":901: edge ({u}, {v}) coloured twice" if colours
+               else f":901: duplicate edge ({u}, {v})")
+    body = "\n".join(lines) + "\n"
+    for block in (256, 1024):
+        assert any(4 < first <= 901 for first in _first_lines(body, block))
+        got, want = _both(str(tmp_path), body.encode(), read, ref, *args, block=block)
+        assert got == want and got[2].endswith(message)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +685,21 @@ def test_one_long_edge_per_row_block(tmp_path):
     back, peak = _traced_peak(read_graph, path)
     assert back == G and back.edge_count == len(range(0, n - 1, graphs.W))
     assert peak <= 2 * back._tiles.nbytes
+
+
+def test_colouring_reads_within_twice_its_tiles(tmp_path):
+    # The colouring of test_one_long_edge_per_row_block's graph in three
+    # colours.  Each class is read into its upper tiles, then grown in place
+    # to hold their transposes, a few at a time, so reading the file peaks
+    # within twice the tiles it reads.
+    n = 100_000
+    edges = [(a, n - 1) for a in range(0, n - 1, graphs.W)]
+    chi = EdgeColouring.by_edge(_sparse(n, edges), 3, np.arange(len(edges)) % 3)
+    path = str(tmp_path / "c.txt")
+    write_colouring(chi, path)
+    back, peak = _traced_peak(lambda p: read_colouring(p, n), path)
+    assert back.classes == chi.classes
+    assert peak <= 2 * sum(g._tiles.nbytes for g in back.classes)
 
 
 def test_three_edges_in_a_million_vertices(tmp_path):
