@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from monogrid.blowup import check_size
 from monogrid.graphs import MAX_COLOURS, MAX_VERTICES, Graph, read_graph
-from monogrid.oracle import grid_graph
 from monogrid.regularity import EXACT_CAP, EpsSchedule, RegParams, eps_schedule
 
 
@@ -207,7 +206,7 @@ def parse_graph_spec(spec: str, seed: int = 0) -> Graph:
             "cycle": Graph.cycle, "path": Graph.path, "complete": Graph.complete,
             "single-edge": lambda: Graph.path(2),
             "random-regular": lambda n, d: Graph.random_regular(n, d, seed),
-            "grid": grid_graph,
+            "grid": Graph.grid,
         }[kind]
         return build(*ints)
     except (ValueError, OSError) as e:

@@ -262,6 +262,8 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """The graph of the given edges, in any order; repeats collapse."""
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
                            dtype=np.int64)
         u, v = pairs.T if pairs.size else pairs.reshape(2, 0)
@@ -291,6 +293,16 @@ class Graph:
         if n < 1:
             raise ValueError("a path needs at least 1 vertex")
         return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+    @classmethod
+    def grid(cls, a: int, b: int) -> "Graph":
+        """The a-by-b grid: cell (i, j) is vertex i*b + j, axis neighbours adjacent."""
+        if a < 1 or b < 1:
+            raise ValueError("grid dimensions must be at least 1")
+        cell = np.arange(a * b).reshape(a, b)
+        across = np.column_stack((cell[:, :-1].ravel(), cell[:, 1:].ravel()))
+        down = np.column_stack((cell[:-1].ravel(), cell[1:].ravel()))
+        return cls.from_edges(a * b, np.concatenate((across, down)))
 
     @classmethod
     def random_regular(cls, n: int, d: int, seed: int) -> "Graph":
@@ -708,22 +720,6 @@ class _ClassBuilder:
         return out
 
 
-def _paint(acc: _ClassBuilder, u: int, v: int, c: int) -> None:
-    """Put edge uv into class c of `acc`, or say why not."""
-    n = acc.n
-    if u == v:
-        raise ValueError(f"bad edge ({u}, {v}): self-loop")
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"bad edge ({u}, {v}): vertex id out of range 0..{n - 1}")
-    if not 0 <= c < acc.r:
-        raise ValueError(f"colour {c} outside 0..{acc.r - 1}")
-    a, b = min(u, v), max(u, v)
-    ends = np.array([[a], [b]])
-    if acc.has_any(*ends):
-        raise ValueError(f"edge {(a, b)} coloured twice")
-    acc.add_many(*ends, np.array([c]))
-
-
 class EdgeColouring:
     """Colouring of a graph's edges with colours 0..r-1, stored as r graphs.
 
@@ -731,26 +727,17 @@ class EdgeColouring:
     pairwise edge-disjoint.  A colouring is expected to cover every edge of
     the graph it was built for; `validate_total` checks that.  The file
     format ("u v c" lines, see `write_colouring`) is independent of storage.
+    `EdgeColouring(classes)` is the one constructor: `by_edge`, `constant`
+    and `read_colouring` build their classes and hand them to it.
     """
 
     __slots__ = ("n", "r", "classes")
 
-    def __init__(self, n: int, r: int, mapping: dict[tuple[int, int], int]):
-        if r < 2:
-            raise ValueError("an edge colouring needs at least 2 colours")
-        acc = _ClassBuilder(n, r)
-        for (u, v), c in mapping.items():
-            _paint(acc, u, v, c)
-        self.n, self.r, self.classes = n, r, tuple(acc.graphs())
-
-    @classmethod
-    def from_classes(cls, classes: list[Graph]) -> "EdgeColouring":
+    def __init__(self, classes: list[Graph]):
         """Adopt edge-disjoint graphs on 0..n-1 as colour classes 0..r-1, unchecked."""
         if len(classes) < 2:
             raise ValueError("an edge colouring needs at least 2 colours")
-        chi = object.__new__(cls)
-        chi.n, chi.r, chi.classes = classes[0].n, len(classes), tuple(classes)
-        return chi
+        self.n, self.r, self.classes = classes[0].n, len(classes), tuple(classes)
 
     @classmethod
     def constant(cls, G: Graph, r: int, c: int = 0) -> "EdgeColouring":
@@ -758,7 +745,7 @@ class EdgeColouring:
         if not 0 <= c < r:
             raise ValueError(f"colour {c} outside 0..{r - 1}")
         empty = Graph.from_edges(G.n, ())
-        return cls.from_classes([G if k == c else empty for k in range(r)])
+        return cls([G if k == c else empty for k in range(r)])
 
     @classmethod
     def by_edge(cls, G: Graph, r: int, colours) -> "EdgeColouring":
@@ -801,7 +788,7 @@ class EdgeColouring:
             held = t.any(axis=1)
             # a class that holds every tile of G adopts its array uncopied
             classes.append(Graph(G.n, keys[held], t if held.all() else t[held]))
-        return cls.from_classes(classes)
+        return cls(classes)
 
     def colour(self, u: int, v: int) -> int:
         if 0 <= u < self.n and 0 <= v < self.n:
@@ -1121,10 +1108,18 @@ def read_colouring(path: str, n: int) -> EdgeColouring:
                 u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-integer field") from None
-            try:
-                _paint(acc, u, v, c)
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
+            if u == v:
+                raise ValueError(f"{path}:{lineno}: bad edge ({u}, {v}): self-loop")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"{path}:{lineno}: bad edge ({u}, {v}): vertex id out "
+                                 f"of range 0..{n - 1}")
+            if not 0 <= c < r:
+                raise ValueError(f"{path}:{lineno}: colour {c} outside 0..{r - 1}")
+            ends = np.array([[u], [v]])
+            if acc.has_any(*ends):
+                raise ValueError(f"{path}:{lineno}: edge {(min(u, v), max(u, v))} "
+                                 f"coloured twice")
+            acc.add_many(*ends, np.array([c]))
     if acc is None:
         raise ValueError(f"{path}: missing header line")
-    return EdgeColouring.from_classes(acc.graphs())
+    return EdgeColouring(acc.graphs())

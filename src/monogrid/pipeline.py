@@ -344,8 +344,7 @@ def regular_subgraph(
                 raise PipelineFailure("inheritance-audit", level, (x, y),
                                       verdict)
 
-    phi = EdgeColouring(H.n, chi.r, phi_map)
-    phi.validate_total(H)
+    phi = EdgeColouring.by_edge(H, chi.r, [phi_map[e] for e in H.edges()])
     final = {x: chain.current(x) for x in H.vertices()}
     return PipelineResult(phi, final, chain, edge_log, audit_log, decomp)
 

@@ -33,7 +33,6 @@ from monogrid.oracle import (
     arrows,
     contains_subgraph,
     expected_grid_count,
-    grid_graph,
     monte_carlo_grid_count,
     validate_not_arrows_witness,
 )
@@ -414,7 +413,7 @@ def test_07_verifier_agrees_with_oracle():
         idx = {v: k for k, v in enumerate(ids)}
         sub_edges = [(idx[a], idx[b]) for a, b in combinations(ids, 2)
                      if bg.gamma.has_edge(a, b) and chi.colour(a, b) == emb.colour]
-        sr = contains_subgraph(Graph.from_edges(16, sub_edges), grid_graph(4, 4))
+        sr = contains_subgraph(Graph.from_edges(16, sub_edges), Graph.grid(4, 4))
         assert sr.status == "found", seed
         cases.append((bg, chi, emb))
         seed += 1
@@ -511,10 +510,10 @@ def test_09_grid_count_first_moment():
     n = 400
     e_low = expected_grid_count(n, n ** -0.7, 4, 4)
     e_high = expected_grid_count(n, n ** -0.6, 4, 4)
-    absent = sum(contains_subgraph(_gnp(n, n ** -0.7, 900 + i), grid_graph(4, 4),
+    absent = sum(contains_subgraph(_gnp(n, n ** -0.7, 900 + i), Graph.grid(4, 4),
                                    budget=5_000_000).status == "absent"
                  for i in range(10))
-    found = sum(contains_subgraph(_gnp(n, n ** -0.6, 950 + i), grid_graph(4, 4),
+    found = sum(contains_subgraph(_gnp(n, n ** -0.6, 950 + i), Graph.grid(4, 4),
                                   budget=5_000_000).status == "found"
                 for i in range(10))
     dt = time.perf_counter() - t0

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -474,6 +475,19 @@ def test_first_moment_rejects_grid_larger_than_host(tmp_path, capsys):
     assert err.startswith("error: ") and "more vertices than the host" in err
 
 
+@pytest.mark.parametrize("n,a,b,p", [("1000", "20", "20", "0.5"),
+                                     ("1000", "20", "20", "0"),
+                                     ("100000000", "1000", "1000", "0.5")])
+def test_first_moment_refuses_counts_past_the_float_range(tmp_path, capsys, n, a, b, p):
+    start = time.process_time()
+    assert main(["experiment", "first-moment", "--n", n, "--a", a, "--b", b,
+                 "--p-values", p, "--out", str(tmp_path)]) == 2
+    assert time.process_time() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds the float range" in err
+    assert "Traceback" not in err
+
+
 def test_colour_rejects_fewer_than_two_colours(tmp_path, capsys):
     assert main(["blowup", "--host", "cycle 4", "--s", "4", "--p", "0.5",
                  "--out", str(tmp_path)]) == 0
@@ -494,6 +508,7 @@ def test_gen_host_rejects_malformed_spec(tmp_path, capsys, spec):
 @pytest.mark.parametrize("spec,message", [
     ("cycle 100000000000", "vertex count 100000000000 exceeds 16777216"),
     ("complete 100000", "edge count 4999950000 exceeds 65536"),
+    ("complete -1", "negative vertex count -1"),
 ])
 def test_oversized_graph_specs_are_refused_before_building(tmp_path, capsys, spec,
                                                            message):

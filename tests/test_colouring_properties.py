@@ -16,6 +16,7 @@ from monogrid.graphs import (
     write_colouring,
 )
 from monogrid.pipeline import majority_colour
+from colour_map import colouring_from
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -51,7 +52,7 @@ def _union_rows(chi: EdgeColouring) -> list[int]:
 @given(colourings())
 def test_file_round_trip_keeps_items_and_r(case):
     G, r, mapping = case
-    chi = EdgeColouring(G.n, r, mapping)
+    chi = colouring_from(G.n, r, mapping)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "chi.txt")
         write_colouring(chi, path, comment="property")
@@ -64,7 +65,7 @@ def test_file_round_trip_keeps_items_and_r(case):
 @given(colourings())
 def test_classes_are_disjoint_and_validate_total_means_union_is_e(case):
     G, r, mapping = case
-    chi = EdgeColouring(G.n, r, mapping)
+    chi = colouring_from(G.n, r, mapping)
     for c in range(r):
         for d in range(c + 1, r):
             assert all(chi.classes[c].row(v) & chi.classes[d].row(v) == 0
@@ -82,7 +83,7 @@ def test_classes_are_disjoint_and_validate_total_means_union_is_e(case):
 @given(colourings())
 def test_colour_counts_sum_to_length(case):
     G, r, mapping = case
-    chi = EdgeColouring(G.n, r, mapping)
+    chi = colouring_from(G.n, r, mapping)
     counts = chi.colour_counts()
     assert sum(counts) == len(chi) == len(mapping)
     assert counts == [sum(1 for c in mapping.values() if c == k)
@@ -95,7 +96,7 @@ def test_constant_equals_dict_built(case, data):
     G, r, _ = case
     c = data.draw(st.integers(0, r - 1))
     const = EdgeColouring.constant(G, r, c)
-    built = EdgeColouring(G.n, r, {e: c for e in G.edges()})
+    built = EdgeColouring.by_edge(G, r, [c] * G.edge_count)
     assert const.classes == built.classes
     assert list(const.items()) == list(built.items())
     const.validate_total(G)
@@ -114,7 +115,7 @@ def test_majority_colour_matches_per_edge_count(seed, r, data):
     colours = data.draw(st.lists(st.integers(0, r - 1),
                                  min_size=bg.gamma.edge_count,
                                  max_size=bg.gamma.edge_count))
-    chi = EdgeColouring(bg.gamma.n, r, dict(zip(bg.gamma.edges(), colours)))
+    chi = EdgeColouring.by_edge(bg.gamma, r, colours)
     A = VertexSet(bg.gamma.n, data.draw(
         st.sets(st.sampled_from(list(bg.part(0))), min_size=1)))
     B = VertexSet(bg.gamma.n, data.draw(

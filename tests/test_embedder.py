@@ -26,7 +26,6 @@ from monogrid.embedder import (
     write_embedding,
 )
 from monogrid.graphs import EdgeColouring, Graph, VertexSet, colour_subgraph
-from monogrid.oracle import grid_graph
 from monogrid.pipeline import CycleCertificate, PipelineResult, regular_subgraph, \
     find_mono_cycle
 from monogrid.regularity import RegParams, eps_schedule
@@ -128,11 +127,9 @@ def test_first_row_fails_on_emptied_target_set():
 
 def test_first_row_audit_rejects_empty_opening_pair():
     bg = build_blowup(Graph.cycle(5), 10, 1.0, 3)
-    crossing = {}
-    for u, v in bg.gamma.edges():
-        parts = {u // bg.part_size, v // bg.part_size}
-        crossing[(u, v)] = 1 if parts == {0, 1} else 0
-    chi = EdgeColouring(bg.gamma.n, 2, crossing)
+    crossing = [int({u // bg.part_size, v // bg.part_size} == {0, 1})
+                for u, v in bg.gamma.edges()]
+    chi = EdgeColouring.by_edge(bg.gamma, 2, crossing)
     G = colour_subgraph(bg.gamma, chi, 0)
     params = RegParams(r=2, max_degree=2, eps=F(1, 5), eps_inherit=F(1, 20),
                        alpha=F(1, 2), lam=F(1), delta=F(1, 20), c=6.0, p=1.0)
@@ -452,7 +449,7 @@ def test_desk_scale_calibration():
 
 
 def identity_grid(a: int, b: int):
-    G = grid_graph(a, b)
+    G = Graph.grid(a, b)
     chi = mono_colouring(G)
     image = {(i, j): i * b + j for i in range(a) for j in range(b)}
     return G, chi, GridEmbedding(a, b, 0, image)
@@ -474,9 +471,8 @@ def test_verifier_walks_every_grid_edge():
 
 def test_verifier_flags_single_recoloured_edge():
     G, chi, emb = identity_grid(3, 4)
-    mapping = {e: c for e, c in chi.items()}
-    mapping[(0, 1)] = 1
-    patched = EdgeColouring(G.n, 2, mapping)
+    colours = [int(e == (0, 1)) for e in G.edges()]  # chi is constant 0
+    patched = EdgeColouring.by_edge(G, 2, colours)
     ok, violations = verify_grid_embedding(G, patched, emb)
     assert not ok
     assert len(violations) == 1

@@ -30,6 +30,7 @@ from monogrid.graphs import (
     write_colouring,
     write_graph,
 )
+from colour_map import colouring_from
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -150,7 +151,7 @@ def ref_read_colouring(path, n=None):
             raise ValueError(f"{path}:{lineno}: {e}") from None
     if r is None:
         raise ValueError(f"{path}: missing header line")
-    return EdgeColouring.from_classes([_from_rows(len(cls), cls) for cls in rows])
+    return EdgeColouring([_from_rows(len(cls), cls) for cls in rows])
 
 
 def _write_comment(fh, comment):
@@ -282,27 +283,26 @@ def _edge_lines(count: int, colours: bool) -> list[str]:
     return [f"{u} {v} {(u + v) % 2}" if colours else f"{u} {v}" for u, v in pairs]
 
 
-def _block_index(body: str, size: int, lineno: int) -> int:
-    """Which block of reads of `size` bytes, each cut after its last line end,
-    holds line `lineno` of a file of "\n"-ended lines."""
-    data, start, index = body.encode(), 0, 0
-    line_start = len(b"".join(data.splitlines(keepends=True)[:lineno - 1]))
-    while True:
-        end = data.rfind(b"\n", start, start + size) + 1
-        if line_start < end:
-            return index
-        start, index = end, index + 1
+def _first_lines(body: str, block: int) -> list[int]:
+    """The number of the first line of each block the readers cut `body` into."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file.txt")
+        with open(path, "w") as fh:
+            fh.write(body)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "READ_BLOCK", block)
+            return [first for first, _ in graphs._blocks(path)]
 
 
 # The repeat sits right after the edge it repeats, 700 lines in: with blocks
-# of 1 KiB both are in one block, and not the header's; with blocks of 8
-# bytes they are in two.
+# of 1 KiB both are in one block; with blocks of 8 bytes the repeat starts
+# the next one.
 @pytest.mark.parametrize("block", [8, 1024])
 def test_duplicate_edge_inside_and_across_blocks(tmp_path, block):
     lines = ["n 40"] + _edge_lines(700, False) + ["37 26"] + _edge_lines(780, False)[700:]
     body = "\n".join(lines) + "\n"
     assert lines[700] == "26 37"
-    same = _block_index(body, block, 701) == _block_index(body, block, 702) > 0
+    same = 702 not in _first_lines(body, block)
     assert same == (block == 1024)
     assert _read_error(tmp_path, body, read_graph, block=block) == \
         ":702: duplicate edge (37, 26)"
@@ -315,7 +315,7 @@ def test_edge_coloured_twice_inside_and_across_blocks(tmp_path, block, n):
     lines = ["r 2"] + _edge_lines(700, True) + ["37 26 0"] + _edge_lines(780, True)[700:]
     body = "\n".join(lines) + "\n"
     assert lines[700] == "26 37 1"
-    same = _block_index(body, block, 701) == _block_index(body, block, 702) > 0
+    same = 702 not in _first_lines(body, block)
     assert same == (block == 1024)
     assert _read_error(tmp_path, body, read_colouring, n, block=block) == \
         ":702: edge (26, 37) coloured twice"
@@ -344,7 +344,7 @@ def test_edge_coloured_twice_far_apart(tmp_path, block, n):
 def test_earlier_of_two_faults_is_reported(tmp_path, block, faults, message):
     lines = ["n 40"] + _edge_lines(700, False) + faults + _edge_lines(780, False)[700:]
     body = "\n".join(lines) + "\n"
-    same = _block_index(body, block, 702) == _block_index(body, block, 703) > 0
+    same = 703 not in _first_lines(body, block)
     assert same == (block == 1024)
     assert _read_error(tmp_path, body, read_graph, block=block) == message
     # a double colouring ahead of an arity fault
@@ -499,17 +499,6 @@ def test_comment_halfway_reads_like_the_reference(tmp_path, colours):
     got, want = _both(str(tmp_path), ("\n".join(lines) + "\n").encode(), read, ref,
                       *args, block=256)
     assert got == want and got[0] != "error"
-
-
-def _first_lines(body: str, block: int) -> list[int]:
-    """The number of the first line of each block the readers cut `body` into."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "file.txt")
-        with open(path, "w") as fh:
-            fh.write(body)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphs, "READ_BLOCK", block)
-            return [first for first, _ in graphs._blocks(path)]
 
 
 def test_line_parsed_edges_raise_the_top(tmp_path):
@@ -725,7 +714,7 @@ def test_colouring_row_blocks_widen_line_by_line(tmp_path, end):
 
 def _three_colours_one_empty() -> EdgeColouring:
     G = Graph.complete(11)
-    return EdgeColouring(11, 3, {e: 2 * ((e[0] + e[1]) % 2) for e in G.edges()})
+    return EdgeColouring.by_edge(G, 3, [2 * ((u + v) % 2) for u, v in G.edges()])
 
 
 COLOURING_CASES = [
@@ -734,7 +723,7 @@ COLOURING_CASES = [
     EdgeColouring.constant(Graph.cycle(70), 2, 1),
     EdgeColouring.constant(_sparse(12001, [(0, 12000), (10000, 11000)]), 3, 2),
     _three_colours_one_empty(),
-    EdgeColouring(300, 2, {(0, 299): 1, (0, 5): 0, (150, 151): 1}),
+    colouring_from(300, 2, {(0, 299): 1, (0, 5): 0, (150, 151): 1}),
 ]
 
 
@@ -755,7 +744,7 @@ def colourings(draw):
     for u, v in draw(st.lists(pairs, max_size=120)) if n > 1 else []:
         if u != v:
             mapping[(min(u, v), max(u, v))] = draw(st.integers(0, r - 1))
-    return EdgeColouring(n, r, mapping), mapping
+    return colouring_from(n, r, mapping), mapping
 
 
 @SETTINGS

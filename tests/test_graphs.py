@@ -25,6 +25,7 @@ from monogrid.graphs import (
     write_colouring,
     write_graph,
 )
+from colour_map import colouring_from
 
 SEEDS = [0, 1, 2, 7, 11, 42, 101, 2024]
 
@@ -286,26 +287,23 @@ def test_degree_into_matches_loop(seed):
 
 
 def test_colouring_normalises_keys():
-    chi = EdgeColouring(3, 2, {(2, 0): 1, (0, 1): 0})
+    chi = colouring_from(3, 2, {(2, 0): 1, (0, 1): 0})
     assert chi.colour(0, 2) == 1
     assert chi.colour(2, 0) == 1
     assert len(chi) == 2
 
 
-def test_colouring_rejects_bad_input():
-    with pytest.raises(ValueError):
-        EdgeColouring(3, 1, {})
-    with pytest.raises(ValueError):
-        EdgeColouring(3, 2, {(0, 1): 2})
-    with pytest.raises(ValueError):
-        EdgeColouring(3, 2, {(0, 0): 0})
-    with pytest.raises(ValueError):
-        EdgeColouring(3, 2, {(0, 1): 0, (1, 0): 1})
+def test_colouring_needs_two_colours():
+    k3 = Graph.complete(3)
+    with pytest.raises(ValueError, match="at least 2 colours"):
+        EdgeColouring([k3])
+    with pytest.raises(ValueError, match="at least 2 colours"):
+        EdgeColouring.by_edge(k3, 1, [0, 0, 0])
 
 
 def test_colour_subgraph_triangle():
     k3 = Graph.complete(3)
-    chi = EdgeColouring(3, 2, {(0, 1): 0, (1, 2): 0, (0, 2): 1})
+    chi = EdgeColouring.by_edge(k3, 2, [0, 1, 0])  # (0, 1), (0, 2), (1, 2)
     red = colour_subgraph(k3, chi, 0)
     assert sorted(red.edges()) == [(0, 1), (1, 2)]
     blue = colour_subgraph(k3, chi, 1)
@@ -321,7 +319,7 @@ def test_colour_subgraph_domain_errors():
         colour_subgraph(k3, chi, 2)
     # a colouring naming an edge the graph does not have
     p3 = Graph.path(3)
-    ghost = EdgeColouring(3, 2, {(0, 2): 0})
+    ghost = colouring_from(3, 2, {(0, 2): 0})
     with pytest.raises(ValueError):
         colour_subgraph(p3, ghost, 0)
 
@@ -330,14 +328,14 @@ def test_validate_total():
     k3 = Graph.complete(3)
     full = EdgeColouring.constant(k3, 2, 1)
     full.validate_total(k3)
-    partial = EdgeColouring(3, 2, {(0, 1): 0})
+    partial = colouring_from(3, 2, {(0, 1): 0})
     with pytest.raises(ValueError):
         partial.validate_total(k3)
 
 
 def test_colour_counts():
     k3 = Graph.complete(3)
-    chi = EdgeColouring(3, 3, {(0, 1): 0, (1, 2): 0, (0, 2): 2})
+    chi = EdgeColouring.by_edge(k3, 3, [0, 2, 0])  # (0, 1), (0, 2), (1, 2)
     assert chi.colour_counts() == [2, 0, 1]
 
 
@@ -346,7 +344,7 @@ def test_colour_subgraphs_partition_edges(seed):
     g = random_graph(15, 0.4, seed)
     rng = np.random.default_rng(seed + 77)
     r = 3
-    chi = EdgeColouring(15, r, {e: int(rng.integers(r)) for e in g.edges()})
+    chi = EdgeColouring.by_edge(g, r, [int(rng.integers(r)) for _ in g.edges()])
     pieces = [colour_subgraph(g, chi, c) for c in range(r)]
     assert sum(p.edge_count for p in pieces) == g.edge_count
     union = [0] * 15
@@ -399,7 +397,7 @@ def test_graph_file_errors_carry_line_numbers(tmp_path, body, lineno):
 def test_colouring_file_round_trip(tmp_path):
     g = random_graph(12, 0.4, 3)
     rng = np.random.default_rng(9)
-    chi = EdgeColouring(12, 2, {e: int(rng.integers(2)) for e in g.edges()})
+    chi = EdgeColouring.by_edge(g, 2, [int(rng.integers(2)) for _ in g.edges()])
     path = str(tmp_path / "chi.txt")
     write_colouring(chi, path)
     back = read_colouring(path, n=12)

@@ -38,8 +38,17 @@ def test_module_reads_every_name_it_imports(name):
 
 
 # The tile layout is private to graphs.py, and int rows go only to the
-# oracles' int-mask search: the README's layering claim.
+# oracles' int-mask search: the README's layering claim.  The spec grammar
+# needs only graphs.py, so config.py imports nothing from the oracles.
 _TILE_FIELDS = {"_tiles", "_keys", "_ptr", "_col"}
+
+
+def _imports_the_oracles(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "monogrid.oracle" or (
+            node.module == "monogrid" and any(a.name == "oracle" for a in node.names))
+    return isinstance(node, ast.Import) and any(a.name == "monogrid.oracle"
+                                                for a in node.names)
 
 
 def _layer_breaches(tree: ast.Module, name: str) -> set[str]:
@@ -51,6 +60,8 @@ def _layer_breaches(tree: ast.Module, name: str) -> set[str]:
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "row" and name not in ("graphs.py", "oracle.py")):
             breaches.add(".row(")
+        if name == "config.py" and _imports_the_oracles(node):
+            breaches.add("monogrid.oracle")
     return breaches
 
 
@@ -59,6 +70,15 @@ def test_scan_sees_a_layer_breach():
     assert _layer_breaches(tree, "pipeline.py") == {"_tiles", ".row("}
     assert _layer_breaches(tree, "oracle.py") == {"_tiles"}
     assert _layer_breaches(tree, "graphs.py") == set()
+
+
+@pytest.mark.parametrize("line", ["from monogrid.oracle import grid_graph",
+                                  "from monogrid import graphs, oracle",
+                                  "import monogrid.oracle"])
+def test_scan_sees_config_import_the_oracles(line):
+    tree = ast.parse(line)
+    assert _layer_breaches(tree, "config.py") == {"monogrid.oracle"}
+    assert _layer_breaches(tree, "cli.py") == set()
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in _SRC.glob("*.py")))

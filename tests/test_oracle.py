@@ -22,7 +22,6 @@ from monogrid.oracle import (
     contains_subgraph,
     expected_grid_count,
     grid_automorphisms,
-    grid_graph,
     monte_carlo_grid_count,
     validate_not_arrows_witness,
 )
@@ -42,33 +41,47 @@ def random_graph(n, p, seed):
 
 
 def test_grid_degenerate_shapes():
-    assert grid_graph(1, 5) == Graph.path(5)
-    assert grid_graph(4, 1).n == 4 and grid_graph(4, 1).edge_count == 3
+    assert Graph.grid(1, 5) == Graph.path(5)
+    assert Graph.grid(4, 1).n == 4 and Graph.grid(4, 1).edge_count == 3
     # 2x2 is a 4-cycle up to relabelling
-    square = grid_graph(2, 2)
+    square = Graph.grid(2, 2)
     assert square.edge_count == 4
     assert all(square.degree(v) == 2 for v in square.vertices())
     assert contains_subgraph(square, Graph.cycle(4)).status == FOUND
-    assert grid_graph(1, 1).n == 1
+    assert Graph.grid(1, 1).n == 1
+
+
+def ref_grid(a, b):
+    """The a-by-b grid built cell by cell: (i, j) is vertex i*b + j."""
+    edges = []
+    for i in range(a):
+        for j in range(b):
+            v = i * b + j
+            if j + 1 < b:
+                edges.append((v, v + 1))
+            if i + 1 < a:
+                edges.append((v, v + b))
+    return Graph.from_edges(a * b, edges)
 
 
 @pytest.mark.parametrize("a,b", [(2, 3), (3, 3), (4, 2), (5, 5), (1, 7)])
 def test_grid_edge_count(a, b):
-    g = grid_graph(a, b)
+    g = Graph.grid(a, b)
+    assert g == ref_grid(a, b)
     assert g.n == a * b
     assert g.edge_count == 2 * a * b - a - b
     assert g.max_degree() <= 4
 
 
 def test_grid_three_by_three_shape():
-    g = grid_graph(3, 3)
+    g = Graph.grid(3, 3)
     degs = sorted(g.degree(v) for v in g.vertices())
     assert degs == [2, 2, 2, 2, 3, 3, 3, 3, 4]
 
 
 def test_grid_rejects_zero():
     with pytest.raises(ValueError):
-        grid_graph(0, 3)
+        Graph.grid(0, 3)
 
 
 def test_grid_automorphism_cases():
@@ -96,17 +109,17 @@ def test_contains_self():
 
 
 def test_square_not_in_triangle():
-    assert contains_subgraph(Graph.complete(3), grid_graph(2, 2)).status == ABSENT
+    assert contains_subgraph(Graph.complete(3), Graph.grid(2, 2)).status == ABSENT
 
 
 def test_small_grid_in_larger_grid():
-    out = contains_subgraph(grid_graph(5, 5), grid_graph(3, 3))
+    out = contains_subgraph(Graph.grid(5, 5), Graph.grid(3, 3))
     assert out.status == FOUND
-    check_embedding(grid_graph(5, 5), grid_graph(3, 3), out.mapping)
+    check_embedding(Graph.grid(5, 5), Graph.grid(3, 3), out.mapping)
 
 
 def test_budget_exhaustion_is_unknown():
-    out = contains_subgraph(grid_graph(6, 6), grid_graph(5, 5), budget=3)
+    out = contains_subgraph(Graph.grid(6, 6), Graph.grid(5, 5), budget=3)
     assert out.status == UNKNOWN
     assert out.mapping is None
 
@@ -138,12 +151,12 @@ def test_search_agrees_with_permutation_check(seed):
 
 def test_grid_count_in_grid():
     # the 5x5 grid holds exactly the nine axis-aligned 3x3 subgrids
-    labelled = count_labelled_copies(grid_graph(5, 5), grid_graph(3, 3))
+    labelled = count_labelled_copies(Graph.grid(5, 5), Graph.grid(3, 3))
     assert labelled == 72 and labelled // grid_automorphisms(3, 3) == 9
     # the Monte Carlo count's kernel, with a-vertex columns, b of them: in
     # K_9 every injective placement is a copy; a path's one-vertex columns
     # are their own reversal and hold 2(n - b + 1) copies
-    A = _matrix(grid_graph(5, 5))
+    A = _matrix(Graph.grid(5, 5))
     assert _count_grid_in_adj(A, _ordered_paths(A, 3), 3) == 72
     A = _matrix(Graph.complete(9))
     for a, b in ((1, 3), (2, 3), (3, 2), (3, 3)):
@@ -154,7 +167,7 @@ def test_grid_count_in_grid():
 
 
 def test_four_cycles_of_k4():
-    labelled = count_labelled_copies(Graph.complete(4), grid_graph(2, 2))
+    labelled = count_labelled_copies(Graph.complete(4), Graph.grid(2, 2))
     assert labelled // grid_automorphisms(2, 2) == 3
 
 
@@ -165,7 +178,7 @@ def test_fast_count_matches_backtracking(a, b, seed):
     G = random_graph(12, 0.45, seed)
     A = _matrix(G)
     fast = _count_grid_in_adj(A, _ordered_paths(A, max(a, b)), min(a, b))
-    assert fast == count_labelled_copies(G, grid_graph(a, b))
+    assert fast == count_labelled_copies(G, Graph.grid(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +207,7 @@ def test_odd_cycle_arrows_cherry():
 def test_one_colour_is_containment():
     g = random_graph(7, 0.5, 4)
     assert arrows(g, g, 1).status == ARROWS
-    assert arrows(Graph.complete(3), grid_graph(2, 2), 1).status == NOT_ARROWS
+    assert arrows(Graph.complete(3), Graph.grid(2, 2), 1).status == NOT_ARROWS
     # one colour class is G itself: the answer and the node count are those
     # of one search of G, and no colouring is a witness
     for G, T, budget, status, nodes in [
@@ -261,7 +274,7 @@ def test_labelled_expectation_in_complete_graph(n, a, b):
     if a * b > n:
         pytest.skip("grid larger than host")
     labelled = expected_grid_count(n, 1.0, a, b) * grid_automorphisms(a, b)
-    assert labelled == count_labelled_copies(Graph.complete(n), grid_graph(a, b))
+    assert labelled == count_labelled_copies(Graph.complete(n), Graph.grid(a, b))
 
 
 def test_expectation_vanishes_below_root_n_density():
@@ -278,6 +291,18 @@ def test_expectation_vanishes_below_root_n_density():
 def test_expected_count_domain_errors():
     with pytest.raises(ValueError):
         expected_grid_count(5, 0.5, 2, 3)
+
+
+def test_expected_count_refuses_exactly_the_counts_past_the_float_range():
+    # 170! is the largest factorial in the float range, and 171! the least past it
+    assert expected_grid_count(170, 1.0, 1, 170) == math.factorial(170) / 2
+    for n, a, b, p in [(171, 1, 171, 1.0), (1000, 20, 20, 0.0),
+                       (10**8, 1000, 1000, 0.5)]:
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            expected_grid_count(n, p, a, b)
+    # a host of 10^17 vertices, where lgamma(n + 1) - lgamma(n - 9) reads 1024
+    # against a true log of 391.4
+    assert expected_grid_count(10**17, 0.5, 2, 5) == math.perm(10**17, 10) * 0.5**13 / 4
 
 
 # ---------------------------------------------------------------------------

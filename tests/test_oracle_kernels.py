@@ -27,7 +27,6 @@ from monogrid.oracle import (
     _Budget,
     _anchored_plans,
     _search_order,
-    grid_graph,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -204,7 +203,7 @@ def _star(k: int) -> Graph:
 
 
 TARGETS = {
-    **{f"grid {a}x{b}": grid_graph(a, b)
+    **{f"grid {a}x{b}": Graph.grid(a, b)
        for a, b in ((1, 1), (1, 4), (2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4))},
     **{f"path {k}": Graph.path(k) for k in (2, 3, 5, 7)},
     **{f"cycle {k}": Graph.cycle(k) for k in (3, 4, 5, 6)},
@@ -307,7 +306,7 @@ def _matrix(G: Graph) -> np.ndarray:
 
 # dense inputs the sparse strategy never draws: K_9, where every injective
 # placement is a copy, and the 5x5 grid with its 72 labelled 3x3 copies
-K9, GRID5 = _matrix(Graph.complete(9)), _matrix(grid_graph(5, 5))
+K9, GRID5 = _matrix(Graph.complete(9)), _matrix(Graph.grid(5, 5))
 
 
 @SETTINGS

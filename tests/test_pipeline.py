@@ -158,13 +158,13 @@ def test_majority_seven_against_three():
     mapping = {e: 0 for e in bg.gamma.edges()}
     for e in between[7:]:
         mapping[e] = 1
-    chi = EdgeColouring(bg.gamma.n, 2, mapping)
+    chi = EdgeColouring.by_edge(bg.gamma, 2, [mapping[e] for e in bg.gamma.edges()])
     assert majority_colour(chi, A, B) == 0
     for e in between:
         mapping[e] = 1
     for e in between[7:]:
         mapping[e] = 0
-    chi = EdgeColouring(bg.gamma.n, 2, mapping)
+    chi = EdgeColouring.by_edge(bg.gamma, 2, [mapping[e] for e in bg.gamma.edges()])
     assert majority_colour(chi, A, B) == 1
 
 
@@ -172,15 +172,14 @@ def test_majority_tie_takes_lowest_colour():
     bg = build_blowup(Graph.path(2), 2, 1.0, seed=0)
     edges = list(bg.gamma.edges())
     assert len(edges) == 4
-    mapping = {e: (1 if i < 2 else 0) for i, e in enumerate(edges)}
-    chi = EdgeColouring(bg.gamma.n, 2, mapping)
+    chi = EdgeColouring.by_edge(bg.gamma, 2, [1, 1, 0, 0])
     assert majority_colour(chi, bg.part(0), bg.part(1)) == 0
 
 
 def test_majority_on_empty_pair_raises():
     bg = build_blowup(Graph.path(2), 3, 1e-9, seed=0)
     assert bg.gamma.edge_count == 0
-    chi = EdgeColouring(bg.gamma.n, 2, {})
+    chi = EdgeColouring.by_edge(bg.gamma, 2, [])
     with pytest.raises(ValueError):
         majority_colour(chi, bg.part(0), bg.part(1))
 
@@ -189,8 +188,8 @@ def test_majority_on_empty_pair_raises():
 def test_majority_class_carries_its_share(seed):
     bg = build_blowup(Graph.path(2), 6, 1.0, seed=0)
     rng = np.random.default_rng(seed)
-    mapping = {e: int(rng.integers(3)) for e in bg.gamma.edges()}
-    chi = EdgeColouring(bg.gamma.n, 3, mapping)
+    chi = EdgeColouring.by_edge(bg.gamma, 3,
+                                [int(rng.integers(3)) for _ in bg.gamma.edges()])
     c = majority_colour(chi, bg.part(0), bg.part(1))
     counts = [0, 0, 0]
     for e in bg.gamma.edges():
@@ -272,8 +271,8 @@ def test_chain_on_path_host_audits_inherited_pairs():
 def test_chain_reports_search_failure_with_witness():
     bg = build_blowup(Graph.path(2), 20, 0.3, seed=1)
     rng = np.random.default_rng(7)
-    mapping = {e: int(rng.integers(2)) for e in bg.gamma.edges()}
-    chi = EdgeColouring(bg.gamma.n, 2, mapping)
+    chi = EdgeColouring.by_edge(bg.gamma, 2,
+                                [int(rng.integers(2)) for _ in bg.gamma.edges()])
     params = mono_params(F(1, 64), F(1, 4), F(1, 2), 0.3, F(1, 300))
     sched = eps_schedule(F(1, 64), 2, F(1))
     with pytest.raises(PipelineFailure) as info:
@@ -295,8 +294,8 @@ def test_chain_reports_search_failure_with_witness():
 def test_chain_rejects_pair_below_majority_density():
     bg = build_blowup(Graph.path(2), 20, 0.3, seed=1)
     rng = np.random.default_rng(7)
-    mapping = {e: int(rng.integers(2)) for e in bg.gamma.edges()}
-    chi = EdgeColouring(bg.gamma.n, 2, mapping)
+    chi = EdgeColouring.by_edge(bg.gamma, 2,
+                                [int(rng.integers(2)) for _ in bg.gamma.edges()])
     params = mono_params(F(1, 64), F(4, 5), F(1, 2), 0.3, F(1, 300))
     sched = eps_schedule(F(1, 64), 2, F(1))
     with pytest.raises(PipelineFailure) as info:
@@ -385,11 +384,8 @@ def test_mono_cycle_prefers_longer_lengths():
 
 def test_mono_cycle_absent_under_alternating_colouring():
     H = Graph.cycle(10)
-    mapping = {}
-    for i in range(10):
-        u, v = i, (i + 1) % 10
-        mapping[(min(u, v), max(u, v))] = i % 2
-    phi = EdgeColouring(10, 2, mapping)
+    # edge (i, i + 1) in colour i % 2, and (0, 9) in colour 1
+    phi = EdgeColouring.by_edge(H, 2, [u % 2 if v == u + 1 else 1 for u, v in H.edges()])
     assert find_mono_cycle(H, phi, 3, 10) is None
 
 
@@ -397,9 +393,7 @@ def test_mono_cycle_scans_both_colours():
     # a red triangle and a blue square in one host
     edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]
     H = Graph.from_edges(7, edges)
-    mapping = {(0, 1): 1, (1, 2): 1, (0, 2): 1,
-               (3, 4): 0, (4, 5): 0, (5, 6): 0, (3, 6): 0}
-    phi = EdgeColouring(7, 2, mapping)
+    phi = EdgeColouring.by_edge(H, 2, [1 if u < 3 else 0 for u, _ in H.edges()])
     four = find_mono_cycle(H, phi, 3, 4)
     assert four is not None and four.colour == 0 and len(four.vertices) == 4
     three = find_mono_cycle(H, phi, 3, 3)
@@ -409,10 +403,8 @@ def test_mono_cycle_scans_both_colours():
 def test_every_two_colouring_of_k5_has_a_short_mono_cycle():
     # brute force over all 1024 colourings; each certificate is re-validated
     H = Graph.complete(5)
-    edges = list(H.edges())
     for code in range(1 << 10):
-        mapping = {e: (code >> i) & 1 for i, e in enumerate(edges)}
-        phi = EdgeColouring(5, 2, mapping)
+        phi = EdgeColouring.by_edge(H, 2, [(code >> i) & 1 for i in range(10)])
         cert = find_mono_cycle(H, phi, 3, 5)
         assert cert is not None, f"no mono cycle under colouring {code}"
         cert.validate(H, phi, 3, 5)
