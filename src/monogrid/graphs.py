@@ -33,9 +33,10 @@ u < v.  The file writers turn those bits into ascending edge arrays and
 format them as ASCII in one vectorised pass; `EdgeColouring.by_edge` masks
 them by colour into copies of the graph's own tiles and mirrors the upper
 tiles the same way, with no sort and no per-edge scatter.  The readers parse
-each block of canonical lines in one pass, and a block in writer order goes
-into the builder with no check for repeats; any other block goes through
-the per-line parser, the one source of every "path:line:" message.
+each block of canonical lines in one pass.  A block in writer order goes
+into the builder unchecked; another is sorted and looked up in it first.
+A block that is not canonical, or holds a repeat or a bad edge, goes to the
+per-line parser, the one source of every "path:line:" message.
 """
 
 from __future__ import annotations
@@ -621,9 +622,9 @@ class _ClassBuilder:
     above `top`, so a batch whose keys rise from above it repeats no edge.
     The store grows in place by a quarter at a time; `graphs` grows it once
     more, to hold the lower tiles as transposes of the upper ones, and sorts
-    it in place, so a class never holds much more than its tiles.  Callers
-    check a batch with `has_any` before adding it: nothing here rejects a
-    duplicate.
+    it in place, so a class never holds much more than its tiles.  Nothing
+    here rejects a duplicate: callers check a batch with `has_any` before
+    adding it, unless `top` alone admits it.
     """
 
     def __init__(self, n: int, r: int):
@@ -675,9 +676,7 @@ class _ClassBuilder:
 
     def add_block(self, x0: int, y0: int, mat: np.ndarray) -> None:
         """Put edge {x0 + i, y0 + j} into class 0 for each True mat[i, j]; the
-        vertex ranges of the rows and of the columns are disjoint."""
-        if x0 > y0:  # every edge lies below the diagonal: store its transpose
-            x0, y0, mat = y0, x0, mat.T
+        rows lie wholly before the columns, x0 + rows <= y0."""
         (rows, cols), c0 = mat.shape, y0 >> 6
         self.top = max(self.top, (x0 + rows - 1) * self.n + y0 + cols - 1)
         keys = np.arange(c0, _nblocks(y0 + cols))

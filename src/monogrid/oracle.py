@@ -13,8 +13,8 @@ form of Ullmann's refinement, J. ACM 23(1), 1976): each unplaced pattern
 vertex next to a placed one keeps a candidate mask, and a branch is cut as
 soon as one empties.  The cut branches hold no embedding, so every answer
 and found mapping is that of the plain search; only the node count is
-smaller.  It is the package's one backtracking search: `find_cycle` runs it
-on a cycle placed in path order, for the pipeline's one-coloured host cycle.
+smaller.  It is the package's one backtracking search: `find_cycle` scans
+cycle lengths and colour classes with it, for the pipeline's host cycle.
 Grid counts with at most three columns never enumerate grids: numpy
 extends the column paths, then the compatible column pairs, a position at a
 time, and counts three-column grids from the pairs' occupancy masks.  They
@@ -86,18 +86,15 @@ def _search_order(T: Graph) -> list[int]:
 
 
 class _Budget:
-    __slots__ = ("left", "nodes")
+    __slots__ = ("budget", "nodes")
 
     def __init__(self, budget: int | None):
-        self.left = budget
+        self.budget = budget
         self.nodes = 0
 
     def spend(self) -> bool:
         self.nodes += 1
-        if self.left is None:
-            return True
-        self.left -= 1
-        return self.left >= 0
+        return self.budget is None or self.nodes <= self.budget
 
 
 @dataclass(frozen=True)
@@ -207,15 +204,14 @@ def _embed(
             left[d] = dom[d] & ~used
 
 
-def _search(G: Graph, T: Graph, order: list[int], budget: int | None) -> SearchResult:
-    """Embed T in G, placing T's vertices in `order`."""
+def contains_subgraph(G: Graph, T: Graph, budget: int | None = None) -> SearchResult:
+    """Search for an injective adjacency-preserving map of T into G."""
     if T.n > G.n or T.edge_count > G.edge_count or T.max_degree() > G.max_degree():
         return SearchResult(ABSENT, None, 0)
-    rows = [G.row(v) for v in G.vertices()]
-    plan = _plan(T, order)
+    plan = _plan(T, _search_order(T))
     tracker = _Budget(budget)
     images = [0] * T.n
-    out = _embed(rows, plan, images, tracker)
+    out = _embed([G.row(v) for v in G.vertices()], plan, images, tracker)
     if out is None:
         return SearchResult(UNKNOWN, None, tracker.nodes)
     if out:
@@ -223,21 +219,35 @@ def _search(G: Graph, T: Graph, order: list[int], budget: int | None) -> SearchR
     return SearchResult(ABSENT, None, tracker.nodes)
 
 
-def contains_subgraph(G: Graph, T: Graph, budget: int | None = None) -> SearchResult:
-    """Search for an injective adjacency-preserving map of T into G."""
-    return _search(G, T, _search_order(T), budget)
+def _cycle_plan(ell: int) -> _Plan:
+    """`_plan` of the ell-cycle in path order: depth d meets d + 1, 0 also ell - 1."""
+    ahead = ((1, ell - 1),) + tuple((d + 1,) for d in range(1, ell - 1)) + ((),)
+    return _Plan(order=tuple(range(ell)), degree=(2,) * ell, ahead=ahead)
 
 
-def find_cycle(G: Graph, ell: int, budget: int | None) -> tuple[list[int] | None, int]:
-    """A cycle of G on exactly ell vertices, in path order, or None; and the
-    nodes the search placed.
+def find_cycle(classes: list[Graph], lengths: range,
+               budget: int | None) -> tuple[tuple[int, list[int]] | None, int]:
+    """The first cycle over `lengths`, each colour class in turn: (its class,
+    its vertices in path order) or None; and the nodes the scan placed.
 
-    Depth d places the cycle's d-th vertex, candidates ascending, so the
-    cycle found starts at the least vertex on any ell-cycle.  None also when
-    the budget runs out; the node count then exceeds the budget.
+    Depth d places the d-th vertex, candidates ascending, so a cycle starts
+    at the least vertex on any ell-cycle of its class.  None also when the
+    budget runs out; the node count then exceeds it.
     """
-    found = _search(G, Graph.cycle(ell), list(range(ell)), budget)
-    return (list(found.mapping.values()) if found.status == FOUND else None), found.nodes
+    rows = [[G.row(v) for v in G.vertices()] for G in classes]
+    tracker = _Budget(budget)
+    for ell in lengths:
+        plan = _cycle_plan(ell)
+        images = [0] * ell
+        for c, G in enumerate(classes):
+            if ell > min(G.n, G.edge_count):  # too few vertices or edges
+                continue
+            out = _embed(rows[c], plan, images, tracker)
+            if out is None:
+                return None, tracker.nodes
+            if out:
+                return (c, images), tracker.nodes
+    return None, tracker.nodes
 
 
 # ---------------------------------------------------------------------------

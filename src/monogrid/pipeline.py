@@ -380,23 +380,16 @@ def find_mono_cycle(H: Graph, phi: EdgeColouring, l_min: int, l_max: int,
                     budget: int = Knobs.cycle_budget) -> CycleCertificate | None:
     """Longest-first search for a single-colour cycle with length in range.
 
-    Tries lengths from l_max down, each colour class in turn, by the
-    oracle's forward-checking search (`oracle.find_cycle`); the budget caps
-    the placements of all of them together.  Returns None if the budget runs
-    out or no such cycle exists; hosts carry no guarantee of one.
+    One scan of the oracle's search (`oracle.find_cycle`) over the lengths
+    from l_max down, each colour class in turn, under one budget.  None if
+    the budget runs out or no such cycle exists; hosts carry no guarantee.
     """
     if not 3 <= l_min <= l_max <= H.n:
         raise ValueError("need 3 <= l_min <= l_max <= |V(H)|")
     classes = [colour_subgraph(H, phi, c) for c in range(phi.r)]
-    spent = 0
-    for ell in range(l_max, l_min - 1, -1):
-        for c in range(phi.r):
-            found, nodes = find_cycle(classes[c], ell, budget - spent)
-            spent += nodes
-            if found is not None:
-                out = CycleCertificate(c, found)
-                out.validate(H, phi, l_min, l_max)
-                return out
-            if spent > budget:
-                return None
-    return None
+    found, _ = find_cycle(classes, range(l_max, l_min - 1, -1), budget)
+    if found is None:
+        return None
+    out = CycleCertificate(*found)
+    out.validate(H, phi, l_min, l_max)
+    return out

@@ -76,6 +76,7 @@ class RegParams:
             raise ValueError("lam must lie in (0, 1]")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
+        # Q stays under 2 eps s only while a full row costs at most eps s.
         if self.delta > min(self.eps / 4, self.lam / 4):
             raise ValueError("delta must not exceed min(eps/4, lam/4)")
         if not 0 < self.p <= 1:

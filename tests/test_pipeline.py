@@ -9,7 +9,7 @@ import pytest
 from monogrid.blowup import build_blowup
 from monogrid.config import Knobs, parse_graph_spec
 from monogrid.graphs import EdgeColouring, Graph, VertexSet, colour_subgraph
-from monogrid.oracle import find_cycle
+from monogrid.oracle import _cycle_plan, _plan, find_cycle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -448,23 +448,34 @@ def _reference_cycle_of_length(G: Graph, ell: int):
     return None
 
 
+def test_cycle_plan_matches_the_general_plan():
+    for ell in range(3, 151):
+        assert _cycle_plan(ell) == _plan(Graph.cycle(ell), list(range(ell)))
+
+
+def _edge_sets(n):
+    return st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                   .filter(lambda e: e[0] != e[1]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(3, 10).flatmap(lambda n: st.tuples(
-    st.just(n),
-    st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-            .filter(lambda e: e[0] != e[1])),
-    st.integers(3, n),
+    st.just(n), _edge_sets(n), _edge_sets(n),
+    st.integers(3, n).flatmap(lambda hi: st.tuples(st.integers(3, hi), st.just(hi))),
 )))
 def test_cycle_search_matches_recursive_reference(case):
-    n, pairs, ell = case
-    G = Graph.from_edges(n, pairs)
-    found, nodes = find_cycle(G, ell, None)
-    assert found == _reference_cycle_of_length(G, ell)
-    # a budget of `nodes` lets the whole search through; one less stops it
-    # at its last placement, and the count then passes the budget
-    assert find_cycle(G, ell, nodes) == (found, nodes)
+    n, red, blue, (lo, hi) = case
+    classes = [Graph.from_edges(n, red), Graph.from_edges(n, blue)]
+    lengths = range(hi, lo - 1, -1)
+    found, nodes = find_cycle(classes, lengths, None)
+    want = next(((c, got) for ell in lengths for c, G in enumerate(classes)
+                 if (got := _reference_cycle_of_length(G, ell)) is not None), None)
+    assert found == want
+    # a budget of `nodes` lets the whole scan through; one less stops it at
+    # its last placement, and the count then passes the budget
+    assert find_cycle(classes, lengths, nodes) == (found, nodes)
     if nodes:
-        assert find_cycle(G, ell, nodes - 1) == (None, nodes)
+        assert find_cycle(classes, lengths, nodes - 1) == (None, nodes)
 
 
 def _colourings(H: Graph):
@@ -500,6 +511,20 @@ def test_mono_cycles_are_pinned(spec, l_min, l_max, digest):
         cert = find_mono_cycle(H, EdgeColouring.by_edge(H, 2, colours), l_min, l_max)
         certs.append(None if cert is None else (cert.colour, cert.vertices))
     assert hashlib.sha256(repr(certs).encode()).hexdigest()[:16] == digest
+
+
+def test_mono_cycle_budget_covers_the_whole_scan():
+    # seed 4's colouring: colour 0 holds no 10-cycle, and the search spends
+    # thousands of placements showing it before colour 1's is found
+    H = parse_graph_spec("complete 10", 0)
+    phi = EdgeColouring.by_edge(H, 2, list(_colourings(H))[6])
+    red, blue = (colour_subgraph(H, phi, c) for c in range(2))
+    assert find_cycle([red], range(10, 9, -1), None)[0] is None
+    assert find_cycle([blue], range(10, 9, -1), None)[0] is not None
+    _, total = find_cycle([red, blue], range(10, 9, -1), None)
+    cert = find_mono_cycle(H, phi, 10, 10, budget=total)
+    assert cert is not None and cert.colour == 1
+    assert find_mono_cycle(H, phi, 10, 10, budget=total - 1) is None
 
 
 def test_mono_cycle_range_validation():
