@@ -86,7 +86,7 @@ def build_blowup(H: Graph, s: int, p: float, seed: int) -> BlowupGraph:
         raise ValueError("part size must be at least 1")
     check_size(H, s)
     if not 0.0 < p <= 1.0:
-        raise ValueError("edge probability must lie in (0, 1]")
+        raise ValueError(f"edge probability must lie in (0, 1], got {p}")
     n = H.n * s
     acc = _ClassBuilder(n, 1)
     for x, y in H.edges():
@@ -134,6 +134,15 @@ def save_blowup(bg: BlowupGraph, basename: str) -> None:
         fh.write(f"host_hash {host_hash(bg.host)}\n")
 
 
+def _meta_number(basename: str, meta: dict[str, str], key: str, kind: type):
+    try:
+        return kind(meta[key])
+    except ValueError:
+        raise ValueError(f"{basename}.meta: {key} must be "
+                         f"{'an integer' if kind is int else 'a number'}, "
+                         f"got {meta[key]!r}") from None
+
+
 def load_blowup(basename: str) -> BlowupGraph:
     gamma = read_graph(basename + ".graph")
     host = read_graph(basename + ".host")
@@ -151,12 +160,12 @@ def load_blowup(basename: str) -> BlowupGraph:
                          f"is not the host's degree bound {bound}")
     if meta["host_hash"] != host_hash(host):
         raise ValueError(f"{basename}.meta: host hash mismatch")
-    s = int(meta["part_size"])
+    s = _meta_number(basename, meta, "part_size", int)
     if gamma.n != host.n * s:
         raise ValueError(f"{basename}.meta: part_size {s} times the host's {host.n} "
                          f"vertices is not the graph's {gamma.n}")
-    bg = BlowupGraph(gamma, host, s, float(meta["p"]), int(meta["seed"]),
-                     _parts(host.n, s))
+    bg = BlowupGraph(gamma, host, s, _meta_number(basename, meta, "p", float),
+                     _meta_number(basename, meta, "seed", int), _parts(host.n, s))
     try:
         bg.validate()
     except AssertionError as e:

@@ -4,6 +4,10 @@
 deterministic report.json; wall-clock numbers go to a timings.json sidecar so
 reruns of an identical configuration produce byte-identical reports.  The
 smaller commands expose the individual stages and the brute-force oracles.
+
+`main` maps every refused argument to exit 2 and one `error: ...` line: a
+`ConfigError`, a library `ValueError` or an `OSError`.  A broken invariant
+(an `AssertionError`) still ends in a traceback.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import csv
 import json
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -286,33 +291,23 @@ def cmd_gen_host(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "host.graph"
     write_graph(H, str(path), comment=args.host)
-    print(f"wrote {path}: n={H.n} edges={H.edge_count} "
-          f"max_degree={H.degree_bound()}")
+    print(f"wrote {path}: n={H.n} edges={H.edge_count} max_degree={H.degree_bound()}")
     return 0
 
 
 def cmd_blowup(args) -> int:
     H = build_host(args.host, args.seed)
-    if not 0 < args.p <= 1:
-        raise ConfigError(f"p must lie in (0, 1], got {args.p}")
-    try:
-        bg = build_blowup(H, args.s, args.p, args.seed)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    bg = build_blowup(H, args.s, args.p, args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     save_blowup(bg, str(outdir / "blowup"))
-    print(f"wrote {outdir / 'blowup'}.graph: n={bg.gamma.n} "
-          f"edges={bg.gamma.edge_count} "
+    print(f"wrote {outdir / 'blowup'}.graph: n={bg.gamma.n} edges={bg.gamma.edge_count} "
           f"expected={expected_edges(H, args.s, args.p):.1f}")
     return 0
 
 
 def cmd_colour(args) -> int:
-    try:
-        bg = load_blowup(args.blowup)
-    except (ValueError, OSError) as e:
-        raise ConfigError(str(e)) from None
+    bg = load_blowup(args.blowup)
     chi = apply_colouring(bg, args.colouring, args.r, args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -324,20 +319,15 @@ def cmd_colour(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        G = read_graph(args.graph)
-        chi = read_colouring(args.colouring, n=G.n)
-        emb = read_embedding(args.embedding)
-    except (ValueError, OSError) as e:
-        raise ConfigError(str(e)) from None
+    G = read_graph(args.graph)
+    chi = read_colouring(args.colouring, n=G.n)
+    emb = read_embedding(args.embedding)
     ok, violations = verify_grid_embedding(G, chi, emb)
     if ok:
         print(f"valid: {emb.a}x{emb.b} grid in colour {emb.colour}, "
               f"{2 * emb.a * emb.b - emb.a - emb.b} edges checked")
         return 0
-    for line in violations:
-        print(line)
-    print(f"invalid: {len(violations)} violation(s)")
+    print(*violations, f"invalid: {len(violations)} violation(s)", sep="\n")
     return 1
 
 
@@ -345,11 +335,7 @@ def cmd_oracle(args) -> int:
     if args.kind == "arrows":
         G = parse_graph_spec(args.graph)
         T = parse_graph_spec(args.target)
-        try:
-            res = arrows(G, T, args.r, budget=args.budget,
-                         allow_large=args.allow_large)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        res = arrows(G, T, args.r, budget=args.budget, allow_large=args.allow_large)
         out = res.to_json()
         if res.witness is not None and args.out is not None:
             outdir = Path(args.out)
@@ -364,14 +350,9 @@ def cmd_oracle(args) -> int:
         G = parse_graph_spec(args.graph)
         T = parse_graph_spec(f"grid {args.a} {args.b}")
         res = contains_subgraph(G, T, args.budget)
-        print(json.dumps({"status": res.status, "nodes": res.nodes},
-                         sort_keys=True))
+        print(json.dumps({"status": res.status, "nodes": res.nodes}, sort_keys=True))
         return 0
-    try:
-        rep = monte_carlo_grid_count(args.n, args.p, args.a, args.b,
-                                     args.samples, args.seed)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    rep = monte_carlo_grid_count(args.n, args.p, args.a, args.b, args.samples, args.seed)
     print(json.dumps(rep.to_json(), sort_keys=True))
     return 0
 
@@ -401,10 +382,7 @@ def cmd_experiment(args) -> int:
                 raise ConfigError(f"p must lie in [0, 1], got {p}")
         rows = []
         for i, p in enumerate(p_values):
-            try:
-                expectation = expected_grid_count(args.n, p, args.a, args.b)
-            except ValueError as e:
-                raise ConfigError(str(e)) from None
+            expectation = expected_grid_count(args.n, p, args.a, args.b)
             try:
                 rep = monte_carlo_grid_count(args.n, p, args.a, args.b,
                                              args.samples,
@@ -414,8 +392,7 @@ def cmd_experiment(args) -> int:
                 # size, so keep the closed form and mark the rest skipped
                 rows.append([p, expectation, "", "", "", "skipped"])
                 continue
-            rows.append([p, expectation, rep.mean, rep.variance,
-                         not rep.flagged, "ok"])
+            rows.append([p, expectation, rep.mean, rep.variance, not rep.flagged, "ok"])
         path = outdir / "first_moment.csv"
         _write_csv(path, ["p", "expectation", "mc_mean", "mc_variance",
                           "consistent", "status"], rows)
@@ -430,13 +407,8 @@ def cmd_experiment(args) -> int:
         except ValueError:
             raise ConfigError(f"--sizes must be comma-separated integers, "
                               f"got {args.sizes!r}") from None
-        if not 0 < args.p <= 1:
-            raise ConfigError(f"p must lie in (0, 1], got {args.p}")
         H = build_host("single-edge", args.seed)
-        try:
-            bg = build_blowup(H, args.s, args.p, args.seed)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        bg = build_blowup(H, args.s, args.p, args.seed)
         A, B = bg.part(0), bg.part(1)
         rows = []
         for i, k in enumerate(sizes):
@@ -460,18 +432,16 @@ def cmd_experiment(args) -> int:
     outdir = Path(base.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    tally: dict[str, int] = {}
     for i in range(args.runs):
-        seed = base.seed + i
-        sub = outdir / f"run-{seed:04d}"
-        cfg = replace(base, seed=seed, out=str(sub))
+        run_seed = base.seed + i
+        sub = outdir / f"run-{run_seed:04d}"
+        cfg = replace(base, seed=run_seed, out=str(sub))
         report, timings = run_once(cfg, sub)
         _write_report(sub, report, timings)
-        status = report["status"]
-        tally[status] = tally.get(status, 0) + 1
-        rows.append([seed, status])
+        rows.append([run_seed, report["status"]])
     path = outdir / "success_rate.csv"
     _write_csv(path, ["seed", "status"], rows)
+    tally = Counter(status for _, status in rows)
     summary = ", ".join(f"{k}: {v}" for k, v in sorted(tally.items()))
     print(f"wrote {path}: {args.runs} runs ({summary})")
     return 0
@@ -484,18 +454,27 @@ def cmd_experiment(args) -> int:
 def _add_config_flags(sub) -> None:
     sub.add_argument("--config", help="flat key-value config file")
     sub.add_argument("--preset", help="named preset (paper-s3, desk)")
-    sub.add_argument("--seed", type=int, help="run seed")
+    sub.add_argument("--seed", type=seed, help="run seed")
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override one config key (repeatable)")
 
 
+def _at_least(least: int, text: str) -> int:
+    value = int(text)
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+    return value
+
+
 def count(text: str) -> int:
     """An argparse type for sizes, budgets and counts: an int of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    return _at_least(1, text)
+
+
+def seed(text: str) -> int:
+    """An argparse type for seeds: an int of at least 0."""
+    return _at_least(0, text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -508,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("gen-host", help="write a host graph file")
     sub.add_argument("--host", required=True, help=f"host graph spec: {GRAPH_SPEC}")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=seed, default=0)
     sub.add_argument("--out", default="out")
     sub.set_defaults(func=cmd_gen_host)
 
@@ -516,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--host", required=True, help=f"host graph spec: {GRAPH_SPEC}")
     sub.add_argument("--s", type=count, required=True, help="part size")
     sub.add_argument("--p", type=float, required=True, help="edge probability")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=seed, default=0)
     sub.add_argument("--out", default="out")
     sub.set_defaults(func=cmd_blowup)
 
@@ -527,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="'mono C', 'uniform-random', 'host-edge-split' or "
                           "'degree-adversary'")
     sub.add_argument("--r", type=int, default=2, help="number of colours")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=seed, default=0)
     sub.add_argument("--out", default="out")
     sub.set_defaults(func=cmd_colour)
 
@@ -567,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--a", type=int, required=True)
     k.add_argument("--b", type=int, required=True)
     k.add_argument("--samples", type=count, default=200)
-    k.add_argument("--seed", type=int, default=0)
+    k.add_argument("--seed", type=seed, default=0)
     k.set_defaults(func=cmd_oracle)
 
     sub = subs.add_parser("experiment", help="batch studies written as CSV")
@@ -581,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--p-values", required=True,
                    help="comma-separated edge probabilities")
     k.add_argument("--samples", type=count, default=200)
-    k.add_argument("--seed", type=int, default=0)
+    k.add_argument("--seed", type=seed, default=0)
     k.add_argument("--out", default="out")
     k.set_defaults(func=cmd_experiment)
 
@@ -593,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset sizes")
     k.add_argument("--trials", type=count, default=50,
                    help="sampled pairs per size")
-    k.add_argument("--seed", type=int, default=0)
+    k.add_argument("--seed", type=seed, default=0)
     k.add_argument("--out", default="out")
     k.set_defaults(func=cmd_experiment)
 
@@ -610,7 +589,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError) as e:
+    except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,12 @@ from monogrid.regularity import EXACT_CAP, EpsSchedule, RegParams, eps_schedule
 
 
 class ConfigError(Exception):
-    """A configuration that cannot be acted on.  The CLI maps this to exit 2."""
+    """A configuration that cannot be acted on.
+
+    The CLI maps this to exit 2, as it does a library `ValueError` (a refused
+    argument) or an `OSError`; only a broken invariant, an `AssertionError`,
+    ends in a traceback.
+    """
 
 
 def _knob(default: int, least: int, most: int):
@@ -152,9 +157,12 @@ def _parse_fraction(key: str, value: str) -> Fraction:
 
 def _parse_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
 
 
 def _parse_bool(key: str, value: str) -> bool:

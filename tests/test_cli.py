@@ -372,6 +372,18 @@ def test_run_reports_grid_side_outside_host_cycles(tmp_path, delta, side):
     assert f"= {side} is not an integer from 3" in report["failure"]["message"]
 
 
+@pytest.mark.parametrize("key", ["c", "p"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_float_keys_must_be_finite(tmp_path, capsys, key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be a finite number, got '{value}'"):
+        load_config(preset="desk", sets=(f"{key}={value}",))
+    out = tmp_path / "run"
+    assert main(["run", "--preset", "desk", "--set", f"{key}={value}",
+                 "--out", str(out)]) == 2
+    assert "finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["check_trials", "audit_trials",
                                  "embed_check_trials", "embed_audit_trials",
                                  "badset_draws"])
@@ -600,9 +612,29 @@ SWEEP = ["experiment", "uniformity-sweep", "--p", "0.5", "--sizes", "1"]
       "--runs", "1", "--out", "{out}"], "has 1000000000 vertices, more than 16777216"),
     (SWEEP + ["--s", "100000000", "--out", "{out}"],
      "blow-up of 2 host vertices at s = 100000000 has 200000000 vertices"),
+    (["blowup", "--host", "cycle 4", "--s", "3", "--p", "2", "--out", "{out}"],
+     "edge probability must lie in (0, 1], got 2.0"),
+    (["experiment", "uniformity-sweep", "--s", "3", "--p", "0", "--sizes", "1",
+      "--out", "{out}"], "edge probability must lie in (0, 1], got 0.0"),
+    *[(argv + ["--seed", "-1"], "argument --seed: must be at least 0, got -1") for argv in (
+        ["gen-host", "--host", "cycle 10", "--out", "{out}"],
+        ["gen-host", "--host", "random-regular 10 3", "--out", "{out}"],
+        ["blowup", "--host", "cycle 4", "--s", "3", "--p", "0.5", "--out", "{out}"],
+        ["colour", "--blowup", "{out}/blowup", "--colouring", "uniform-random",
+         "--out", "{out}"],
+        ["colour", "--blowup", "{out}/blowup", "--colouring", "mono 0", "--out", "{out}"],
+        ["run", "--preset", "desk", "--out", "{out}"],
+        ["oracle", "count", "--n", "6", "--p", "0.5", "--a", "2", "--b", "2"],
+        FIRST_MOMENT + ["--p-values", "0.3", "--out", "{out}"],
+        SWEEP + ["--s", "10", "--out", "{out}"],
+        ["experiment", "pipeline-success-rate", "--preset", "desk", "--runs", "1",
+         "--out", "{out}"])],
 ], ids=["blowup-s", "sweep-s", "sweep-trials", "first-moment-p", "first-moment-samples",
         "grid-budget", "arrows-budget", "success-rate-runs", "arrows-r",
-        "blowup-vertices", "blowup-cells", "run-s", "success-rate-s", "sweep-vertices"])
+        "blowup-vertices", "blowup-cells", "run-s", "success-rate-s", "sweep-vertices",
+        "blowup-p", "sweep-p", "gen-host-seed", "random-regular-seed", "blowup-seed",
+        "colour-random-seed", "colour-mono-seed", "run-seed", "count-seed",
+        "first-moment-seed", "sweep-seed", "success-rate-seed"])
 def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, argv, message):
     # exit 2 with a message, no traceback, and no file claims the bad value
     argv = [a.replace("{out}", str(tmp_path / "out")) for a in argv]
@@ -663,15 +695,21 @@ _FUZZ_KEYS = sorted(_ALL_KEYS - {"out"})
        st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_ODD_VALUES)),
                 min_size=1, max_size=3))
 def test_run_exit_codes_stay_honest(s, overrides):
-    argv = ["run", "--preset", "desk", "--set", f"s={s}"]
-    for key, value in overrides:
-        argv += ["--set", f"{key}={value}"]
+    sets = (f"s={s}", *(f"{key}={value}" for key, value in overrides))
+    argv = ["run", "--preset", "desk", *(a for item in sets for a in ("--set", item))]
+    try:
+        load_config(preset="desk", sets=sets)
+        refused = False
+    except ConfigError:
+        refused = True
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run"
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv + ["--out", str(out)])
-        assert code in (0, 1, 2)
+        # main maps a ValueError from any stage to exit 2 as well, so exit 2
+        # is honest only where load_config refuses the same overrides
+        assert code in (0, 1, 2) and (code == 2) == refused
         if code == 2:
             return
         report = json.loads((out / "report.json").read_text())

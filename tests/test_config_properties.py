@@ -54,5 +54,6 @@ def test_load_config_resolves_or_is_a_config_error(text):
 @example("single-edge")
 @example("complete 0")
 def test_oracle_graph_spec_runs_or_exits_2(text):
-    # main turns a ConfigError into exit 2; anything else would propagate
+    # main turns a refused argument (a ConfigError, ValueError or OSError)
+    # into exit 2; a broken invariant, an AssertionError, would propagate
     assert main(["oracle", "grid", f"--graph={text}", "--a", "1", "--b", "2"]) in (0, 2)

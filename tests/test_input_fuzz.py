@@ -4,7 +4,7 @@ Small written files (a blow-up's graph, host and `.meta` sidecar, a
 colouring of the blow-up and a grid embedding in it) get their headers, edge
 lines, colour lines, cell lines and sidecar keys and values mutated; `verify`, `oracle grid --graph "file ..."`
 and `colour --blowup` then read them.  Every run ends in exit 0, 1 or 2, and
-none in a traceback.
+none in a traceback; every exit 2 names the file it refuses.
 """
 
 import contextlib
@@ -58,7 +58,7 @@ def _mutate(path: Path, index: int, op: str, at: int, token: str) -> None:
     path.write_text("".join(line + "\n" for line in lines))
 
 
-def _exit_code(argv: list[str]) -> int:
+def _exit_code(argv: list[str], d: Path) -> int:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
@@ -67,6 +67,10 @@ def _exit_code(argv: list[str]) -> int:
             code = e.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    # main maps any ValueError to exit 2, so a refusal names the input file
+    # it refuses; a bare library message would be a leak from deeper down
+    if code == 2:
+        assert str(d) in err.getvalue(), (argv, err.getvalue())
     return code
 
 
@@ -86,11 +90,11 @@ def test_unmutated_inputs_pass_every_command():
         d = Path(tmp)
         _write_inputs(d)
         assert _exit_code(["verify", str(d / "blowup.graph"), str(d / "colouring.txt"),
-                           str(d / "grid.embedding")]) == 0
+                           str(d / "grid.embedding")], d) == 0
         assert _exit_code(["oracle", "grid", "--graph", f"file {d / 'blowup.graph'}",
-                           "--a", "1", "--b", "2", "--budget", "1000"]) == 0
+                           "--a", "1", "--b", "2", "--budget", "1000"], d) == 0
         assert _exit_code(["colour", "--blowup", str(d / "blowup"),
-                           "--colouring", "mono 0", "--out", str(d / "out")]) == 0
+                           "--colouring", "mono 0", "--out", str(d / "out")], d) == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -102,8 +106,8 @@ def test_mutated_inputs_exit_honestly(edits):
         for name, index, op, at, token in edits:
             _mutate(d / name, index, op, at, token)
         _exit_code(["verify", str(d / "blowup.graph"), str(d / "colouring.txt"),
-                    str(d / "grid.embedding")])
+                    str(d / "grid.embedding")], d)
         _exit_code(["oracle", "grid", "--graph", f"file {d / 'blowup.graph'}",
-                    "--a", "1", "--b", "2", "--budget", "1000"])
+                    "--a", "1", "--b", "2", "--budget", "1000"], d)
         _exit_code(["colour", "--blowup", str(d / "blowup"),
-                    "--colouring", "mono 0", "--out", str(d / "out")])
+                    "--colouring", "mono 0", "--out", str(d / "out")], d)
