@@ -78,6 +78,12 @@ def check_size(H: Graph, s: int) -> None:
                          f"{cells} cells, more than {MAX_CELLS}")
 
 
+def check_probability(p: float) -> None:
+    """Refuse an edge probability outside (0, 1], nan and infinities among them."""
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"edge probability must lie in (0, 1], got {p}")
+
+
 def build_blowup(H: Graph, s: int, p: float, seed: int) -> BlowupGraph:
     """Blow each host vertex up into s vertices; host edges become random pairs."""
     if H.n < 2:
@@ -85,8 +91,7 @@ def build_blowup(H: Graph, s: int, p: float, seed: int) -> BlowupGraph:
     if s < 1:
         raise ValueError("part size must be at least 1")
     check_size(H, s)
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"edge probability must lie in (0, 1], got {p}")
+    check_probability(p)
     n = H.n * s
     acc = _ClassBuilder(n, 1)
     for x, y in H.edges():
@@ -151,7 +156,7 @@ def load_blowup(basename: str) -> BlowupGraph:
         if len(parts) != 2:
             raise ValueError(f"{basename}.meta:{lineno}: expected 'key value'")
         meta[parts[0]] = parts[1]
-    missing = {"host_max_degree", "host_hash", "part_size", "p", "seed"} - set(meta)
+    missing = {"host_max_degree", "host_hash", "part_size", "p", "c", "seed"} - set(meta)
     if missing:
         raise ValueError(f"{basename}.meta: missing key(s) {', '.join(sorted(missing))}")
     bound = host.degree_bound()
@@ -161,11 +166,23 @@ def load_blowup(basename: str) -> BlowupGraph:
     if meta["host_hash"] != host_hash(host):
         raise ValueError(f"{basename}.meta: host hash mismatch")
     s = _meta_number(basename, meta, "part_size", int)
+    if s < 1:
+        raise ValueError(f"{basename}.meta: part_size must be at least 1, got {s}")
     if gamma.n != host.n * s:
         raise ValueError(f"{basename}.meta: part_size {s} times the host's {host.n} "
                          f"vertices is not the graph's {gamma.n}")
-    bg = BlowupGraph(gamma, host, s, _meta_number(basename, meta, "p", float),
-                     _meta_number(basename, meta, "seed", int), _parts(host.n, s))
+    p = _meta_number(basename, meta, "p", float)
+    seed = _meta_number(basename, meta, "seed", int)
+    try:
+        check_probability(p)
+    except ValueError as e:
+        raise ValueError(f"{basename}.meta: p: {e}") from None
+    if seed < 0:
+        raise ValueError(f"{basename}.meta: seed must be at least 0, got {seed}")
+    # save_blowup writes p and c with repr, so a saved c matches exactly
+    if _meta_number(basename, meta, "c", float) != p * math.sqrt(s):
+        raise ValueError(f"{basename}.meta: c {meta['c']} is not p * sqrt(part_size)")
+    bg = BlowupGraph(gamma, host, s, p, seed, _parts(host.n, s))
     try:
         bg.validate()
     except AssertionError as e:

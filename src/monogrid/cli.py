@@ -188,7 +188,7 @@ def run_once(cfg: RunConfig, outdir: Path) -> tuple[dict, dict]:
         # The grid plan slices each part to delta*s; that slice is both the
         # grid side and the length of the host cycle it winds around, so it
         # must be a cycle length the host can hold.
-        side = cfg.grid_side()
+        side = cfg.params.delta * cfg.s
         if side.denominator != 1 or not 3 <= side <= H.n:
             raise StageError(
                 "embed",
@@ -415,13 +415,9 @@ def cmd_experiment(args) -> int:
             if not 0 < k <= args.s:
                 raise ConfigError(f"subset size {k} outside 1..{args.s}")
             rng = seeds.rng(args.seed, 29, i)
-            worst = 0.0
-            for _ in range(args.trials):
-                X = A.sample(k, rng)
-                Y = B.sample(k, rng)
-                ratio = abs(float(pair_density(bg.gamma, X, Y)) / args.p - 1.0)
-                worst = max(worst, ratio)
-            rows.append([k, args.trials, worst])
+            ratios = [abs(float(pair_density(bg.gamma, A.sample(k, rng), B.sample(k, rng)))
+                          / args.p - 1.0) for _ in range(args.trials)]
+            rows.append([k, args.trials, max(ratios)])
         path = outdir / "uniformity_sweep.csv"
         _write_csv(path, ["size", "pairs", "worst_ratio"], rows)
         print(f"wrote {path}: {len(rows)} rows")

@@ -279,9 +279,6 @@ class RunConfig:
         return eps_schedule(self.params.eps, self.params.max_degree,
                             SHRINK[self.lam_rule])
 
-    def grid_side(self) -> Fraction:
-        return self.params.delta * self.s
-
     def to_json(self) -> dict:
         p = self.params
         return {
@@ -338,10 +335,8 @@ def _resolve(merged: dict[str, str], preset: str | None) -> RunConfig:
         alpha = Fraction(1, 2 * r)
 
     eps = _parse_fraction("eps", merged["eps"]) if "eps" in merged else alpha / 256
-    if "eps_inherit" in merged:
-        eps_inherit = _parse_fraction("eps_inherit", merged["eps_inherit"])
-    else:
-        eps_inherit = eps / 4
+    eps_inherit = (_parse_fraction("eps_inherit", merged["eps_inherit"])
+                   if "eps_inherit" in merged else eps / 4)
 
     host_spec = merged["host"]
     host = build_host(host_spec, seed)
@@ -349,10 +344,8 @@ def _resolve(merged: dict[str, str], preset: str | None) -> RunConfig:
         check_size(host, s)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    if "delta" in merged:
-        delta = _parse_fraction("delta", merged["delta"])
-    else:
-        delta = min(Fraction(1, 4 * host.n), eps / 4, lam / 4)
+    delta = (_parse_fraction("delta", merged["delta"]) if "delta" in merged
+             else min(Fraction(1, 4 * host.n), eps / 4, lam / 4))
     if "p" in merged:
         p = _parse_float("p", merged["p"])
         c = _parse_float("c", merged["c"]) if "c" in merged else p * math.sqrt(s)

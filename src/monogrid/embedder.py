@@ -23,6 +23,8 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
 
+import numpy as np
+
 from monogrid import seeds
 from monogrid.blowup import BlowupGraph
 from monogrid.config import Knobs
@@ -108,15 +110,13 @@ class EmbedContext:
             raise ValueError("a grid needs at least two cycle sets")
         if len(self.bad) != len(self.sets):
             raise ValueError("one bad set per cycle set")
-        union = VertexSet.empty(self.G.n)
         for t, (U, B) in enumerate(zip(self.sets, self.bad)):
             if U.n != self.G.n or B.n != self.G.n:
                 raise ValueError("set universe does not match the graph")
             if (B & U) != B:
                 raise ValueError(f"bad set {t} leaves its cycle set")
-            if not union.isdisjoint(U):
-                raise ValueError("cycle sets overlap")
-            union = union | U
+        if np.bincount(np.concatenate([U.ids for U in self.sets]), minlength=1).max() > 1:
+            raise ValueError("cycle sets overlap")
 
     @property
     def m(self) -> int:
@@ -485,9 +485,10 @@ def embed_grid(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
     """Embed the full square grid along a one-coloured host cycle.
 
     The grid side equals the cycle length, which must in turn match the
-    plan's slice of the part size, delta * s.  Rows are seeded and threaded
-    one at a time; failures from the row machinery propagate with their
-    row and position attached.  `knobs` reaches every stage.
+    plan's slice of the part size, delta * s.  Each row is threaded from the
+    row above alone, so only that row is held beside the cell images;
+    failures from the row machinery propagate with their row and position
+    attached.  `knobs` reaches every stage.
     """
     m = len(cycle.vertices)
     side = params.delta * bg.part_size
@@ -497,10 +498,11 @@ def embed_grid(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
             f"{float(side):g}"
         )
     ctx = build_context(bg, chi, result, cycle, params, seed, knobs=knobs)
-    rows = [seed_first_row(ctx, seeds.derive(seed, 40, 0), knobs=knobs)]
+    row = seed_first_row(ctx, seeds.derive(seed, 40, 0), knobs=knobs)
+    image = {(0, j): v for j, v in enumerate(row.images)}
     for i in range(1, m):
-        rows.append(embed_row(ctx, rows[-1], seeds.derive(seed, 40, i), knobs=knobs))
-    image = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row.images)}
+        row = embed_row(ctx, row, seeds.derive(seed, 40, i), knobs=knobs)
+        image.update(((i, j), v) for j, v in enumerate(row.images))
     return GridEmbedding(m, m, cycle.colour, image)
 
 

@@ -206,7 +206,8 @@ class VertexSet:
 
     def __or__(self, other: "VertexSet") -> "VertexSet":
         self._check_universe(other)
-        return VertexSet._of(self.n, np.union1d(self.ids, other.ids))
+        return VertexSet._of(self.n, _word_ids(self._words() | other._words(),
+                                               np.arange(_nblocks(self.n)) * W))
 
     def __sub__(self, other: "VertexSet") -> "VertexSet":
         self._check_universe(other)
@@ -322,7 +323,7 @@ class Graph:
         for _ in range(_PAIRING_TRIES):
             ends = rng.permutation(n * d).reshape(-1, 2) // d
             u, v = ends.min(axis=1), ends.max(axis=1)
-            if (u == v).any() or len(np.unique(u * n + v)) < len(u):
+            if (u == v).any() or not np.diff(np.sort(u * n + v)).all():  # a loop or a repeat
                 continue
             return cls.from_edges(n, np.column_stack((u, v)))
         raise ValueError(f"no simple {d}-regular graph found in {_PAIRING_TRIES} pairings")
@@ -823,7 +824,7 @@ def _check_subgraph(sub: Graph, G: Graph) -> None:
     if sub is G:
         return
     stray = sub._tiles.copy()
-    shared = np.isin(sub._keys, G._keys)
+    shared = np.isin(sub._keys, G._keys, assume_unique=True)
     stray[shared] &= ~G._tiles[np.searchsorted(G._keys, sub._keys[shared])]
     kept = stray.any(axis=1)
     if kept.any():

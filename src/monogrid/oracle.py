@@ -26,7 +26,7 @@ swaps the two directions, so the halving is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -293,10 +293,8 @@ def _anchored_copy(rows: list[int], plans: list[_Plan], u: int, v: int,
 def validate_not_arrows_witness(G: Graph, T: Graph, chi: EdgeColouring) -> bool:
     """Independent re-check: no colour class of chi contains a copy of T."""
     chi.validate_total(G)
-    for c in range(chi.r):
-        if contains_subgraph(colour_subgraph(G, chi, c), T).status == FOUND:
-            return False
-    return True
+    return all(contains_subgraph(colour_subgraph(G, chi, c), T).status != FOUND
+               for c in range(chi.r))
 
 
 def arrows(G: Graph, T: Graph, r: int, budget: int = SEARCH_BUDGET,
@@ -532,12 +530,7 @@ class GridCountReport:
     flagged: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n, "p": self.p, "a": self.a, "b": self.b,
-            "expectation": self.expectation, "samples": self.samples,
-            "mean": self.mean, "variance": self.variance,
-            "flagged": self.flagged,
-        }
+        return asdict(self)
 
 
 def monte_carlo_grid_count(n: int, p: float, a: int, b: int, samples: int,

@@ -279,9 +279,7 @@ def regular_subgraph(
             f"{H.degree_bound() + 1}"
         )
     decomp = matching_decomposition(H)
-    matchings = list(decomp.matchings) + [
-        [] for _ in range(levels - len(decomp.matchings))
-    ]
+    matchings = decomp.matchings + [[]] * (levels - len(decomp.matchings))
 
     chain = ChainState({x: [bg.part(x)] for x in H.vertices()})
     phi_map: dict[tuple[int, int], int] = {}

@@ -352,6 +352,29 @@ def test_colour_checks_the_part_size_before_building_parts(tmp_path, capsys):
     assert not (tmp_path / "colouring.txt").exists()
 
 
+@pytest.mark.parametrize("line, edited, message", [
+    ("p 0.5", "p nan", "blowup.meta: p: edge probability must lie in (0, 1], got nan"),
+    ("p 0.5", "p 1.5", "blowup.meta: p: edge probability must lie in (0, 1], got 1.5"),
+    ("seed 0", "seed -5", "blowup.meta: seed must be at least 0, got -5"),
+    ("c 1.224744871391589", "c 1.2247",
+     "blowup.meta: c 1.2247 is not p * sqrt(part_size)"),
+    ("part_size 6", "part_size 0", "blowup.meta: part_size must be at least 1, got 0"),
+])
+def test_colour_refuses_edited_meta_values(tmp_path, capsys, line, edited, message):
+    # what build_blowup and --seed refuse, a saved blow-up refuses too
+    assert main(["blowup", "--host", "cycle 4", "--s", "6", "--p", "0.5",
+                 "--out", str(tmp_path)]) == 0
+    meta = tmp_path / "blowup.meta"
+    assert line in meta.read_text().splitlines()
+    meta.write_text(meta.read_text().replace(line, edited))
+    capsys.readouterr()
+    assert main(["colour", "--blowup", str(tmp_path / "blowup"),
+                 "--colouring", "mono 0", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "colouring.txt").exists()
+
+
 def test_blowup_reports_bad_host_file(tmp_path, capsys):
     host = tmp_path / "bad.host"
     host.write_text("n 3\n0 5\n")

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from monogrid import embedder
 from monogrid.blowup import build_blowup
 from monogrid.config import Knobs
 from monogrid.embedder import (
@@ -299,6 +300,48 @@ def test_embed_row_frees_its_context_without_the_cycle_collector(vertex_budget):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_embed_grid_holds_only_the_row_above(small_ring, monkeypatch):
+    # each row reads only the row above it, so no older row may outlive it:
+    # threading row i, every RowState before row i - 1 is already freed
+    bg, chi, params, res, cyc = small_ring
+    rows: list[weakref.ref] = []
+    threaded = []
+
+    def first(*args, **kwargs):
+        row = seed_first_row(*args, **kwargs)
+        rows.append(weakref.ref(row))
+        return row
+
+    def next_row(ctx, prev, *args, **kwargs):
+        i = prev.index + 1
+        alive = [k for k, ref in enumerate(rows[:i - 1]) if ref() is not None]
+        assert not alive, f"rows {alive} still alive while row {i} is threaded"
+        threaded.append(i)
+        row = embed_row(ctx, prev, *args, **kwargs)
+        rows.append(weakref.ref(row))
+        return row
+
+    monkeypatch.setattr(embedder, "seed_first_row", first)
+    monkeypatch.setattr(embedder, "embed_row", next_row)
+    gc.disable()
+    try:
+        emb = embed_grid(bg, chi, res, cyc, params, seed=3)
+    finally:
+        gc.enable()
+    assert threaded == [1, 2, 3]
+    assert len(emb.image) == 16
+
+
+def test_context_refuses_overlapping_cycle_sets():
+    _, _, ctx = complete_ring_ctx()
+    for t, u in ((1, 2), (0, 3)):  # neighbours on the ring, and sets apart
+        sets = list(ctx.sets)
+        sets[u] = VertexSet(ctx.G.n, [*sets[u].ids[1:], sets[t].ids[0]])
+        with pytest.raises(ValueError, match="cycle sets overlap"):
+            EmbedContext(sets, ctx.bad, 0, ctx.G, ctx.params, ctx.s)
+    EmbedContext(list(ctx.sets), ctx.bad, 0, ctx.G, ctx.params, ctx.s)
 
 
 def search_outcome(ctx: EmbedContext, knobs: Knobs) -> list:

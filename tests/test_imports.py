@@ -1,7 +1,9 @@
-"""Every name a package module imports is read somewhere in that module, and
-no module reaches below its layer."""
+"""Every name a package module imports is read somewhere in that module, no
+module reaches below its layer, and a run leaves numpy.ma unimported."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +86,29 @@ def test_scan_sees_config_import_the_oracles(line):
 @pytest.mark.parametrize("name", sorted(p.name for p in _SRC.glob("*.py")))
 def test_module_keeps_to_its_layer(name):
     assert not _layer_breaches(ast.parse((_SRC / name).read_text()), name)
+
+
+# In numpy 2.4 a plain `np.unique` (and so `np.union1d`) imports numpy.ma on
+# first use, about half a megabyte of RSS; the package's set operations go
+# through word masks and sorts instead.
+_NO_MASKED_ARRAYS = """
+import sys, tempfile
+sys.path.insert(0, sys.argv[1])
+from monogrid.cli import main
+from monogrid.graphs import EdgeColouring, Graph, VertexSet, colour_subgraph
+with tempfile.TemporaryDirectory() as out:
+    assert main(["run", "--preset", "desk", "--seed", "0", "--set", "s=300",
+                 "--out", out]) == 0
+Graph.random_regular(20, 4, 0)
+# tile keys this sparse send the class check's np.isin down its sorting path
+G = Graph.from_edges(1 << 20, [(k * 20000, k * 20000 + (1 << 19)) for k in range(20)])
+colour_subgraph(G, EdgeColouring.by_edge(G, 2, [k % 2 for k in range(20)]), 1)
+assert VertexSet(10, [1, 2]) | VertexSet(10, [2, 7]) == VertexSet(10, [1, 2, 7])
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_desk_run_and_set_algebra_leave_numpy_ma_unimported():
+    done = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS, str(_SRC.parent)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -25,9 +25,9 @@ FILES = ("blowup.graph", "blowup.host", "blowup.meta", "colouring.txt",
 
 # What a mutation writes into a line.  Every count here is either small or
 # past the readers' bounds, so no example builds a large graph.
-TOKENS = ("0", "1", "2", "3", "-1", "11", "12", "13", "n", "r", "p", "seed",
-          "part_size", "host_hash", "x", "", "#", "0.5", "nan", "inf", "1e3",
-          "100000000", "1099511627776", "99999999999999999999")
+TOKENS = ("0", "1", "2", "3", "-1", "11", "12", "13", "n", "r", "p", "c", "seed",
+          "part_size", "host_hash", "x", "", "#", "0.5", "nan", "inf", "-inf", "1e3",
+          "1.5", "-0.5", "0.9", "100000000", "1099511627776", "99999999999999999999")
 
 mutations = st.lists(
     st.tuples(st.sampled_from(FILES), st.integers(0, 30),
