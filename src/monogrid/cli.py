@@ -175,7 +175,7 @@ def run_once(cfg: RunConfig, outdir: Path) -> tuple[dict, dict]:
         with stage("pipeline"):
             res = regular_subgraph(bg, chi, cfg.params, cfg.schedule(), seed=cfg.seed,
                                    knobs=cfg.knobs)
-            _write_json(outdir / "pipeline.json", res.to_json())
+            _write_json_lines(outdir / "pipeline.json", res.to_json())
             report["artifacts"]["pipeline"] = "pipeline.json"
             report["stages"]["pipeline"] = {
                 "edges_processed": len(res.edge_log),
@@ -259,6 +259,22 @@ def _write_json(path: Path, data: dict) -> None:
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_json_lines(path: Path, data: dict) -> None:
+    """`data` as JSON with one line per top-level key, and per entry of a
+    dict under one (a final set); unindented, json runs its C encoder."""
+    def line(key: str, value, pad: str) -> str:
+        return f"{pad}{json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
+    fields = []
+    for key, value in sorted(data.items()):
+        if isinstance(value, dict):
+            inner = ",\n".join(line(k, v, "    ") for k, v in sorted(value.items()))
+            fields.append(f"  {json.dumps(key)}: {{\n{inner}\n  }}")
+        else:
+            fields.append(line(key, value, "  "))
+    with open(path, "w") as fh:
+        fh.write("{\n" + ",\n".join(fields) + "\n}\n")
 
 
 def _write_report(outdir: Path, report: dict, timings: dict) -> None:

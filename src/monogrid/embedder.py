@@ -100,7 +100,6 @@ class EmbedContext:
 
     sets: list[VertexSet]
     bad: list[VertexSet]
-    colour: int
     G: Graph
     params: RegParams
     s: int
@@ -474,7 +473,7 @@ def build_context(bg: BlowupGraph, chi: EdgeColouring, result: PipelineResult,
         except BadSetError as e:
             raise EmbedFailure("bad-set", str(e), position=t) from e
 
-    ctx = EmbedContext(sets, bad, cycle.colour, G, params, bg.part_size)
+    ctx = EmbedContext(sets, bad, G, params, bg.part_size)
     ctx.validate()
     return ctx
 

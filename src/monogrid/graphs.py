@@ -13,7 +13,8 @@ A `PairMatrix` keeps such gathered rows and ANDs them with column masks.
 Only this module sees that layout; the rest ask set-level questions
 (`PairMatrix`, `degrees_into`, `edge_count`, `pair_density`, `neighbours_in`,
 the `VertexSet` algebra).  `oracle.py` keeps its search state in int masks
-from `Graph.row`, the one conversion of tiles into ints.
+from `Graph.rows`, the one conversion of tiles into ints: one decode of the
+non-zero tile words for every vertex at once.
 
 A vertex set is a read-only sorted int64 array of member ids, with a word
 mask over 0..n-1 built on first use.  Iteration and `to_list` hand out Python
@@ -337,12 +338,15 @@ class Graph:
         lo, hi = self._ptr[v >> 6], self._ptr[(v >> 6) + 1]
         return self._tiles[lo:hi, v & 63], self._col[lo:hi]
 
-    def row(self, v: int) -> int:
-        """N(v) as an int with bit w set for each neighbour w."""
-        words, cols = self._row_words(v)
-        out = 0
-        for c, word in zip(cols.tolist(), words.tolist()):
-            out |= word << W * c
+    def rows(self) -> list[int]:
+        """N(v) for every vertex v, as an int with bit w set for each
+        neighbour w: one decode of the non-zero tile words."""
+        t, r = np.nonzero(self._tiles)
+        v = self._keys[t] // max(_nblocks(self.n), 1) * W + r
+        out = [0] * self.n
+        for u, c, word in zip(v.tolist(), self._col[t].tolist(),
+                              self._tiles[t, r].tolist()):
+            out[u] |= word << W * c
         return out
 
     def degree(self, v: int) -> int:

@@ -7,20 +7,25 @@ Carlo grid counts.  They run only at sizes where exhaustion is affordable,
 and they refuse (or report unknown) rather than guess.
 
 The subgraph search is one depth-first loop over int masks (the rows that
-`Graph.row` decodes from the tiles) with an explicit stack, so no pattern
-size meets the recursion limit.  It prunes by forward checking (the cheapest
-form of Ullmann's refinement, J. ACM 23(1), 1976): each unplaced pattern
-vertex next to a placed one keeps a candidate mask, and a branch is cut as
-soon as one empties.  The cut branches hold no embedding, so every answer
-and found mapping is that of the plain search; only the node count is
-smaller.  It is the package's one backtracking search: `find_cycle` scans
-cycle lengths and colour classes with it, for the pipeline's host cycle.
-Grid counts with at most three columns never enumerate grids: numpy
-extends the column paths, then the compatible column pairs, a position at a
-time, and counts three-column grids from the pairs' occupancy masks.  They
-build only the copies whose middle column runs from a lower to a higher end
-id and double the result: reversing every column is a grid automorphism that
-swaps the two directions, so the halving is exact.
+`Graph.rows` decodes from the tiles in one pass) with an explicit stack, so
+no pattern size meets the recursion limit.  It prunes by forward checking
+(the cheapest form of Ullmann's refinement, J. ACM 23(1), 1976): each
+unplaced pattern vertex next to a placed one keeps a candidate mask, and a
+branch is cut as soon as one empties.  The cut branches hold no embedding,
+so every answer and found mapping is that of the plain search; only the node
+count is smaller.  It is the package's one backtracking search: `find_cycle`
+scans cycle lengths and colour classes with it, for the pipeline's host
+cycle.
+Grid counts with at most three columns never enumerate grids.  Each vertex
+has an int64 neighbour mask, and numpy extends the column paths, then the
+compatible column pairs, a position at a time by walking the set bits of
+their candidate masks (a neighbour mask less the occupied vertices) in
+row-major order.  Three-column grids are counted from popcount bitsets: for
+each middle column, one bitset per vertex over the compatible columns that
+hold it, so the ends meeting a column are the OR of its vertices' bitsets.
+The counts build only the copies whose middle column runs from a lower to a
+higher end id and double the result: reversing every column is a grid
+automorphism that swaps the two directions, so the halving is exact.
 """
 
 from __future__ import annotations
@@ -86,15 +91,14 @@ def _search_order(T: Graph) -> list[int]:
 
 
 class _Budget:
+    """A search's node count and its budget, None for no bound; a search
+    past its budget stops with `nodes` one above it."""
+
     __slots__ = ("budget", "nodes")
 
     def __init__(self, budget: int | None):
         self.budget = budget
         self.nodes = 0
-
-    def spend(self) -> bool:
-        self.nodes += 1
-        return self.budget is None or self.nodes <= self.budget
 
 
 @dataclass(frozen=True)
@@ -149,12 +153,15 @@ def _embed(
     the same order; only the node count falls.
 
     Returns True (with `images` left holding the embedding), False, or None
-    on budget exhaustion.
+    on budget exhaustion.  The nodes are counted in a local and written back
+    to `budget` on every exit.
     """
     k = len(plan.order)
     top = plan.fixed
     if top == k:
         return True
+    nodes = budget.nodes
+    cap = math.inf if budget.budget is None else budget.budget
     ahead = plan.ahead
     used = 0
     for g in images[:top]:
@@ -178,13 +185,16 @@ def _embed(
             for f, m in zip(ahead[d], base[d]):
                 dom[f] = m
             if d == top:
+                budget.nodes = nodes
                 return False
             d -= 1
             used ^= 1 << images[d]
             continue
         low = cand & -cand
         left[d] = cand ^ low
-        if not budget.spend():
+        nodes += 1
+        if nodes > cap:
+            budget.nodes = nodes
             return None
         g = low.bit_length() - 1
         images[d] = g
@@ -197,6 +207,7 @@ def _embed(
                 break
         else:
             if d + 1 == k:
+                budget.nodes = nodes
                 return True
             used |= low
             d += 1
@@ -211,7 +222,7 @@ def contains_subgraph(G: Graph, T: Graph, budget: int | None = None) -> SearchRe
     plan = _plan(T, _search_order(T))
     tracker = _Budget(budget)
     images = [0] * T.n
-    out = _embed([G.row(v) for v in G.vertices()], plan, images, tracker)
+    out = _embed(G.rows(), plan, images, tracker)
     if out is None:
         return SearchResult(UNKNOWN, None, tracker.nodes)
     if out:
@@ -234,7 +245,7 @@ def find_cycle(classes: list[Graph], lengths: range,
     at the least vertex on any ell-cycle of its class.  None also when the
     budget runs out; the node count then exceeds it.
     """
-    rows = [[G.row(v) for v in G.vertices()] for G in classes]
+    rows = [G.rows() for G in classes]
     tracker = _Budget(budget)
     for ell in lengths:
         plan = _cycle_plan(ell)
@@ -354,7 +365,8 @@ def arrows(G: Graph, T: Graph, r: int, budget: int = SEARCH_BUDGET,
             tried[depth] = -1
             depth -= 1
             continue
-        if not tracker.spend():
+        tracker.nodes += 1
+        if tracker.nodes > budget:
             status = UNKNOWN
             break
         tried[depth] = c
@@ -402,33 +414,63 @@ def _bits(n: int) -> np.ndarray:
     return np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
 
 
+def _neighbour_masks(A: np.ndarray) -> np.ndarray:
+    """Every vertex's row of the adjacency matrix A as an int64 mask; n <= 63."""
+    return A @ _bits(A.shape[0])
+
+
+def _set_bits(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every set bit of the int64 `masks`, row-major and ascending: the row
+    it sits in (int32) and its position (int8).
+
+    Each round takes the lowest bit of every row still holding one (the
+    popcount of x ^ (x - 1) is its position plus one), writes it at its
+    row's next output slot, clears it and drops the emptied rows.
+    """
+    count = np.bitwise_count(masks)
+    rows = np.repeat(np.arange(len(masks), dtype=np.int32), count)
+    pos = np.empty(len(rows), dtype=np.int8)
+    live = count.nonzero()[0]
+    left = masks[live]
+    at = (np.cumsum(count, dtype=np.int32) - count)[live]
+    while len(left):
+        less = left - 1
+        pos[at] = np.bitwise_count(left ^ less)
+        left &= less
+        live = left.nonzero()[0]
+        left, at = left[live], at[live] + 1
+    pos -= 1
+    return rows, pos
+
+
 def _ordered_paths(A: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
     """All ordered a-vertex paths in the graph with adjacency matrix A.
 
-    Returns (tuples, masks): tuples is (t, a) int vertex ids in lexicographic
-    order, masks is (t,) int64 occupancy bitmasks.  Requires n <= 63.
+    Returns (tuples, masks): tuples is (t, a) int8 vertex ids in
+    lexicographic order, masks is (t,) int64 occupancy bitmasks.  Requires
+    n <= 63.
     """
+    am = _neighbour_masks(A)
     bit = _bits(A.shape[0])
-    tuples = np.arange(A.shape[0], dtype=np.int64)[:, None]
-    masks = bit.copy()
+    tuples = np.arange(A.shape[0], dtype=np.int8)[:, None]
+    masks = bit
     for _ in range(a - 1):
-        # extend every path by each free neighbour of its last vertex;
-        # nonzero walks row-major, so the order stays lexicographic
-        free = A[tuples[:, -1]] & ((masks[:, None] & bit) == 0)
-        rows, w = np.nonzero(free)
+        # extend every path by each free neighbour of its last vertex,
+        # row-major, so the order stays lexicographic
+        rows, w = _set_bits(am[tuples[:, -1]] & ~masks)
         tuples = np.column_stack((tuples[rows], w))
         masks = masks[rows] | bit[w]
     return tuples, masks
 
 
-# Bound on the (j, i, k) triples one pass of the three-column count
-# broadcasts: at 8 bytes a mask, a pass stays near 2 MB.
-_TRIPLE_CHUNK = 1 << 18
-
-# Bound on the expected cells (rows times n) of the largest array one count
-# builds: a stage of partial paths or column pairs against its n-wide
-# candidate masks.  At about ten bytes a cell (the int64 occupancy broadcast
-# and the bool masks beside it) one sample stays near 200 MB.
+# Bound on the expected cells (rows times n) of a count's largest stage: the
+# partial paths or column pairs.  The set-bit walks that extend a stage keep
+# a few tens of bytes a row, whatever n.  A three-column count also keeps,
+# for each kept middle column and vertex, a 64-bit word per 64 pairs of the
+# widest middle, 32 bytes each while built; in G(n, p) the widest holds a
+# small multiple of the mean, so that is a few bytes a cell of the pairs
+# stage.  So a sample stays within about ten bytes a cell, near 200 MB at
+# the bound.
 _COUNT_CELLS = 1 << 24
 
 
@@ -446,28 +488,33 @@ def _largest_stage(n: int, p: float, a: int, b: int) -> float:
     return max(rows)
 
 
-def _rungs(A: np.ndarray, tuples: np.ndarray,
-           masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rungs(am: np.ndarray, tuples: np.ndarray,
+           masks: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Every compatible column pair: (j, y) with y a path adjacent to path j
     position by position and disjoint from it.
 
-    Built by extending y one position at a time beside every path j at once.
-    Returns (mids, ends): the ids j, ascending, and the occupancy masks of y.
+    Built by extending y one position at a time beside every path j at
+    once, walking the set bits of each candidate mask: the neighbour mask
+    `am` of j's vertex there, less the occupied vertices, and ANDed with
+    that of y's previous vertex.  Returns (mids, ys): the ids j, ascending
+    (int32), and y's vertex ids, one int8 array per position.
     """
-    bit = _bits(A.shape[0])
-    mids = np.arange(len(tuples))
+    bit = _bits(len(am))
+    a = tuples.shape[1]
+    column = list(tuples.T)
+    mids = np.arange(len(tuples), dtype=np.int32)
     occupied = masks
-    ends = np.zeros(len(tuples), dtype=np.int64)
-    prev = None
-    for pos in range(tuples.shape[1]):
-        free = A[tuples[mids, pos]] & ((occupied[:, None] & bit) == 0)
-        if prev is not None:
-            free &= A[prev]
-        rows, prev = np.nonzero(free)
+    ys: list[np.ndarray] = []
+    for pos in range(a):
+        free = am[column[pos][mids]] & ~occupied
+        if pos:
+            free &= am[ys[-1]]
+        rows, w = _set_bits(free)
         mids = mids[rows]
-        occupied = occupied[rows] | bit[prev]
-        ends = ends[rows] | bit[prev]
-    return mids, ends
+        ys = [y[rows] for y in ys] + [w]
+        if pos + 1 < a:
+            occupied = occupied[rows] | bit[w]
+    return mids, ys
 
 
 def _count_grid_in_adj(A: np.ndarray, paths: tuple[np.ndarray, np.ndarray],
@@ -498,22 +545,38 @@ def _count_grid_in_adj(A: np.ndarray, paths: tuple[np.ndarray, np.ndarray],
     if tuples.shape[1] > 1:
         keep = tuples[:, 0] < tuples[:, -1]
         tuples, masks, copies = tuples[keep], masks[keep], 2
-    mids, ends = _rungs(A, tuples, masks)
-    if b == 2:
+    mids, ys = _rungs(_neighbour_masks(A), tuples, masks)
+    if b == 2 or len(mids) == 0:
         return copies * len(mids)
-    # b == 3: a middle column j with ends i, k from j's compatible set (a run
-    # of `ends`, since `mids` ascend), needing only i and k disjoint.  The
-    # (j, i, k) triples are broadcast for all middles of one set size at
-    # once, a chunk of middles at a time.
+    # b == 3: a middle column j with ends i, k from j's compatible set (the
+    # run of its d_j pairs, since `mids` ascend), needing only i and k
+    # disjoint.  Row w of B holds, at cell (j, v), word w of the bitset over
+    # the ranks within j's run of the pairs whose column y holds v.  The OR
+    # of those cells over the vertices of i marks every end meeting i (i
+    # among them), so d_j less its popcount ends are disjoint from i.
+    n = A.shape[0]
     size = np.bincount(mids, minlength=len(tuples))
-    start = np.cumsum(size) - size
-    total = 0
-    for d in (np.flatnonzero(np.bincount(size)[2:]) + 2).tolist():
-        first = start[size == d]
-        step = max(1, _TRIPLE_CHUNK // (d * d))
-        for c in range(0, len(first), step):
-            sets = ends[first[c:c + step, None] + np.arange(d)]
-            total += int(np.count_nonzero((sets[:, :, None] & sets[:, None, :]) == 0))
+    start = (np.cumsum(size) - size).astype(np.int32)
+    rank = np.arange(len(mids), dtype=np.int32) - start[mids]
+    words = (int(size.max()) + 63) // 64
+    cells = len(tuples) * n
+    at = mids * n
+    # B's 32-bit halves by bincount, exact: each bin sums distinct powers of
+    # two, since a pair's column holds each vertex once
+    slot = 2 * ((rank >> 6) * cells + at) + ((rank >> 5) & 1)
+    weight = np.ldexp(1.0, rank & 31)
+    halves = np.zeros(2 * words * cells)
+    for y in ys:
+        halves += np.bincount(slot + 2 * y, weight, minlength=len(halves))
+    B = halves.astype("<u4").view("<u8").reshape(words, cells)
+    ends = [at + y for y in ys]
+    total = int(size @ size)
+    for row in B:
+        # one word column at a time
+        hit = row[ends[0]]
+        for e in ends[1:]:
+            hit |= row[e]
+        total -= int(np.bitwise_count(hit).sum())
     return copies * total
 
 

@@ -181,6 +181,22 @@ def test_failed_run_times_the_stage_that_failed(tmp_path):
         "host", "blowup", "colour", "pipeline", "cycle", "total"}
 
 
+def test_pipeline_json_reads_back_as_the_result(tmp_path, monkeypatch):
+    kept = []
+
+    def keep(*args, **kwargs):
+        kept.append(regular_subgraph(*args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr(monogrid.cli, "regular_subgraph", keep)
+    out = tmp_path / "run"
+    assert main(["run", "--preset", "desk", "--set", "colouring=uniform-random",
+                 "--set", "alpha=1/4", "--out", str(out)]) == 1
+    with open(out / "pipeline.json") as fh:
+        assert json.load(fh) == kept[0].to_json()
+    assert len(kept[0].final_sets) > 1
+
+
 def test_run_rejects_oversized_delta(tmp_path, capsys):
     assert main(["run", "--preset", "desk", "--set", "delta=1/2",
                  "--seed", "0", "--out", str(tmp_path)]) == 2

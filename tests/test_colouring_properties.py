@@ -43,8 +43,8 @@ def colourings(draw):
 def _union_rows(chi: EdgeColouring) -> list[int]:
     union = [0] * chi.n
     for g in chi.classes:
-        for v in range(chi.n):
-            union[v] |= g.row(v)
+        for v, row in enumerate(g.rows()):
+            union[v] |= row
     return union
 
 
@@ -66,11 +66,11 @@ def test_file_round_trip_keeps_items_and_r(case):
 def test_classes_are_disjoint_and_validate_total_means_union_is_e(case):
     G, r, mapping = case
     chi = colouring_from(G.n, r, mapping)
+    rows = [g.rows() for g in chi.classes]
     for c in range(r):
         for d in range(c + 1, r):
-            assert all(chi.classes[c].row(v) & chi.classes[d].row(v) == 0
-                       for v in range(G.n))
-    covers = _union_rows(chi) == [G.row(v) for v in range(G.n)]
+            assert all(x & y == 0 for x, y in zip(rows[c], rows[d]))
+    covers = _union_rows(chi) == G.rows()
     try:
         chi.validate_total(G)
         total = True

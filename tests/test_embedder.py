@@ -47,7 +47,7 @@ def complete_ring_ctx(m: int = 5, s: int = 10, p: float = 1.0):
                        alpha=F(1, 2), lam=F(1), delta=F(1, 20), c=6.0, p=p)
     sets = [bg.part(t) for t in range(m)]
     bad = [VertexSet.empty(bg.gamma.n) for _ in range(m)]
-    ctx = EmbedContext(sets, bad, 0, bg.gamma, params, s)
+    ctx = EmbedContext(sets, bad, bg.gamma, params, s)
     return bg, chi, ctx
 
 
@@ -108,7 +108,7 @@ def test_first_row_banks_avoid_bad_vertices():
     bg, chi, ctx = complete_ring_ctx()
     bad = list(ctx.bad)
     bad[1] = ctx.sets[1].lowest(2)  # allowance is eps * s = 2
-    marked = EmbedContext(ctx.sets, bad, 0, ctx.G, ctx.params, ctx.s)
+    marked = EmbedContext(ctx.sets, bad, ctx.G, ctx.params, ctx.s)
     row = seed_first_row(marked, 7)
     assert row.images[1] not in bad[1]
     assert row.family[0].isdisjoint(bad[1])
@@ -118,7 +118,7 @@ def test_first_row_fails_on_emptied_target_set():
     _, _, ctx = complete_ring_ctx()
     bad = list(ctx.bad)
     bad[1] = ctx.sets[1]  # nothing left next door
-    broken = EmbedContext(ctx.sets, bad, 0, ctx.G, ctx.params, ctx.s)
+    broken = EmbedContext(ctx.sets, bad, ctx.G, ctx.params, ctx.s)
     with pytest.raises(EmbedFailure) as exc:
         seed_first_row(broken, 0)
     assert exc.value.stage == "first-row"
@@ -136,7 +136,7 @@ def test_first_row_audit_rejects_empty_opening_pair():
                        alpha=F(1, 2), lam=F(1), delta=F(1, 20), c=6.0, p=1.0)
     sets = [bg.part(t) for t in range(5)]
     bad = [VertexSet.empty(bg.gamma.n) for _ in range(5)]
-    ctx = EmbedContext(sets, bad, 0, G, params, 10)
+    ctx = EmbedContext(sets, bad, G, params, 10)
     with pytest.raises(EmbedFailure) as exc:
         seed_first_row(ctx, 0)
     assert exc.value.stage == "first-row-audit"
@@ -147,7 +147,7 @@ def test_failure_report_serializes():
     _, _, ctx = complete_ring_ctx()
     bad = list(ctx.bad)
     bad[1] = ctx.sets[1]
-    broken = EmbedContext(ctx.sets, bad, 0, ctx.G, ctx.params, ctx.s)
+    broken = EmbedContext(ctx.sets, bad, ctx.G, ctx.params, ctx.s)
     try:
         seed_first_row(broken, 0)
     except EmbedFailure as e:
@@ -169,7 +169,7 @@ def filter_fixture():
     sets = [VertexSet(12, [0, 1, 2, 3]),
             VertexSet(12, range(5, 11))]
     bad = [VertexSet.empty(12), VertexSet.empty(12)]
-    ctx = EmbedContext(sets, bad, 0, G, params, 8)
+    ctx = EmbedContext(sets, bad, G, params, 8)
     # candidate size 1, slack 1, padding target 4
     assert (ctx.candidate_size, ctx.filter_slack, ctx.q_target) == (1, 1, 4)
     return ctx
@@ -230,7 +230,7 @@ def test_backward_filter_flags_disconnected_banks():
     sets = [VertexSet(16, [0, 1, 2, 3]),
             VertexSet(16, [8, 9, 10, 11])]
     bad = [VertexSet.empty(16), VertexSet.empty(16)]
-    ctx = EmbedContext(sets, bad, 0, G, params, 32)
+    ctx = EmbedContext(sets, bad, G, params, 32)
     assert ctx.candidate_size - ctx.backward_cut == 2
     with pytest.raises(EmbedFailure) as exc:
         backward_filter([sets[0], sets[1]], ctx)
@@ -340,8 +340,8 @@ def test_context_refuses_overlapping_cycle_sets():
         sets = list(ctx.sets)
         sets[u] = VertexSet(ctx.G.n, [*sets[u].ids[1:], sets[t].ids[0]])
         with pytest.raises(ValueError, match="cycle sets overlap"):
-            EmbedContext(sets, ctx.bad, 0, ctx.G, ctx.params, ctx.s)
-    EmbedContext(list(ctx.sets), ctx.bad, 0, ctx.G, ctx.params, ctx.s)
+            EmbedContext(sets, ctx.bad, ctx.G, ctx.params, ctx.s)
+    EmbedContext(list(ctx.sets), ctx.bad, ctx.G, ctx.params, ctx.s)
 
 
 def search_outcome(ctx: EmbedContext, knobs: Knobs) -> list:

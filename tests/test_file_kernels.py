@@ -190,9 +190,9 @@ def _outcome(read, path, *args):
     except Exception as e:  # the type and the message must both match
         return "error", type(e).__name__, str(e)
     if isinstance(got, Graph):
-        return "graph", got.n, got.edge_count, [got.row(v) for v in range(got.n)]
+        return "graph", got.n, got.edge_count, got.rows()
     return ("colouring", got.n, got.r, got.colour_counts(),
-            [[g.row(v) for v in range(g.n)] for g in got.classes])
+            [g.rows() for g in got.classes])
 
 
 def _bytes_of(write, obj, comment=None):

@@ -211,6 +211,27 @@ def test_edges_round_trip():
         assert g.edge_count == sum(1 for _ in g.edges())
 
 
+def _rows_from_edges(g: Graph) -> list[int]:
+    rows = [0] * g.n
+    for u, v in g.edges():
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+@pytest.mark.parametrize("n,p", [(0, 0.5), (1, 0.5), (5, 0.0), (40, 0.15), (64, 0.1),
+                                 (128, 0.05), (150, 0.04)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_rows_match_the_edges(n, p, seed):
+    # edgeless graphs, n a multiple of 64 and not, and sparse ones where
+    # many vertices are isolated
+    g = random_graph(n, p, seed)
+    assert g.rows() == _rows_from_edges(g)
+    # a vertex past the last tile boundary, isolated, keeps its empty row
+    padded = Graph.from_edges(n + 70, g.edges())
+    assert padded.rows() == _rows_from_edges(g) + [0] * 70
+
+
 # ---------------------------------------------------------------------------
 # pair density and subset degrees
 
@@ -349,10 +370,10 @@ def test_colour_subgraphs_partition_edges(seed):
     assert sum(p.edge_count for p in pieces) == g.edge_count
     union = [0] * 15
     for p in pieces:
-        for v in range(15):
-            assert union[v] & p.row(v) == 0  # classes are edge-disjoint
-            union[v] |= p.row(v)
-    assert union == [g.row(v) for v in range(15)]
+        for v, row in enumerate(p.rows()):
+            assert union[v] & row == 0  # classes are edge-disjoint
+            union[v] |= row
+    assert union == g.rows()
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +459,10 @@ def test_readers_take_header_counts_up_to_their_bounds(tmp_path):
 # Adjacency is tiles only inside graphs.py, and bit operations on it too;
 # these modules ask set-level questions instead, and read no `PairMatrix`
 # words or column bits (`.words`, `.bit`).  oracle.py keeps int-mask
-# search state, which it takes from `Graph.row` and from nothing else of the
-# layout.
-_TILE_READS = re.compile(r"\._(tiles|keys|ptr|col|mask|words|rows)\b|\.(bits?|words)\b|\.row\("
+# search state, which it takes from `Graph.rows` and from nothing else of the
+# layout; its grid counts popcount bitsets of their own, built from a dense
+# adjacency matrix.
+_TILE_READS = re.compile(r"\._(tiles|keys|ptr|col|mask|words|rows)\b|\.(bits?|words)\b|\.rows?\("
                          r"|\b(un)?packbits\b|\bbitwise_count\b")
 _SRC = Path(__file__).resolve().parents[1] / "src" / "monogrid"
 
@@ -448,7 +470,7 @@ _SRC = Path(__file__).resolve().parents[1] / "src" / "monogrid"
 @pytest.mark.parametrize("name", ["regularity.py", "embedder.py", "pipeline.py",
                                   "cli.py", "blowup.py", "oracle.py"])
 def test_only_graphs_reads_bit_rows(name):
-    allowed = {".row("} if name == "oracle.py" else set()
+    allowed = {".rows(", "bitwise_count"} if name == "oracle.py" else set()
     hits = [line for line in (_SRC / name).read_text().splitlines()
             if {m.group(0) for m in _TILE_READS.finditer(line)} - allowed]
     assert not hits

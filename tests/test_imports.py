@@ -60,16 +60,16 @@ def _layer_breaches(tree: ast.Module, name: str) -> set[str]:
                 and name != "graphs.py"):
             breaches.add(node.attr)
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "row" and name not in ("graphs.py", "oracle.py")):
-            breaches.add(".row(")
+                and node.func.attr == "rows" and name not in ("graphs.py", "oracle.py")):
+            breaches.add(".rows(")
         if name == "config.py" and _imports_the_oracles(node):
             breaches.add("monogrid.oracle")
     return breaches
 
 
 def test_scan_sees_a_layer_breach():
-    tree = ast.parse("def f(G):\n    return G._tiles, G.row(0), G.rows(1)\n")
-    assert _layer_breaches(tree, "pipeline.py") == {"_tiles", ".row("}
+    tree = ast.parse("def f(G):\n    return G._tiles, G.rows(), G.row(1)\n")
+    assert _layer_breaches(tree, "pipeline.py") == {"_tiles", ".rows("}
     assert _layer_breaches(tree, "oracle.py") == {"_tiles"}
     assert _layer_breaches(tree, "graphs.py") == set()
 

@@ -1,23 +1,22 @@
 """Differential tests: the oracles' search and grid-count kernels against
 plain reference versions.
 
-The references below are the earlier kernels, kept verbatim: a recursive
-backtracking search that tries every candidate without forward checking, a
-recursive path enumerator, and a three-column count over dense t x t
-matrices.  Hypothesis draws G(n, p) with n <= 30 and a range of targets; the
-kernels must give the same statuses, mappings and counts, never spend more
-search nodes, and decide within every budget the reference decided in.
+The references below are the earlier kernels, kept verbatim but for their
+node counter: a recursive backtracking search that tries every candidate
+without forward checking, a recursive path enumerator, and a three-column
+count over dense t x t matrices.  Hypothesis draws G(n, p) with n <= 30 and
+a range of targets; the kernels must give the same statuses, mappings and
+counts, never spend more search nodes, and decide within every budget the
+reference decided in.
 The reference's copy count is the one exhaustive counter the suite has;
 `test_oracle` checks grid counts and expectations against it.
 """
-
-from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monogrid import oracle
+from monogrid import oracle, seeds
 from monogrid.graphs import Graph
 from monogrid.oracle import (
     ABSENT,
@@ -36,6 +35,18 @@ SETTINGS = settings(max_examples=60, deadline=None)
 # references
 
 
+class _Tracker:
+    """Nodes spent against a budget, None for no bound."""
+
+    def __init__(self, budget: int | None):
+        self.budget = budget
+        self.nodes = 0
+
+    def spend(self) -> bool:
+        self.nodes += 1
+        return self.budget is None or self.nodes <= self.budget
+
+
 def _iter_bits(bits: int):
     """The set-bit positions of a non-negative int, ascending, one at a time."""
     while bits:
@@ -50,7 +61,7 @@ def _embed(
     order: list[int],
     assigned: dict[int, int],
     used: int,
-    budget: _Budget,
+    budget: _Tracker,
     count_all: bool = False,
 ) -> int | None:
     """Extend a partial embedding along `order`; count completions or stop at one.
@@ -91,9 +102,9 @@ def contains_subgraph(G: Graph, T: Graph, budget: int | None = None) -> SearchRe
         return SearchResult(FOUND, {}, 0)
     if T.n > G.n or T.edge_count > G.edge_count or T.max_degree() > G.max_degree():
         return SearchResult(ABSENT, None, 0)
-    rows = [G.row(v) for v in G.vertices()]
+    rows = G.rows()
     order = _search_order(T)
-    tracker = _Budget(budget)
+    tracker = _Tracker(budget)
     assigned: dict[int, int] = {}
     out = _embed(rows, T, order, assigned, 0, tracker)
     if out is None:
@@ -107,9 +118,9 @@ def count_labelled_copies(G: Graph, T: Graph, budget: int | None = None) -> int:
     """Exact number of injective adjacency-preserving maps T -> G."""
     if T.n == 0:
         return 1
-    rows = [G.row(v) for v in G.vertices()]
+    rows = G.rows()
     order = _search_order(T)
-    tracker = _Budget(budget)
+    tracker = _Tracker(budget)
     out = _embed(rows, T, order, {}, 0, tracker, count_all=True)
     if out is None:
         raise RuntimeError(f"copy count exhausted its budget after {tracker.nodes} nodes")
@@ -117,7 +128,7 @@ def count_labelled_copies(G: Graph, T: Graph, budget: int | None = None) -> int:
 
 
 def _anchored_copy(rows: list[int], n: int, T: Graph, u: int, v: int,
-                   budget: _Budget) -> bool:
+                   budget: _Tracker) -> bool:
     """Does the graph given by `rows` contain T through the edge (u, v)?"""
     for x, y in T.edges():
         for ax, ay in ((x, y), (y, x)):
@@ -274,8 +285,8 @@ def test_anchored_copies_match_the_reference(G, T, data):
     u, v = data.draw(st.sampled_from(edges))
     if data.draw(st.booleans()):
         u, v = v, u
-    rows = [G.row(g) for g in G.vertices()]
-    old, new = _Budget(None), _Budget(None)
+    rows = G.rows()
+    old, new = _Tracker(None), _Budget(None)
     assert (oracle._anchored_copy(rows, _anchored_plans(T), u, v, new)
             == _anchored_copy(rows, G.n, T, u, v, old))
     assert new.nodes <= old.nodes
@@ -304,36 +315,47 @@ def _matrix(G: Graph) -> np.ndarray:
     return A
 
 
-# dense inputs the sparse strategy never draws: K_9, where every injective
-# placement is a copy, and the 5x5 grid with its 72 labelled 3x3 copies
-K9, GRID5 = _matrix(Graph.complete(9)), _matrix(Graph.grid(5, 5))
+# dense inputs the sparse strategy never draws: K_9 and K_10, where every
+# injective placement is a copy and each 3-vertex middle column has 120 and
+# 210 compatible columns (bitsets of two and four 64-bit words), and the 5x5
+# grid with its 72 labelled 3x3 copies
+K9, K10, GRID5 = (_matrix(Graph.complete(9)), _matrix(Graph.complete(10)),
+                  _matrix(Graph.grid(5, 5)))
 
 
 @SETTINGS
-@given(sparse_adjacency(), st.sampled_from([1, 2, 3]),
-       st.sampled_from([oracle._TRIPLE_CHUNK, 20]))
-@example((K9, 1), 3, 20)
-@example((K9, 2), 3, 20)
-@example((K9, 3), 2, oracle._TRIPLE_CHUNK)
-@example((K9, 3), 3, 20)
-@example((GRID5, 3), 3, 20)
-@example((GRID5, 2), 3, oracle._TRIPLE_CHUNK)
-def test_grid_counts_match_the_reference(case, b, chunk):
+@given(sparse_adjacency(), st.sampled_from([1, 2, 3]))
+@example((K9, 1), 3)
+@example((K9, 2), 3)
+@example((K9, 3), 2)
+@example((K9, 3), 3)
+@example((K10, 3), 3)
+@example((GRID5, 3), 3)
+@example((GRID5, 2), 3)
+def test_grid_counts_match_the_reference(case, b):
     A, a = case
     paths = oracle._ordered_paths(A, a)
     want_tuples, want_masks = _ordered_paths(A, a)
     assert np.array_equal(paths[0], want_tuples)
     assert np.array_equal(paths[1], want_masks)
-    # a 20-triple chunk splits every middle-column set size into many passes
-    with mock.patch.object(oracle, "_TRIPLE_CHUNK", chunk):
-        assert oracle._count_grid_in_adj(A, paths, b) == _count_grid_in_adj(A, a, b)
+    assert oracle._count_grid_in_adj(A, paths, b) == _count_grid_in_adj(A, a, b)
 
 
-def test_grid_count_chunking_is_exercised():
-    # the dense 3 x 3 case of criterion 9, sample 0, split into tiny chunks
-    A = _adjacency(25, 0.3, 0)
-    paths = oracle._ordered_paths(A, 3)
-    want = _count_grid_in_adj(A, 3, 3)
-    for chunk in (1, 20, 1000, oracle._TRIPLE_CHUNK):
-        with mock.patch.object(oracle, "_TRIPLE_CHUNK", chunk):
-            assert oracle._count_grid_in_adj(A, paths, 3) == want
+def _criterion_9_sample(index: int) -> np.ndarray:
+    """Sample `index` of criterion 9's 200 G(25, 0.3) draws from seed 0."""
+    rng = seeds.rng(0)
+    for _ in range(index + 1):
+        upper = np.triu(rng.random((25, 25)) < 0.3, k=1)
+    return upper | upper.T
+
+
+def test_grid_count_bitsets_span_words():
+    # middle columns past one and past two 64-bit words, and criterion 9's
+    # heaviest sample
+    for A, pairs, widest in ((K9, 504 // 2 * 120, 120), (K10, 720 // 2 * 210, 210),
+                             (_criterion_9_sample(163), 61_100, 151)):
+        tuples, masks = paths = oracle._ordered_paths(A, 3)
+        keep = tuples[:, 0] < tuples[:, -1]
+        mids, _ = oracle._rungs(oracle._neighbour_masks(A), tuples[keep], masks[keep])
+        assert (len(mids), np.bincount(mids).max()) == (pairs, widest)
+        assert oracle._count_grid_in_adj(A, paths, 3) == _count_grid_in_adj(A, 3, 3)

@@ -489,7 +489,7 @@ def test_verdict_round_trips_to_json():
 #
 # The references below are the earlier `sampled_lower_regular` and
 # `compute_bad_set`: every subset a VertexSet, every density a Fraction.
-# They read `Graph.row` directly, so they share no edge count with the code
+# They read `Graph.rows` directly, so they share no edge count with the code
 # under test.
 
 
@@ -498,8 +498,8 @@ def _bits(S):
     return sum(1 << v for v in S)
 
 
-def _ref_density(G, U1, U2):
-    return Fraction(sum((G.row(u) & _bits(U2)).bit_count() for u in U1),
+def _ref_density(rows, U1, U2):
+    return Fraction(sum((rows[u] & _bits(U2)).bit_count() for u in U1),
                     len(U1) * len(U2))
 
 
@@ -509,9 +509,9 @@ def _ref_sample(S, k, rng):
     return VertexSet(S.n, [ids[int(i)] for i in picked])
 
 
-def _ref_lowest_by_degree(G, pool, into, k):
+def _ref_lowest_by_degree(rows, pool, into, k):
     mask = _bits(into)
-    return [v for _, v in sorted(((G.row(v) & mask).bit_count(), v)
+    return [v for _, v in sorted(((rows[v] & mask).bit_count(), v)
                                  for v in pool)[:k]]
 
 
@@ -522,19 +522,20 @@ def _ref_sampled(G, A, B, eps, p, trials, seed):
     k2 = max(1, math.ceil(eps * len(B)))
     a_ids, b_ids = A.to_list(), B.to_list()
     rng = seeds.rng(seed)
+    rows = G.rows()
     biased = trials // 2
-    pool1 = _ref_lowest_by_degree(G, a_ids, B, min(2 * k1, len(a_ids))) if biased else ()
+    pool1 = _ref_lowest_by_degree(rows, a_ids, B, min(2 * k1, len(a_ids))) if biased else ()
     for t in range(trials):
         if t < biased:
             pick1 = rng.choice(len(pool1), size=k1, replace=False)
             U1 = VertexSet(G.n, [pool1[int(i)] for i in pick1])
-            pool2 = _ref_lowest_by_degree(G, b_ids, U1, min(2 * k2, len(b_ids)))
+            pool2 = _ref_lowest_by_degree(rows, b_ids, U1, min(2 * k2, len(b_ids)))
             pick2 = rng.choice(len(pool2), size=k2, replace=False)
             U2 = VertexSet(G.n, [pool2[int(i)] for i in pick2])
         else:
             U1 = _ref_sample(A, k1, rng)
             U2 = _ref_sample(B, k2, rng)
-        d = _ref_density(G, U1, U2)
+        d = _ref_density(rows, U1, U2)
         if d < threshold:
             return RegVerdict(SAMPLED, False, threshold, (U1, U2), d, trials)
     return RegVerdict(SAMPLED, True, threshold, trials=trials)
@@ -555,7 +556,7 @@ def _ref_floyd(rng, n, k, rows):
 
 def _ref_bad_set(gamma, G_c, V1, V2, ambient, eps, alpha, p, draws, seed):
     """The audit of `compute_bad_set`: the same stream drawn in the same order,
-    with every one-trial sampled check judged by `Graph.row` and `Fraction`
+    with every one-trial sampled check judged by `Graph.rows` and `Fraction`
     densities."""
     eps = Fraction(eps)
     effective_p = Fraction(alpha) * Fraction(p)
@@ -569,6 +570,7 @@ def _ref_bad_set(gamma, G_c, V1, V2, ambient, eps, alpha, p, draws, seed):
     rows = [(v, d) for v in amb_ids if len(hoods1[v]) >= size for d in range(draws)]
     rng = seeds.rng(seed)
     failed = set()
+    rows_c = G_c.rows()
 
     def check(pairs, n2, k2):
         """Judge the checks of (N_v, U) for each row r and n2-set U of pairs."""
@@ -578,7 +580,7 @@ def _ref_bad_set(gamma, G_c, V1, V2, ambient, eps, alpha, p, draws, seed):
             members1, members2 = Nv[r].to_list(), U.to_list()
             U1 = VertexSet(G_c.n, [members1[i] for i in p1])
             U2 = VertexSet(G_c.n, [members2[i] for i in p2])
-            if _ref_density(G_c, U1, U2) < threshold:
+            if _ref_density(rows_c, U1, U2) < threshold:
                 failed.add(r)
 
     Nv = [VertexSet(G_c.n, [hoods1[v][i] for i in picks]) for (v, _), picks in zip(
